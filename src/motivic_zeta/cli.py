@@ -203,7 +203,7 @@ def cmd_reconstruct_traces(args):
 def cmd_variety_count(args):
     v = _variety_in(_load(args.infile))
     n_max = args.nmax or 1
-    counts = [varieties.count_points(v, n, args.budget, args.threads) for n in range(1, n_max + 1)]
+    counts = [varieties.count_points(v, n, args.budget) for n in range(1, n_max + 1)]
     return {"counts": counts}
 
 
@@ -350,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
         p.add_argument("--nmax", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--dim", type=int, default=None)
         p.add_argument("--n", type=int, default=None)

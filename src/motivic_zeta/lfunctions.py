@@ -28,6 +28,7 @@ from .varieties import (
     _normalize_matrix,
     _twisted_core,
     enumerate_points,
+    resolve_budget,
 )
 
 
@@ -236,7 +237,8 @@ _twist_cache: dict = {}
 
 
 def _cached_twist(v: VarietySpec, act: Matrix, fixers: tuple, n: int, budget) -> int:
-    key = (v, act, fixers, n)
+    # the budget belongs in the key: a smaller one must raise, not hit the cache
+    key = (v, act, fixers, n, resolve_budget(budget))
     if key not in _twist_cache:
         _twist_cache[key] = _twisted_core(v, act, n, fixers, budget)
     return _twist_cache[key]

@@ -1,27 +1,33 @@
-"""Brute-force arithmetic geometry over finite fields.
+"""Arithmetic geometry over finite fields by enumeration.
 
 Varieties are given by integer-coefficient equations in an affine or
-projective ambient space over F_{p^e}.  Counting enumerates normalized
-point representatives chart by chart (projective: first nonzero
-coordinate = 1).  Charts cut out by no equations are counted in closed
-form; charts with a single equation that is quadratic in some variable
-enumerate the remaining variables and solve; everything else is
-exhaustive.  Enumeration work is metered against a budget (default 10^7
-assignments, env MOTIVIC_ZETA_BUDGET or per-call override).
+projective ambient space over F_{p^e}.  Counting goes chart by chart over
+normalized point representatives (projective: first nonzero coordinate
+= 1).  Charts cut out by no equations are counted in closed form; a
+chart with a single equation of degree 1 or 2 in some free variable
+enumerates the remaining variables and counts roots (discriminant
+squares in odd characteristic, an absolute trace in characteristic 2);
+everything else is exhaustive.  All enumeration runs through one
+iterator over chunks of assignments, evaluated with the vectorized
+digit engine of gfvec on every field size.  Enumeration work is metered
+against a budget (default 10^7 assignments, env MOTIVIC_ZETA_BUDGET or
+per-call override).
 
-Twisted counts #{x : g(Fr^n(x)) = x} enumerate X(F_{q^{n ord(g)}});
-large fields go through the vectorized digit engine.
+Twisted counts #{x : g(Fr^n(x)) = x} enumerate X(F_{q^{n ord(g)}}) on
+the same charts and test the twist condition row by row.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     PreconditionError,
@@ -30,12 +36,11 @@ from .errors import (
 )
 from .exact_core import Polynomial, RationalFunction
 from .gf import FqElement, FqField, fq_make, is_prime
+from .gfvec import CHUNK, VecField, vec_field
 from .reconstruct import NotStabilized, traces_to_zeta
 from .series import TruncatedSeries, WittElement, exp_from_traces
 
 DEFAULT_BUDGET = 10_000_000
-PYTHON_ENUM_LIMIT = 20_000  # above this, one-free-variable loops vectorize
-VEC_CHUNK = 1 << 18
 
 
 def resolve_budget(budget: int | None) -> int:
@@ -157,15 +162,27 @@ def affine_space(n: int, p: int, e: int = 1) -> VarietySpec:
 
 
 def _charts(v: VarietySpec):
-    """Yield (fixed, free_indices): fixed maps var index -> 0 or 1."""
+    """Yield (fixed, free, eqs) per chart.  fixed maps a variable index to
+    0 or 1 (projective: the first nonzero coordinate is 1), free lists the
+    free variable indices and eqs holds the equations restricted to the
+    chart, identically zero ones dropped.  Charts on which an equation is
+    a nonzero constant have no points and are skipped."""
     nv = v.num_vars
     if v.ambient_kind == "affine":
-        yield {}, list(range(nv))
-        return
-    for i in range(nv):
-        fixed = {j: 0 for j in range(i)}
-        fixed[i] = 1
-        yield fixed, list(range(i + 1, nv))
+        layouts = [({}, list(range(nv)))]
+    else:
+        layouts = [({**{j: 0 for j in range(i)}, i: 1}, list(range(i + 1, nv))) for i in range(nv)]
+    for fixed, free in layouts:
+        eqs = []
+        for eq in v.equations:
+            s = _specialize(eq, fixed, free, v.p)
+            if s is None:
+                continue
+            if list(s) == [(0,) * len(free)]:
+                break  # a nonzero constant
+            eqs.append(s)
+        else:
+            yield fixed, free, eqs
 
 
 def _specialize(eq, fixed: dict, free: list[int], p: int):
@@ -185,49 +202,60 @@ def _specialize(eq, fixed: dict, free: list[int], p: int):
     return acc if acc else None
 
 
-# --- squares tables and quadratic solving ---
+# --- enumeration ---
 
 
-@lru_cache(maxsize=32)
-def _nonzero_squares(p: int, e: int) -> frozenset:
-    field = fq_make(p, e)
-    out = set()
-    for y in field.enumerate():
-        if not y.is_zero():
-            out.add((y * y).to_int())
-    return frozenset(out)
+def _assignments(vf: VecField, f: int):
+    """The q^f assignments of f free variables in lexicographic order, in
+    chunks of at most CHUNK rows: yields (rows, one digit array per
+    variable).  With f = 0 there is one, empty, assignment."""
+    total = vf.q**f
+    for start in range(0, total, CHUNK):
+        stop = min(start + CHUNK, total)
+        yield stop - start, vf.digits_of_range(start, stop, f)
 
 
-def _abs_trace_char2(x: FqElement) -> int:
-    """Absolute trace F_{2^k} -> F_2."""
-    acc = x.field.zero()
-    t = x
-    for _ in range(x.field.e):
-        acc = acc + t
-        t = t * t
-    return 0 if acc.is_zero() else 1
+def _evaluate(vf: VecField, polys, values, rows: int) -> list:
+    """Each polynomial ({exponent vector: coefficient mod p}) at every row
+    of values; powers of a variable are shared across all terms."""
+    pows = {}
+    out = []
+    for terms in polys:
+        acc = vf.zeros(rows)
+        for exps, coeff in terms.items():
+            val = None
+            for i, e in enumerate(exps):
+                if e:
+                    if (i, e) not in pows:
+                        pows[i, e] = vf.power(values[i], e)
+                    val = pows[i, e] if val is None else vf.mul(val, pows[i, e])
+            if val is None:
+                val = vf.const(coeff)
+            elif coeff != 1:
+                val = vf.scale(val, coeff)
+            acc = vf.add(acc, val)
+        out.append(acc)
+    return out
 
 
-def _univariate_root_count(field: FqField, coeffs: list[FqElement]) -> int:
-    """Roots in F_q of a polynomial of degree <= 2 given ascending coeffs
-    [c, b, a]."""
-    c = coeffs[0] if len(coeffs) > 0 else field.zero()
-    b = coeffs[1] if len(coeffs) > 1 else field.zero()
-    a = coeffs[2] if len(coeffs) > 2 else field.zero()
-    if a.is_zero():
-        if b.is_zero():
-            return field.q if c.is_zero() else 0
-        return 1
-    if field.p == 2:
-        if b.is_zero():
-            return 1  # squaring is a bijection
-        # v = (b/a) w turns a v^2 + b v + c into w^2 + w = a c / b^2
-        rhs = a * c / (b * b)
-        return 2 if _abs_trace_char2(rhs) == 0 else 0
-    disc = b * b - field.element(4) * a * c
-    if disc.is_zero():
-        return 1
-    return 2 if disc.to_int() in _nonzero_squares(field.p, field.e) else 0
+def _vanish(vf: VecField, eqs, values, rows: int):
+    """Mask of the rows where every equation vanishes."""
+    mask = np.broadcast_to(True, (rows,))
+    for val in _evaluate(vf, eqs, values, rows):
+        mask = mask & vf.is_zero(val)
+    return mask
+
+
+def _chart_points(vf: VecField, v: VarietySpec, fixed: dict, free: list[int], eqs):
+    """Per chunk of a chart's assignments: (rows, the coordinates of every
+    variable with fixed ones as one-row constants, mask of the solutions)."""
+    consts = {i: vf.const(c) for i, c in fixed.items()}
+    for rows, values in _assignments(vf, len(free)):
+        coords = {**consts, **dict(zip(free, values))}
+        yield rows, [coords[i] for i in range(v.num_vars)], _vanish(vf, eqs, values, rows)
+
+
+# --- point counts ---
 
 
 def _pick_quadratic_var(terms: dict, f: int) -> int | None:
@@ -239,211 +267,73 @@ def _pick_quadratic_var(terms: dict, f: int) -> int | None:
     return None
 
 
-def _eval_terms(field: FqField, terms, point) -> FqElement:
-    acc = field.zero()
-    for exps, coeff in terms:
-        val = field.element(coeff)
-        for x, ee in zip(point, exps):
-            if ee:
-                val = val * (x**ee)
-        acc = acc + val
-    return acc
-
-
-def _chart_count(field: FqField, eqs, f: int, tracker: BudgetTracker) -> int:
-    """Count solutions in F_q^f of the specialized equations."""
-    q = field.q
-    if eqs is None:  # a constant-nonzero equation: empty chart
-        return 0
+def _chart_count(vf: VecField, eqs, f: int, tracker: BudgetTracker) -> int:
+    """Solutions in F_q^f of a chart's equations: in closed form without
+    equations, by the quadratic shortcut for one equation of degree 1-2 in
+    a free variable, else exhaustively."""
+    q = vf.q
     if not eqs:
         return q**f
-    if len(eqs) == 1 and f >= 1:
-        terms = eqs[0]
-        j = _pick_quadratic_var(terms, f)
+    if len(eqs) == 1:
+        j = _pick_quadratic_var(eqs[0], f)
         if j is not None:
             tracker.charge(q ** (f - 1))
-            if f == 2 and q > PYTHON_ENUM_LIMIT and field.p != 2:
-                return _solve_chart_vec(field, terms, j)
-            return _solve_chart(field, terms, f, j)
+            return _quadratic_count(vf, eqs[0], f, j)
     tracker.charge(q**f)
-    if f == 1 and q > PYTHON_ENUM_LIMIT:
-        return _enum_chart_vec(field, eqs)
-    eq_lists = [list(eq.items()) for eq in eqs]
-    count = 0
-    for point in itertools.product(field.enumerate(), repeat=f):
-        if all(_eval_terms(field, eq, point).is_zero() for eq in eq_lists):
-            count += 1
-    return count
+    return sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
 
 
-def _pack_digits(vf, digits):
-    import numpy as np
-
-    powers = vf.p ** np.arange(vf.k, dtype=np.int64)
-    return digits.astype(np.int64) @ powers
-
-
-@lru_cache(maxsize=16)
-def _squares_mask(p: int, e: int):
-    """Boolean table over packed element integers: True iff a nonzero
-    square in F_{p^e}."""
-    import numpy as np
-
-    from .gfvec import VecField
-
-    field = fq_make(p, e)
-    vf = VecField(field)
-    mask = np.zeros(field.q, dtype=bool)
-    for start in range(0, field.q, VEC_CHUNK):
-        y = vf.digits_of_range(start, min(start + VEC_CHUNK, field.q))
-        mask[_pack_digits(vf, vf.mul(y, y))] = True
-    mask[0] = False
-    return mask
-
-
-def _solve_chart_vec(field: FqField, terms: dict, j: int) -> int:
-    """Vectorized two-variable chart with one equation quadratic in
-    variable j (odd characteristic): enumerate the other variable and
-    count roots through the discriminant."""
-    import numpy as np
-
-    from .gfvec import VecField
-
-    vf = VecField(field)
-    sqmask = _squares_mask(field.p, field.e)
-    four = vf.from_element(field.element(4))
-    other = 1 - j
-    term_list = [
-        (exps[j], exps[other], field.element(coeff)) for exps, coeff in terms.items()
-    ]
-    one = field.one()
+def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
+    """Solutions of one equation a v^2 + b v + c = 0, v the free variable
+    j: the roots in v summed over the q^(f-1) assignments of the others."""
+    q = vf.q
+    by_degree = [{}, {}, {}]
+    for exps, coeff in terms.items():
+        by_degree[exps[j]][exps[:j] + exps[j + 1 :]] = coeff
+    # a table of the squares costs q products: only when already enumerating q rows
+    tabulate = q ** (f - 1) >= q
     total = 0
-    for start in range(0, field.q, VEC_CHUNK):
-        w = vf.digits_of_range(start, min(start + VEC_CHUNK, field.q))
-        n = w.shape[0]
-        pows = {1: w}  # reuse powers of w across terms
-        coeffs = [vf.zeros(n), vf.zeros(n), vf.zeros(n)]
-        for dj, ew, celt in term_list:
-            if ew:
-                if ew not in pows:
-                    half = pows.setdefault(ew // 2, vf.power(w, ew // 2))
-                    rest = pows.setdefault(ew - ew // 2, vf.power(w, ew - ew // 2))
-                    pows[ew] = vf.mul(half, rest)
-                val = pows[ew]
-                if celt != one:
-                    val = vf.mul(vf.from_element(celt), val)
-            else:
-                val = vf.from_element(celt)
-            coeffs[dj] = ((coeffs[dj] + val) % vf.p).astype(np.int16)
-        a, b, c = coeffs[2], coeffs[1], coeffs[0]
-        disc = ((vf.mul(b, b).astype(np.int64) - vf.mul(four, vf.mul(a, c))) % vf.p).astype(np.int16)
-        a0 = vf.is_zero(a)
-        b0 = vf.is_zero(b)
-        c0 = vf.is_zero(c)
-        d0 = vf.is_zero(disc)
-        issq = sqmask[_pack_digits(vf, disc)]
-        counts = np.where(
-            ~a0,
-            np.where(d0, 1, np.where(issq, 2, 0)),
-            np.where(~b0, 1, np.where(c0, field.q, 0)),
-        )
-        total += int(counts.sum())
+    for rows, values in _assignments(vf, f - 1):
+        c, b, a = _evaluate(vf, by_degree, values, rows)
+        a0, b0, c0 = vf.is_zero(a), vf.is_zero(b), vf.is_zero(c)
+        total += int(np.count_nonzero(a0 & ~b0)) + q * int(np.count_nonzero(a0 & b0 & c0))
+        if not by_degree[2]:
+            continue
+        if vf.p == 2:
+            # v = (b/a) w turns the equation into w^2 + w = ac/b^2, which has
+            # two roots when the absolute trace of ac/b^2 is 0 and none else
+            one = b0
+            inv_b2 = vf.power(vf.mul(b, b), q - 2)
+            two = ~b0 & (vf.trace(vf.mul(vf.mul(a, c), inv_b2)) == 0)
+        else:
+            disc = vf.sub(vf.mul(b, b), vf.scale(vf.mul(a, c), 4))
+            one = vf.is_zero(disc)
+            two = vf.is_square(disc, tabulate)
+        total += int(np.count_nonzero(~a0 & one)) + 2 * int(np.count_nonzero(~a0 & two))
     return total
 
 
-def _enum_chart_vec(field: FqField, eqs) -> int:
-    """Vectorized one-free-variable chart: evaluate every equation on all
-    field elements."""
-    import numpy as np
-
-    from .gfvec import VecField
-
-    vf = VecField(field)
-    total = 0
-    for start in range(0, field.q, VEC_CHUNK):
-        x = vf.digits_of_range(start, min(start + VEC_CHUNK, field.q))
-        mask = np.ones(x.shape[0], dtype=bool)
-        for eq in eqs:
-            val = _eval_terms_vec(vf, field, eq, [x])
-            mask &= vf.is_zero(val)
-        total += int(np.count_nonzero(mask))
-    return total
-
-
-def _solve_chart(field: FqField, terms: dict, f: int, j: int) -> int:
-    """One equation, degree <= 2 in free variable j: enumerate the rest."""
-    others = [i for i in range(f) if i != j]
-    term_list = [
-        (exps[j], tuple(exps[i] for i in others), field.element(coeff))
-        for exps, coeff in terms.items()
-    ]
-    count = 0
-    for point in itertools.product(field.enumerate(), repeat=len(others)):
-        coeffs = [field.zero(), field.zero(), field.zero()]
-        for dj, rest, cval in term_list:
-            val = cval
-            for x, ee in zip(point, rest):
-                if ee:
-                    val = val * (x**ee)
-            coeffs[dj] = coeffs[dj] + val
-        count += _univariate_root_count(field, coeffs)
-    return count
-
-
-def count_points(v: VarietySpec, n: int, budget: int | None = None, threads: int = 1) -> int:
+def count_points(v: VarietySpec, n: int, budget: int | None = None) -> int:
     """#X(F_{q^n}) by chart-wise enumeration of normalized representatives."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
-    field = fq_make(v.p, v.e * n)
+    vf = vec_field(fq_make(v.p, v.e * n))
     tracker = BudgetTracker(resolve_budget(budget))
-    total = 0
-    for fixed, free in _charts(v):
-        specialized = []
-        empty_chart = False
-        for eq in v.equations:
-            s = _specialize(eq, fixed, free, v.p)
-            if s is None:
-                continue
-            if len(s) == 1 and next(iter(s)) == (0,) * len(free):
-                empty_chart = True  # nonzero constant equation
-                break
-            specialized.append(s)
-        if empty_chart:
-            continue
-        total += _chart_count(field, specialized, len(free), tracker)
-    return total
+    return sum(_chart_count(vf, eqs, len(free), tracker) for _, free, eqs in _charts(v))
 
 
 def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
-    """Normalized point representatives over F_{q^n} (desk scale only)."""
-    field = fq_make(v.p, v.e * n)
+    """Normalized point representatives over F_{q^n}, chart by chart in
+    lexicographic order of the free coordinates (desk scale only)."""
+    vf = vec_field(fq_make(v.p, v.e * n))
     tracker = BudgetTracker(resolve_budget(budget))
     points = []
-    for fixed, free in _charts(v):
-        specialized = []
-        empty_chart = False
-        for eq in v.equations:
-            s = _specialize(eq, fixed, free, v.p)
-            if s is None:
-                continue
-            if len(s) == 1 and next(iter(s)) == (0,) * len(free):
-                empty_chart = True
-                break
-            specialized.append(s)
-        if empty_chart:
-            continue
-        tracker.charge(field.q ** len(free))
-        eq_lists = [list(eq.items()) for eq in specialized]
-        for assign in itertools.product(field.enumerate(), repeat=len(free)):
-            if all(_eval_terms(field, eq, assign).is_zero() for eq in eq_lists):
-                coords = []
-                it = iter(assign)
-                for idx in range(v.num_vars):
-                    if idx in fixed:
-                        coords.append(field.element(fixed[idx]))
-                    else:
-                        coords.append(next(it))
-                points.append(tuple(coords))
+    for fixed, free, eqs in _charts(v):
+        tracker.charge(vf.q ** len(free))
+        for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
+            index = np.flatnonzero(mask)
+            columns = [vf.elements(c, index) for c in coords]
+            points += [tuple(col[i] for col in columns) for i in range(len(index))]
     return points
 
 
@@ -506,20 +396,7 @@ def _apply_matrix(m, coords):
     )
 
 
-def _proj_equal(v: VarietySpec, a, b) -> bool:
-    if v.ambient_kind == "affine":
-        return a == b
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
-
-
-def twisted_count(
-    v: VarietySpec, g, n: int, budget: int | None = None, threads: int = 1
-) -> int:
+def twisted_count(v: VarietySpec, g, n: int, budget: int | None = None) -> int:
     """#{x in X(F-bar) : g(Fr^n(x)) = x}; all such x lie in
     X(F_{q^{n ord(g)}})."""
     return _twisted_core(v, g, n, (), budget)
@@ -528,169 +405,54 @@ def twisted_count(
 def _twisted_core(
     v: VarietySpec, g, n: int, fixers: tuple, budget: int | None
 ) -> int:
+    """Points x over F_{q^{n ord(g)}} with g(Fr^n(x)) = x and h(x) = x for
+    every h in fixers."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
     act = _normalize_matrix(v, g)
-    fix = tuple(_normalize_matrix(v, h) for h in fixers)
-    r = matrix_order(v, act)
-    big = fq_make(v.p, v.e * n * r)
+    big = fq_make(v.p, v.e * n * matrix_order(v, act))
+    vf = vec_field(big)
     tracker = BudgetTracker(resolve_budget(budget))
-    frob_exp = v.p ** (v.e * n)
-
-    base = v.base_field
-    act_big = tuple(tuple(base.embed(x, big) for x in row) for row in act)
-    fix_big = [tuple(tuple(base.embed(x, big) for x in row) for row in h) for h in fix]
-
+    twist = _linear_blocks(vf, v, act, v.e * n)
+    fix = [_linear_blocks(vf, v, _normalize_matrix(v, h), 0) for h in fixers]
+    affine = v.ambient_kind == "affine"
     total = 0
-    for fixed, free in _charts(v):
-        specialized = []
-        empty_chart = False
-        for eq in v.equations:
-            s = _specialize(eq, fixed, free, v.p)
-            if s is None:
-                continue
-            if len(s) == 1 and next(iter(s)) == (0,) * len(free):
-                empty_chart = True
-                break
-            specialized.append(s)
-        if empty_chart:
-            continue
-        f = len(free)
-        work = big.q**f
-        tracker.charge(max(work, 1))
-        if f == 1 and big.q > PYTHON_ENUM_LIMIT:
-            total += _twisted_chart_vec(
-                v, big, fixed, free, specialized, act_big, fix_big, frob_exp
-            )
-        else:
-            total += _twisted_chart_py(
-                v, big, fixed, free, specialized, act_big, fix_big, frob_exp
-            )
+    for fixed, free, eqs in _charts(v):
+        tracker.charge(big.q ** len(free))
+        for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
+            for m in fix + [twist]:
+                mask = mask & _same_point(vf, affine, _apply_blocks(vf, m, coords), coords)
+            total += int(np.count_nonzero(mask))
     return total
 
 
-def _twisted_chart_py(v, big, fixed, free, eqs, act, fix, frob_exp):
-    eq_lists = [list(eq.items()) for eq in eqs]
-    count = 0
-    for assign in itertools.product(big.enumerate(), repeat=len(free)):
-        if not all(_eval_terms(big, eq, assign).is_zero() for eq in eq_lists):
-            continue
-        coords = []
-        it = iter(assign)
-        for idx in range(v.num_vars):
-            if idx in fixed:
-                coords.append(big.element(fixed[idx]))
-            else:
-                coords.append(next(it))
-        coords = tuple(coords)
-        if any(not _proj_equal(v, _apply_matrix(h, coords), coords) for h in fix):
-            continue
-        shifted = tuple(c**frob_exp for c in coords)
-        if _proj_equal(v, _apply_matrix(act, shifted), coords):
-            count += 1
-    return count
-
-
-def _twisted_chart_vec(v, big, fixed, free, eqs, act, fix, frob_exp):
-    import numpy as np
-
-    from .gfvec import VecField
-
-    vf = VecField(big)
-    nv = v.num_vars
-    var_idx = free[0]
-    # exponent of p for the Frobenius digit matrix
-    m_exp = 0
-    fe = frob_exp
-    while fe > 1:
-        fe //= v.p
-        m_exp += 1
-    frob_m = vf.frobenius_matrix(m_exp)
-    act_mats = [[vf.const_mul_matrix(act[i][j]) for j in range(nv)] for i in range(nv)]
-    fix_mats = [
-        [[vf.const_mul_matrix(h[i][j]) for j in range(nv)] for i in range(nv)]
-        for h in fix
+def _linear_blocks(vf: VecField, v: VarietySpec, m, frob_power: int) -> list:
+    """Digit matrices of x -> m_ij Fr^frob_power(x), m_ij embedded in the
+    field of vf and Fr: x -> x^p; None for zero entries."""
+    frob = vf.frobenius_matrix(frob_power)
+    return [
+        [None if x.is_zero() else vf.linear_map(frob, vf.const_mul_matrix(v.base_field.embed(x, vf.field))) for x in row]
+        for row in m
     ]
 
-    const_digits = {}
-    for idx, val in fixed.items():
-        const_digits[idx] = vf.from_element(big.element(val))
 
-    def coord_arrays(x):
-        return [const_digits[i] if i in fixed else x for i in range(nv)]
-
-    def apply_mat(mats, coords):
-        out = []
-        for i in range(nv):
-            acc = None
-            for j in range(nv):
-                term = vf.linear_map(coords[j], mats[i][j])
-                acc = term if acc is None else (acc + term) % vf.p
-            out.append(acc.astype(np.int16))
-        return out
-
-    def proj_equal_mask(a, b):
-        mask = None
-        if v.ambient_kind == "affine":
-            for i in range(nv):
-                mm = vf.equal(
-                    np.broadcast_to(a[i], _shape(a, b, vf)),
-                    np.broadcast_to(b[i], _shape(a, b, vf)),
-                )
-                mask = mm if mask is None else (mask & mm)
-            return mask
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                lhs = vf.mul(a[i], b[j])
-                rhs = vf.mul(a[j], b[i])
-                mm = vf.equal(lhs, rhs)
-                mask = mm if mask is None else (mask & mm)
-        return mask
-
-    count = 0
-    chunk = 1 << 18
-    for start in range(0, big.q, chunk):
-        stop = min(start + chunk, big.q)
-        x = vf.digits_of_range(start, stop)
-        coords = coord_arrays(x)
-        mask = np.ones(stop - start, dtype=bool)
-        for eq in eqs:
-            val = _eval_terms_vec(vf, big, eq, coords)
-            mask &= vf.is_zero(val)
-        for h in fix_mats:
-            hy = apply_mat(h, coords)
-            mask &= proj_equal_mask(hy, coords)
-        shifted = [vf.linear_map(c, frob_m) for c in coords]
-        moved = apply_mat(act_mats, shifted)
-        mask &= proj_equal_mask(moved, coords)
-        count += int(np.count_nonzero(mask))
-    return count
+def _apply_blocks(vf: VecField, blocks, coords) -> list:
+    """The tuple sum_j blocks[i][j](coords[j]), i = 1..nv."""
+    return [
+        functools.reduce(vf.add, (vf.linear_map(x, m) for x, m in zip(coords, row) if m is not None))
+        for row in blocks
+    ]
 
 
-def _shape(a, b, vf):
-    n = max(max(x.shape[0] for x in a), max(x.shape[0] for x in b))
-    return (n, vf.k)
-
-
-def _eval_terms_vec(vf, big, terms, coords):
-    import numpy as np
-
-    one = big.one()
-    pows = {}  # (position, exponent) -> power array, shared across terms
-    acc = None
-    for exps, coeff in terms.items():
-        celt = big.element(coeff)
-        val = None if celt == one else vf.from_element(celt)
-        for pos, ee in enumerate(exps):
-            if ee:
-                key = (pos, ee)
-                if key not in pows:
-                    pows[key] = vf.power(coords[pos], ee)
-                val = pows[key] if val is None else vf.mul(val, pows[key])
-        if val is None:
-            val = vf.from_element(celt)
-        acc = val if acc is None else (acc + val) % vf.p
-    return acc.astype(np.int16)
+def _same_point(vf: VecField, affine: bool, a, b):
+    """Rows where the coordinate tuples a and b are the same point:
+    equal, or for projective points proportional."""
+    nv = len(a)
+    if affine:
+        pairs = [(a[i], b[i]) for i in range(nv)]
+    else:
+        pairs = [(vf.mul(a[i], b[j]), vf.mul(a[j], b[i])) for i in range(nv) for j in range(i + 1, nv)]
+    return functools.reduce(operator.and_, (vf.equal(x, y) for x, y in pairs), True)
 
 
 def zeta_from_counts(
@@ -781,8 +543,6 @@ class WeilReport:
 
 
 def _reciprocal_root_moduli(poly: Polynomial) -> list[float]:
-    import numpy as np
-
     if poly.degree < 1:
         return []
     coeffs = [float(poly[i]) for i in range(poly.degree, -1, -1)]

@@ -14,7 +14,7 @@ from motivic_zeta import (
     trivial_character,
     zeta_from_counts,
 )
-from motivic_zeta.errors import ValidationError
+from motivic_zeta.errors import ResourceError, ValidationError
 
 from conftest import load_variety
 
@@ -125,3 +125,10 @@ def test_trivial_group_orbifold_is_plain_zeta(p1_f5):
     action = GroupAction(p1_f5, [[[1, 0], [0, 1]]])
     report = orbifold_zeta(p1_f5, action, 5)
     assert report.direct.series == zeta_from_counts(p1_f5, 5).series
+
+
+def test_twist_cache_respects_budget(p1_f5, z2_action):
+    l_function(p1_f5, z2_action, trivial_character(z2_action), 2)
+    # the counts are cached now, but a smaller budget must still refuse them
+    with pytest.raises(ResourceError):
+        l_function(p1_f5, z2_action, trivial_character(z2_action), 2, budget=10)

@@ -22,7 +22,7 @@ from motivic_zeta import (
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
 from motivic_zeta.varieties import affine_space, enumerate_points, projective_space
 
-from conftest import load_variety
+from conftest import load_json, load_variety
 
 
 def brute_projective_count(v: VarietySpec, n: int) -> int:
@@ -73,17 +73,102 @@ def test_elliptic_counts_match_brute_force():
     assert count_points(e7, 1) == brute_projective_count(e7, 1)
 
 
-def test_vectorized_path_matches_python_path():
-    # 5^7 = 78125 > the python enumeration limit, so n = 7 exercises the
-    # vectorized quadratic solve; cross-check against the zeta function
+def frobenius_counts(q: int, n1: int, n_max: int) -> list[int]:
+    """N_n = q^n + 1 - (alpha^n + beta^n) for an elliptic curve over F_q
+    with N_1 = n1, where alpha + beta = q + 1 - n1 and alpha beta = q."""
+    a = q + 1 - n1
+    sums = [2, a]
+    while len(sums) <= n_max:
+        sums.append(a * sums[-1] - q * sums[-2])
+    return [q**n + 1 - sums[n] for n in range(1, n_max + 1)]
+
+
+def legendre_n1(p: int, a: int, b: int) -> int:
+    """Projective points of y^2 = x^3 + a x + b over F_p, p odd."""
+    total = 1  # the point at infinity
+    for x in range(p):
+        r = (x**3 + a * x + b) % p
+        total += 1 if r == 0 else 2 if pow(r, (p - 1) // 2, p) == 1 else 0
+    return total
+
+
+def plane(p: int, *equations, e: int = 1, dim: int = 2) -> VarietySpec:
+    return VarietySpec("projective", dim, p, e, tuple(tuple(eq) for eq in equations))
+
+
+def test_elliptic_fixture_counts_match_frobenius_recurrence():
     e5 = load_variety("elliptic_f5_variety.json")
-    a, q = -3, 5
-    # N_n = q^n + 1 - alpha^n - beta^n with alpha+beta = a, alpha*beta = q
-    p1, p2 = a, a * a - 2 * q
-    powers = [p1, p2]
-    for _ in range(3, 8):
-        powers.append(a * powers[-1] - q * powers[-2])
-    assert count_points(e5, 7) == q**7 + 1 - powers[6]
+    assert count_points(e5, 7) == frobenius_counts(5, 9, 7)[6]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_counts_match_brute_force_small_primes(p):
+    conic = plane(p, [((2, 0, 0), 1), ((0, 2, 0), 2), ((1, 0, 1), 1), ((0, 0, 2), -1)])
+    cubic = plane(p, [((0, 2, 1), 1), ((1, 1, 1), 1), ((3, 0, 0), -1), ((0, 0, 3), -1)])
+    # degree 3 in every variable: the chart x = 1 has no quadratic shortcut
+    klein = plane(p, [((3, 1, 0), 1), ((0, 3, 1), 1), ((1, 0, 3), 1)])
+    # two equations in P^3: the chart x = 1 is exhaustive as well
+    quadrics = plane(
+        p,
+        [((1, 1, 0, 0), 1), ((0, 0, 1, 1), -1)],
+        [((2, 0, 0, 0), 1), ((0, 2, 0, 0), 1), ((0, 0, 2, 0), -1), ((0, 0, 1, 1), 1)],
+        dim=3,
+    )
+    for v in (conic, cubic, klein, quadrics):
+        assert count_points(v, 1) == brute_projective_count(v, 1)
+
+
+def test_counts_match_brute_force_extension_field():
+    cubic = plane(3, [((0, 2, 1), 1), ((1, 1, 1), 1), ((3, 0, 0), -1), ((0, 0, 3), 1)])
+    assert count_points(cubic, 2) == brute_projective_count(cubic, 2)
+    over_f4 = plane(2, [((0, 2, 1), 1), ((0, 1, 2), 1), ((3, 0, 0), 1), ((1, 1, 1), 1)], e=2)
+    assert count_points(over_f4, 2) == brute_projective_count(over_f4, 2)
+
+
+@pytest.mark.parametrize("p", [127, 131, 251, 257, 16381, 20011, 32749, 40009, 65537])
+def test_elliptic_n1_at_dtype_edges(p):
+    # the fixture's y^2 = x^3 + x + 1 moved to primes around 2^7, 2^8,
+    # 2^14, 2^15 and past 2^16
+    curve = VarietySpec.from_json(dict(load_json("elliptic_f5_variety.json"), p=p))
+    assert count_points(curve, 1) == legendre_n1(p, 1, 1)
+
+
+def test_large_prime_counts_are_exact():
+    cubic = VarietySpec("affine", 1, 32749, 1, ((((3,), 1), ((1,), 1)),))
+    assert count_points(cubic, 1) == 3
+    circle = VarietySpec("affine", 2, 20011, 1, ((((2, 0), 1), ((0, 2), 1), ((0, 0), -1)),))
+    assert count_points(circle, 1) == 20012
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_one_row_chart_needs_no_squares_table(p):
+    # x^2 = a y^2 on P^1 has 1 + chi(a) points; the only nonempty chart is
+    # one row, so a budget of 10 must suffice at any p.  For these p,
+    # 2 is a square and 3 is not.
+    for a in (2, 3):
+        v = VarietySpec("projective", 1, p, 1, ((((2, 0), 1), ((0, 2), -a)),))
+        chi = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+        assert count_points(v, 1, budget=10) == 1 + chi
+
+
+def test_char2_curve_matches_frobenius_recurrence():
+    # y^2 z + y z^2 = x^3 over F_2 is supersingular: a = 0, N_1 = 3
+    v = plane(2, [((0, 2, 1), 1), ((0, 1, 2), 1), ((3, 0, 0), -1)])
+    assert [count_points(v, n) for n in range(1, 13)] == frobenius_counts(2, 3, 12)
+
+
+@pytest.mark.parametrize(
+    "name, p, n1, n",
+    [
+        ("elliptic_f5_variety.json", 5, 9, 1),
+        ("elliptic_f7_variety.json", 7, 5, 1),
+        ("elliptic_f5_variety.json", 5, 9, 2),
+    ],
+)
+def test_quadratic_twist_counts(name, p, n1, n):
+    flip = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    n_n = frobenius_counts(p, n1, n)[n - 1]
+    assert twisted_count(load_variety(name), flip, n) == 2 * (p**n + 1) - n_n
 
 
 def test_affine_hyperbola():

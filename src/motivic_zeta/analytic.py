@@ -23,7 +23,7 @@ from .errors import (
     PoleError,
     PreconditionError,
 )
-from .exact_core import Polynomial, RatMatrix, char_poly
+from .exact_core import Polynomial, RatMatrix
 from .motives import TracedMotive, trace_sequence, zeta_rational
 
 RESIDUAL_TOL = 1e-8
@@ -70,8 +70,7 @@ class ComplexSpectrum:
 
 
 def spectrum(m: TracedMotive) -> ComplexSpectrum:
-    cp = char_poly(m.f_plus)
-    cm = char_poly(m.f_minus)
+    cp, cm = m.char_polys
     return ComplexSpectrum(
         eigenvalues_plus=_poly_roots_certified(cp),
         eigenvalues_minus=_poly_roots_certified(cm),
@@ -404,7 +403,7 @@ def theta_construction(m: TracedMotive, q: int, boundary: str = "upper") -> Thet
     blocks, with Jordan data; requires invertible blocks."""
     if q < 2:
         raise PreconditionError("q must be a prime power >= 2")
-    if (m.d_plus and m.f_plus.det() == 0) or (m.d_minus and m.f_minus.det() == 0):
+    if any(c[0] == 0 for c in m.char_polys):
         raise NotInvertibleError("theta construction needs invertible blocks")
     lq = math.log(q)
     window_hi = math.pi / lq

@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--dim", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(handler=handler)
         return p
 

@@ -181,9 +181,6 @@ class Polynomial:
         c = _frac(c)
         return Polynomial([a * c**i for i, a in enumerate(self.coeffs)])
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def to_json(self) -> list[str]:
         return [frac_to_str(c) for c in self.coeffs]
 
@@ -428,30 +425,9 @@ class RatMatrix:
         return sum((self[i, i] for i in range(self.rows)), Fraction(0))
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction Gaussian elimination; 0x0 -> 1."""
-        if not self.is_square():
-            raise DimensionError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        m = [list(self.row(i)) for i in range(n)]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] == 0:
-                    continue
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-        return det
+        """Exact determinant, (-1)^n times the constant term of the
+        characteristic polynomial; 0x0 -> 1."""
+        return (-1) ** self.rows * char_poly(self)[0]
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square():
@@ -472,18 +448,6 @@ class RatMatrix:
                     f = m[r][col]
                     m[r] = [a - f * b for a, b in zip(m[r], m[col])]
         return RatMatrix(n, n, [m[i][n + j] for i in range(n) for j in range(n)])
-
-    def power(self, k: int) -> "RatMatrix":
-        if not self.is_square():
-            raise DimensionError("power of non-square matrix")
-        result = RatMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         out = []
@@ -541,10 +505,4 @@ def char_poly(m: RatMatrix) -> Polynomial:
 
 def reversed_char_poly(m: RatMatrix) -> Polynomial:
     """det(I - t*M); constant term 1, degree <= n."""
-    cp = char_poly(m)
-    n = m.rows
-    return Polynomial([cp[n - j] for j in range(n + 1)])
-
-
-def det(m: RatMatrix) -> Fraction:
-    return m.det()
+    return char_poly(m).reversed(m.rows)

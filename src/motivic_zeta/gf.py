@@ -157,9 +157,6 @@ class FqField:
     def one(self) -> "FqElement":
         return self.element(1)
 
-    def generator_x(self) -> "FqElement":
-        return self.element([0, 1])
-
     def enumerate(self):
         """All p^e elements in ascending base-p coefficient order."""
         p, e = self.p, self.e
@@ -305,9 +302,9 @@ class FqElement:
 
 
 @lru_cache(maxsize=None)
-def fq_make(p: int, e: int, seed: int = 0) -> FqField:
-    """Deterministic F_{p^e}; `seed` is accepted for interface stability
-    but the search order is fixed, so it does not affect the result."""
+def fq_make(p: int, e: int) -> FqField:
+    """Deterministic F_{p^e}: the modulus is the first monic irreducible
+    polynomial in base-p counting order."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if e < 1:
@@ -325,6 +322,3 @@ def fq_make(p: int, e: int, seed: int = 0) -> FqField:
             return FqField(p, e, tuple(modulus))
     raise ValidationError("no irreducible modulus found")  # unreachable
 
-
-def fq_enumerate(field: FqField):
-    return field.enumerate()

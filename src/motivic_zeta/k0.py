@@ -1,8 +1,8 @@
 """Numerical Grothendieck groups from integer Euler-pairing matrices.
 
-Everything here is exact integer linear algebra: Smith normal form with
-transform tracking for kernels and quotients, Hermite normal form for
-canonical lattice bases.
+Everything here is exact integer linear algebra: kernels come from one
+Hermite normal form, which also gives canonical lattice bases, and the
+Smith normal form with transform tracking tests saturation.
 """
 
 from __future__ import annotations
@@ -23,15 +23,6 @@ def _copy(m: Sequence[Sequence[int]]) -> IntMatrix:
 
 def _identity(n: int) -> IntMatrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not a or not b:
-        return []
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]):
@@ -176,17 +167,15 @@ class EulerGram:
 
 
 def right_kernel(g: EulerGram) -> list[list[int]]:
-    """Hermite-reduced Z-basis of {v : chi v = 0}."""
-    if g.n == 0:
-        return []
-    d, _, v = smith_normal_form(g.chi)
-    cols = g.n
-    basis = []
-    for j in range(cols):
-        diag = d[j][j] if j < len(d) and j < cols else 0
-        if j >= min(len(d), cols) or diag == 0:
-            basis.append([v[i][j] for i in range(cols)])
-    return hermite_rows(basis)
+    """Hermite-reduced Z-basis of {v : chi v = 0}.
+
+    Row operations on [chi^T | I] keep every row of the form (chi w | w),
+    so the rows of its Hermite form whose chi-part vanishes carry a basis
+    of the integer kernel in their I-part.
+    """
+    n = g.n
+    rows = [[g.chi[j][i] for j in range(n)] + e for i, e in enumerate(_identity(n))]
+    return hermite_rows([row[n:] for row in hermite_rows(rows) if not any(row[:n])])
 
 
 def left_kernel(g: EulerGram) -> list[list[int]]:
@@ -217,48 +206,19 @@ class NumK0Report:
         return out
 
 
-def _saturate(vectors: list[list[int]], n: int) -> list[list[int]]:
-    """Smallest saturated sublattice of Z^n containing span(vectors)."""
-    if not vectors:
-        return []
-    d, u, _ = smith_normal_form(vectors)
-    # rows of u^{-1} scaled... simpler: saturation = kernel of any integer
-    # matrix with the same rational row space; use the SNF of the matrix
-    # whose kernel is the orthogonal complement twice.
-    comp = right_kernel(EulerGram.from_rows(_pad_square(vectors, n)))
-    if not comp:
-        return hermite_rows(_identity(n))
-    sat = right_kernel(EulerGram.from_rows(_pad_square(comp, n)))
-    return sat
-
-
-def _pad_square(vectors: list[list[int]], n: int) -> list[list[int]]:
-    rows = [list(v) for v in vectors]
-    while len(rows) < n:
-        rows.append([0] * n)
-    return rows[:n]
-
-
 def num_grothendieck(g: EulerGram) -> NumK0Report:
     lk = left_kernel(g)
     rk = right_kernel(g)
     agree = lk == rk
-    kernel = rk
     warning = None
     if not agree:
         warning = "left and right kernels differ (non-smooth input); using right kernel"
-    kernel = _saturate(kernel, g.n)
-    rank = g.n - len(kernel)
-    # quotient basis: complete the kernel to a basis of Z^n via SNF of the
-    # kernel inclusion; the complementary columns of V^{-T}... we instead
-    # take the HNF of a complement built from unit vectors.
-    quotient = _complement_basis(kernel, g.n)
     return NumK0Report(
-        rank=rank,
+        rank=g.n - len(rk),
         left_kernel_basis=lk,
         right_kernel_basis=rk,
         kernels_agree=agree,
-        quotient_basis=quotient,
+        quotient_basis=_complement_basis(rk, g.n),
         warning=warning,
     )
 

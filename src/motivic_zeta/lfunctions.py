@@ -6,8 +6,8 @@ L-series coefficients are averages (1/|G|) sum_g chi(g^{-1}) N_n(g) of
 twisted point counts, with character values kept exact in a
 cyclotomic-rational model (coordinates in Q[x]/(x^m - 1)).  The orbifold
 zeta function is computed along two independent routes, a direct trace
-formula summed over conjugacy classes and a product of centralizer
-L-functions over fixed loci, and the two are asserted equal.
+formula summed over conjugacy classes and centralizers and the
+commuting-pairs sum over the whole group, and the two are compared.
 """
 
 from __future__ import annotations
@@ -328,37 +328,35 @@ class OrbifoldReport:
 def orbifold_zeta(
     v: VarietySpec, action: GroupAction, n_max: int, budget: int | None = None
 ) -> OrbifoldReport:
-    """Zeta function of the quotient orbifold, computed both as the
-    exponential of the conjugacy-class trace formula and as the product of
-    centralizer L-functions over the fixed loci; the two must agree."""
+    """Zeta function of the quotient orbifold along two routes that must
+    agree: the direct trace formula, summed over conjugacy classes and
+    their centralizers, and the commuting-pairs formula
+    (1/|G|) sum over all g, h with gh = hg of N_n(h; fix g), which reads
+    commutation from the multiplication table alone."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     if len(action) % v.p == 0:
         raise ValidationError("group order must be invertible in the base field")
 
-    class_term: list[list[Fraction]] = []
-    for rep_idx, rep in enumerate(action.class_reps):
-        g = action.elements[rep]
-        cent = action.centralizers[rep_idx]
-        per_n = []
-        for n in range(1, n_max + 1):
-            acc = 0
-            for h in cent:
-                acc += _cached_twist(v, action.elements[h], (g,), n, budget)
-            per_n.append(Fraction(acc, len(cent)))
-        class_term.append(per_n)
+    def count(h: int, g: int, n: int) -> int:
+        return _cached_twist(v, action.elements[h], (action.elements[g],), n, budget)
 
-    traces = [sum(term[k] for term in class_term) for k in range(n_max)]
+    ns = range(1, n_max + 1)
+    class_terms = [
+        [Fraction(sum(count(h, g, n) for h in cent), len(cent)) for n in ns]
+        for g, cent in zip(action.class_reps, action.centralizers)
+    ]
+    traces = [sum(column) for column in zip(*class_terms)]
+    size = len(action)
+    table = action.table
+    pairs = [(g, h) for g in range(size) for h in range(size) if table[g][h] == table[h][g]]
+    pair_traces = [Fraction(sum(count(h, g, n) for g, h in pairs), size) for n in ns]
+
     direct = WittElement(exp_from_traces(traces))
-
-    product = TruncatedSeries.one(n_max)
-    for per_n in class_term:
-        product = product * exp_from_traces(per_n)
-    product_w = WittElement(product)
-
+    product = WittElement(exp_from_traces(pair_traces))
     return OrbifoldReport(
         direct=direct,
-        product=product_w,
-        routes_agree=(direct == product_w),
-        traces=list(traces),
+        product=product,
+        routes_agree=(direct == product),
+        traces=traces,
     )

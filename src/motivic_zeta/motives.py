@@ -1,21 +1,27 @@
 """Graded-matrix endomorphism realizations: traces, zeta functions,
 determinants, duals, functional equations, direct sums and tensors.
 
-A motive realization is a pair of square rational matrices (F+, F-); the
-categorical trace of the n-th iterate is the supertrace
-tr(F+^n) - tr(F-^n), and the zeta function is
-exp(sum_n tr_n t^n / n) = det(1 - t F-) / det(1 - t F+).
+A motive realization is a pair of square rational matrices (F+, F-).
+Every invariant is read from the characteristic polynomials of the two
+blocks, computed once per motive: the zeta function is
+det(1 - t F-) / det(1 - t F+), its Taylor expansion is the zeta series,
+the graded determinant is det(F+) / det(F-) from the constant terms, and
+the categorical traces tr(F+^n) - tr(F-^n) come from the coefficients by
+Newton's identities, with no matrix powers.  The functional-equation check
+takes the dual's polynomials from matrix inverses, not from these, so it
+can fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import NotInvertibleError, PreconditionError, ValidationError
-from .exact_core import Polynomial, RatMatrix, RationalFunction, reversed_char_poly
-from .series import DEFAULT_PRECISION, WittElement, exp_from_traces
+from .exact_core import Polynomial, RatMatrix, RationalFunction, char_poly
+from .series import DEFAULT_PRECISION, TruncatedSeries, WittElement
 
 
 @dataclass(frozen=True)
@@ -27,6 +33,17 @@ class TracedMotive:
     def __post_init__(self):
         if not self.f_plus.is_square() or not self.f_minus.is_square():
             raise ValidationError("both graded blocks must be square")
+
+    @cached_property
+    def char_polys(self) -> tuple[Polynomial, Polynomial]:
+        """(det(t - F+), det(t - F-)), computed once per motive."""
+        return char_poly(self.f_plus), char_poly(self.f_minus)
+
+    @property
+    def reversed_char_polys(self) -> tuple[Polynomial, Polynomial]:
+        """(det(1 - t F+), det(1 - t F-))."""
+        cp, cm = self.char_polys
+        return cp.reversed(self.d_plus), cm.reversed(self.d_minus)
 
     @property
     def d_plus(self) -> int:
@@ -80,31 +97,36 @@ class TraceSequence:
         return iter(self.values)
 
 
+def _power_sums(r: Polynomial, n_max: int) -> list[Fraction]:
+    """tr(F^n) for n = 1..n_max from r = det(1 - t F), by Newton's
+    identities: the coefficients of -t r'(t) / r(t)."""
+    p: list[Fraction] = []
+    for k in range(1, n_max + 1):
+        acc = -k * r[k]
+        for j in range(1, min(k, r.degree + 1)):
+            acc -= r[j] * p[k - j - 1]
+        p.append(acc)
+    return p
+
+
 def trace_sequence(m: TracedMotive, n_max: int) -> TraceSequence:
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    out = []
-    pp = RatMatrix.identity(m.d_plus)
-    pm = RatMatrix.identity(m.d_minus)
-    for _ in range(n_max):
-        pp = pp * m.f_plus
-        pm = pm * m.f_minus
-        out.append(pp.trace() - pm.trace())
-    return TraceSequence(tuple(out))
+    rp, rm = m.reversed_char_polys
+    plus, minus = _power_sums(rp, n_max), _power_sums(rm, n_max)
+    return TraceSequence(tuple(a - b for a, b in zip(plus, minus)))
 
 
 def zeta_series(m: TracedMotive, precision: int = DEFAULT_PRECISION) -> WittElement:
     if precision < 1:
         raise PreconditionError("precision must be >= 1")
-    traces = trace_sequence(m, precision)
-    return WittElement(exp_from_traces(list(traces)))
+    return WittElement(TruncatedSeries.from_rational_function(zeta_rational(m), precision))
 
 
 def zeta_rational(m: TracedMotive) -> RationalFunction:
     """det(1 - t F-) / det(1 - t F+), in lowest terms."""
-    return RationalFunction(
-        reversed_char_poly(m.f_minus), reversed_char_poly(m.f_plus)
-    )
+    rp, rm = m.reversed_char_polys
+    return RationalFunction(rm, rp)
 
 
 def zeta_degrees(m: TracedMotive) -> tuple[int, int]:
@@ -119,11 +141,13 @@ def zeta_degrees(m: TracedMotive) -> tuple[int, int]:
 
 def determinant(m: TracedMotive) -> Fraction:
     """det(F+) / det(F-); the graded determinant of the realization."""
-    dp = m.f_plus.det()
-    dm = m.f_minus.det()
+    cp, cm = m.char_polys
+    dp = (-1) ** m.d_plus * cp[0]
+    dm = (-1) ** m.d_minus * cm[0]
     if dp == 0 or dm == 0:
         raise NotInvertibleError("determinant needs both blocks invertible")
     return dp / dm
+
 
 def dual_inverse(m: TracedMotive) -> TracedMotive:
     """Realization of (f^{-1})^dual: inverse-transpose blockwise."""

@@ -42,6 +42,17 @@ def random_invertible_motive(rng: random.Random, max_total_dim: int = 5) -> Trac
             return m
 
 
+def matrix_power_traces(m: TracedMotive, n_max: int) -> list[Fraction]:
+    """tr(F+^n) - tr(F-^n) for n = 1..n_max by repeated matrix products,
+    a route independent of the characteristic polynomials."""
+    out = []
+    pp, pm = RatMatrix.identity(m.d_plus), RatMatrix.identity(m.d_minus)
+    for _ in range(n_max):
+        pp, pm = pp * m.f_plus, pm * m.f_minus
+        out.append(pp.trace() - pm.trace())
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

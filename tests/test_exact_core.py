@@ -1,6 +1,8 @@
 """Exact polynomial, rational-function and matrix arithmetic."""
 
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -148,7 +150,17 @@ def test_char_poly_det_and_trace_coefficients(entries):
     cp = char_poly(m)
     assert cp[3] == 1
     assert cp[2] == -m.trace()
-    assert cp[0] == -m.det()  # (-1)^n det for n = 3
+    assert cp[0] == -leibniz_det(m)  # (-1)^n det for n = 3
+    assert m.det() == leibniz_det(m)
+
+
+def leibniz_det(m):
+    n = m.rows
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i, perm[i]] for i in range(n))
+    return total
 
 
 def test_block_diag():

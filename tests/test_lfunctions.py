@@ -107,6 +107,16 @@ def test_orbifold_routes_agree(p1_f5, z2_action):
     assert report.traces == [Fraction(5**n + 3) for n in range(1, 6)]
 
 
+def test_orbifold_routes_disagree_on_wrong_centralizers():
+    e5 = load_variety("elliptic_f5_variety.json")
+    flip = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]  # y -> -y
+    action = GroupAction(e5, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], flip])
+    assert orbifold_zeta(e5, action, 2).routes_agree
+    # claim that the identity commutes with nothing but itself
+    action.centralizers[action.class_of[action.identity_index]] = [action.identity_index]
+    assert not orbifold_zeta(e5, action, 2).routes_agree
+
+
 def test_orbifold_rejects_bad_group_order():
     p1_f2 = load_variety("p1_f5_variety.json")
     # build the same involution over F_2 where |G| = 2 = p

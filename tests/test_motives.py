@@ -1,6 +1,7 @@
 """Traces, zeta functions and functional equations of graded endomorphisms."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from motivic_zeta import (
     RationalFunction,
     TracedMotive,
     TruncatedSeries,
+    char_poly,
     check_functional_equation,
     determinant,
     direct_sum,
@@ -23,10 +25,12 @@ from motivic_zeta import (
     zeta_rational,
     zeta_series,
 )
+from motivic_zeta.analytic import hasse_weil_eval, spectrum
 from motivic_zeta.errors import NotInvertibleError, ValidationError
 from motivic_zeta.motives import cy_periodicity_check
+from motivic_zeta.series import exp_from_traces
 
-from conftest import random_invertible_motive, random_motive
+from conftest import matrix_power_traces, random_invertible_motive, random_motive
 
 
 def lefschetz(q) -> TracedMotive:
@@ -57,9 +61,43 @@ def test_elliptic_zeta(elliptic_f5_motive):
 
 def test_series_route_matches_rational_route(p1_motive, elliptic_f5_motive):
     for m in (p1_motive, elliptic_f5_motive):
-        series = zeta_series(m, 10).series
+        series = exp_from_traces(matrix_power_traces(m, 10))
         taylor = zeta_rational(m).taylor(10)
         assert list(series.coeffs) == taylor
+        assert zeta_series(m, 10).series == series
+
+
+def test_newton_traces_match_matrix_powers(rng):
+    jordan = RatMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    cases = [
+        TracedMotive.empty(),  # 0x0 blocks: every trace is 0
+        TracedMotive(jordan, RatMatrix.empty()),  # nilpotent: det(1 - tF) = 1
+        TracedMotive(RatMatrix.diagonal([2]), jordan),
+    ] + [random_motive(rng, 4) for _ in range(20)]
+    for m in cases:
+        n_max = m.d_plus + m.d_minus + 5  # past the degree of both polynomials
+        assert list(trace_sequence(m, n_max)) == matrix_power_traces(m, n_max)
+    assert list(trace_sequence(TracedMotive.empty(), 3)) == [0, 0, 0]
+    assert list(trace_sequence(TracedMotive(jordan, RatMatrix.empty()), 4)) == [0] * 4
+
+
+def test_char_poly_once_per_block(monkeypatch, elliptic_f5_motive):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return char_poly(a)
+
+    for name, module in list(sys.modules.items()):  # every module that binds it
+        if name.startswith("motivic_zeta") and getattr(module, "char_poly", None) is char_poly:
+            monkeypatch.setattr(module, "char_poly", counting)
+    m = elliptic_f5_motive
+    zeta_series(m, 8)
+    determinant(m)
+    spectrum(m)
+    for s in (2, 3j, 1 + 1j):
+        hasse_weil_eval(m, 5, s)
+    assert len(calls) == 2
 
 
 def test_degree_cancellation():

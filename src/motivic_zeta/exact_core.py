@@ -1,13 +1,19 @@
 """Exact rational polynomials, rational functions and matrices.
 
-Scalars are `fractions.Fraction` throughout; nothing in this module ever
-rounds.  Polynomials store ascending coefficients with no trailing zeros,
-rational functions are kept in lowest terms with a monic denominator.
+Scalars are `fractions.Fraction`; nothing in this module ever rounds.
+Polynomials store ascending coefficients with no trailing zeros, rational
+functions are kept in lowest terms with a monic denominator.  The
+characteristic polynomial, and with it the determinant, is computed over
+the integers: the matrix is scaled by the lcm of its denominators and
+Faddeev-LeVerrier runs on Python ints, so only the n + 1 coefficients
+are `Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, NotInvertibleError, ValidationError
@@ -486,21 +492,27 @@ class RatMatrix:
 
 
 def char_poly(m: RatMatrix) -> Polynomial:
-    """det(t*I - M), monic of degree n, by the Faddeev-LeVerrier recursion."""
+    """det(t*I - M), monic of degree n, by the Faddeev-LeVerrier recursion
+    over the integers.  With d the lcm of the entry denominators and
+    A = d*M, the recursion B_k = A*B_{k-1} + c_k*I, c_k = -tr(A*B_{k-1})/k
+    stays in Z (the characteristic polynomial of an integer matrix has
+    integer coefficients, so the division by k is exact), and the
+    coefficient of t^(n-k) in det(t*I - M) is c_k / d^k."""
     if not m.is_square():
         raise DimensionError("characteristic polynomial of non-square matrix")
     n = m.rows
-    if n == 0:
-        return Polynomial.one()
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    b = RatMatrix.identity(n)
+    d = lcm(*(e.denominator for e in m.entries))
+    a = [[e.numerator * (d // e.denominator) for e in m.row(i)] for i in range(n)]
+    coeffs = [Fraction(1)]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = m * b
-        c = -mk.trace() / k
-        coeffs[n - k] = c
-        b = mk + RatMatrix.identity(n) * c
-    return Polynomial(coeffs)
+        cols = list(zip(*b))
+        b = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        c = -sum(b[i][i] for i in range(n)) // k
+        for i in range(n):
+            b[i][i] += c
+        coeffs.append(Fraction(c, d**k))
+    return Polynomial(reversed(coeffs))
 
 
 def reversed_char_poly(m: RatMatrix) -> Polynomial:

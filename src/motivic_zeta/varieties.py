@@ -132,22 +132,43 @@ class VarietySpec:
 
     @staticmethod
     def from_json(data: dict) -> "VarietySpec":
-        ambient = data["ambient"]
-        if "projective" in ambient:
-            kind, dim = "projective", ambient["projective"]
-        elif "affine" in ambient:
-            kind, dim = "affine", ambient["affine"]
-        else:
-            raise ValidationError("ambient must specify projective or affine")
+        """Parse {"ambient": {"projective" or "affine": dim}, "p": p, "e": e,
+        "equations": [...]}.  Malformed input, including a coefficient or
+        exponent that is not an integer, raises ValidationError."""
+        if not isinstance(data, dict) or "p" not in data:
+            raise ValidationError("a variety is a JSON object with 'ambient' and 'p'")
+        ambient = data.get("ambient")
+        if not (isinstance(ambient, dict) and len(ambient) == 1 and set(ambient) <= {"projective", "affine"}):
+            raise ValidationError('ambient must be {"projective": dim} or {"affine": dim}')
+        ((kind, dim),) = ambient.items()
         raw = data.get("equations", [])
-        # accept either a list of equations (each a list of [exps, coeff]
-        # terms) or a single flat equation as a list of terms
-        if raw and raw[0] and isinstance(raw[0][1], int):
-            raw = [raw]
-        eqs = tuple(
-            tuple((tuple(exps), int(coeff)) for exps, coeff in eq) for eq in raw
+        try:
+            # accept either a list of equations (each a list of [exps, coeff]
+            # terms) or a single flat equation as a list of terms, whose
+            # first entry starts with an exponent vector, not a term
+            if raw and raw[0] and not any(isinstance(x, (list, tuple)) for x in raw[0][0]):
+                raw = [raw]
+            eqs = tuple(
+                tuple((tuple(_json_int(x, "exponent") for x in exps), _json_int(coeff, "coefficient")) for exps, coeff in eq)
+                for eq in raw
+            )
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValidationError(f"equations must be lists of [exponent_vector, coefficient] terms: {exc}")
+        return VarietySpec(
+            kind,
+            _json_int(dim, "ambient dimension"),
+            _json_int(data["p"], "p"),
+            _json_int(data.get("e", 1), "e"),
+            eqs,
         )
-        return VarietySpec(kind, dim, data["p"], data.get("e", 1), eqs)
+
+
+def _json_int(x, what: str) -> int:
+    """x itself if it is an int; floats, bools and strings are refused,
+    not coerced."""
+    if type(x) is not int:
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def projective_space(n: int, p: int, e: int = 1) -> VarietySpec:
@@ -413,12 +434,16 @@ def _twisted_core(
     big = fq_make(v.p, v.e * n * matrix_order(v, act))
     vf = vec_field(big)
     tracker = BudgetTracker(resolve_budget(budget))
+    charts = list(_charts(v))
+    for _, free, _ in charts:
+        # charged up front: embedding the matrices into the big field
+        # scans it, so an over-budget count must be refused before that
+        tracker.charge(big.q ** len(free))
     twist = _linear_blocks(vf, v, act, v.e * n)
     fix = [_linear_blocks(vf, v, _normalize_matrix(v, h), 0) for h in fixers]
     affine = v.ambient_kind == "affine"
     total = 0
-    for fixed, free, eqs in _charts(v):
-        tracker.charge(big.q ** len(free))
+    for fixed, free, eqs in charts:
         for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
             for m in fix + [twist]:
                 mask = mask & _same_point(vf, affine, _apply_blocks(vf, m, coords), coords)

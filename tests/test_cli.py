@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -106,6 +107,31 @@ def test_variety_count_and_weil(capsys):
     payload = out["payload"]
     assert payload["stabilized"] and payload["functional_equation_holds"]
     assert payload["sign"] == 1 and payload["e_degree"] == 0
+
+
+@pytest.mark.parametrize(
+    "key, value", [("coefficient", 1.7), ("coefficient", True), ("coefficient", "1"), ("ambient", "projective")]
+)
+def test_variety_input_is_validated_not_coerced(capsys, tmp_path, key, value):
+    data = json.loads((FIXTURES / "elliptic_f5_variety.json").read_text())
+    if key == "coefficient":
+        data["equations"][0][1][1] = value
+    else:  # the format the README once showed
+        data["ambient"], data["dim"] = value, 2
+    path = write(tmp_path, "v.json", data)
+    code, out = run(capsys, "variety", "count", "--in", path, "--nmax", "1")
+    assert code == 1
+    assert out["status"] == "validation_error"
+
+
+def test_readme_variety_example(capsys, tmp_path):
+    readme = (FIXTURES.parent.parent.parent / "README.md").read_text()
+    example = re.search(r"^Variety: `(.*?)`", readme, re.S | re.M).group(1)
+    path = write(tmp_path, "v.json", json.loads(example))
+    code, out = run(capsys, "variety", "count", "--in", path, "--nmax", "2")
+    assert code == 0
+    assert out["status"] == "ok"
+    assert out["payload"]["counts"] == [9, 27]
 
 
 def test_variety_weil_requires_dim(capsys):

@@ -1,5 +1,7 @@
 """Exact polynomial, rational-function and matrix arithmetic."""
 
+import random
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import prod
@@ -161,6 +163,67 @@ def leibniz_det(m):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total += (-1) ** inversions * prod(m[i, perm[i]] for i in range(n))
     return total
+
+
+def interpolated_char_poly(m):
+    """det(t*I - M) from Leibniz determinants at t = 0..n and Lagrange
+    interpolation, a route apart from char_poly."""
+    n = m.rows
+    xs = list(range(n + 1))
+    ys = [leibniz_det(RatMatrix.identity(n) * x + m * -1) for x in xs]
+    total = Polynomial.zero()
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = Polynomial.constant(yi)
+        for xj in xs[:i] + xs[i + 1 :]:
+            basis = basis * Polynomial([-xj, 1]) * Fraction(1, xi - xj)
+        total = total + basis
+    return total
+
+
+def mixed_entry(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+    if kind == 1:
+        return Fraction(5, 7) * rng.choice([1, -1])
+    if kind == 2:
+        return rng.randint(-(2**70), 2**70)  # past 64 bits
+    return rng.randint(-3, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_char_poly_matches_interpolated_determinants(n):
+    rng = random.Random(1000 + n)
+    for _ in range(4):
+        m = RatMatrix(n, n, [mixed_entry(rng) for _ in range(n * n)])
+        assert char_poly(m) == interpolated_char_poly(m)
+
+
+def bareiss_det(rows):
+    """Fraction-free Gaussian elimination (Bareiss) on an integer matrix."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def test_det_of_20x20_integer_matrix_matches_bareiss():
+    rng = random.Random(20)
+    rows = [[rng.randint(-3, 3) for _ in range(20)] for _ in range(20)]
+    start = time.perf_counter()
+    det = RatMatrix.from_rows(rows).det()
+    assert time.perf_counter() - start < 0.5
+    assert det == bareiss_det(rows) != 0
 
 
 def test_block_diag():

@@ -1,6 +1,7 @@
 """Point counting, zeta functions from counts, and Weil-type checks."""
 
 import itertools
+import time
 
 import pytest
 
@@ -215,6 +216,27 @@ def test_twisted_count_sign_action():
     assert twisted_count(p1, g, 4) == 626
 
 
+def test_over_budget_twisted_count_is_refused_before_embedding(monkeypatch):
+    # F_25 with an element of order 2 at n = 3 enumerates F_{5^12}; the
+    # refusal must come before the matrices are embedded in that field
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+    v = VarietySpec("projective", 1, 5, 2, ())
+    start = time.perf_counter()
+    with pytest.raises(ResourceError) as err:
+        twisted_count(v, [[4, 0], [0, 1]], 3)
+    assert time.perf_counter() - start < 1
+    assert (err.value.required, err.value.budget) == (5**12, 10**7)
+
+
+def test_twisted_budget_is_charged_chart_by_chart():
+    # P^2/F_5 charts have 25, 5 and 1 assignments
+    p2, g = projective_space(2, 5), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ResourceError) as err:
+        twisted_count(p2, g, 1, budget=27)
+    assert (err.value.required, err.value.budget) == (30, 27)
+    assert twisted_count(p2, g, 1, budget=31) == 31
+
+
 def test_zeta_from_counts_p1():
     w = zeta_from_counts(projective_space(1, 5), 6)
     rf = RationalFunction(Polynomial.one(), Polynomial([1, -6, 5]))
@@ -304,6 +326,16 @@ def test_artin_mazur_never_stabilizes():
 def test_variety_json_round_trip():
     e5 = load_variety("elliptic_f5_variety.json")
     assert VarietySpec.from_json(e5.to_json()) == e5
+
+
+def test_from_json_equation_forms():
+    # x = 0 on A^1/F_5, as a list of one one-term equation and as a flat
+    # equation
+    nested = VarietySpec.from_json({"ambient": {"affine": 1}, "p": 5, "equations": [[[[1], 1]]]})
+    flat = VarietySpec.from_json({"ambient": {"affine": 1}, "p": 5, "equations": [[[1], 1]]})
+    assert nested == flat and count_points(nested, 1) == 1
+    with pytest.raises(ValidationError):
+        VarietySpec.from_json({"ambient": {"affine": 1}, "p": 5, "equations": [[[1.5], 1]]})
 
 
 def test_count_rejects_bad_extension():

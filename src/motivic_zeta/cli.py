@@ -320,7 +320,6 @@ def cmd_measure_eval(args):
         "mu_rig": measures.mu_rig(cls),
         "mu_nc": measures.mu_nc_composite(cls).to_json(),
         "in_cell_span": cls.in_cell_span,
-        "scissor_consistent": measures.scissor_consistent(cls),
     }
     if args.q is not None:
         out["q"] = args.q

@@ -157,37 +157,57 @@ class FqField:
     def one(self) -> "FqElement":
         return self.element(1)
 
+    def from_int(self, n: int) -> "FqElement":
+        """The element with packed index n (the inverse of FqElement.to_int)."""
+        coeffs = []
+        for _ in range(self.e):
+            n, c = divmod(n, self.p)
+            coeffs.append(c)
+        return FqElement(self, tuple(coeffs))
+
     def enumerate(self):
         """All p^e elements in ascending base-p coefficient order."""
-        p, e = self.p, self.e
         for n in range(self.q):
-            coeffs = []
-            m = n
-            for _ in range(e):
-                coeffs.append(m % p)
-                m //= p
-            yield FqElement(self, tuple(coeffs))
+            yield self.from_int(n)
 
     def extension(self, m: int) -> "FqField":
         return fq_make(self.p, self.e * m)
 
     def embedding_root(self, big: "FqField") -> "FqElement":
-        """Image of x (mod self.modulus) in the bigger field; the first
-        root of the modulus in big's enumeration order.  Cached."""
+        """Image of x (mod self.modulus) in the bigger field: the root of
+        the modulus with the smallest packed index, the first in big's
+        enumeration order.  For e > 1 the roots are nonzero and lie in the
+        subfield of order q, whose nonzero elements are the powers of any h
+        of order q - 1; h = z^((Q-1)/(q-1)) for the first z = 1, 2, ...
+        that gives that order.  The roots are the conjugates r^(p^i) of
+        the first power r of h that is a root.  Cached."""
         key = (big.p, big.e)
         if key in self._embeddings:
             return self._embeddings[key]
         if big.p != self.p or big.e % self.e != 0:
             raise ValidationError("no embedding between these fields")
-        mod = list(self.modulus)
-        for cand in big.enumerate():
-            acc = big.zero()
-            for c in reversed(mod):
-                acc = acc * cand + big.element(c)
-            if acc.is_zero():
-                self._embeddings[key] = cand
-                return cand
-        raise ValidationError("modulus has no root in the extension")
+        if self.e == 1:  # the modulus is x
+            root = big.zero()
+        else:
+            one, order = big.one(), self.q - 1
+            cofactors = [order // r for r in _prime_factors(order)]
+            for z in range(1, big.q):
+                h = big.from_int(z) ** ((big.q - 1) // order)
+                if all(h**c != one for c in cofactors):
+                    break
+            r = h
+            while not self._value_at(r).is_zero():
+                r = r * h
+            root = min((r ** (self.p**i) for i in range(self.e)), key=FqElement.to_int)
+        self._embeddings[key] = root
+        return root
+
+    def _value_at(self, x: "FqElement") -> "FqElement":
+        """The modulus evaluated at x, an element of an extension."""
+        acc = x.field.zero()
+        for c in reversed(self.modulus):
+            acc = acc * x + x.field.element(c)
+        return acc
 
     def embed(self, elt: "FqElement", big: "FqField") -> "FqElement":
         if big == self:

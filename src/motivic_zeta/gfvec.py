@@ -1,20 +1,38 @@
-"""Vectorized finite-field arithmetic on digit arrays.
+"""Vectorized finite-field arithmetic on packed element indices.
 
-Elements of F_{p^k} are stored as numpy arrays of base-p digits, shape
-(N, k), one row per element; a one-row array is a constant that
-broadcasts against N-row arrays.  Row i of digits_of_range(a, b) is the
-element (or f-tuple of elements) whose packed index is a + i, matching
-FqElement.to_int and the FqField.enumerate order.  Products use schoolbook
-convolution plus a precomputed reduction matrix for the modulus;
-Frobenius powers, multiplication by a fixed constant and the absolute
-trace are F_p-linear and applied as digit matrices.
+An element of F_{p^k} is stored as one integer, its packed index
+sum_i c_i p^i over the coefficients c_i of its polynomial in x, as in
+FqElement.to_int and the FqField.enumerate order.  N elements form an
+array of shape (N,), one row per element; a one-row array is a constant
+that broadcasts against N-row arrays.  Row i of digits_of_range(a, b, f)
+holds the f-tuple of elements whose tuple index is a + i.
 
-Every dtype is worked out here from p and k, so the arithmetic is exact
-for every prime.  Digits use the smallest signed integer type that holds
-the sum of two digits.  Products accumulate in float64 while every
-intermediate stays below 2^53 (BLAS then does the reduction matmul), else
-in int64, and past the int64 range digits and products are Python-int
-(object) arrays.
+Two engines share this representation.
+
+Tables.  With g the element of smallest packed index among those of
+multiplicative order q - 1, exp[i] = g^i for i <= 2q - 4 (so a sum of two
+logs needs no reduction), log[g^i] = i, and zech[d] = log(1 + g^d).
+log 0 is the sentinel 2q - 3, the index of exp's last entry, which is 0,
+and exp is read with mode="clip", so every index at or past the sentinel
+gives 0: a product is exp[log a + log b] with no mask.  A power multiplies
+a log mod q - 1, so Frobenius is a power; a sum of nonzero g^l and g^h,
+l <= h, is exp[l + zech[h - l]] (zech's last entry, 0, catches a zero
+summand), or an XOR in characteristic 2, or a sum mod p in a prime field;
+a nonzero square is an element of even log.  The tables take 16 bytes per
+element (int32 exp of 2(q - 1) entries, log and zech of q).  They are
+built the first time a field is enumerated over f >= 1 variables, a pass
+of at least q rows that the budget has already paid for, and only while
+q <= TABLE_MAX.  exp is built by doubling: multiplication by g^m is a k x k
+F_p-linear map on digits, so each step is one digit matmul.
+
+Digits.  Every other field (one-row charts, q > TABLE_MAX, any field
+before its first enumeration pass) unpacks rows into base-p digits,
+multiplies by schoolbook convolution plus a reduction matrix for the
+modulus and packs the result.  Its dtypes are worked out from p and k, so
+it is exact for every prime: products accumulate in float64 while every
+intermediate stays below 2^53, else in int64, and past the int64 range in
+Python-int (object) arrays.  F_p-linear maps such as the absolute trace
+are applied as digit matrices (linear_map) in either engine.
 """
 
 from __future__ import annotations
@@ -23,14 +41,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import FqElement, FqField
+from .gf import FqElement, FqField, _prime_factors
 
 CHUNK = 1 << 18  # rows per array in an enumeration pass; bounds peak memory
+TABLE_MAX = 10_000_000  # largest field given tables: varieties.DEFAULT_BUDGET
+TABLE_BLOCK = 1 << 13  # digit rows per matmul while building tables; stays in cache
 
 
 def _int_dtype(bound: int):
     """Smallest signed integer dtype holding 0..bound; object past int64."""
-    for dtype in (np.int16, np.int32, np.int64):
+    for dtype in (np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
             return dtype
     return object
@@ -41,71 +61,106 @@ class VecField:
         self.field = field
         self.p = p = field.p
         self.k = k = field.e
-        self.q = field.q
-        self.dtype = _int_dtype(2 * (p - 1))
-        # largest intermediate of mul: k-term convolution sums, then k - 1
-        # more terms from the reduction matmul
+        self.q = q = field.q
+        self.dtype = _int_dtype(2 * (q - 1))  # a sum of two elements fits
+        self._wide = _int_dtype(q)  # packing and unpacking
+        # largest intermediate of a digit product: k-term convolution sums,
+        # then k - 1 more terms from the reduction matmul
         bound = k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))
         self.acc_dtype = np.float64 if bound < 2**53 else _int_dtype(bound)
         # reduction rows: x^{k+i} mod modulus as digit vectors, i = 0..k-2
         x = field.element([0, 1])
         rows = [list((x ** (k + i)).coeffs) for i in range(k - 1)]
         self._reduce = np.array(rows, dtype=object).reshape(k - 1, k).astype(self.acc_dtype)
+        self._exp = self._log = self._zech = None
 
-    def _exact(self, a: np.ndarray) -> np.ndarray:
-        return a.astype(self.acc_dtype)
+    @property
+    def tabulated(self) -> bool:
+        """Whether this field's exp/log/Zech tables have been built."""
+        return self._exp is not None
 
-    def _digits(self, wide: np.ndarray) -> np.ndarray:
-        return (wide % self.p).astype(self.dtype)
+    # --- rows ---
 
     def digits_of_range(self, start: int, stop: int, f: int = 1) -> list[np.ndarray]:
-        """The f-tuples of F_q^f with packed indices start..stop-1, as f
-        digit arrays.  Tuple index i = sum_j to_int(x_j) q^(f-1-j): the
-        lexicographic order of itertools.product over enumerate()."""
-        fits = self.dtype is not object and stop <= np.iinfo(np.int64).max
-        n = np.arange(start, stop, dtype=np.int64 if fits else object)
-        digits = np.empty((stop - start, f * self.k), dtype=self.dtype)
-        for i in range(f * self.k):
-            digits[:, i] = n % self.p
-            n //= self.p
-        return [digits[:, (f - 1 - j) * self.k : (f - j) * self.k] for j in range(f)]
+        """The f-tuples of F_q^f with tuple indices start..stop-1, as f
+        arrays of packed elements.  Tuple index i = sum_j to_int(x_j)
+        q^(f-1-j): the lexicographic order of itertools.product over
+        enumerate().  A range over f >= 1 variables belongs to a pass over
+        at least q rows, so it builds the field's tables if it has none."""
+        if f and self._exp is None and self.q <= TABLE_MAX:
+            self._tabulate()
+        n = np.arange(start, stop, dtype=np.int64 if stop <= np.iinfo(np.int64).max else object)
+        out = []
+        for _ in range(f):
+            out.append((n % self.q).astype(self.dtype))
+            n = n // self.q
+        return out[::-1]
 
-    def const(self, c: int) -> np.ndarray:
-        """The prime-field element c mod p as a one-row digit array."""
-        return np.array([[c % self.p] + [0] * (self.k - 1)], dtype=self.dtype)
+    def const(self, c) -> np.ndarray:
+        """c as a one-row array: an FqElement of this field, or an integer
+        read as the prime-field element c mod p."""
+        n = c.to_int() if isinstance(c, FqElement) else c % self.p
+        return np.array([n], dtype=self.dtype)
 
     def zeros(self, n: int) -> np.ndarray:
-        return np.zeros((n, self.k), dtype=self.dtype)
+        return np.zeros(n, dtype=self.dtype)
 
     def elements(self, a: np.ndarray, index: np.ndarray) -> list[FqElement]:
         """The FqElements at the given rows of a; a one-row constant stands
         for every row."""
-        picked = a[index] if a.shape[0] > 1 else np.repeat(a, len(index), axis=0)
-        return [FqElement(self.field, tuple(row)) for row in picked.tolist()]
+        picked = a[index] if a.shape[0] > 1 else np.repeat(a, len(index))
+        return [self.field.from_int(n) for n in picked.tolist()]
+
+    # --- arithmetic ---
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self.k == 1:
+            return (a + b) % self.p
+        if self._exp is None:
+            return self._pack(self._unpack(a) + self._unpack(b))
+        la, lb = self._log.take(a), self._log.take(b)
+        lo = np.minimum(la, lb)
+        return self._exp.take(lo + self._zech.take(np.maximum(la, lb) - lo, mode="clip"), mode="clip")
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self.k == 1:
+            return (a - b) % self.p
+        if self._exp is None:
+            return self._pack(self._unpack(a) - self._unpack(b))
+        return self.add(a, self._exp.take(self._log.take(b) + (self.q - 1) // 2, mode="clip"))
 
     def scale(self, a: np.ndarray, c: int) -> np.ndarray:
         """c * a for an integer c, an element of the prime field."""
-        return self._digits(self._exact(a) * (c % self.p))
+        if self._exp is None:
+            return self._pack(self._unpack(a) * (c % self.p))
+        return self._exp.take(self._log.take(a) + self._log[c % self.p], mode="clip")
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._exp is not None:
+            return self._exp.take(self._log.take(a) + self._log.take(b), mode="clip")
         k = self.k
-        n = max(a.shape[0], b.shape[0])
-        conv = np.zeros((n, 2 * k - 1), dtype=self.acc_dtype)
-        wa, wb = self._exact(a), self._exact(b)
+        wa, wb = self._unpack(a), self._unpack(b)
+        conv = np.zeros((max(a.shape[0], b.shape[0]), 2 * k - 1), dtype=self.acc_dtype)
         for i in range(k):
             conv[:, i : i + k] += wa[:, i : i + 1] * wb
         low = conv[:, :k]
         if k > 1:
             low = low + conv[:, k:] @ self._reduce
-        return self._digits(low)
+        return self._pack(low)
 
     def power(self, a: np.ndarray, e: int) -> np.ndarray:
+        if e == 0:
+            return self.const(1)
+        if self._exp is not None:
+            order = self.q - 1
+            if e % order == 1:  # x^e = x, as for Frobenius of the whole field
+                return a
+            logs = self._log.take(a).astype(np.int64) * (e % order) % order
+            return np.where(a == 0, 0, self._exp.take(logs))
         result = None
         while e:
             if e & 1:
@@ -113,69 +168,138 @@ class VecField:
             e >>= 1
             if e:
                 a = self.mul(a, a)
-        return self.const(1) if result is None else result
+        return result
 
     def linear_map(self, a: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Apply the F_p-linear map whose i-th row is the image of x^i."""
-        return self._digits(self._exact(a) @ self._exact(m))
-
-    def frobenius_matrix(self, power_of_p: int) -> np.ndarray:
-        """Digit matrix of x -> x^{p^m}; rows are images of the basis x^i."""
-        exp = self.p**power_of_p
-        return self._matrix(lambda basis: basis**exp)
-
-    def const_mul_matrix(self, c: FqElement) -> np.ndarray:
-        """Digit matrix of x -> c*x."""
-        return self._matrix(lambda basis: c * basis)
-
-    def _matrix(self, image) -> np.ndarray:
-        rows = [list(image(self.field.element([0] * i + [1])).coeffs) for i in range(self.k)]
-        return np.array(rows, dtype=self.dtype)
+        """Apply the F_p-linear map from F_{p^k} to F_{p^j} whose i-th row
+        (j digits) is the image of x^i."""
+        return self._pack(self._unpack(a) @ m.astype(self.acc_dtype))
 
     def trace(self, a: np.ndarray) -> np.ndarray:
         """Absolute trace to F_p of each row, as an integer array."""
-        return self.linear_map(a, self._trace_column)[:, 0]
+        return self.linear_map(a, self._trace_column)
 
     @cached_property
     def _trace_column(self) -> np.ndarray:
-        def trace(y):
-            acc = y
+        column = []
+        for i in range(self.k):
+            y = acc = self.field.element([0] * i + [1])
             for _ in range(self.k - 1):
                 y = y**self.p
                 acc = acc + y
-            return acc
+            column.append([acc.coeffs[0]])
+        return np.array(column, dtype=object)
 
-        return self._matrix(trace)[:, :1]
-
-    def is_square(self, a: np.ndarray, tabulate: bool) -> np.ndarray:
-        """True where a is a nonzero square (odd p).  With `tabulate` the
-        rows are looked up in a table of all q elements, built once per
-        field at the cost of q multiplications; otherwise Euler's
-        criterion a^((q-1)/2) = 1 is evaluated row by row."""
-        if not tabulate:
-            return self.equal(self.power(a, (self.q - 1) // 2), self.const(1))
-        return self._square_table[self._pack(a)]
-
-    @cached_property
-    def _square_table(self) -> np.ndarray:
-        table = np.zeros(self.q, dtype=bool)
-        for start in range(0, self.q, CHUNK):
-            (y,) = self.digits_of_range(start, min(start + CHUNK, self.q))
-            table[self._pack(self.mul(y, y))] = True
-        table[0] = False
-        return table
-
-    def _pack(self, a: np.ndarray) -> np.ndarray:
-        """Packed indices of the rows (they index a table of q entries)."""
-        return a.astype(np.int64) @ (self.p ** np.arange(self.k, dtype=np.int64))
+    def is_square(self, a: np.ndarray) -> np.ndarray:
+        """True where a is a nonzero square: a nonzero row in characteristic
+        2, an even log with tables, else by Euler's criterion
+        a^((q-1)/2) = 1."""
+        if self.p == 2:
+            return a != 0
+        if self._exp is not None:
+            return self._log.take(a) % 2 == 0  # log 0, the sentinel, is odd
+        return self.equal(self.power(a, (self.q - 1) // 2), self.const(1))
 
     def is_zero(self, a: np.ndarray) -> np.ndarray:
-        return (a == 0).all(axis=1)
+        return a == 0
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise equality; digits are always reduced, so equal elements
-        have equal digits."""
-        return (a == b).all(axis=1)
+        """Row-wise equality; packed indices are unique."""
+        return a == b
+
+    # --- digit engine ---
+
+    def _unpack(self, a: np.ndarray) -> np.ndarray:
+        """(N, k) base-p digits of the rows, in the accumulator dtype."""
+        digits = np.empty((a.shape[0], self.k), dtype=self.acc_dtype)
+        n = a.astype(self._wide)
+        for i in range(self.k):
+            digits[:, i] = n % self.p
+            n = n // self.p
+        return digits
+
+    def _pack(self, digits: np.ndarray) -> np.ndarray:
+        """Packed rows of a digit array, reducing every digit mod p."""
+        digits = digits % self.p
+        if self.acc_dtype is np.float64:
+            digits = digits.astype(np.int64)
+        n = digits[:, -1].astype(self._wide)
+        for i in range(digits.shape[1] - 2, -1, -1):
+            n = n * self.p + digits[:, i]
+        return n.astype(self.dtype)
+
+    # --- tables ---
+
+    def _tabulate(self):
+        p, k, q = self.p, self.k, self.q
+        order = q - 1
+        g = self._generator()
+        # g^0..g^(rows-1) as digit rows, by doubling: step is the digit
+        # matrix of multiplication by g^m.  Integer matmuls, not float:
+        # BLAS's buffers would raise the peak memory of small counts
+        rows = min(TABLE_BLOCK, order)
+        block = np.zeros((rows, k), dtype=np.int64)
+        block[0, 0] = 1
+        step, m = self._mul_matrix(g), 1
+        while m < rows:
+            n = min(m, rows - m)
+            block[m : m + n] = block[:n] @ step % p
+            step, m = step @ step % p, 2 * m
+        # each further block of rows is the first one times g^start; when
+        # there is one, rows is a power of 2 and step multiplies by g^rows
+        weights = p ** np.arange(k, dtype=np.int64)
+        exp = np.empty(2 * order, dtype=np.int32)
+        log = np.empty(q, dtype=np.int32)
+        shift = np.eye(k, dtype=np.int64)
+        for start in range(0, order, rows):
+            stop = min(start + rows, order)
+            exp[start:stop] = block[: stop - start] @ shift % p @ weights
+            log[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
+            shift = shift @ step % p
+        exp[order : 2 * order - 1] = exp[: order - 1]
+        exp[-1] = 0
+        log[0] = 2 * order - 1
+        # zech[d] = log(1 + g^d): 1 + y raises y's constant digit, p - 1
+        # wrapping to 0; zech[q - 1] = 0 is the clip target for a zero summand
+        zech = np.zeros(q, dtype=np.int32)
+        for start in range(0, order, CHUNK):
+            y = exp[start : min(start + CHUNK, order)]
+            zech[start : start + len(y)] = log.take(y + 1 - p * (y % p == p - 1))
+        self._exp, self._log, self._zech = exp, log, zech
+
+    def _generator(self) -> list[int]:
+        """Digits of the element of smallest packed index with multiplicative
+        order q - 1 (past the constants when k > 1: their order divides
+        p - 1)."""
+        order = self.q - 1
+        cofactors = [order // r for r in _prime_factors(order)]
+        identity = np.eye(self.k, dtype=np.int64)
+        for n in range(self.p if self.k > 1 else 1, self.q):
+            g = list(self.field.from_int(n).coeffs)
+            if not any((self._matrix_power(g, c) == identity).all() for c in cofactors):
+                return g
+        raise AssertionError("F_q^* is cyclic")  # unreachable
+
+    def _mul_matrix(self, c: list[int]) -> np.ndarray:
+        """Digit matrix of y -> c*y: row i is c*x^i."""
+        shift = np.zeros((self.k, self.k), dtype=np.int64)  # y -> x*y
+        shift[np.arange(self.k - 1), np.arange(1, self.k)] = 1
+        shift[-1] = [-m % self.p for m in self.field.modulus[: self.k]]
+        rows = [np.array(c, dtype=np.int64)]
+        for _ in range(self.k - 1):
+            rows.append(rows[-1] @ shift % self.p)
+        return np.array(rows)
+
+    def _matrix_power(self, c: list[int], e: int) -> np.ndarray:
+        """Digit matrix of y -> c^e y, by square and multiply."""
+        result, base = np.eye(self.k, dtype=np.int64), self._mul_matrix(c)
+        while e:
+            if e & 1:
+                result = result @ base % self.p
+            e >>= 1
+            if e:
+                base = base @ base % self.p
+        return result
 
 
 @lru_cache(maxsize=16)

@@ -2,8 +2,7 @@
 of varieties.
 
 A class is represented by its counting polynomial P (P(q) = number of
-points over a q-element field) plus a provenance tree recording how it
-was built from cells.  Three measures:
+points over a q-element field).  Three measures:
 
 * mu_count(q): evaluation at a prime power q (point counting),
 * mu_rig: evaluation at 1 (Euler characteristic of compactly supported
@@ -17,7 +16,7 @@ different point counts, so point counting cannot factor through mu_nc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, ValidationError
@@ -77,16 +76,11 @@ def is_prime_power(q: int) -> bool:
 class MeasureClass:
     """A class in the polynomial-count Grothendieck ring model.
 
-    `provenance` is the construction tree; `scissor_steps` records each
-    decomposition [X] = [Z] + [X - Z] used along the way as
-    (whole, part, part) triples of counting polynomials.
     `in_cell_span` is True while the class stays inside the span of
     points, affine/projective spaces, and their sums and products.
     """
 
     poly: Polynomial
-    provenance: dict = field(default_factory=dict)
-    scissor_steps: tuple = ()
     in_cell_span: bool = True
 
     def __post_init__(self):
@@ -95,87 +89,42 @@ class MeasureClass:
                 raise ValidationError("counting polynomials have integer coefficients")
 
     def __add__(self, other: "MeasureClass") -> "MeasureClass":
-        return MeasureClass(
-            self.poly + other.poly,
-            {"op": "sum", "args": [self.provenance, other.provenance]},
-            self.scissor_steps + other.scissor_steps,
-            self.in_cell_span and other.in_cell_span,
-        )
+        return MeasureClass(self.poly + other.poly, self.in_cell_span and other.in_cell_span)
 
     def __mul__(self, other: "MeasureClass") -> "MeasureClass":
-        return MeasureClass(
-            self.poly * other.poly,
-            {"op": "product", "args": [self.provenance, other.provenance]},
-            self.scissor_steps + other.scissor_steps,
-            self.in_cell_span and other.in_cell_span,
-        )
+        return MeasureClass(self.poly * other.poly, self.in_cell_span and other.in_cell_span)
 
     def __sub__(self, other: "MeasureClass") -> "MeasureClass":
-        # a formal difference [X] - [Z]; records the scissor step
-        # [X] = [Z] + [X - Z] and leaves the even-cell span
-        diff = self.poly - other.poly
-        return MeasureClass(
-            diff,
-            {"op": "difference", "args": [self.provenance, other.provenance]},
-            self.scissor_steps
-            + other.scissor_steps
-            + ((self.poly, other.poly, diff),),
-            False,
-        )
+        # a formal difference [X] - [Z]; leaves the even-cell span
+        return MeasureClass(self.poly - other.poly, False)
 
     def scale(self, n: int) -> "MeasureClass":
         """n disjoint copies."""
         if n < 0:
             raise ValidationError("cannot take a negative number of copies")
-        return MeasureClass(
-            self.poly * Polynomial([n]),
-            {"op": "scale", "n": n, "args": [self.provenance]},
-            self.scissor_steps,
-            self.in_cell_span,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "poly": self.poly.to_json(),
-            "provenance": self.provenance,
-            "in_cell_span": self.in_cell_span,
-        }
+        return MeasureClass(self.poly * Polynomial([n]), self.in_cell_span)
 
 
 def point() -> MeasureClass:
-    return MeasureClass(Polynomial.one(), {"op": "point"})
+    return MeasureClass(Polynomial.one())
 
 
 def affine_space(n: int) -> MeasureClass:
     if n < 0:
         raise ValidationError("dimension must be >= 0")
-    return MeasureClass(Polynomial([0] * n + [1]), {"op": "affine_space", "n": n})
+    return MeasureClass(Polynomial([0] * n + [1]))
 
 
 def projective_space(n: int) -> MeasureClass:
-    """P^n = A^n + P^{n-1}; every step of the cell decomposition is
-    recorded as a scissor relation."""
+    """P^n = A^n + P^{n-1} = A^n + ... + A^0."""
     if n < 0:
         raise ValidationError("dimension must be >= 0")
-    steps = []
-    for k in range(1, n + 1):
-        whole = Polynomial([1] * (k + 1))
-        cell = Polynomial([0] * k + [1])
-        rest = Polynomial([1] * k)
-        steps.append((whole, cell, rest))
-    return MeasureClass(
-        Polynomial([1] * (n + 1)), {"op": "projective_space", "n": n}, tuple(steps)
-    )
+    return MeasureClass(Polynomial([1] * (n + 1)))
 
 
 def torus() -> MeasureClass:
     """G_m = A^1 - point, counting polynomial q - 1."""
-    return MeasureClass(
-        Polynomial([-1, 1]),
-        {"op": "torus"},
-        ((Polynomial([0, 1]), Polynomial.one(), Polynomial([-1, 1])),),
-        False,
-    )
+    return MeasureClass(Polynomial([-1, 1]), False)
 
 
 def mu_count(cls: MeasureClass, q: int) -> int:
@@ -198,17 +147,6 @@ def mu_nc_composite(cls: MeasureClass) -> EpsInt:
     (the in_cell_span flag on the class marks the extension).
     """
     return EpsInt(mu_rig(cls), 0)
-
-
-def scissor_consistent(cls: MeasureClass, sample_qs=(2, 3, 5, 7, 9)) -> bool:
-    """Every recorded scissor step [X] = [Z] + [X - Z] holds at the
-    sampled prime powers."""
-    for whole, part_a, part_b in cls.scissor_steps:
-        for q in sample_qs:
-            qq = Fraction(q)
-            if whole.evaluate(qq) != part_a.evaluate(qq) + part_b.evaluate(qq):
-                return False
-    return True
 
 
 @dataclass

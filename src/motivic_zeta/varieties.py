@@ -8,13 +8,16 @@ chart with a single equation of degree 1 or 2 in some free variable
 enumerates the remaining variables and counts roots (discriminant
 squares in odd characteristic, an absolute trace in characteristic 2);
 everything else is exhaustive.  All enumeration runs through one
-iterator over chunks of assignments, evaluated with the vectorized
-digit engine of gfvec on every field size.  Enumeration work is metered
+iterator over chunks of assignments, each variable an array of packed
+field elements, evaluated with gfvec: on exp/log/Zech tables once the
+field is enumerated over at least q rows (q <= 10^7), on base-p digits
+otherwise (one-row charts, larger fields).  Enumeration work is metered
 against a budget (default 10^7 assignments, env MOTIVIC_ZETA_BUDGET or
 per-call override).
 
 Twisted counts #{x : g(Fr^n(x)) = x} enumerate X(F_{q^{n ord(g)}}) on
-the same charts and test the twist condition row by row.
+the same charts and test the twist condition row by row: Fr^n is the
+power x^(q^n), and g multiplies by its entries as one-row constants.
 """
 
 from __future__ import annotations
@@ -311,8 +314,6 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
     by_degree = [{}, {}, {}]
     for exps, coeff in terms.items():
         by_degree[exps[j]][exps[:j] + exps[j + 1 :]] = coeff
-    # a table of the squares costs q products: only when already enumerating q rows
-    tabulate = q ** (f - 1) >= q
     total = 0
     for rows, values in _assignments(vf, f - 1):
         c, b, a = _evaluate(vf, by_degree, values, rows)
@@ -329,7 +330,7 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
         else:
             disc = vf.sub(vf.mul(b, b), vf.scale(vf.mul(a, c), 4))
             one = vf.is_zero(disc)
-            two = vf.is_square(disc, tabulate)
+            two = vf.is_square(disc)
         total += int(np.count_nonzero(~a0 & one)) + 2 * int(np.count_nonzero(~a0 & two))
     return total
 
@@ -436,36 +437,35 @@ def _twisted_core(
     tracker = BudgetTracker(resolve_budget(budget))
     charts = list(_charts(v))
     for _, free, _ in charts:
-        # charged up front: embedding the matrices into the big field
-        # scans it, so an over-budget count must be refused before that
+        # charged up front, so an over-budget count is refused before any
+        # work in the big field
         tracker.charge(big.q ** len(free))
-    twist = _linear_blocks(vf, v, act, v.e * n)
-    fix = [_linear_blocks(vf, v, _normalize_matrix(v, h), 0) for h in fixers]
+    twist = _embedded(vf, v, act)
+    fix = [_embedded(vf, v, _normalize_matrix(v, h)) for h in fixers]
+    frobenius = v.q**n
     affine = v.ambient_kind == "affine"
     total = 0
     for fixed, free, eqs in charts:
         for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
-            for m in fix + [twist]:
-                mask = mask & _same_point(vf, affine, _apply_blocks(vf, m, coords), coords)
-            total += int(np.count_nonzero(mask))
+            for m in fix:
+                mask = mask & _same_point(vf, affine, _apply(vf, m, coords), coords)
+            moved = _apply(vf, twist, [vf.power(x, frobenius) for x in coords])
+            total += int(np.count_nonzero(mask & _same_point(vf, affine, moved, coords)))
     return total
 
 
-def _linear_blocks(vf: VecField, v: VarietySpec, m, frob_power: int) -> list:
-    """Digit matrices of x -> m_ij Fr^frob_power(x), m_ij embedded in the
-    field of vf and Fr: x -> x^p; None for zero entries."""
-    frob = vf.frobenius_matrix(frob_power)
+def _embedded(vf: VecField, v: VarietySpec, m) -> list:
+    """The entries of m embedded in the field of vf, as one-row constants;
+    None for zero entries."""
+    return [[None if x.is_zero() else vf.const(v.base_field.embed(x, vf.field)) for x in row] for row in m]
+
+
+def _apply(vf: VecField, m, coords) -> list:
+    """The tuple sum_j m[i][j] coords[j], i = 1..nv; entries 1 (packed
+    index 1) need no product."""
     return [
-        [None if x.is_zero() else vf.linear_map(frob, vf.const_mul_matrix(v.base_field.embed(x, vf.field))) for x in row]
+        functools.reduce(vf.add, (x if c[0] == 1 else vf.mul(c, x) for c, x in zip(row, coords) if c is not None))
         for row in m
-    ]
-
-
-def _apply_blocks(vf: VecField, blocks, coords) -> list:
-    """The tuple sum_j blocks[i][j](coords[j]), i = 1..nv."""
-    return [
-        functools.reduce(vf.add, (vf.linear_map(x, m) for x, m in zip(coords, row) if m is not None))
-        for row in blocks
     ]
 
 

@@ -1,5 +1,7 @@
 """Finite field construction, arithmetic and embeddings."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,47 @@ def test_embedding_injective():
     big = fq_make(3, 4)
     images = {small.embed(a, big).coeffs for a in small.enumerate()}
     assert len(images) == small.q
+
+
+def scan_root(small, big):
+    """The first root of small's modulus in big's enumeration order, found
+    by scanning big element by element: an oracle for embedding_root."""
+    for cand in big.enumerate():
+        acc = big.zero()
+        for c in reversed(small.modulus):
+            acc = acc * cand + big.element(c)
+        if acc.is_zero():
+            return cand
+
+
+def test_embedding_root_matches_scan():
+    pairs = [
+        (p, e, big_e)
+        for p in (2, 3, 5, 7)
+        for big_e in range(2, 14)
+        if p**big_e <= 10**4
+        for e in range(1, big_e)
+        if big_e % e == 0
+    ]
+    assert len(pairs) == 45
+    for p, e, big_e in pairs:
+        small, big = fq_make(p, e), fq_make(p, big_e)
+        assert small.embedding_root(big) == scan_root(small, big), (p, e, big_e)
+
+
+def test_embedding_root_searches_only_the_subfield():
+    # the scan of F_{5^10} took minutes; a fresh field has no cached root
+    small = FqField(5, 2, fq_make(5, 2).modulus)
+    start = time.perf_counter()
+    root = small.embedding_root(fq_make(5, 10))
+    assert time.perf_counter() - start < 1
+    assert root.coeffs == (3, 0, 3, 2, 1, 1, 2, 4, 2, 1)
+
+
+def test_from_int_inverts_to_int():
+    f = fq_make(3, 4)
+    assert [f.from_int(n).to_int() for n in range(f.q)] == list(range(f.q))
+    assert list(f.enumerate()) == [f.from_int(n) for n in range(f.q)]
 
 
 def test_no_embedding_between_incompatible_fields():

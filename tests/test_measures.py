@@ -16,7 +16,7 @@ from motivic_zeta import (
     torus,
 )
 from motivic_zeta.errors import PreconditionError, ValidationError
-from motivic_zeta.measures import is_prime_power, scissor_consistent
+from motivic_zeta.measures import is_prime_power
 from motivic_zeta.varieties import affine_space as affine_variety
 from motivic_zeta.varieties import projective_space as projective_variety
 
@@ -82,10 +82,10 @@ def test_nc_composite_collapse_equals_rigid():
 
 
 def test_cell_decomposition_scissor_steps():
-    p3 = projective_space(3)
-    assert p3.scissor_steps  # P^k = A^k + P^(k-1) recorded at each step
-    assert scissor_consistent(p3)
-    assert scissor_consistent(torus())
+    # P^k = A^k + P^(k-1) and A^1 = G_m + point
+    for k in range(1, 5):
+        assert projective_space(k).poly == (affine_space(k) + projective_space(k - 1)).poly
+    assert (torus() + point()).poly == affine_space(1).poly
 
 
 def test_torus_leaves_cell_span():
@@ -103,10 +103,9 @@ def test_class_algebra():
     assert lhs.poly == rhs.poly
     # [A^2] = [A^1] x [A^1]
     assert (affine_space(1) * affine_space(1)).poly == affine_space(2).poly
-    # difference records a scissor step
+    # [P^1] - [point] = [A^1]
     d = projective_space(1) - point()
     assert d.poly == affine_space(1).poly
-    assert d.scissor_steps[-1][0] == projective_space(1).poly
 
 
 def test_scale():

@@ -26,3 +26,23 @@ def test_tracer_targets_resolve():
     gf = importlib.import_module("motivic_zeta.gf")
     assert callable(vars(gf.FqField).get("enumerate"))
     assert callable(gf.fq_make.cache_info)  # the tracer counts field builds with it
+
+
+
+def test_vecfield_mul_rows_are_axis_zero():
+    # the tracer counts the elements of a VecField.mul call as
+    # max(a.shape[0], b.shape[0]): both engines must keep rows on axis 0,
+    # and a one-row constant must broadcast against N rows
+    np = importlib.import_module("numpy")
+    gf = importlib.import_module("motivic_zeta.gf")
+    gfvec = importlib.import_module("motivic_zeta.gfvec")
+    for p, e, tables in ((5, 3, True), (2, 24, False)):  # 2^24 > TABLE_MAX
+        vf = gfvec.VecField(gf.fq_make(p, e))
+        (x,) = vf.digits_of_range(0, 7)
+        assert vf.tabulated == tables
+        c = vf.const(3)
+        assert isinstance(x, np.ndarray) and x.shape[0] == 7 and c.shape[0] == 1
+        for a, b in ((x, x), (x, c), (c, x)):
+            out = vf.mul(a, b)
+            assert isinstance(out, np.ndarray) and out.shape[0] == 7
+        assert vf.mul(c, c).shape[0] == 1

@@ -9,6 +9,7 @@ Every subcommand delegates to one library operation, reads JSON input via
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -32,7 +33,18 @@ def _load(path: str):
     if path is None:
         raise ValidationError("this command requires --in FILE")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}")
+
+
+def _key(data, name: str):
+    """data[name] of a JSON object; a missing key or a non-object is a
+    ValidationError, not a traceback."""
+    if not isinstance(data, dict) or name not in data:
+        raise ValidationError(f"the input needs a {name!r} key")
+    return data[name]
 
 
 def _complex_in(data) -> complex:
@@ -49,14 +61,15 @@ def _variety_in(data) -> VarietySpec:
     return VarietySpec.from_json(data)
 
 
-def _action_in(v: VarietySpec, data, budget) -> lfunctions.GroupAction:
-    return lfunctions.GroupAction(v, data, budget=budget)
+def _action_in(v: VarietySpec, data) -> lfunctions.GroupAction:
+    return lfunctions.GroupAction(v, data)
 
 
 def _character_in(data) -> lfunctions.Character:
-    m = data.get("m", 1)
+    raw = _key(data, "values")
+    m = varieties._json_int(data.get("m", 1), "m")
     values = []
-    for val in data["values"]:
+    for val in raw:
         if isinstance(val, dict):
             values.append(
                 lfunctions.Cyclotomic(
@@ -227,17 +240,17 @@ def cmd_variety_closed_points(args):
 
 def cmd_lfun(args):
     data = _load(args.infile)
-    v = _variety_in(data["variety"])
-    action = _action_in(v, data["action"], args.budget)
-    character = _character_in(data["character"])
+    v = _variety_in(_key(data, "variety"))
+    action = _action_in(v, _key(data, "action"))
+    character = _character_in(_key(data, "character"))
     n_max = args.nmax or 5
     return lfunctions.l_function(v, action, character, n_max, args.budget).to_json()
 
 
 def cmd_orbifold(args):
     data = _load(args.infile)
-    v = _variety_in(data["variety"])
-    action = _action_in(v, data["action"], args.budget)
+    v = _variety_in(_key(data, "variety"))
+    action = _action_in(v, _key(data, "action"))
     n_max = args.nmax or 5
     return lfunctions.orbifold_zeta(v, action, n_max, args.budget).to_json()
 
@@ -333,7 +346,9 @@ def cmd_measure_witness(args):
     return measures.non_factoring_witness(args.n, args.q).to_json()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="motivic-zeta",
         description="Exact zeta and L-function computations for graded "

@@ -4,6 +4,9 @@ The modulus for F_{p^e} is the first monic irreducible degree-e polynomial
 in the base-p ascending enumeration of the lower coefficients (constant
 coefficient varies fastest), so the same (p, e) always yields the same
 field.  For e = 1 the modulus is x and elements are plain scalars mod p.
+A subfield embeds by a root of its modulus, found by Cantor-Zassenhaus
+splitting over the big field; row_echelon is the one linear-algebra
+routine over F_q (kernels, spans, inverses).
 """
 
 from __future__ import annotations
@@ -64,6 +67,63 @@ def _polygcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         a = _polymod(a, b, p)
         a, b = b, a
+    return a
+
+
+# --- polynomials over F_q on FqElement lists (ascending, no trailing zeros) ---
+
+
+def _fpoly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)] + a[len(b) :]
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def _fpoly_rem(a: list, f: list) -> list:
+    """a mod f for a monic f."""
+    a, d = a[:], len(f) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i]
+        if not c.is_zero():
+            for j in range(d):
+                a[i - d + j] = a[i - d + j] - c * f[j]
+    a = a[:d]
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def _fpoly_mulmod(a: list, b: list, f: list) -> list:
+    if not a or not b:
+        return []
+    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return _fpoly_rem(out, f)
+
+
+def _fpoly_powmod(a: list, n: int, f: list) -> list:
+    result, base = [f[0].field.one()], _fpoly_rem(a, f)
+    while n:
+        if n & 1:
+            result = _fpoly_mulmod(result, base, f)
+        n >>= 1
+        if n:
+            base = _fpoly_mulmod(base, base, f)
+    return result
+
+
+def _fpoly_gcd(a: list, b: list) -> list:
+    """The monic gcd."""
+    while b:
+        inv = b[-1].inverse()
+        b = [x * inv for x in b]
+        a, b = b, _fpoly_rem(a, b)
     return a
 
 
@@ -176,11 +236,8 @@ class FqField:
     def embedding_root(self, big: "FqField") -> "FqElement":
         """Image of x (mod self.modulus) in the bigger field: the root of
         the modulus with the smallest packed index, the first in big's
-        enumeration order.  For e > 1 the roots are nonzero and lie in the
-        subfield of order q, whose nonzero elements are the powers of any h
-        of order q - 1; h = z^((Q-1)/(q-1)) for the first z = 1, 2, ...
-        that gives that order.  The roots are the conjugates r^(p^i) of
-        the first power r of h that is a root.  Cached."""
+        enumeration order.  The roots are the conjugates r^(p^i) of any one
+        root r, found by splitting the modulus over big.  Cached."""
         key = (big.p, big.e)
         if key in self._embeddings:
             return self._embeddings[key]
@@ -189,25 +246,36 @@ class FqField:
         if self.e == 1:  # the modulus is x
             root = big.zero()
         else:
-            one, order = big.one(), self.q - 1
-            cofactors = [order // r for r in _prime_factors(order)]
-            for z in range(1, big.q):
-                h = big.from_int(z) ** ((big.q - 1) // order)
-                if all(h**c != one for c in cofactors):
-                    break
-            r = h
-            while not self._value_at(r).is_zero():
-                r = r * h
+            r = self._split_root(big)
             root = min((r ** (self.p**i) for i in range(self.e)), key=FqElement.to_int)
         self._embeddings[key] = root
         return root
 
-    def _value_at(self, x: "FqElement") -> "FqElement":
-        """The modulus evaluated at x, an element of an extension."""
-        acc = x.field.zero()
-        for c in reversed(self.modulus):
-            acc = acc * x + x.field.element(c)
-        return acc
+    def _split_root(self, big: "FqField") -> "FqElement":
+        """One root in big of the modulus f, by Cantor-Zassenhaus splitting.
+        The roots lie in the subfield S of order q and are distinct, so for
+        a shift a in S the factor gcd(f, (Y + a)^((q-1)/2) - 1) (odd p), or
+        gcd(f, Tr_S(a Y)) (p = 2), keeps the roots y with y + a a square, or
+        with Tr(a y) = 0.  A shift in F_p never splits f, whose roots are
+        conjugate; a = z^((Q-1)/(q-1)) for z = p, p + 1, ... gives elements
+        of S that split a factor for about half the shifts."""
+        one = big.one()
+        f = [big.element(c) for c in self.modulus]
+        for z in itertools.count(self.p):
+            if len(f) == 2:
+                return -f[0]
+            a = big.from_int(z) ** ((big.q - 1) // (self.q - 1))
+            if self.p == 2:
+                w, term = [], [big.zero(), a]
+                for _ in range(self.e):
+                    w = _fpoly_add(w, term)
+                    term = _fpoly_mulmod(term, term, f)
+            else:
+                w = _fpoly_powmod([a, one], (self.q - 1) // 2, f)
+                w = _fpoly_add(w, [-one])
+            d = _fpoly_gcd(f, w)
+            if 1 < len(d) < len(f):
+                f = d
 
     def embed(self, elt: "FqElement", big: "FqField") -> "FqElement":
         if big == self:
@@ -229,7 +297,7 @@ class FqElement:
             raise ValidationError("elements of different fields")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other: "FqElement") -> "FqElement":
         self._check(other)
@@ -319,6 +387,32 @@ class FqElement:
 
     def __repr__(self):
         return f"Fq({self.field.p}^{self.field.e}; {list(self.coeffs)})"
+
+
+def row_echelon(rows) -> tuple[list[list[FqElement]], list[int]]:
+    """Reduced row echelon form of a matrix over a finite field, given as
+    rows of FqElements of one field: (its nonzero rows, the pivot column
+    of each).  Every pivot is 1 and is the only nonzero entry of its
+    column; zero entries of a pivot row are skipped, so sparse and
+    block-diagonal matrices reduce cheaply."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        done = len(pivots)
+        pick = next((i for i in range(done, len(rows)) if not rows[i][col].is_zero()), None)
+        if pick is None:
+            continue
+        rows[done], rows[pick] = rows[pick], rows[done]
+        inv = rows[done][col].inverse()
+        pivot = rows[done] = [x * inv for x in rows[done]]
+        support = [j for j, x in enumerate(pivot) if not x.is_zero()]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if i != done and not c.is_zero():
+                for j in support:
+                    row[j] = row[j] - c * pivot[j]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,16 @@
 """Non-abelian L-functions and orbifold zeta functions via fixed-point
 counting.
 
-A finite group acts on a variety through matrices over the base field.
+A finite group acts on a variety through matrices over the base field;
+that each element maps the variety into itself is proved by algebra at
+construction (F(g x) in the span of the equations), with no points.
 L-series coefficients are averages (1/|G|) sum_g chi(g^{-1}) N_n(g) of
 twisted point counts, with character values kept exact in a
-cyclotomic-rational model (coordinates in Q[x]/(x^m - 1)).  The orbifold
+cyclotomic-rational model (coordinates in Q[x]/(x^m - 1)).  Each N_n(g),
+and each count N_n(h; fix g) of the orbifold routes, is an ordinary count
+of a descended variety over F_{q^n} (varieties._twisted_core), as cheap
+as an untwisted count of the same size, so no count outlives the call that
+made it; orbifold_zeta makes each count once for both routes.  The orbifold
 zeta function is computed along two independent routes, a direct trace
 formula summed over conjugacy classes and centralizers and the
 commuting-pairs sum over the whole group, and the two are compared.
@@ -13,6 +19,7 @@ commuting-pairs sum over the whole group, and the two are compared.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,12 +30,10 @@ from .gf import FqElement
 from .series import TruncatedSeries, WittElement, exp_from_traces
 from .varieties import (
     VarietySpec,
-    _apply_matrix,
     _mat_mul,
     _normalize_matrix,
+    _preserves,
     _twisted_core,
-    enumerate_points,
-    resolve_budget,
 )
 
 
@@ -107,12 +112,17 @@ Matrix = tuple[tuple[FqElement, ...], ...]
 class GroupAction:
     """A finite matrix group acting on a variety.
 
-    Closure, the identity, and preservation of the variety (checked on all
-    base-field points) are verified at construction.
+    Closure, the identity, and preservation of the variety are verified at
+    construction.  Preservation is checked by algebra, with no points: each
+    F(g x) must lie in the span of the equations (see
+    varieties._preserves), which proves it but can refuse an action that
+    does preserve the variety.
     """
 
-    def __init__(self, variety: VarietySpec, matrices: Sequence, budget: int | None = None):
+    def __init__(self, variety: VarietySpec, matrices: Sequence):
         self.variety = variety
+        if not isinstance(matrices, (list, tuple)):
+            raise ValidationError("a group action is a list of matrices")
         elems = [_normalize_matrix(variety, g) for g in matrices]
         if len(set(elems)) != len(elems):
             raise ValidationError("duplicate group elements")
@@ -137,7 +147,11 @@ class GroupAction:
         self.identity_index = ident
         self.inverse = [next(j for j in range(n) if table[i][j] == ident) for i in range(n)]
         self.element_orders = [self._order(i) for i in range(n)]
-        self._verify_preserves_variety(budget)
+        if not all(_preserves(variety, g) for g in elems):
+            raise ValidationError(
+                "could not verify that every group element preserves the variety: "
+                "some F(g x) is not in the span of the equations"
+            )
         self._build_classes()
 
     def __len__(self):
@@ -149,26 +163,6 @@ class GroupAction:
             j = self.table[j][i]
             r += 1
         return r
-
-    def _verify_preserves_variety(self, budget):
-        v = self.variety
-        points = enumerate_points(v, 1, budget)
-        base = v.base_field
-        for g in self.elements:
-            for x in points:
-                y = _apply_matrix(g, x)
-                for eq in v.equations:
-                    acc = base.zero()
-                    for exps, coeff in eq:
-                        val = base.element(coeff)
-                        for c, ee in zip(y, exps):
-                            if ee:
-                                val = val * (c**ee)
-                        acc = acc + val
-                    if not acc.is_zero():
-                        raise ValidationError(
-                            "a group element does not preserve the variety"
-                        )
 
     def _build_classes(self):
         n = len(self.elements)
@@ -233,17 +227,6 @@ def rational_character(action: GroupAction, values: Sequence) -> Character:
     return Character(1, tuple(Cyclotomic.rational(x) for x in values))
 
 
-_twist_cache: dict = {}
-
-
-def _cached_twist(v: VarietySpec, act: Matrix, fixers: tuple, n: int, budget) -> int:
-    # the budget belongs in the key: a smaller one must raise, not hit the cache
-    key = (v, act, fixers, n, resolve_budget(budget))
-    if key not in _twist_cache:
-        _twist_cache[key] = _twisted_core(v, act, n, fixers, budget)
-    return _twist_cache[key]
-
-
 @dataclass
 class LSeries:
     """Truncated L-series with cyclotomic-rational coefficients."""
@@ -303,7 +286,7 @@ def l_function(
         acc = Cyclotomic.rational(0, m)
         for i in range(size):
             chi = character.value_on_element(action, action.inverse[i])
-            count = _cached_twist(v, action.elements[i], (), n, budget)
+            count = _twisted_core(v, action.elements[i], n, (), budget)
             acc = acc + chi * count
         traces.append(acc * Fraction(1, size))
     return LSeries(m, tuple(_exp_cyclotomic(traces, m)))
@@ -338,8 +321,10 @@ def orbifold_zeta(
     if len(action) % v.p == 0:
         raise ValidationError("group order must be invertible in the base field")
 
+    @functools.cache
     def count(h: int, g: int, n: int) -> int:
-        return _cached_twist(v, action.elements[h], (action.elements[g],), n, budget)
+        # both routes read the same counts, once per call
+        return _twisted_core(v, action.elements[h], n, (action.elements[g],), budget)
 
     ns = range(1, n_max + 1)
     class_terms = [

@@ -1,7 +1,8 @@
 """Arithmetic geometry over finite fields by enumeration.
 
-Varieties are given by integer-coefficient equations in an affine or
-projective ambient space over F_{p^e}.  Counting goes chart by chart over
+Varieties are given by equations in an affine or projective ambient
+space over F_q, q = p^e, with integer coefficients (read mod p) or
+coefficients in F_q itself.  Counting goes chart by chart over
 normalized point representatives (projective: first nonzero coordinate
 = 1).  Charts cut out by no equations are counted in closed form; a
 chart with a single equation of degree 1 or 2 in some free variable
@@ -15,16 +16,21 @@ otherwise (one-row charts, larger fields).  Enumeration work is metered
 against a budget (default 10^7 assignments, env MOTIVIC_ZETA_BUDGET or
 per-call override).
 
-Twisted counts #{x : g(Fr^n(x)) = x} enumerate X(F_{q^{n ord(g)}}) on
-the same charts and test the twist condition row by row: Fr^n is the
-power x^(q^n), and g multiplies by its entries as one-row constants.
+Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
+descent.  With r = ord(g) and Q = q^(n r), the map sigma = g Fr^n is
+F_{q^n}-linear on F_Q^N and sigma^r = 1, so its fixed vectors span an
+F_{q^n}-form of F_Q^N (Lang, Amer. J. Math. 78, 1956): a matrix h over
+F_Q with g Fr^n(h) = h.  Then x = h y maps the F_{q^n}-points of the
+twisted form, cut out by the coordinates of F(h y) in the F_{q^n}-basis
+1, X, .., X^(r-1) of F_Q, one to one onto the twisted fixed points, and
+count_points counts them with its shortcuts intact.  A condition h' x = x
+(or h' x proportional to x) from a fixing element becomes equations too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .exact_core import Polynomial, RationalFunction
-from .gf import FqElement, FqField, fq_make, is_prime
+from .gf import FqElement, FqField, fq_make, is_prime, row_echelon
 from .gfvec import CHUNK, VecField, vec_field
 from .reconstruct import NotStabilized, traces_to_zeta
 from .series import TruncatedSeries, WittElement, exp_from_traces
@@ -71,13 +77,20 @@ class BudgetTracker:
         self.used += amount
 
 
-Term = tuple[tuple[int, ...], int]  # exponent vector, integer coefficient
+Term = tuple[tuple[int, ...], "int | FqElement"]  # exponent vector, coefficient
+
+
+def _nonzero(c, p: int) -> bool:
+    """Whether a coefficient, an integer read mod p or a field element, is
+    nonzero."""
+    return c % p != 0 if isinstance(c, int) else not c.is_zero()
 
 
 @dataclass(frozen=True)
 class VarietySpec:
     """ambient_kind 'projective' or 'affine'; equations are tuples of
-    (exponent vector, integer coefficient) terms."""
+    (exponent vector, coefficient) terms, each coefficient an integer read
+    mod p or an FqElement of the base field F_{p^e}."""
 
     ambient_kind: str
     ambient_dim: int
@@ -104,7 +117,9 @@ class VarietySpec:
                     )
                 if any(x < 0 for x in exps):
                     raise ValidationError("exponents must be nonnegative")
-                if coeff % self.p != 0:
+                if isinstance(coeff, FqElement) and coeff.field != self.base_field:
+                    raise ValidationError("field-element coefficients must lie in the base field")
+                if _nonzero(coeff, self.p):
                     degrees.add(sum(exps))
             if self.ambient_kind == "projective" and len(degrees) > 1:
                 raise ValidationError("projective equations must be homogeneous")
@@ -185,20 +200,22 @@ def affine_space(n: int, p: int, e: int = 1) -> VarietySpec:
 # --- charts ---
 
 
-def _charts(v: VarietySpec):
-    """Yield (fixed, free, eqs) per chart.  fixed maps a variable index to
-    0 or 1 (projective: the first nonzero coordinate is 1), free lists the
-    free variable indices and eqs holds the equations restricted to the
-    chart, identically zero ones dropped.  Charts on which an equation is
-    a nonzero constant have no points and are skipped."""
+def _charts(v: VarietySpec, field: FqField):
+    """Yield (fixed, free, eqs) per chart, for points over field, an
+    extension of the base field.  fixed maps a variable index to 0 or 1
+    (projective: the first nonzero coordinate is 1), free lists the free
+    variable indices and eqs holds the equations restricted to the chart,
+    identically zero ones dropped.  Charts on which an equation is a
+    nonzero constant have no points and are skipped."""
     nv = v.num_vars
+    equations = [_in_field(eq, field) for eq in v.equations]
     if v.ambient_kind == "affine":
         layouts = [({}, list(range(nv)))]
     else:
         layouts = [({**{j: 0 for j in range(i)}, i: 1}, list(range(i + 1, nv))) for i in range(nv)]
     for fixed, free in layouts:
         eqs = []
-        for eq in v.equations:
+        for eq in equations:
             s = _specialize(eq, fixed, free, v.p)
             if s is None:
                 continue
@@ -209,20 +226,28 @@ def _charts(v: VarietySpec):
             yield fixed, free, eqs
 
 
+def _in_field(eq, field: FqField):
+    """An equation with its field-element coefficients embedded in field;
+    an equation with integer coefficients only is returned as it is, and
+    one with both has its integers read as elements of field."""
+    if all(isinstance(c, int) for _, c in eq):
+        return eq
+    return tuple((exps, field.element(c) if isinstance(c, int) else c.field.embed(c, field)) for exps, c in eq)
+
+
 def _specialize(eq, fixed: dict, free: list[int], p: int):
     """Restrict an equation to a chart; returns terms over the free
-    variables as {reduced exponent vector: coeff mod p} or None when the
-    equation is identically zero on the chart."""
-    acc: dict[tuple[int, ...], int] = {}
+    variables as {reduced exponent vector: coefficient} (an integer mod p
+    or a field element) or None when the equation is identically zero on
+    the chart."""
+    acc: dict[tuple[int, ...], int | FqElement] = {}
     for exps, coeff in eq:
-        c = coeff % p
-        if c == 0:
-            continue
         if any(exps[j] > 0 and fixed[j] == 0 for j in fixed):
             continue  # a zeroed variable kills the term
         key = tuple(exps[j] for j in free)
-        acc[key] = (acc.get(key, 0) + c) % p
-    acc = {k: c for k, c in acc.items() if c != 0}
+        c = acc[key] + coeff if key in acc else coeff
+        acc[key] = c % p if isinstance(c, int) else c
+    acc = {k: c for k, c in acc.items() if _nonzero(c, p)}
     return acc if acc else None
 
 
@@ -240,8 +265,9 @@ def _assignments(vf: VecField, f: int):
 
 
 def _evaluate(vf: VecField, polys, values, rows: int) -> list:
-    """Each polynomial ({exponent vector: coefficient mod p}) at every row
-    of values; powers of a variable are shared across all terms."""
+    """Each polynomial ({exponent vector: coefficient}, an integer mod p or
+    an FqElement of vf's field) at every row of values; powers of a
+    variable are shared across all terms."""
     pows = {}
     out = []
     for terms in polys:
@@ -255,6 +281,8 @@ def _evaluate(vf: VecField, polys, values, rows: int) -> list:
                     val = pows[i, e] if val is None else vf.mul(val, pows[i, e])
             if val is None:
                 val = vf.const(coeff)
+            elif isinstance(coeff, FqElement):
+                val = vf.mul(val, vf.const(coeff))
             elif coeff != 1:
                 val = vf.scale(val, coeff)
             acc = vf.add(acc, val)
@@ -341,7 +369,7 @@ def count_points(v: VarietySpec, n: int, budget: int | None = None) -> int:
         raise PreconditionError("extension degree must be >= 1")
     vf = vec_field(fq_make(v.p, v.e * n))
     tracker = BudgetTracker(resolve_budget(budget))
-    return sum(_chart_count(vf, eqs, len(free), tracker) for _, free, eqs in _charts(v))
+    return sum(_chart_count(vf, eqs, len(free), tracker) for _, free, eqs in _charts(v, vf.field))
 
 
 def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
@@ -350,7 +378,7 @@ def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     vf = vec_field(fq_make(v.p, v.e * n))
     tracker = BudgetTracker(resolve_budget(budget))
     points = []
-    for fixed, free, eqs in _charts(v):
+    for fixed, free, eqs in _charts(v, vf.field):
         tracker.charge(vf.q ** len(free))
         for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
             index = np.flatnonzero(mask)
@@ -359,11 +387,17 @@ def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     return points
 
 
-# --- group elements and twisted counts ---
+# --- group elements ---
 
 
 def _normalize_matrix(v: VarietySpec, g) -> tuple[tuple[FqElement, ...], ...]:
+    """g as an nv x nv matrix over the base field: its entries are integers
+    (read mod p; floats, bools and strings are refused) or FqElements of
+    the base field."""
     base = v.base_field
+    nv = v.num_vars
+    if not (isinstance(g, (list, tuple)) and len(g) == nv and all(isinstance(r, (list, tuple)) and len(r) == nv for r in g)):
+        raise ValidationError(f"group elements must be {nv}x{nv} matrices")
     rows = []
     for row in g:
         cells = []
@@ -373,13 +407,9 @@ def _normalize_matrix(v: VarietySpec, g) -> tuple[tuple[FqElement, ...], ...]:
                     raise ValidationError("matrix entries must lie in the base field")
                 cells.append(entry)
             else:
-                cells.append(base.element(entry))
+                cells.append(base.element(_json_int(entry, "matrix entry")))
         rows.append(tuple(cells))
-    m = tuple(rows)
-    nv = v.num_vars
-    if len(m) != nv or any(len(r) != nv for r in m):
-        raise ValidationError(f"group elements must be {nv}x{nv} matrices")
-    return m
+    return tuple(rows)
 
 
 def matrix_order(v: VarietySpec, g, limit: int = 10_000) -> int:
@@ -409,75 +439,229 @@ def _mat_mul(a, b):
     )
 
 
-def _apply_matrix(m, coords):
-    n = len(m)
-    zero = coords[0].field.zero()
-    embedded = m  # entries already embedded by caller
-    return tuple(
-        sum((embedded[i][j] * coords[j] for j in range(n)), zero) for i in range(n)
-    )
+# --- polynomials over a field: {exponent vector: nonzero FqElement} ---
+
+
+def _poly(eq, field: FqField) -> dict:
+    """An equation's terms as a polynomial over field, an extension of the
+    base field."""
+    out: dict = {}
+    for exps, c in eq:
+        c = field.element(c) if isinstance(c, int) else c.field.embed(c, field)
+        out[exps] = out[exps] + c if exps in out else c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out[key] + ca * cb if key in out else ca * cb
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _poly_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] - c if k in out else -c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _linear_forms(m) -> list[dict]:
+    """The coordinates of m x, as polynomials."""
+    nv = len(m)
+    return [{tuple(int(k == j) for k in range(nv)): c for j, c in enumerate(row) if not c.is_zero()} for row in m]
+
+
+def _substitute(poly: dict, m) -> dict:
+    """F(m x) for a polynomial F and a matrix m over its field; the powers
+    of each coordinate of m x are shared across terms."""
+    forms = _linear_forms(m)
+    powers: dict = {}
+    out: dict = {}
+    for exps, c in poly.items():
+        term = {(0,) * len(m): c}
+        for i, k in enumerate(exps):
+            if k:
+                if (i, k) not in powers:
+                    acc = forms[i]
+                    for _ in range(k - 1):
+                        acc = _poly_mul(acc, forms[i])
+                    powers[i, k] = acc
+                term = _poly_mul(term, powers[i, k])
+        for key, val in term.items():
+            out[key] = out[key] + val if key in out else val
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _degree(poly: dict) -> int:
+    return max(sum(exps) for exps in poly)
+
+
+def _span_basis(polys: list[dict], field: FqField) -> list[dict]:
+    """A basis of the span of polynomials over field, in reduced echelon
+    form over their monomials, higher degrees first."""
+    monomials = sorted({m for poly in polys for m in poly}, key=lambda m: (sum(m), m), reverse=True)
+    zero = field.zero()
+    rows, _ = row_echelon([[poly.get(m, zero) for m in monomials] for poly in polys])
+    return [{m: c for m, c in zip(monomials, row) if not c.is_zero()} for row in rows]
+
+
+def _fixer_equations(v: VarietySpec, h) -> list[dict]:
+    """h x = x (affine) or h x proportional to x (projective) as
+    polynomials over the base field: the coordinates of h x - x, or the
+    2 x 2 minors (h x)_i x_j - (h x)_j x_i.  Identically zero ones drop,
+    so the identity adds none."""
+    base = v.base_field
+    hx = _linear_forms(h)
+    x = _linear_forms([[base.element(int(i == j)) for j in range(len(h))] for i in range(len(h))])
+    if v.ambient_kind == "affine":
+        eqs = [_poly_sub(hx[i], x[i]) for i in range(len(h))]
+    else:
+        eqs = [
+            _poly_sub(_poly_mul(hx[i], x[j]), _poly_mul(hx[j], x[i]))
+            for i in range(len(h))
+            for j in range(i + 1, len(h))
+        ]
+    return [eq for eq in eqs if eq]
+
+
+def _preserves(v: VarietySpec, g) -> bool:
+    """Whether F(g x) lies in the F_q-span of the equations for every
+    equation F (of the equations of F's degree, on a projective variety).
+    This proves that g maps X into itself; it is sufficient, not
+    necessary, since the ideal of X may hold F(g x) outside that span."""
+    base = v.base_field
+    polys = [poly for poly in (_poly(eq, base) for eq in v.equations) if poly]
+    for f in polys:
+        same = [p for p in polys if v.ambient_kind == "affine" or _degree(p) == _degree(f)]
+        moved = _substitute(f, g)
+        if moved and len(_span_basis(same + [moved], base)) > len(_span_basis(same, base)):
+            return False
+    return True
+
+
+# --- twisted counts by descent ---
 
 
 def twisted_count(v: VarietySpec, g, n: int, budget: int | None = None) -> int:
     """#{x in X(F-bar) : g(Fr^n(x)) = x}; all such x lie in
-    X(F_{q^{n ord(g)}})."""
+    X(F_{q^{n ord(g)}}).  Counted as the F_{q^n}-points of the twisted form
+    of X, so it charges the budget what count_points charges for that."""
     return _twisted_core(v, g, n, (), budget)
 
 
-def _twisted_core(
-    v: VarietySpec, g, n: int, fixers: tuple, budget: int | None
-) -> int:
-    """Points x over F_{q^{n ord(g)}} with g(Fr^n(x)) = x and h(x) = x for
-    every h in fixers."""
+def _twisted_core(v: VarietySpec, g, n: int, fixers: tuple, budget: int | None) -> int:
+    """Points x with g(Fr^n(x)) = x and h(x) = x (projective: h(x)
+    proportional to x) for every h in fixers, as an ordinary count: of X
+    cut by the fixers' equations when g is the identity, of the ambient
+    space when there are no equations at all, else of the descended
+    variety over F_{q^n}."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
     act = _normalize_matrix(v, g)
-    big = fq_make(v.p, v.e * n * matrix_order(v, act))
-    vf = vec_field(big)
-    tracker = BudgetTracker(resolve_budget(budget))
-    charts = list(_charts(v))
-    for _, free, _ in charts:
-        # charged up front, so an over-budget count is refused before any
-        # work in the big field
-        tracker.charge(big.q ** len(free))
-    twist = _embedded(vf, v, act)
-    fix = [_embedded(vf, v, _normalize_matrix(v, h)) for h in fixers]
-    frobenius = v.q**n
-    affine = v.ambient_kind == "affine"
-    total = 0
-    for fixed, free, eqs in charts:
-        for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
-            for m in fix:
-                mask = mask & _same_point(vf, affine, _apply(vf, m, coords), coords)
-            moved = _apply(vf, twist, [vf.power(x, frobenius) for x in coords])
-            total += int(np.count_nonzero(mask & _same_point(vf, affine, moved, coords)))
-    return total
+    base = v.base_field
+    if len(row_echelon(act)[1]) < len(act):
+        raise ValidationError("group elements must be invertible")
+    eqs = [poly for poly in (_poly(eq, base) for eq in v.equations) if poly]
+    for h in fixers:
+        eqs += _fixer_equations(v, _normalize_matrix(v, h))
+    one, zero = base.one(), base.zero()
+    if all(c == (one if i == j else zero) for i, row in enumerate(act) for j, c in enumerate(row)) or not eqs:
+        # Fr^n alone, or the twisted form of P^N or A^N, which is P^N or A^N
+        cut = VarietySpec(v.ambient_kind, v.ambient_dim, v.p, v.e, tuple(tuple(eq.items()) for eq in eqs))
+        return count_points(cut, n, budget)
+    return count_points(_descend(v, act, matrix_order(v, act), n, eqs), 1, budget)
 
 
-def _embedded(vf: VecField, v: VarietySpec, m) -> list:
-    """The entries of m embedded in the field of vf, as one-row constants;
-    None for zero entries."""
-    return [[None if x.is_zero() else vf.const(v.base_field.embed(x, vf.field)) for x in row] for row in m]
+def _descend(v: VarietySpec, g, r: int, n: int, eqs: list[dict]) -> VarietySpec:
+    """The twisted form of the variety cut out by eqs (over the base field)
+    under g Fr^n, as a variety over F_{q^n}; r = ord(g) > 1."""
+    small, big = fq_make(v.p, v.e * n), fq_make(v.p, v.e * n * r)
+    coords, from_coords = _coordinates(small, big)
+    nv = v.num_vars
+    g = [[v.base_field.embed(c, big) for c in row] for row in g]
+    # sigma(X^a e_j) = sum_i g_ij X^(a q^n) e_i: the matrix of sigma - 1 in
+    # the F_{q^n}-basis X^a e_j of F_Q^nv, one column per basis vector
+    frob = big.element([0, 1]) ** (v.q**n)
+    columns = []
+    for j in range(nv):
+        t = big.one()
+        for a in range(r):
+            column = [c for i in range(nv) for c in coords(g[i][j] * t)]
+            column[j * r + a] = column[j * r + a] - small.one()
+            columns.append(column)
+            t = t * frob
+    rows, pivots = row_echelon(list(zip(*columns)))
+    free = [c for c in range(nv * r) if c not in pivots]
+    if len(free) != nv:
+        raise AssertionError("sigma^r = 1, so sigma - 1 has an nv-dimensional kernel")  # Lang
+    # the kernel vector of each free column holds, block i, the coordinates
+    # of the i-th entry of a column of h
+    h_cols = []
+    for c in free:
+        vec = [small.zero()] * (nv * r)
+        vec[c] = small.one()
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[c]
+        h_cols.append([from_coords(vec[i * r : (i + 1) * r]) for i in range(nv)])
+    h = [[h_cols[j][i] for j in range(nv)] for i in range(nv)]
+    # each F(h y) splits into r coordinates over F_{q^n}; a rational y is a
+    # zero of F(h y) exactly when it is a zero of every coordinate
+    by_degree: dict[int, list[dict]] = {}
+    for eq in eqs:
+        moved = _substitute({k: v.base_field.embed(c, big) for k, c in eq.items()}, h)
+        parts: list[dict] = [{} for _ in range(r)]
+        for exps, c in moved.items():
+            for part, cb in zip(parts, coords(c)):
+                if not cb.is_zero():
+                    part[exps] = cb
+        for part in parts:
+            if part:
+                by_degree.setdefault(_degree(part), []).append(part)
+    equations = tuple(
+        tuple(poly.items()) for d in sorted(by_degree) for poly in _span_basis(by_degree[d], small)
+    )
+    return VarietySpec(v.ambient_kind, v.ambient_dim, v.p, v.e * n, equations)
 
 
-def _apply(vf: VecField, m, coords) -> list:
-    """The tuple sum_j m[i][j] coords[j], i = 1..nv; entries 1 (packed
-    index 1) need no product."""
-    return [
-        functools.reduce(vf.add, (x if c[0] == 1 else vf.mul(c, x) for c, x in zip(row, coords) if c is not None))
-        for row in m
-    ]
+@functools.lru_cache(maxsize=16)
+def _coordinates(small: FqField, big: FqField):
+    """The coordinates over F_{q^n} = small of F_Q = big in the basis 1, X,
+    .., X^(r-1), X the generator of big, and back: a pair of maps between
+    an element of big and r elements of small.  Over F_p, c = u B where
+    B's rows are the digits of X^b z^a (z the image of small's generator)
+    and u the digits of the coordinates."""
+    k, kk, p = small.e, big.e, small.p
+    prime = fq_make(p, 1)
+    z = small.embedding_root(big)
+    basis, xb = [], big.one()
+    for _ in range(kk // k):
+        za = xb
+        for _ in range(k):
+            basis.append(za.coeffs)
+            za = za * z
+        xb = xb * big.element([0, 1])
+    augmented = [[prime.element(d) for d in b] + [prime.element(int(i == j)) for j in range(kk)] for i, b in enumerate(basis)]
+    rows, _ = row_echelon(augmented)
+    inverse = [[x.coeffs[0] for x in row[kk:]] for row in rows]
 
+    def combine(u: list[int], matrix) -> tuple[int, ...]:
+        out = [0] * kk
+        for d, row in zip(u, matrix):
+            if d:
+                out = [(x + d * y) % p for x, y in zip(out, row)]
+        return tuple(out)
 
-def _same_point(vf: VecField, affine: bool, a, b):
-    """Rows where the coordinate tuples a and b are the same point:
-    equal, or for projective points proportional."""
-    nv = len(a)
-    if affine:
-        pairs = [(a[i], b[i]) for i in range(nv)]
-    else:
-        pairs = [(vf.mul(a[i], b[j]), vf.mul(a[j], b[i])) for i in range(nv) for j in range(i + 1, nv)]
-    return functools.reduce(operator.and_, (vf.equal(x, y) for x, y in pairs), True)
+    def coords(c: FqElement) -> list[FqElement]:
+        u = combine(c.coeffs, inverse)
+        return [FqElement(small, u[b : b + k]) for b in range(0, kk, k)]
+
+    def from_coords(parts) -> FqElement:
+        return FqElement(big, combine([d for part in parts for d in part.coeffs], basis))
+
+    return coords, from_coords
 
 
 def zeta_from_counts(

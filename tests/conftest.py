@@ -1,13 +1,18 @@
 """Shared fixtures and random-input helpers for the test suite."""
 
+import functools
 import json
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from motivic_zeta import RatMatrix, TracedMotive, VarietySpec
+from motivic_zeta import RatMatrix, TracedMotive, VarietySpec, fq_make
+from motivic_zeta.gfvec import vec_field
+from motivic_zeta.varieties import _chart_points, _charts, _normalize_matrix, matrix_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "motivic_zeta" / "fixtures"
 
@@ -51,6 +56,42 @@ def matrix_power_traces(m: TracedMotive, n_max: int) -> list[Fraction]:
         pp, pm = pp * m.f_plus, pm * m.f_minus
         out.append(pp.trace() - pm.trace())
     return out
+
+
+def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
+    """#{x : g(Fr^n(x)) = x, h(x) = x for h in fixers} (projective: up to
+    scalars) by enumerating X over F_{q^(n ord g)} and testing the twist
+    row by row, independently of Lang descent; small fields only."""
+    act = _normalize_matrix(v, g)
+    big = fq_make(v.p, v.e * n * matrix_order(v, act))
+    vf = vec_field(big)
+
+    def embedded(m):
+        return [[None if x.is_zero() else vf.const(v.base_field.embed(x, big)) for x in row] for row in m]
+
+    def apply(m, coords):
+        return [
+            functools.reduce(vf.add, (x if c[0] == 1 else vf.mul(c, x) for c, x in zip(row, coords) if c is not None))
+            for row in m
+        ]
+
+    def same_point(a, b):
+        if v.ambient_kind == "affine":
+            pairs = list(zip(a, b))
+        else:
+            pairs = [(vf.mul(a[i], b[j]), vf.mul(a[j], b[i])) for i in range(len(a)) for j in range(i + 1, len(a))]
+        return functools.reduce(operator.and_, (vf.equal(x, y) for x, y in pairs), True)
+
+    twist = embedded(act)
+    fix = [embedded(_normalize_matrix(v, h)) for h in fixers]
+    total = 0
+    for fixed, free, eqs in _charts(v, big):
+        for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
+            for m in fix:
+                mask = mask & same_point(apply(m, coords), coords)
+            moved = apply(twist, [vf.power(x, v.q**n) for x in coords])
+            total += int(np.count_nonzero(mask & same_point(moved, coords)))
+    return total
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from motivic_zeta.cli import main
+from motivic_zeta.cli import build_parser, main
 from motivic_zeta.serialize import dumps
 
 from conftest import FIXTURES
@@ -182,6 +182,49 @@ def test_lfun_and_orbifold(capsys):
     )
     assert code == 0
     assert out["payload"]["routes_agree"] is True
+
+
+def _lfun_input(**changes):
+    data = json.loads((FIXTURES / "p1_f5_z2_trivial.json").read_text())
+    data.update(changes)
+    return {k: v for k, v in data.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "commands, data",
+    [
+        ("lfun orbifold", _lfun_input(action=[[[1, 0], [0, 1]], [[1.5, 0], [0, 1]]])),
+        ("lfun orbifold", _lfun_input(action=[[[1, 0], [0, 1]], [["4", 0], [0, 1]]])),
+        ("lfun orbifold", _lfun_input(action=[[[1, 0], [0, 1]], [[4, 0], [0]]])),
+        ("lfun orbifold", _lfun_input(action=7)),
+        ("lfun orbifold", _lfun_input(variety=None)),
+        ("lfun orbifold", _lfun_input(action=None)),
+        ("lfun orbifold", [1, 2]),
+        ("lfun orbifold", "not json"),
+        ("lfun", _lfun_input(character=None)),  # orbifold reads no character
+        ("lfun", _lfun_input(character={"m": 1})),
+    ],
+)
+def test_bad_action_inputs_give_validation_errors(capsys, tmp_path, commands, data):
+    path = tmp_path / "in.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    for command in commands.split():
+        code, out = run(capsys, command, "--in", str(path), "--nmax", "2")
+        assert (code, out["status"]) == (1, "validation_error"), out
+
+
+def test_parser_is_built_once(capsys):
+    # one process running two subcommands gives the envelopes of two cold calls
+    calls = [
+        ["lfun", "--in", fixture("p1_f5_z2_sign.json"), "--nmax", "3"],
+        ["variety", "count", "--in", fixture("elliptic_f5_variety.json"), "--nmax", "2"],
+    ]
+    cold = []
+    for argv in calls:
+        build_parser.cache_clear()
+        cold.append(run(capsys, *argv))
+    assert [run(capsys, *argv) for argv in calls] == cold
+    assert build_parser() is build_parser()
 
 
 def test_artin_mazur(capsys):

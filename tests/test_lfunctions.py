@@ -15,8 +15,9 @@ from motivic_zeta import (
     zeta_from_counts,
 )
 from motivic_zeta.errors import ResourceError, ValidationError
+from motivic_zeta.varieties import VarietySpec, projective_space
 
-from conftest import load_variety
+from conftest import load_json, load_variety
 
 
 @pytest.fixture
@@ -64,8 +65,32 @@ def test_group_action_requires_closure(p1_f5):
 def test_group_action_must_preserve_variety():
     e5 = load_variety("elliptic_f5_variety.json")
     swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]  # closed involution, but x <-> y
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="could not verify"):
         GroupAction(e5, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], swap])
+    # x -> -x on x^2 - x - 1 = 0 over F_3, which has no F_3-points: a check
+    # on base-field points accepted it
+    no_points = VarietySpec("affine", 1, 3, 1, ((((2,), 1), ((1,), -1), ((0,), -1)),))
+    with pytest.raises(ValidationError, match="could not verify"):
+        GroupAction(no_points, [[[1]], [[2]]])
+
+
+@pytest.mark.parametrize(
+    "variety, matrices",
+    [
+        (load_json("p1_f5_variety.json"), [[[1, 0], [0, 1]], [[-1, 0], [0, 1]]]),
+        (load_json("p1_f5_variety.json"), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+        (load_json("elliptic_f5_variety.json"), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]),
+        (load_json("elliptic_f7_variety.json"), [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]),
+        (load_json("p1_f5_z2_sign.json")["variety"], load_json("p1_f5_z2_sign.json")["action"]),
+        # x^2 + y^2 = z^2 over F_7 and the rotations (x, y) -> (y, -x)
+        (
+            {"ambient": {"projective": 2}, "p": 7, "equations": [[[[2, 0, 0], 1], [[0, 2, 0], 1], [[0, 0, 2], -1]]]},
+            [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [-1, 0, 0], [0, 0, 1]], [[-1, 0, 0], [0, -1, 0], [0, 0, 1]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]]],
+        ),
+    ],
+)
+def test_preserving_actions_build(variety, matrices):
+    assert len(GroupAction(VarietySpec.from_json(variety), matrices)) == len(matrices)
 
 
 def test_character_validation(z2_action):
@@ -137,8 +162,14 @@ def test_trivial_group_orbifold_is_plain_zeta(p1_f5):
     assert report.direct.series == zeta_from_counts(p1_f5, 5).series
 
 
-def test_twist_cache_respects_budget(p1_f5, z2_action):
-    l_function(p1_f5, z2_action, trivial_character(z2_action), 2)
-    # the counts are cached now, but a smaller budget must still refuse them
-    with pytest.raises(ResourceError):
-        l_function(p1_f5, z2_action, trivial_character(z2_action), 2, budget=10)
+def test_repeated_l_function_respects_budget():
+    # y -> -y on E/F_5: the counts at n = 2 charge 50 assignments each, so a
+    # repeated call with budget 10 must refuse them, as a first call does
+    e5 = load_variety("elliptic_f5_variety.json")
+    action = GroupAction(e5, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]])
+    ls = l_function(e5, action, trivial_character(action), 2)
+    assert ls.to_truncated_series() == zeta_from_counts(projective_space(1, 5), 2).series
+    assert l_function(e5, action, trivial_character(action), 1, budget=10).precision == 1
+    with pytest.raises(ResourceError) as err:
+        l_function(e5, action, trivial_character(action), 2, budget=10)
+    assert (err.value.required, err.value.budget) == (25, 10)

@@ -1,6 +1,7 @@
 """Point counting, zeta functions from counts, and Weil-type checks."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -21,9 +22,10 @@ from motivic_zeta import (
     zeta_from_counts,
 )
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
-from motivic_zeta.varieties import affine_space, enumerate_points, projective_space
+from motivic_zeta.gf import row_echelon
+from motivic_zeta.varieties import _twisted_core, affine_space, enumerate_points, matrix_order, projective_space
 
-from conftest import load_json, load_variety
+from conftest import load_json, load_variety, twisted_count_by_enumeration
 
 
 def brute_projective_count(v: VarietySpec, n: int) -> int:
@@ -160,13 +162,10 @@ def test_char2_curve_matches_frobenius_recurrence():
 
 @pytest.mark.parametrize(
     "name, p, n1, n",
-    [
-        ("elliptic_f5_variety.json", 5, 9, 1),
-        ("elliptic_f7_variety.json", 7, 5, 1),
-        ("elliptic_f5_variety.json", 5, 9, 2),
-    ],
+    [(name, p, n1, n) for name, p, n1 in (("elliptic_f5_variety.json", 5, 9), ("elliptic_f7_variety.json", 7, 5)) for n in range(1, 7)],
 )
 def test_quadratic_twist_counts(name, p, n1, n):
+    # E/F_5 at n = 3 is 144; enumerating X over F_{5^6} was over budget
     flip = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
     n_n = frobenius_counts(p, n1, n)[n - 1]
     assert twisted_count(load_variety(name), flip, n) == 2 * (p**n + 1) - n_n
@@ -216,27 +215,159 @@ def test_twisted_count_sign_action():
     assert twisted_count(p1, g, 4) == 626
 
 
-def test_over_budget_twisted_count_is_refused_before_embedding(monkeypatch):
-    # F_25 with an element of order 2 at n = 3 enumerates F_{5^12}; the
-    # refusal must come before the matrices are embedded in that field
+def test_over_budget_twisted_count_is_refused_at_once(monkeypatch):
+    # the Klein quartic over F_25 with an element of order 2 at n = 3: its
+    # twisted form over F_{5^6} has no quadratic variable on the chart
+    # x = 1, so its count needs 15625^2 assignments, as the untwisted count
+    # does; the refusal comes from that count, before any enumeration
     monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
-    v = VarietySpec("projective", 1, 5, 2, ())
+    klein = plane(5, [((3, 1, 0), 1), ((0, 3, 1), 1), ((1, 0, 3), 1)], e=2)
     start = time.perf_counter()
     with pytest.raises(ResourceError) as err:
-        twisted_count(v, [[4, 0], [0, 1]], 3)
+        twisted_count(klein, [[4, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     assert time.perf_counter() - start < 1
     assert (err.value.required, err.value.budget) == (5**12, 10**7)
+    with pytest.raises(ResourceError) as plain:
+        count_points(klein, 3)
+    assert (plain.value.required, plain.value.budget) == (err.value.required, err.value.budget)
 
 
 def test_twisted_budget_is_charged_chart_by_chart():
-    # P^2/F_5 charts have 25, 5 and 1 assignments
-    p2, g = projective_space(2, 5), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # E/F_5 over F_25: the chart x = 1 charges 25 (quadratic in y), the
+    # chart x = 0, y = 1 charges 25 (z^3 - z, exhaustive); an identity twist
+    # is count_points itself and the twist y -> -y charges its descended count
+    e5 = load_variety("elliptic_f5_variety.json")
+    ident, flip = [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    with pytest.raises(ResourceError) as plain:
+        count_points(e5, 2, budget=27)
     with pytest.raises(ResourceError) as err:
-        twisted_count(p2, g, 1, budget=27)
-    assert (err.value.required, err.value.budget) == (30, 27)
-    assert twisted_count(p2, g, 1, budget=31) == 31
+        twisted_count(e5, ident, 2, budget=27)
+    assert (err.value.required, err.value.budget) == (plain.value.required, plain.value.budget) == (50, 27)
+    assert twisted_count(e5, ident, 2, budget=50) == count_points(e5, 2) == 27
+    with pytest.raises(ResourceError) as err:
+        twisted_count(e5, flip, 2, budget=49)
+    assert (err.value.required, err.value.budget) == (50, 49)
+    assert twisted_count(e5, flip, 2, budget=50) == 25
 
 
+def test_twist_without_equations_is_closed_form():
+    # an element of order 156 of GL_3(F_13): enumeration would have built
+    # F_{13^156}; the twisted form of P^2 is P^2, so no field is built
+    start = time.perf_counter()
+    assert twisted_count(projective_space(2, 13), [[0, 0, 2], [1, 0, 1], [0, 1, 0]], 1, budget=10) == 183
+    assert time.perf_counter() - start < 1
+
+
+def _random_element(rng, field, nonzero=False):
+    return field.from_int(rng.randrange(1 if nonzero else 0, field.q))
+
+
+def _inverse(m):
+    """The inverse of an invertible matrix of FqElements, or None."""
+    field, n = m[0][0].field, len(m)
+    rows, pivots = row_echelon([list(row) + [field.element(int(i == j)) for j in range(n)] for i, row in enumerate(m)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in rows]
+
+
+def _mat(a, b):
+    zero = a[0][0].field.zero()
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _matrix_of_small_order(rng, v):
+    """A seeded matrix of order 2, 3 or 4 over the base field: a random
+    matrix, or a monomial or unipotent upper triangular one conjugated by a
+    random matrix; None when the draw has another order or is singular."""
+    field, nv = v.base_field, v.num_vars
+    conj = [[_random_element(rng, field) for _ in range(nv)] for _ in range(nv)]
+    inv = _inverse(conj)
+    if inv is None:
+        return None
+    kind = rng.randrange(3)
+    if kind == 0:
+        g = conj
+    else:
+        m = [[field.element(int(i == j)) if j <= i else _random_element(rng, field) for j in range(nv)] for i in range(nv)]
+        if kind == 1:
+            m = [[field.zero()] * nv for _ in range(nv)]
+            for i, j in enumerate(rng.sample(range(nv), nv)):
+                m[i][j] = _random_element(rng, field, nonzero=True)
+        g = _mat(_mat(conj, m), inv)
+    try:
+        order = matrix_order(v, g, limit=4)
+    except ValidationError:
+        return None
+    return g if order > 1 else None
+
+
+def _twist_cases(p):
+    """Seeded twisted counts over F_p and F_{p^2}: P^1 (bare, and cut by a
+    binary cubic), plane cubics and an affine conic, each with up to four
+    elements g of order 2..4, and as fixer none, g^2 or another element;
+    n is 2 or 1, the larger while the oracle enumerates at most 2*10^5
+    rows per chart, and a g with no such n is skipped."""
+    rng = random.Random(7000 + p)
+    cases = []
+    for e in (1, 2):
+        field = fq_make(p, e)
+
+        def form(monomials):
+            # random coefficients, integers or (over F_{p^2}) field elements,
+            # plus 1 on the first monomial so that no draw is the zero form
+            terms = [(m, _random_element(rng, field) if e == 2 and rng.random() < 0.5 else rng.randrange(p)) for m in monomials]
+            return tuple(terms) + ((monomials[0], 1),)
+
+        cubics = [m for m in itertools.product(range(4), repeat=3) if sum(m) == 3]
+        shapes = [
+            (VarietySpec("projective", 1, p, e, ()), 1),
+            (VarietySpec("projective", 1, p, e, (form([(3, 0), (2, 1), (1, 2), (0, 3)]),)), 1),
+            (VarietySpec("projective", 2, p, e, (form(cubics),)), 2),
+            (VarietySpec("affine", 2, p, e, (form([(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]),)), 2),
+        ]
+        for v, f in shapes:
+            kept = 0
+            for _ in range(300):
+                g = _matrix_of_small_order(rng, v)
+                if g is None:
+                    continue
+                order = matrix_order(v, g)
+                ns = [n for n in (2, 1) if field.q ** (n * order * f) <= 2 * 10**5]
+                if not ns:
+                    continue
+                h = _matrix_of_small_order(rng, v)
+                fixers = rng.choice([(), (_mat(g, g),)] + ([(h,)] if h is not None else []))
+                cases.append((v, g, order, ns[0], fixers))
+                kept += 1
+                if kept == 4:
+                    break
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_descent_matches_enumeration_oracle(p):
+    cases = _twist_cases(p)
+    seen = {(v.e, order, bool(fixers)) for v, _, order, _, fixers in cases}
+    assert {e for e, _, _ in seen} == {1, 2} and {fix for _, _, fix in seen} == {False, True}
+    assert {order for _, order, _ in seen} == {2, 3, 4}
+    for v, g, _, n, fixers in cases:
+        assert _twisted_core(v, g, n, fixers, None) == twisted_count_by_enumeration(v, g, n, fixers), (v, g, n, fixers)
+
+
+def test_field_element_coefficients():
+    # y^2 = w x on A^2 over F_9, w the generator: for each x one root pair
+    # per square, so the count is that of y^2 = w x over the field
+    f9 = fq_make(3, 2)
+    w = f9.element([0, 1])
+    v = VarietySpec("affine", 2, 3, 2, ((((0, 2), 1), ((1, 0), -w)),))
+    for n in (1, 2):
+        big = fq_make(3, 2 * n)
+        image = f9.embed(w, big)
+        brute = sum(1 for x in big.enumerate() for y in big.enumerate() if (y * y - image * x).is_zero())
+        assert count_points(v, n) == brute == big.q
+    with pytest.raises(ValidationError):
+        VarietySpec("affine", 1, 3, 1, ((((1,), w),),))
 def test_zeta_from_counts_p1():
     w = zeta_from_counts(projective_space(1, 5), 6)
     rf = RationalFunction(Polynomial.one(), Polynomial([1, -6, 5]))

@@ -356,19 +356,19 @@ def build_parser() -> argparse.ArgumentParser:
         "Grothendieck groups.",
     )
     top = parser.add_subparsers(dest="group", required=True)
+    # the flags every leaf takes, declared once and shared by all of them
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--in", dest="infile", default=None)
+    common.add_argument("--out", dest="outfile", default=None)
+    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    common.add_argument("--nmax", type=int, default=None)
+    common.add_argument("--budget", type=int, default=None)
+    common.add_argument("--q", type=int, default=None)
+    common.add_argument("--dim", type=int, default=None)
+    common.add_argument("--n", type=int, default=None)
 
-    def leaf(sub, name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--in", dest="infile", default=None)
-        p.add_argument("--out", dest="outfile", default=None)
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.set_defaults(handler=handler)
-        return p
+    def leaf(sub, name, handler):
+        sub.add_parser(name, parents=[common]).set_defaults(handler=handler)
 
     motive = top.add_parser("motive").add_subparsers(dest="op", required=True)
     leaf(motive, "zeta", cmd_motive_zeta)

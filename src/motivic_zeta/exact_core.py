@@ -2,17 +2,24 @@
 
 Scalars are `fractions.Fraction`; nothing in this module ever rounds.
 Polynomials store ascending coefficients with no trailing zeros, rational
-functions are kept in lowest terms with a monic denominator.  The
-characteristic polynomial, and with it the determinant, is computed over
-the integers: the matrix is scaled by the lcm of its denominators and
-Faddeev-LeVerrier runs on Python ints, so only the n + 1 coefficients
-are `Fraction`s.
+functions are kept in lowest terms with a monic denominator.
+
+The kernels run over the integers, not over `Fraction`, whose every
+operation normalises with a gcd: `_integral` scales a list of rationals
+once by the lcm d of their denominators, the kernel works on Python ints,
+and only its outputs become `Fraction`s again.  The characteristic
+polynomial (and with it the determinant) is Faddeev-LeVerrier on d*M; the
+inverse is fraction-free Gauss-Jordan elimination (Bareiss); the gcd, and
+with it the reduction of every rational function, is a primitive
+pseudo-remainder sequence (Collins); the Taylor expansion of a rational
+function is a recurrence on integers scaled by powers of den(0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -20,15 +27,77 @@ from .errors import DimensionError, NotInvertibleError, ValidationError
 
 
 def _frac(x) -> Fraction:
+    """The one parser of rational scalars: an int, a Fraction or an 'a/b'
+    (or decimal) string.  Bools, floats, strings that are not rationals
+    and anything else raise ValidationError, never a raw Python error."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise ValidationError(f"a bool is not a rational number: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"not a rational number: {x!r}") from None
     if isinstance(x, float):
         raise ValidationError("floats are not exact; pass int, Fraction or 'a/b' string")
-    return Fraction(x)
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise ValidationError(f"not a rational number: {x!r}")
+
+
+def _integral(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """([d*v for v in values], d) with d the lcm of the denominators, so
+    that an exact kernel can run on ints and divide by d once at the end."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, leading coefficient positive; [] stays []."""
+    if not a:
+        return a
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [x // g for x in a]
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, leading coefficient positive, of two integer
+    polynomials (ascending, no trailing zeros) by the primitive
+    pseudo-remainder sequence; [] when both are zero."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lb, nb = b[-1], len(b)
+        r = a[:]
+        while len(r) >= nb:
+            lr, shift = r[-1], len(r) - nb
+            r = [x * lb for x in r]
+            for j, bj in enumerate(b):
+                r[shift + j] -= lr * bj
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive(r)
+    return a
+
+
+def _zdiv(a: list[int], g: list[int]) -> list[int]:
+    """a / g for integer polynomials with g primitive and dividing a, so
+    that the quotient is integral (Gauss's lemma) and each step exact."""
+    r, ng, lg = a[:], len(g), g[-1]
+    q = [0] * (len(a) - ng + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + ng - 1] // lg
+        q[i] = c
+        if c:
+            for j, gj in enumerate(g):
+                r[i + j] -= c * gj
+    return q
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -149,10 +218,9 @@ class Polynomial:
         return self.divmod(other)[1]
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """Monic gcd; the zero polynomial when both are zero."""
+        g = _zgcd(_integral(self.coeffs)[0], _integral(other.coeffs)[0])
+        return Polynomial([Fraction(c, g[-1]) for c in g]) if g else Polynomial()
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -209,16 +277,16 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ValidationError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self.num = num
-        self.den = den
+        # num/den = (a/dn) / (b/dd) with a, b integral; cancel g = gcd(a, b)
+        # over the integers, then make the denominator monic
+        a, dn = _integral(num.coeffs)
+        b, dd = _integral(den.coeffs)
+        g = _zgcd(a, b)
+        if len(g) > 1:
+            a, b = _zdiv(a, g), _zdiv(b, g)
+        lead, scale = b[-1], dn * b[-1]
+        self.num = Polynomial([Fraction(x * dd, scale) for x in a])
+        self.den = Polynomial([Fraction(x, lead) for x in b])
 
     @staticmethod
     def one() -> "RationalFunction":
@@ -306,16 +374,28 @@ class RationalFunction:
         return self.num.evaluate(x) / den_val
 
     def taylor(self, n: int) -> list[Fraction]:
-        """Coefficients 0..n of the power-series expansion at t=0."""
+        """Coefficients 0..n of the power-series expansion at t=0.
+
+        With a = dn*num and b = dd*den integral, the expansion of a/b has
+        c_k = (a_k - sum_j b_j c_(k-j)) / b_0; the recurrence runs on the
+        integers B_k = c_k * b_0^(k+1), B_k = a_k b_0^k - sum_j b_j
+        b_0^(j-1) B_(k-j), and the expansion of num/den is c_k * dd/dn."""
         if self.den[0] == 0:
             raise ValidationError("denominator vanishes at 0; no Taylor expansion")
-        d0 = self.den[0]
+        a, dn = _integral(self.num.coeffs)
+        b, dd = _integral(self.den.coeffs)
+        b0 = b[0]
+        powers = [1]  # b0^k
+        for _ in range(n + 1):
+            powers.append(powers[-1] * b0)
+        big: list[int] = []
         out: list[Fraction] = []
         for k in range(n + 1):
-            acc = self.num[k]
-            for j in range(1, k + 1):
-                acc -= self.den[j] * out[k - j]
-            out.append(acc / d0)
+            acc = a[k] * powers[k] if k < len(a) else 0
+            for j in range(1, min(k, len(b) - 1) + 1):
+                acc -= b[j] * powers[j - 1] * big[k - j]
+            big.append(acc)
+            out.append(Fraction(acc * dd, dn * powers[k + 1]))
         return out
 
     def to_json(self) -> dict:
@@ -436,24 +516,33 @@ class RatMatrix:
         return (-1) ** self.rows * char_poly(self)[0]
 
     def inverse(self) -> "RatMatrix":
+        """Fraction-free Gauss-Jordan elimination (Bareiss) on [A | I] with
+        A = d*M integral: each step divides exactly by the previous pivot,
+        every entry stays a minor of [A | I], and at the end the left block
+        is D*I with D = +-det(A), so M^-1 = d * A^-1 = d * (right block) / D."""
         if not self.is_square():
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
         if n == 0:
             return self
-        m = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        a, d = _integral(self.entries)
+        m = [a[i * n : (i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
+        prev = 1
         for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+            pivot = next((r for r in range(col, n) if m[r][col]), None)
             if pivot is None:
                 raise NotInvertibleError("matrix is singular")
             m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [e * inv for e in m[col]]
+            top = m[col]
+            p = top[col]
             for r in range(n):
-                if r != col and m[r][col] != 0:
+                if r != col:
                     f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return RatMatrix(n, n, [m[i][n + j] for i in range(n) for j in range(n)])
+                    m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+            prev = p
+        return RatMatrix(
+            n, n, [Fraction(d * m[i][n + j], prev) for i in range(n) for j in range(n)]
+        )
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         out = []
@@ -501,8 +590,8 @@ def char_poly(m: RatMatrix) -> Polynomial:
     if not m.is_square():
         raise DimensionError("characteristic polynomial of non-square matrix")
     n = m.rows
-    d = lcm(*(e.denominator for e in m.entries))
-    a = [[e.numerator * (d // e.denominator) for e in m.row(i)] for i in range(n)]
+    flat, d = _integral(m.entries)
+    a = [flat[i * n : (i + 1) * n] for i in range(n)]
     coeffs = [Fraction(1)]
     b = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):

@@ -3,11 +3,13 @@ determinants, duals, functional equations, direct sums and tensors.
 
 A motive realization is a pair of square rational matrices (F+, F-).
 Every invariant is read from the characteristic polynomials of the two
-blocks, computed once per motive: the zeta function is
-det(1 - t F-) / det(1 - t F+), its Taylor expansion is the zeta series,
-the graded determinant is det(F+) / det(F-) from the constant terms, and
-the categorical traces tr(F+^n) - tr(F-^n) come from the coefficients by
-Newton's identities, with no matrix powers.  The functional-equation check
+blocks, computed once per motive: the zeta function
+det(1 - t F-) / det(1 - t F+) is reduced once and cached beside them, its
+Taylor expansion is the zeta series, the graded determinant is
+det(F+) / det(F-) from the constant terms, and the categorical traces
+tr(F+^n) - tr(F-^n) come from the coefficients by Newton's identities,
+with no matrix powers.  The polynomials, the reduction and the expansion
+run over the integers (see exact_core).  The functional-equation check
 takes the dual's polynomials from matrix inverses, not from these, so it
 can fail.
 """
@@ -38,6 +40,13 @@ class TracedMotive:
     def char_polys(self) -> tuple[Polynomial, Polynomial]:
         """(det(t - F+), det(t - F-)), computed once per motive."""
         return char_poly(self.f_plus), char_poly(self.f_minus)
+
+    @cached_property
+    def zeta(self) -> RationalFunction:
+        """det(1 - t F-) / det(1 - t F+) in lowest terms, reduced once per
+        motive."""
+        rp, rm = self.reversed_char_polys
+        return RationalFunction(rm, rp)
 
     @property
     def reversed_char_polys(self) -> tuple[Polynomial, Polynomial]:
@@ -124,9 +133,8 @@ def zeta_series(m: TracedMotive, precision: int = DEFAULT_PRECISION) -> WittElem
 
 
 def zeta_rational(m: TracedMotive) -> RationalFunction:
-    """det(1 - t F-) / det(1 - t F+), in lowest terms."""
-    rp, rm = m.reversed_char_polys
-    return RationalFunction(rm, rp)
+    """det(1 - t F-) / det(1 - t F+), in lowest terms; cached on m."""
+    return m.zeta
 
 
 def zeta_degrees(m: TracedMotive) -> tuple[int, int]:

@@ -1,9 +1,12 @@
 """Rationality testing and rational-function reconstruction over Q.
 
-Berlekamp-Massey over exact rationals.  A reconstruction is accepted only
-when the recurrence stopped changing over the final ceil(len/4) terms and
-its order is at most floor(len/2); otherwise NotStabilized is returned
-carrying the linear-complexity profile as evidence.
+Berlekamp-Massey over exact rationals, run over the integers: the
+sequence is scaled once by the lcm of its denominators, discrepancies are
+cancelled fraction-free and the content is divided out after each update.
+A reconstruction is accepted only when the recurrence stopped changing
+over the final ceil(len/4) terms and its order is at most floor(len/2);
+otherwise NotStabilized is returned carrying the linear-complexity
+profile as evidence.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
-from .exact_core import Polynomial, RationalFunction, _frac
+from .exact_core import Polynomial, RationalFunction, _frac, _integral, _primitive
 from .series import exp_from_traces
 
 
@@ -36,46 +39,44 @@ class NotStabilized:
 
 
 def _bm_core(seq: list[Fraction]):
-    """Classic Berlekamp-Massey; returns (C, L, profile, last_change).
+    """Fraction-free Berlekamp-Massey; returns (C, L, profile, last_change).
 
     C is the connection polynomial with C(0)=1 such that
-    sum_j C_j * s_{i-j} = 0 for L <= i < len(seq).
+    sum_j C_j * s_{i-j} = 0 for L <= i < len(seq).  The sequence is scaled
+    to integers once; a discrepancy d is cancelled by c <- bb*c - d*x^m*b
+    instead of c <- c - (d/bb)*x^m*b, which scales c but not the
+    recurrence, and c is divided by its content after each update.  Only
+    the final C is made to have C(0) = 1.
     """
-    c = [Fraction(1)]
-    b = [Fraction(1)]
+    # s = D*seq; the classic start bb = 1 on seq becomes bb = D on s
+    s, bb = _integral(seq)
+    c = [1]
+    b = [1]
     L, m = 0, 1
-    bb = Fraction(1)
     profile: list[int] = []
     last_change = -1
-    for i, s in enumerate(seq):
-        d = s
-        for j in range(1, L + 1):
-            if j < len(c):
-                d += c[j] * seq[i - j]
+    for i, si in enumerate(s):
+        d = c[0] * si
+        for j in range(1, min(L, len(c) - 1) + 1):
+            d += c[j] * s[i - j]
         if d == 0:
             m += 1
-        elif 2 * L <= i:
-            t = c[:]
-            coef = d / bb
-            c = c + [Fraction(0)] * (len(b) + m - len(c))
-            for j, bj in enumerate(b):
-                c[j + m] -= coef * bj
-            L = i + 1 - L
-            b = t
-            bb = d
-            m = 1
-            last_change = i
         else:
-            coef = d / bb
-            c = c + [Fraction(0)] * max(0, len(b) + m - len(c))
+            t = c
+            c = [bb * x for x in c] + [0] * max(0, len(b) + m - len(c))
             for j, bj in enumerate(b):
-                c[j + m] -= coef * bj
-            m += 1
+                c[j + m] -= d * bj
+            c = _primitive(c)
+            if 2 * L <= i:
+                L = i + 1 - L
+                b, bb, m = t, d, 1
+            else:
+                m += 1
             last_change = i
         profile.append(L)
     while len(c) > 1 and c[-1] == 0:
         c.pop()
-    return c, L, profile, last_change
+    return [Fraction(x, c[0]) for x in c], L, profile, last_change
 
 
 def linear_complexity_profile(seq: Sequence) -> list[int]:
@@ -99,17 +100,19 @@ def berlekamp_massey(seq: Sequence) -> ReconstructionResult | NotStabilized:
         return NotStabilized(
             profile, L, f"recurrence still changing in the final {window} terms"
         )
-    den = Polynomial(c)
-    # numerator = (series * C) truncated; must vanish in degrees L..n-1
-    prod = [Fraction(0)] * n
-    for i, s in enumerate(values):
-        for j, cj in enumerate(c):
-            if i + j < n:
-                prod[i + j] += s * cj
-    if any(prod[k] != 0 for k in range(L, n)):
+    # numerator = (series * C) truncated; must vanish in degrees L..n-1.
+    # With s = S/ds and C = cz/dc integral, series * C = (S * cz)/(ds*dc)
+    # and the value is (S * cz)/(ds * cz) once reduced.
+    sz, ds = _integral(values)
+    cz, _ = _integral(c)
+    prod = [0] * n
+    for j, cj in enumerate(cz):
+        for i in range(n - j):
+            prod[i + j] += sz[i] * cj
+    if any(prod[k] for k in range(L, n)):
         return NotStabilized(profile, L, "residual check failed")
     num = Polynomial(prod[:L] if L > 0 else prod[:1])
-    value = RationalFunction(num, den)
+    value = RationalFunction(num, Polynomial([x * ds for x in cz]))
     return ReconstructionResult(value, stabilized_at=last_change, residual_checked_to=n)
 
 

@@ -5,7 +5,9 @@ O(t^{N+1}) is unknown); binary operations truncate to the smaller N.
 Witt elements are series with constant term 1.  Witt addition is the
 plain series product; Witt multiplication goes through the ghost map
 (pointwise product of ghost components), which is an isomorphism here
-because the coefficients form a Q-algebra.
+because the coefficients form a Q-algebra.  The exponential of a trace
+series, the step from traces to a zeta series, runs over the integers and
+makes `Fraction`s only of its outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PrecisionError, PreconditionError, ValidationError
-from .exact_core import Polynomial, RationalFunction, _frac, frac_to_str
+from .exact_core import Polynomial, RationalFunction, _frac, _integral, frac_to_str
 
 DEFAULT_PRECISION = 16
 
@@ -135,13 +137,24 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def exp_from_traces(traces: Sequence) -> TruncatedSeries:
-    """exp(sum_n a_n t^n / n) at precision len(traces), from a_1, a_2, ..."""
-    a = [Fraction(0)] + [_frac(t) for t in traces]
-    n = len(traces)
+    """exp(sum_n a_n t^n / n) at precision len(traces), from a_1, a_2, ...
+
+    The coefficients satisfy k*b_k = sum_j a_j b_(k-j).  With D the lcm of
+    the trace denominators and A_j = D*a_j, the recurrence runs on the
+    integers B_k = k! D^k b_k:
+    B_k = sum_j A_j D^(j-1) (k-1)!/(k-j)! B_(k-j), in Horner form."""
+    a, d = _integral([_frac(t) for t in traces])
+    big = [1]
     out = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = sum((a[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
-        out.append(acc / k)
+    scale = 1  # k! D^k
+    for k in range(1, len(a) + 1):
+        acc = a[k - 1] * big[0]
+        for j in range(k - 1, 0, -1):
+            # acc = sum over j' >= j of A_j' D^(j'-j) (k-j)!/(k-j')! B_(k-j')
+            acc = a[j - 1] * big[k - j] + (k - j) * d * acc
+        big.append(acc)
+        scale *= k * d
+        out.append(Fraction(acc, scale))
     return TruncatedSeries(out)
 
 

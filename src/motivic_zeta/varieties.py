@@ -144,21 +144,33 @@ class VarietySpec:
             "p": self.p,
             "e": self.e,
             "equations": [
-                [[list(exps), coeff] for exps, coeff in eq] for eq in self.equations
+                [[list(exps), list(c.coeffs) if isinstance(c, FqElement) else c] for exps, c in eq]
+                for eq in self.equations
             ],
         }
 
     @staticmethod
     def from_json(data: dict) -> "VarietySpec":
         """Parse {"ambient": {"projective" or "affine": dim}, "p": p, "e": e,
-        "equations": [...]}.  Malformed input, including a coefficient or
-        exponent that is not an integer, raises ValidationError."""
+        "equations": [...]}.  A coefficient is an integer read mod p or a
+        base-field element as the list of its 1 to e coordinates over F_p.
+        Malformed input, including a coefficient or exponent that is not an
+        integer, raises ValidationError."""
         if not isinstance(data, dict) or "p" not in data:
             raise ValidationError("a variety is a JSON object with 'ambient' and 'p'")
         ambient = data.get("ambient")
         if not (isinstance(ambient, dict) and len(ambient) == 1 and set(ambient) <= {"projective", "affine"}):
             raise ValidationError('ambient must be {"projective": dim} or {"affine": dim}')
         ((kind, dim),) = ambient.items()
+        p, e = _json_int(data["p"], "p"), _json_int(data.get("e", 1), "e")
+
+        def coefficient(c):
+            if not isinstance(c, list):
+                return _json_int(c, "coefficient")
+            if not (is_prime(p) and 1 <= len(c) <= e):
+                raise ValidationError(f"a coefficient in F_{p}^{e} is a list of 1 to {e} integers, got {c!r}")
+            return fq_make(p, e).element([_json_int(x, "coefficient") for x in c])
+
         raw = data.get("equations", [])
         try:
             # accept either a list of equations (each a list of [exps, coeff]
@@ -167,18 +179,12 @@ class VarietySpec:
             if raw and raw[0] and not any(isinstance(x, (list, tuple)) for x in raw[0][0]):
                 raw = [raw]
             eqs = tuple(
-                tuple((tuple(_json_int(x, "exponent") for x in exps), _json_int(coeff, "coefficient")) for exps, coeff in eq)
+                tuple((tuple(_json_int(x, "exponent") for x in exps), coefficient(c)) for exps, c in eq)
                 for eq in raw
             )
         except (TypeError, ValueError, IndexError) as exc:
             raise ValidationError(f"equations must be lists of [exponent_vector, coefficient] terms: {exc}")
-        return VarietySpec(
-            kind,
-            _json_int(dim, "ambient dimension"),
-            _json_int(data["p"], "p"),
-            _json_int(data.get("e", 1), "e"),
-            eqs,
-        )
+        return VarietySpec(kind, _json_int(dim, "ambient dimension"), p, e, eqs)
 
 
 def _json_int(x, what: str) -> int:

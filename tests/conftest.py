@@ -10,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motivic_zeta import RatMatrix, TracedMotive, VarietySpec, fq_make
+from motivic_zeta import Polynomial, RatMatrix, RationalFunction, TracedMotive, VarietySpec, fq_make
+from motivic_zeta.errors import NotInvertibleError
+from motivic_zeta.reconstruct import NotStabilized
+from motivic_zeta.series import TruncatedSeries
 from motivic_zeta.gfvec import vec_field
 from motivic_zeta.varieties import _chart_points, _charts, _normalize_matrix, matrix_order
 
@@ -92,6 +95,124 @@ def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
             moved = apply(twist, [vf.power(x, v.q**n) for x in coords])
             total += int(np.count_nonzero(mask & same_point(moved, coords)))
     return total
+
+
+# --- Fraction oracles: the exact layer's kernels as they ran over
+# fractions.Fraction before they moved onto the integers.  Each is an
+# independent route for a differential test of the integer kernel.
+
+
+def inverse_by_fractions(m: RatMatrix) -> RatMatrix:
+    """Gauss-Jordan elimination over Fraction on [M | I]."""
+    n = m.rows
+    if n == 0:
+        return m
+    a = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise NotInvertibleError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [e * inv for e in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return RatMatrix(n, n, [a[i][n + j] for i in range(n) for j in range(n)])
+
+
+def gcd_by_fractions(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Euclid's algorithm over Q, made monic at the end."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def reduce_by_fractions(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num/den in lowest terms with a monic denominator, over Fraction."""
+    g = gcd_by_fractions(num, den)
+    num, den = num // g, den // g
+    lead = den.coeffs[-1]
+    return num * (1 / lead), den * (1 / lead)
+
+
+def taylor_by_fractions(r: RationalFunction, n: int) -> list[Fraction]:
+    """c_k = (num_k - sum_j den_j c_(k-j)) / den_0 over Fraction."""
+    out: list[Fraction] = []
+    for k in range(n + 1):
+        acc = r.num[k]
+        for j in range(1, k + 1):
+            acc -= r.den[j] * out[k - j]
+        out.append(acc / r.den[0])
+    return out
+
+
+def exp_from_traces_by_fractions(traces) -> TruncatedSeries:
+    """k*b_k = sum_j a_j b_(k-j) over Fraction."""
+    a = [Fraction(0)] + [Fraction(t) for t in traces]
+    out = [Fraction(1)]
+    for k in range(1, len(traces) + 1):
+        out.append(sum((a[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)) / k)
+    return TruncatedSeries(out)
+
+
+def bm_core_by_fractions(seq: list[Fraction]):
+    """Classic Berlekamp-Massey over Fraction with C(0) = 1 throughout;
+    returns (C, L, profile, last_change)."""
+    c = [Fraction(1)]
+    b = [Fraction(1)]
+    L, m = 0, 1
+    bb = Fraction(1)
+    profile: list[int] = []
+    last_change = -1
+    for i, s in enumerate(seq):
+        d = s
+        for j in range(1, L + 1):
+            if j < len(c):
+                d += c[j] * seq[i - j]
+        if d == 0:
+            m += 1
+            profile.append(L)
+            continue
+        t = c[:]
+        coef = d / bb
+        c = c + [Fraction(0)] * max(0, len(b) + m - len(c))
+        for j, bj in enumerate(b):
+            c[j + m] -= coef * bj
+        if 2 * L <= i:
+            L = i + 1 - L
+            b, bb, m = t, d, 1
+        else:
+            m += 1
+        last_change = i
+        profile.append(L)
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c, L, profile, last_change
+
+
+def berlekamp_massey_by_fractions(seq):
+    """berlekamp_massey with the Fraction core and a Fraction residual:
+    NotStabilized, or (num, den, stabilized_at, residual_checked_to) of
+    the reconstruction reduced by reduce_by_fractions."""
+    values = [Fraction(s) for s in seq]
+    c, L, profile, last_change = bm_core_by_fractions(values)
+    n = len(values)
+    window = -(-n // 4)
+    if L > n // 2:
+        return NotStabilized(profile, L, f"order {L} exceeds half the data length")
+    if last_change >= n - window:
+        return NotStabilized(profile, L, f"recurrence still changing in the final {window} terms")
+    prod = [Fraction(0)] * n
+    for i, s in enumerate(values):
+        for j, cj in enumerate(c):
+            if i + j < n:
+                prod[i + j] += s * cj
+    if any(prod[k] != 0 for k in range(L, n)):
+        return NotStabilized(profile, L, "residual check failed")
+    num, den = reduce_by_fractions(Polynomial(prod[:L] if L > 0 else prod[:1]), Polynomial(c))
+    return num, den, last_change, n
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """CLI surface: envelopes, exit codes and canonical JSON output."""
 
+import argparse
 import json
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from motivic_zeta.cli import build_parser, main
 from motivic_zeta.serialize import dumps
+from motivic_zeta.series import DEFAULT_PRECISION
 
 from conftest import FIXTURES
 
@@ -213,6 +215,30 @@ def test_bad_action_inputs_give_validation_errors(capsys, tmp_path, commands, da
         assert (code, out["status"]) == (1, "validation_error"), out
 
 
+def _series(*coeffs):
+    return {"coeffs": list(coeffs)}
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        ("motive zeta", {"f_plus": [["abc"]]}),
+        ("motive zeta", {"f_plus": [[True]]}),
+        ("motive feq", {"f_plus": [["1/0"]], "f_minus": [[2]]}),
+        ("reconstruct traces", {"traces": [1, "nan", 3]}),
+        ("reconstruct bm", {"sequence": [1, 2, False, 4]}),
+        ("witt mul", {"a": _series(1, "1/0"), "b": _series(1, 2)}),
+        ("hw eval --q 5", {"motive": {"f_plus": [[None]]}, "samples": [{"re": 2.0}]}),
+        ("lfun", _lfun_input(character={"m": 1, "values": [1, "abc"]})),
+    ],
+)
+def test_bad_rationals_give_validation_errors(capsys, tmp_path, argv, data):
+    # one row per subcommand that reads rationals: bools, unparsable and
+    # zero-denominator strings and nulls are refused, not coerced or raised raw
+    code, out = run(capsys, *argv.split(), "--in", write(tmp_path, "in.json", data))
+    assert (code, out["status"]) == (1, "validation_error"), out
+
+
 def test_parser_is_built_once(capsys):
     # one process running two subcommands gives the envelopes of two cold calls
     calls = [
@@ -225,6 +251,47 @@ def test_parser_is_built_once(capsys):
         cold.append(run(capsys, *argv))
     assert [run(capsys, *argv) for argv in calls] == cold
     assert build_parser() is build_parser()
+
+
+def leaves(parser, path=()):
+    """(subcommand words, parser) of every leaf of the command tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(path), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from leaves(child, path + (name,))
+
+
+def test_every_leaf_takes_the_common_flags(capsys):
+    # each leaf must parse, print help and fail on a bad value exactly as a
+    # parser that declares the eight flags on its own does
+    all_leaves = list(leaves(build_parser()))
+    assert len(all_leaves) == 27
+    defaults = {
+        "infile": None, "outfile": None, "precision": DEFAULT_PRECISION, "nmax": None,
+        "budget": None, "q": None, "dim": None, "n": None,
+    }
+    for path, leaf in all_leaves:
+        reference = argparse.ArgumentParser(prog=leaf.prog)
+        reference.add_argument("--in", dest="infile", default=None)
+        reference.add_argument("--out", dest="outfile", default=None)
+        reference.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+        for flag in ("nmax", "budget", "q", "dim", "n"):
+            reference.add_argument(f"--{flag}", type=int, default=None)
+        assert leaf.format_help() == reference.format_help()
+        assert leaf.format_usage() == reference.format_usage()
+        parsed = vars(leaf.parse_args([]))
+        assert callable(parsed.pop("handler")) and parsed == defaults
+        errors = []
+        for parser in (leaf, reference):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["--nmax", "x"])
+            errors.append((exc.value.code, capsys.readouterr().err))
+        assert errors[0] == errors[1] and errors[0][0] == 2
+        with pytest.raises(SystemExit) as exc:
+            main(path + ["--bogus"])
+        assert exc.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_artin_mazur(capsys):

@@ -43,6 +43,20 @@ def test_polynomial_rejects_floats():
         Polynomial([0.5])
 
 
+@pytest.mark.parametrize("bad", [True, False, "abc", "nan", "inf", "1/0", "", None, [1], 0.5])
+def test_rational_parser_refuses_what_is_not_a_rational(bad):
+    with pytest.raises(ValidationError):
+        Polynomial([bad])
+    with pytest.raises(ValidationError):
+        RatMatrix.from_json([[bad]])
+
+
+def test_rational_parser_accepts_ints_fractions_and_strings():
+    assert Polynomial([3, Fraction(1, 2), "-2/6", " 7 ", "0.25"]).coeffs == (
+        3, Fraction(1, 2), Fraction(-1, 3), 7, Fraction(1, 4)
+    )
+
+
 def test_polynomial_divmod():
     a = Polynomial([2, 0, 3, 1])  # t^3 + 3t^2 + 2
     b = Polynomial([1, 1])

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from motivic_zeta import (
 from motivic_zeta.analytic import hasse_weil_eval, spectrum
 from motivic_zeta.errors import NotInvertibleError, ValidationError
 from motivic_zeta.motives import cy_periodicity_check
+from motivic_zeta.reconstruct import ReconstructionResult, traces_to_zeta
 from motivic_zeta.series import exp_from_traces
 
 from conftest import matrix_power_traces, random_invertible_motive, random_motive
@@ -185,3 +187,18 @@ def test_motive_json_round_trip(elliptic_f5_motive):
 def test_non_square_blocks_rejected():
     with pytest.raises(ValidationError):
         TracedMotive(RatMatrix(1, 2, [1, 2]), RatMatrix.empty())
+
+
+def test_exact_layer_runs_over_the_integers_in_time():
+    # a 20|18 motive: 160 traces back to its zeta function, the functional
+    # equation through the inverses and 160 zeta coefficients; on a 2-core
+    # x86 machine this took 0.9 s over Fraction and takes 0.13 s over ints
+    rng = random.Random(7)
+    start = time.perf_counter()
+    m = TracedMotive(*(RatMatrix(n, n, [rng.randint(-3, 3) for _ in range(n * n)]) for n in (20, 18)))
+    result = traces_to_zeta(list(trace_sequence(m, 160)))
+    report = check_functional_equation(m)
+    series = zeta_series(m, 160)
+    assert time.perf_counter() - start < 0.4
+    assert isinstance(result, ReconstructionResult) and result.value == zeta_rational(m)
+    assert report.holds and series.series.coeffs == tuple(zeta_rational(m).taylor(160))

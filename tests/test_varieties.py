@@ -1,6 +1,7 @@
 """Point counting, zeta functions from counts, and Weil-type checks."""
 
 import itertools
+import json
 import random
 import time
 
@@ -23,6 +24,7 @@ from motivic_zeta import (
 )
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
 from motivic_zeta.gf import row_echelon
+from motivic_zeta.serialize import dumps
 from motivic_zeta.varieties import _twisted_core, affine_space, enumerate_points, matrix_order, projective_space
 
 from conftest import load_json, load_variety, twisted_count_by_enumeration
@@ -457,6 +459,18 @@ def test_artin_mazur_never_stabilizes():
 def test_variety_json_round_trip():
     e5 = load_variety("elliptic_f5_variety.json")
     assert VarietySpec.from_json(e5.to_json()) == e5
+
+
+def test_variety_json_round_trip_with_field_element_coefficients():
+    # y^2 = w x over F_9, w the generator: w is written as its coordinates
+    w = fq_make(3, 2).element([0, 1])
+    v = VarietySpec("affine", 2, 3, 2, ((((0, 2), 1), ((1, 0), -w)),))
+    text = dumps(v.to_json())
+    assert json.loads(text)["equations"] == [[[[0, 2], 1], [[1, 0], [0, 2]]]]
+    assert VarietySpec.from_json(json.loads(text)) == v
+    for bad in ([0, 1, 2], [], [0, 1.5], [[0], 1]):
+        with pytest.raises(ValidationError):
+            VarietySpec.from_json({"ambient": {"affine": 1}, "p": 3, "e": 2, "equations": [[[[1], bad]]]})
 
 
 def test_from_json_equation_forms():

@@ -47,6 +47,11 @@ def _key(data, name: str):
     return data[name]
 
 
+def _int_key(data, name: str) -> int:
+    """data[name] of a JSON object, which must be an integer."""
+    return varieties._json_int(_key(data, name), name)
+
+
 def _complex_in(data) -> complex:
     if isinstance(data, dict):
         return complex(data.get("re", 0.0), data.get("im", 0.0))
@@ -73,7 +78,7 @@ def _character_in(data) -> lfunctions.Character:
         if isinstance(val, dict):
             values.append(
                 lfunctions.Cyclotomic(
-                    val.get("m", m), tuple(_frac(c) for c in val["coeffs"])
+                    val.get("m", m), tuple(_frac(c) for c in _key(val, "coeffs"))
                 )
             )
         elif isinstance(val, list):
@@ -84,18 +89,21 @@ def _character_in(data) -> lfunctions.Character:
 
 
 def _measure_class_in(data) -> measures.MeasureClass:
-    op = data["op"]
+    op = _key(data, "op")
     if op == "point":
         return measures.point()
     if op == "affine_space":
-        return measures.affine_space(data["n"])
+        return measures.affine_space(_int_key(data, "n"))
     if op == "projective_space":
-        return measures.projective_space(data["n"])
+        return measures.projective_space(_int_key(data, "n"))
     if op == "torus":
         return measures.torus()
+    raw = _key(data, "args")
+    if not (isinstance(raw, list) and len(raw) >= (2 if op == "difference" else 1)):
+        raise ValidationError(f"the arguments of {op!r} must be a list of classes, got {raw!r}")
     if op == "scale":
-        return _measure_class_in(data["args"][0]).scale(data["n"])
-    args = [_measure_class_in(a) for a in data["args"]]
+        return _measure_class_in(raw[0]).scale(_int_key(data, "n"))
+    args = [_measure_class_in(a) for a in raw]
     if op == "sum":
         out = args[0]
         for a in args[1:]:
@@ -160,8 +168,8 @@ def _witt_pair(args):
     data = _load(args.infile)
     from .series import TruncatedSeries
 
-    a = WittElement(TruncatedSeries.from_json(data["a"]))
-    b = WittElement(TruncatedSeries.from_json(data["b"]))
+    a = WittElement(TruncatedSeries.from_json(_key(data, "a")))
+    b = WittElement(TruncatedSeries.from_json(_key(data, "b")))
     return a, b
 
 
@@ -203,13 +211,13 @@ def _reconstruction_payload(result):
 
 def cmd_reconstruct_bm(args):
     data = _load(args.infile)
-    seq = data["sequence"] if isinstance(data, dict) else data
+    seq = _key(data, "sequence") if isinstance(data, dict) else data
     return _reconstruction_payload(reconstruct.berlekamp_massey(seq))
 
 
 def cmd_reconstruct_traces(args):
     data = _load(args.infile)
-    seq = data["traces"] if isinstance(data, dict) else data
+    seq = _key(data, "traces") if isinstance(data, dict) else data
     return _reconstruction_payload(reconstruct.traces_to_zeta(seq))
 
 
@@ -257,7 +265,7 @@ def cmd_orbifold(args):
 
 def cmd_artin_mazur(args):
     data = _load(args.infile)
-    traces = varieties.artin_mazur_traces(data["p"], data["m"], args.nmax or 24)
+    traces = varieties.artin_mazur_traces(_int_key(data, "p"), _int_key(data, "m"), args.nmax or 24)
     profile = reconstruct.linear_complexity_profile(traces)
     result = reconstruct.berlekamp_massey(traces)
     return {
@@ -309,7 +317,7 @@ def cmd_regdet_check(args):
 
 
 def cmd_numk0_compute(args):
-    gram = k0.EulerGram.from_json(_load(args.infile))
+    gram = k0.EulerGram.from_rows(_key(_load(args.infile), "chi"))
     return k0.num_grothendieck(gram).to_json()
 
 
@@ -322,7 +330,10 @@ def cmd_numk0_beilinson(args):
 
 def cmd_numk0_quiver(args):
     data = _load(args.infile)
-    gram = k0.quiver_gram(data["vertices"], [tuple(a) for a in data["arrows"]])
+    arrows = _key(data, "arrows")
+    if not (isinstance(arrows, list) and all(isinstance(a, list) and len(a) == 2 for a in arrows)):
+        raise ValidationError(f"arrows must be a list of [source, target] pairs, got {arrows!r}")
+    gram = k0.quiver_gram(_int_key(data, "vertices"), [tuple(varieties._json_int(x, "arrow end") for x in a) for a in arrows])
     return {"gram": gram.to_json(), "report": k0.num_grothendieck(gram).to_json()}
 
 

@@ -4,6 +4,17 @@ The modulus for F_{p^e} is the first monic irreducible degree-e polynomial
 in the base-p ascending enumeration of the lower coefficients (constant
 coefficient varies fastest), so the same (p, e) always yields the same
 field.  For e = 1 the modulus is x and elements are plain scalars mod p.
+
+An element is a slotted, immutable FqElement: its field and the tuple of
+its e coordinates in [0, p) over 1, x, .., x^(e-1).  A product is
+reduced once: the schoolbook terms of the two coordinate tuples are
+summed in Python ints, the terms of degree e .. 2e-2 are folded back
+through the rows x^k mod f that the field precomputes, and each output
+coordinate takes one % p (_mulmod; for e = 1 the product is a*b % p).
+The Rabin test of fq_make shares that kernel.  Sums and differences are
+one tuple comprehension each, and an inverse is pow(c, -1, p) over F_p
+and extended Euclid in F_p[x] above it.
+
 A subfield embeds by a root of its modulus, found by Cantor-Zassenhaus
 splitting over the big field; row_echelon is the one linear-algebra
 routine over F_q (kernels, spans, inverses).
@@ -12,8 +23,8 @@ routine over F_q (kernels, spans, inverses).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import ValidationError
 
@@ -39,26 +50,48 @@ def _polymod(a: list[int], m: list[int], p: int) -> list[int]:
     return _trim(a)
 
 
-def _polymulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _polymod(out, m, p)
+def _fold_columns(m, p: int) -> tuple[tuple[int, ...], ...]:
+    """For a modulus m of degree e, the columns of the (e-1) x e matrix
+    whose rows are the coordinates of x^k mod m for k = e .. 2e-2."""
+    e = len(m) - 1
+    inv_lead = pow(m[-1], -1, p)
+    rows, row = [], [-c * inv_lead % p for c in m[:e]]  # x^e mod m
+    for _ in range(e - 1):
+        rows.append(row)
+        row = [(row[-1] * t + c) % p for t, c in zip(rows[0], [0] + row[:-1])]
+    return tuple(zip(*rows))
 
 
-def _polypowmod(a: list[int], n: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _polymod(a, m, p)
+def _mulmod(a: tuple[int, ...], b: tuple[int, ...], cols, p: int) -> tuple[int, ...]:
+    """a * b mod m for coordinate tuples of length e = deg m, given the
+    fold columns of m: the schoolbook terms are summed in Python ints, the
+    terms of degree >= e are folded through x^k mod m, and each output
+    coordinate is reduced mod p once."""
+    e = len(a)
+    conv = [0] * (2 * e - 1)
+    i = 0
+    for x in a:
+        if x:
+            k = i
+            for y in b:
+                conv[k] += x * y
+                k += 1
+        i += 1
+    high = conv[e:]
+    if any(high):
+        return tuple([(x + sum(map(mul, high, col))) % p for x, col in zip(conv, cols)])
+    return tuple([x % p for x in conv[:e]])
+
+
+def _polypowmod(a: tuple[int, ...], n: int, cols, p: int) -> tuple[int, ...]:
+    """a^n mod m for a coordinate tuple a, given the fold columns of m."""
+    result, base = (1,) + (0,) * (len(a) - 1), a
     while n:
         if n & 1:
-            result = _polymulmod(result, base, m, p)
-        base = _polymulmod(base, base, m, p)
+            result = _mulmod(result, base, cols, p)
         n >>= 1
+        if n:
+            base = _mulmod(base, base, cols, p)
     return result
 
 
@@ -164,16 +197,18 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_irreducible(modulus: list[int], p: int) -> bool:
-    """Rabin test: x^{p^e} == x mod f and gcd(x^{p^{e/l}} - x, f) = 1."""
+    """Rabin test: x^{p^e} == x mod f and gcd(x^{p^{e/l}} - x, f) = 1,
+    for e >= 2 (so f is reducible when x divides it)."""
+    if modulus[0] == 0:
+        return False
     e = len(modulus) - 1
-    x = [0, 1]
-    xq = _polypowmod(x, p**e, modulus, p)
-    diff = _trim([(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)])
-    if diff:
+    cols = _fold_columns(modulus, p)
+    x = (0, 1) + (0,) * (e - 2)
+    if _polypowmod(x, p**e, cols, p) != x:
         return False
     for ell in _prime_factors(e):
-        xq = _polypowmod(x, p ** (e // ell), modulus, p)
-        diff = _trim([(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)])
+        xq = _polypowmod(x, p ** (e // ell), cols, p)
+        diff = _trim([(a - b) % p for a, b in zip(xq, x)])
         g = _polygcd(modulus, diff, p) if diff else modulus[:]
         if len(g) - 1 > 0:
             return False
@@ -181,7 +216,9 @@ def _is_irreducible(modulus: list[int], p: int) -> bool:
 
 
 class FqField:
-    """F_{p^e} = F_p[x]/(modulus); immutable, hashable by (p, e)."""
+    """F_{p^e} = F_p[x]/(modulus); immutable, hashable by (p, e, modulus).
+    Holds what its elements' arithmetic needs: the fold columns of the
+    modulus (x^k mod modulus for e <= k <= 2e - 2) and its zero and one."""
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
@@ -189,6 +226,11 @@ class FqField:
         self.modulus = modulus
         self.q = p**e
         self._embeddings: dict[tuple[int, int], "FqElement"] = {}
+        self._hash = hash((p, e, modulus))
+        self._cols = _fold_columns(modulus, p)
+        self._pad = (0,) * (e - 1)
+        self._zero = _new(self, (0,) * e)
+        self._one = _new(self, (1,) + self._pad)
 
     def __eq__(self, other):
         return (
@@ -197,33 +239,40 @@ class FqField:
         )
 
     def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"FqField(p={self.p}, e={self.e}, modulus={list(self.modulus)})"
 
     def element(self, coeffs) -> "FqElement":
-        if isinstance(coeffs, int):
-            coeffs = [coeffs]
+        """The element with the given coordinates over 1, x, x^2, ..: an
+        integer, or a list of integers, each read mod p (a list longer than
+        e is reduced mod the modulus).  Anything else is a ValidationError."""
+        if type(coeffs) is int:
+            return _new(self, (coeffs % self.p,) + self._pad)
+        if not isinstance(coeffs, (list, tuple)) or any(type(c) is not int for c in coeffs):
+            raise ValidationError(f"a field element is an integer or a list of integers, got {coeffs!r}")
         cs = [c % self.p for c in coeffs]
-        if len(cs) >= self.e and self.e > 0:
+        if len(cs) > self.e:
             cs = _polymod(cs, list(self.modulus), self.p)
-        cs = cs + [0] * (self.e - len(cs))
-        return FqElement(self, tuple(cs[: self.e]))
+        return _new(self, tuple(cs) + (0,) * (self.e - len(cs)))
 
     def zero(self) -> "FqElement":
-        return self.element(0)
+        return self._zero
 
     def one(self) -> "FqElement":
-        return self.element(1)
+        return self._one
 
     def from_int(self, n: int) -> "FqElement":
-        """The element with packed index n (the inverse of FqElement.to_int)."""
+        """The element with packed index n in [0, q) (the inverse of
+        FqElement.to_int)."""
+        if type(n) is not int or not 0 <= n < self.q:
+            raise ValidationError(f"a packed index of F_{self.q} is an integer in [0, {self.q}), got {n!r}")
         coeffs = []
         for _ in range(self.e):
             n, c = divmod(n, self.p)
             coeffs.append(c)
-        return FqElement(self, tuple(coeffs))
+        return _new(self, tuple(coeffs))
 
     def enumerate(self):
         """All p^e elements in ascending base-p coefficient order."""
@@ -287,38 +336,62 @@ class FqField:
         return acc
 
 
-@dataclass(frozen=True)
 class FqElement:
-    field: FqField
-    coeffs: tuple[int, ...]
+    """An element of field: its coordinates over 1, x, .., x^(e-1), a tuple
+    of e ints in [0, p).  Immutable; equal elements hash equal.  Arithmetic
+    between elements of different fields raises ValidationError."""
 
-    def _check(self, other: "FqElement"):
-        if self.field != other.field:
-            raise ValidationError("elements of different fields")
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FqField, coeffs: tuple[int, ...]):
+        _set_field(self, field)
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FqElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FqElement is immutable")
+
+    def __reduce__(self):
+        return FqElement, (self.field, self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not FqElement:
+            return NotImplemented
+        return self.coeffs == other.coeffs and (self.field is other.field or self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.field._hash, self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def __add__(self, other: "FqElement") -> "FqElement":
-        self._check(other)
-        p = self.field.p
-        return FqElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise ValidationError("elements of different fields")
+        p = f.p
+        return _new(f, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "FqElement":
         p = self.field.p
-        return FqElement(self.field, tuple((-a) % p for a in self.coeffs))
+        return _new(self.field, tuple([-a % p for a in self.coeffs]))
 
     def __sub__(self, other: "FqElement") -> "FqElement":
-        return self + (-other)
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise ValidationError("elements of different fields")
+        p = f.p
+        return _new(f, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __mul__(self, other: "FqElement") -> "FqElement":
-        self._check(other)
         f = self.field
-        prod = _polymulmod(list(self.coeffs), list(other.coeffs), list(f.modulus), f.p)
-        prod = prod + [0] * (f.e - len(prod))
-        return FqElement(f, tuple(prod[: f.e]))
+        if other.field is not f and other.field != f:
+            raise ValidationError("elements of different fields")
+        if f.e == 1:
+            return _new(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
+        return _new(f, _mulmod(self.coeffs, other.coeffs, f._cols, f.p))
 
     def __pow__(self, n: int) -> "FqElement":
         if n < 0:
@@ -328,52 +401,35 @@ class FqElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self) -> "FqElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid in F_p[x]
         f = self.field
         p = f.p
-        a, b = list(self.coeffs), list(f.modulus)
-        s0, s1 = [1], []
-        a = _trim(a[:])
-        while b:
-            # a = q*b + r
-            r = a[:]
-            dm = len(b) - 1
-            inv_lead = pow(b[-1], -1, p)
-            q = [0] * max(1, len(r) - dm)
-            for i in range(len(r) - 1, dm - 1, -1):
-                if r[i] == 0:
-                    continue
-                c = r[i] * inv_lead % p
-                q[i - dm] = c
-                for j in range(dm + 1):
-                    r[i - dm + j] = (r[i - dm + j] - c * b[j]) % p
-            r = _trim(r)
-            # s_{k+1} = s_{k-1} - q*s_k
-            qs = [0] * (len(q) + len(s1) - 1) if s1 else []
-            for i, qi in enumerate(q):
-                if qi == 0:
-                    continue
-                for j, sj in enumerate(s1):
-                    qs[i + j] = (qs[i + j] + qi * sj) % p
-            s_next = _trim(
-                [
-                    (x - y) % p
-                    for x, y in itertools.zip_longest(s0, qs, fillvalue=0)
-                ]
-            )
-            a, b = b, r
-            s0, s1 = s1, s_next
-        # a is now gcd (constant), s0 its Bezout coefficient for self
-        inv_gcd = pow(a[0], -1, p)
-        s0 = [(c * inv_gcd) % p for c in s0]
-        return f.element(s0)
+        if f.e == 1:
+            return _new(f, (pow(self.coeffs[0], -1, p),))
+        # extended Euclid in F_p[x]: r_i = s_i * self mod the modulus
+        r0, s0 = list(f.modulus), []
+        r1, s1 = _trim(list(self.coeffs)), [1]
+        while len(r1) > 1:
+            inv_lead = pow(r1[-1], -1, p)
+            while len(r0) >= len(r1):
+                c, d = r0[-1] * inv_lead % p, len(r0) - len(r1)
+                for j, y in enumerate(r1, d):
+                    r0[j] = (r0[j] - c * y) % p
+                s0 += [0] * (len(s1) + d - len(s0))
+                for j, y in enumerate(s1, d):
+                    s0[j] = (s0[j] - c * y) % p
+                _trim(r0)
+                _trim(s0)
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        c = pow(r1[0], -1, p)
+        return _new(f, tuple([x * c % p for x in s1]) + (0,) * (f.e - len(s1)))
 
     def __truediv__(self, other: "FqElement") -> "FqElement":
         return self * other.inverse()
@@ -387,6 +443,18 @@ class FqElement:
 
     def __repr__(self):
         return f"Fq({self.field.p}^{self.field.e}; {list(self.coeffs)})"
+
+
+_set_field = FqElement.field.__set__
+_set_coeffs = FqElement.coeffs.__set__
+
+
+def _new(field: FqField, coeffs: tuple[int, ...]) -> FqElement:
+    """FqElement(field, coeffs) without the call through the class."""
+    x = object.__new__(FqElement)
+    _set_field(x, field)
+    _set_coeffs(x, coeffs)
+    return x
 
 
 def row_echelon(rows) -> tuple[list[list[FqElement]], list[int]]:

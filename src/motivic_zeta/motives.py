@@ -74,6 +74,10 @@ class TracedMotive:
 
     @staticmethod
     def from_json(data: dict) -> "TracedMotive":
+        """{"f_plus": matrix, "f_minus": matrix, "label": ..}; either matrix
+        may be left out for an empty block, but not both."""
+        if not (isinstance(data, dict) and ("f_plus" in data or "f_minus" in data)):
+            raise ValidationError("a motive is a JSON object with 'f_plus' and/or 'f_minus'")
         return TracedMotive(
             RatMatrix.from_json(data.get("f_plus", [])),
             RatMatrix.from_json(data.get("f_minus", [])),

@@ -1,6 +1,7 @@
 """Shared fixtures and random-input helpers for the test suite."""
 
 import functools
+import itertools
 import json
 import operator
 import random
@@ -213,6 +214,71 @@ def berlekamp_massey_by_fractions(seq):
         return NotStabilized(profile, L, "residual check failed")
     num, den = reduce_by_fractions(Polynomial(prod[:L] if L > 0 else prod[:1]), Polynomial(c))
     return num, den, last_change, n
+
+
+# --- scalar F_q oracles: the product and inverse of gf.FqElement as they
+# ran before the reduce-once kernel, reducing mod p at every step.
+
+
+def _polymod_by_steps(a: list[int], m: list[int], p: int) -> list[int]:
+    a = a[:]
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], -1, p)
+    for i in range(len(a) - 1, dm - 1, -1):
+        if a[i]:
+            c = a[i] * inv_lead % p
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def mul_by_schoolbook(x, y):
+    """x * y for FqElements of one field: the schoolbook product with a
+    % p per term, then long division by the modulus."""
+    f = x.field
+    out = [0] * (2 * f.e - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = (out[i + j] + a * b) % f.p
+    return f.element(_polymod_by_steps(out, list(f.modulus), f.p) or [0])
+
+
+def inverse_by_euclid(x):
+    """x^-1 by extended Euclid in F_p[x] with explicit quotients, as
+    gf.FqElement.inverse ran before."""
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero field element")
+    f = x.field
+    p = f.p
+    a, b = list(x.coeffs), list(f.modulus)
+    while a and a[-1] == 0:
+        a.pop()
+    s0, s1 = [1], []
+    while b:
+        r, dm = a[:], len(b) - 1
+        inv_lead = pow(b[-1], -1, p)
+        q = [0] * max(1, len(r) - dm)
+        for i in range(len(r) - 1, dm - 1, -1):
+            if r[i]:
+                c = r[i] * inv_lead % p
+                q[i - dm] = c
+                for j in range(dm + 1):
+                    r[i - dm + j] = (r[i - dm + j] - c * b[j]) % p
+        while r and r[-1] == 0:
+            r.pop()
+        qs = [0] * (len(q) + len(s1) - 1) if s1 else []
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                qs[i + j] = (qs[i + j] + qi * sj) % p
+        s_next = [(u - v) % p for u, v in itertools.zip_longest(s0, qs, fillvalue=0)]
+        while s_next and s_next[-1] == 0:
+            s_next.pop()
+        a, b = b, r
+        s0, s1 = s1, s_next
+    inv_gcd = pow(a[0], -1, p)
+    return f.element([c * inv_gcd % p for c in s0] or [0])
 
 
 @pytest.fixture

@@ -239,6 +239,34 @@ def test_bad_rationals_give_validation_errors(capsys, tmp_path, argv, data):
     assert (code, out["status"]) == (1, "validation_error"), out
 
 
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        ("witt add", {"a": _series(1, 2)}),
+        ("witt mul", {"b": _series(1, 2)}),
+        ("reconstruct bm", {"x": [1, 2]}),
+        ("reconstruct traces", {"x": [1, 2]}),
+        ("measure eval", {"m": 1}),
+        ("measure eval", {"op": "sum", "args": [{"op": "point"}, {"n": 2}]}),
+        ("measure eval", {"op": "affine_space"}),
+        ("measure eval", {"op": "scale", "args": [{"op": "point"}]}),
+        ("measure eval", {"op": "product"}),
+        ("numk0 quiver", {"vertices": 2}),
+        ("numk0 compute", {"rows": [[1]]}),
+        ("artin-mazur", {"p": 5}),
+        ("lfun", _lfun_input(character={"m": 2, "values": [{"m": 2}, {"m": 2, "coeffs": [1]}]})),
+        ("motive zeta", {"x": 1}),
+        ("hw eval --q 5", {"samples": [{"re": 2.0}]}),
+    ],
+)
+def test_missing_keys_give_validation_errors(capsys, tmp_path, argv, data):
+    # one row per subcommand (and per measure-tree key) that reads a keyed
+    # object: a missing key is refused with the envelope, never a KeyError,
+    # and a motive with neither block is not read as the empty motive
+    code, out = run(capsys, *argv.split(), "--in", write(tmp_path, "in.json", data))
+    assert (code, out["status"]) == (1, "validation_error"), out
+
+
 def test_parser_is_built_once(capsys):
     # one process running two subcommands gives the envelopes of two cold calls
     calls = [

@@ -3,6 +3,8 @@ every name it wraps must still exist, or a traced benchmark run breaks."""
 
 import importlib
 import importlib.util
+import random
+from collections import Counter
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -26,6 +28,63 @@ def test_tracer_targets_resolve():
     gf = importlib.import_module("motivic_zeta.gf")
     assert callable(vars(gf.FqField).get("enumerate"))
     assert callable(gf.fq_make.cache_info)  # the tracer counts field builds with it
+
+
+class Counted:
+    """An FqElement stand-in that counts the operations asked of it."""
+
+    def __init__(self, x, asked):
+        self.x, self.asked = x, asked
+
+    def _op(self, name, y):
+        self.asked[name] += 1
+        return Counted(y, self.asked)
+
+    def is_zero(self):
+        return self.x.is_zero()
+
+    def inverse(self):
+        return self._op("inverse", self.x.inverse())
+
+    def __mul__(self, other):
+        return self._op("mul", self.x * other.x)
+
+    def __add__(self, other):
+        return self._op("add", self.x + other.x)
+
+    def __sub__(self, other):
+        return self._op("sub", self.x - other.x)
+
+
+def test_scalar_wrappers_see_every_operation():
+    # wrapped on the class as the tracer wraps them, FqElement.__mul__,
+    # __add__ and inverse must see every operation a computation asks for:
+    # library code that reached past the operators would not be counted
+    gf = importlib.import_module("motivic_zeta.gf")
+    varieties = importlib.import_module("motivic_zeta.varieties")
+    rng = random.Random(5)
+    f = gf.fq_make(5, 2)
+    m = [[f.from_int(rng.randrange(f.q)) for _ in range(3)] for _ in range(3)]
+    asked = Counter()
+    counted = [[Counted(x, asked) for x in row] for row in m]
+    want_rows, want_pivots = gf.row_echelon(counted)
+    tracer = tracing_module().Tracer()
+    tracer.install()
+    try:
+        rows, pivots = gf.row_echelon(m)
+        echelon = dict(tracer.calls)
+        product = varieties._mat_mul(m, m)
+    finally:
+        tracer.uninstall()
+    assert pivots == want_pivots and rows == [[c.x for c in row] for row in want_rows]
+    assert asked["mul"] > 0 and asked["inverse"] > 0
+    assert echelon.get("gf.FqElement.mul", 0) == asked["mul"]
+    assert echelon.get("gf.FqElement.inverse", 0) == asked["inverse"]
+    assert echelon.get("gf.FqElement.add", 0) == asked["add"]
+    # a 3 x 3 product: 27 products and 27 sums onto a zero start
+    assert tracer.calls["gf.FqElement.mul"] - echelon["gf.FqElement.mul"] == 27
+    assert tracer.calls["gf.FqElement.add"] - echelon.get("gf.FqElement.add", 0) == 27
+    assert product == tuple(tuple(sum((m[i][k] * m[k][j] for k in range(3)), f.zero()) for j in range(3)) for i in range(3))
 
 
 

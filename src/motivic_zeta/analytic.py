@@ -10,6 +10,7 @@ every eigenvalue is certified against its polynomial before use.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,12 +31,15 @@ RESIDUAL_TOL = 1e-8
 BRANCH_TOL = 1e-9
 
 
-def _poly_roots_certified(p: Polynomial) -> list[complex]:
+@functools.lru_cache(maxsize=64)
+def _poly_roots_certified(p: Polynomial) -> tuple[complex, ...]:
     """Roots of an exact polynomial, each certified to satisfy
-    |p(root)| < 1e-8 (1+|root|)^deg; tiny imaginary parts are zeroed."""
+    |p(root)| < 1e-8 (1+|root|)^deg; tiny imaginary parts are zeroed.
+    Computed once per polynomial (Polynomial is immutable and hashable),
+    so repeated spectra and every Hasse-Weil sample share one np.roots."""
     d = p.degree
     if d < 1:
-        return []
+        return ()
     coeffs = [float(p[i]) for i in range(d, -1, -1)]
     roots = np.roots(coeffs)
     out = []
@@ -50,7 +54,7 @@ def _poly_roots_certified(p: Polynomial) -> list[complex]:
                 f"({residual:.3e})"
             )
         out.append(lam)
-    return out
+    return tuple(out)
 
 
 @dataclass
@@ -72,8 +76,8 @@ class ComplexSpectrum:
 def spectrum(m: TracedMotive) -> ComplexSpectrum:
     cp, cm = m.char_polys
     return ComplexSpectrum(
-        eigenvalues_plus=_poly_roots_certified(cp),
-        eigenvalues_minus=_poly_roots_certified(cm),
+        eigenvalues_plus=list(_poly_roots_certified(cp)),
+        eigenvalues_minus=list(_poly_roots_certified(cm)),
         charpoly_plus=cp,
         charpoly_minus=cm,
     )
@@ -180,13 +184,9 @@ def rate_exact(m: TracedMotive):
 # --- Hasse-Weil evaluation and pole/zero geometry ---
 
 
-def _principal_log_q(lam: complex, q: int, boundary: str = "upper") -> complex:
-    """log_q on the branch with Im(log lam) in ]-pi, pi]; boundary="lower"
-    deliberately uses [-pi, pi[ instead (for sentinel testing)."""
-    w = cmath.log(complex(lam.real, lam.imag))
-    if boundary == "lower" and abs(w.imag - math.pi) <= 1e-12:
-        w = complex(w.real, -math.pi)
-    return w / math.log(q)
+def _principal_log_q(lam: complex, q: int) -> complex:
+    """log_q on the branch with Im(log lam) in ]-pi, pi]."""
+    return cmath.log(lam) / math.log(q)
 
 
 def hasse_weil_eval(m: TracedMotive, q: int, s: complex) -> complex:
@@ -398,7 +398,7 @@ def _nilpotent_log(size: int, lam: complex) -> list[list[float]]:
     return [[abs(x) for x in row] for row in acc.tolist()]
 
 
-def theta_construction(m: TracedMotive, q: int, boundary: str = "upper") -> ThetaData:
+def theta_construction(m: TracedMotive, q: int) -> ThetaData:
     """Principal-branch logarithms of the eigenvalues of both graded
     blocks, with Jordan data; requires invertible blocks."""
     if q < 2:
@@ -419,7 +419,7 @@ def theta_construction(m: TracedMotive, q: int, boundary: str = "upper") -> Thet
         tol = 1e-7 * (1 + max((abs(z) for z in eigen), default=0.0))
         entries = []
         for lam, mult in _cluster(eigen, tol):
-            z = _principal_log_q(lam, q, boundary)
+            z = _principal_log_q(lam, q)
             if not (window_lo < z.imag <= window_hi + 1e-12):
                 branch_ok = False
             if abs(cmath.exp(z * lq) - lam) > 1e-9 * (1 + abs(lam)):
@@ -452,19 +452,14 @@ def theta_construction(m: TracedMotive, q: int, boundary: str = "upper") -> Thet
     )
 
 
-def regularized_det_check(
-    m: TracedMotive,
-    q: int,
-    samples: Sequence[complex],
-    boundary: str = "upper",
-) -> bool:
+def regularized_det_check(m: TracedMotive, q: int, samples: Sequence[complex]) -> bool:
     """The per-eigenvalue closed form of the regularized-determinant
     quotient, prod(1 - q^{z-s}) over the odd part divided by the same over
     the even part, must reproduce Z(f; q^{-s}) at every sample; the theta
     data must also satisfy its branch-window and q^z = lambda invariants
     (a wrongly chosen branch fails here even though the product value is
     branch-independent)."""
-    theta = theta_construction(m, q, boundary)
+    theta = theta_construction(m, q)
     if not theta.branch_window_ok or not theta.log_residual_ok:
         return False
     lq = math.log(q)

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import analytic, k0, lfunctions, measures, motives, reconstruct, varieties
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .exact_core import _frac
+from .exact_core import _frac, _json_int
 from .motives import TracedMotive
 from .serialize import dumps
 from .series import DEFAULT_PRECISION, WittElement, ghost_components, witt_add, witt_mul
@@ -49,13 +48,22 @@ def _key(data, name: str):
 
 def _int_key(data, name: str) -> int:
     """data[name] of a JSON object, which must be an integer."""
-    return varieties._json_int(_key(data, name), name)
+    return _json_int(_key(data, name), name)
 
 
-def _complex_in(data) -> complex:
-    if isinstance(data, dict):
-        return complex(data.get("re", 0.0), data.get("im", 0.0))
-    return complex(data)
+def _samples_in(data, default: list) -> list[complex]:
+    """data["samples"]: numbers or {"re": x, "im": y} objects of numbers
+    (a missing part is 0); anything else is refused, not coerced."""
+    raw = data.get("samples", default)
+    if not isinstance(raw, list):
+        raise ValidationError(f"samples must be a list, got {raw!r}")
+    out = []
+    for s in raw:
+        parts = (s.get("re", 0.0), s.get("im", 0.0)) if isinstance(s, dict) else (s, 0.0)
+        if not all(type(x) in (int, float) for x in parts):
+            raise ValidationError(f"a sample must be a number or {{'re': x, 'im': y}} of numbers, got {s!r}")
+        out.append(complex(*parts))
+    return out
 
 
 def _motive_in(args) -> TracedMotive:
@@ -72,7 +80,7 @@ def _action_in(v: VarietySpec, data) -> lfunctions.GroupAction:
 
 def _character_in(data) -> lfunctions.Character:
     raw = _key(data, "values")
-    m = varieties._json_int(data.get("m", 1), "m")
+    m = _json_int(data.get("m", 1), "m")
     values = []
     for val in raw:
         if isinstance(val, dict):
@@ -266,11 +274,10 @@ def cmd_orbifold(args):
 def cmd_artin_mazur(args):
     data = _load(args.infile)
     traces = varieties.artin_mazur_traces(_int_key(data, "p"), _int_key(data, "m"), args.nmax or 24)
-    profile = reconstruct.linear_complexity_profile(traces)
     result = reconstruct.berlekamp_massey(traces)
     return {
         "traces": traces,
-        "profile": profile,
+        "profile": result.profile,
         "reconstruction": _reconstruction_payload(result),
     }
 
@@ -289,14 +296,14 @@ def _motive_q_in(args):
 
 def cmd_hw_eval(args):
     m, q, data = _motive_q_in(args)
-    samples = [_complex_in(s) for s in data.get("samples", [])]
+    samples = _samples_in(data, [])
     values = [analytic.hasse_weil_eval(m, q, s) for s in samples]
     return {"values": [{"s": s, "value": v} for s, v in zip(samples, values)]}
 
 
 def cmd_hw_poles(args):
     m, q, data = _motive_q_in(args)
-    samples = [_complex_in(s) for s in data.get("samples", [])]
+    samples = _samples_in(data, [])
     return analytic.poles_and_zeros(m, q, samples).to_json()
 
 
@@ -312,7 +319,7 @@ def cmd_theta(args):
 
 def cmd_regdet_check(args):
     m, q, data = _motive_q_in(args)
-    samples = [_complex_in(s) for s in data.get("samples", [{"re": 2.0, "im": 0.0}])]
+    samples = _samples_in(data, [{"re": 2.0, "im": 0.0}])
     return {"passes": analytic.regularized_det_check(m, q, samples)}
 
 
@@ -333,7 +340,7 @@ def cmd_numk0_quiver(args):
     arrows = _key(data, "arrows")
     if not (isinstance(arrows, list) and all(isinstance(a, list) and len(a) == 2 for a in arrows)):
         raise ValidationError(f"arrows must be a list of [source, target] pairs, got {arrows!r}")
-    gram = k0.quiver_gram(_int_key(data, "vertices"), [tuple(varieties._json_int(x, "arrow end") for x in a) for a in arrows])
+    gram = k0.quiver_gram(_int_key(data, "vertices"), [tuple(_json_int(x, "arrow end") for x in a) for a in arrows])
     return {"gram": gram.to_json(), "report": k0.num_grothendieck(gram).to_json()}
 
 

@@ -48,6 +48,14 @@ def _frac(x) -> Fraction:
     raise ValidationError(f"not a rational number: {x!r}")
 
 
+def _json_int(x, what: str) -> int:
+    """The one parser of integers: x itself if it is an int; floats,
+    bools, strings and anything else raise ValidationError, naming what."""
+    if type(x) is not int:
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _integral(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """([d*v for v in values], d) with d the lcm of the denominators, so
     that an exact kernel can run on ints and divide by d once at the end."""

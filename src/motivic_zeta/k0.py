@@ -8,10 +8,11 @@ Smith normal form with transform tracking tests saturation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
+from .exact_core import _json_int
 
 
 IntMatrix = list[list[int]]
@@ -156,7 +157,11 @@ class EulerGram:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "EulerGram":
-        return EulerGram(tuple(tuple(int(x) for x in row) for row in rows))
+        """Rows of ints; a non-list, a float, a bool or a string is
+        refused, not coerced."""
+        if not (isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)):
+            raise ValidationError(f"an Euler Gram matrix must be a list of rows, got {rows!r}")
+        return EulerGram(tuple(tuple(_json_int(x, "Gram entry") for x in row) for row in rows))
 
     def to_json(self) -> dict:
         return {"chi": [list(row) for row in self.chi]}

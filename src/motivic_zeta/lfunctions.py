@@ -255,7 +255,9 @@ class LSeries:
 
 
 def _exp_cyclotomic(traces: Sequence[Cyclotomic], m: int) -> list[Cyclotomic]:
-    """exp(sum a_n t^n / n) with coefficients in Q[x]/(x^m - 1)."""
+    """exp(sum a_n t^n / n) with coefficients in Q[x]/(x^m - 1).  Kept
+    apart from series.exp_from_traces, which runs over Q: sharing that
+    kernel would make it branch on the caller's ring."""
     n = len(traces)
     out = [Cyclotomic.rational(1, m)]
     a = [Cyclotomic.rational(0, m)] + list(traces)

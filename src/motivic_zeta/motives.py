@@ -7,11 +7,11 @@ blocks, computed once per motive: the zeta function
 det(1 - t F-) / det(1 - t F+) is reduced once and cached beside them, its
 Taylor expansion is the zeta series, the graded determinant is
 det(F+) / det(F-) from the constant terms, and the categorical traces
-tr(F+^n) - tr(F-^n) come from the coefficients by Newton's identities,
-with no matrix powers.  The polynomials, the reduction and the expansion
-run over the integers (see exact_core).  The functional-equation check
-takes the dual's polynomials from matrix inverses, not from these, so it
-can fail.
+tr(F+^n) - tr(F-^n) are the ghost components of the two reversed
+polynomials (series.series_log), with no matrix powers.  The polynomials,
+the reduction, the expansion and the logarithm run over the integers (see
+exact_core and series).  The functional-equation check takes the dual's
+polynomials from matrix inverses, not from these, so it can fail.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import NotInvertibleError, PreconditionError, ValidationError
 from .exact_core import Polynomial, RatMatrix, RationalFunction, char_poly
-from .series import DEFAULT_PRECISION, TruncatedSeries, WittElement
+from .series import DEFAULT_PRECISION, TruncatedSeries, WittElement, ghost_components
 
 
 @dataclass(frozen=True)
@@ -110,24 +110,17 @@ class TraceSequence:
         return iter(self.values)
 
 
-def _power_sums(r: Polynomial, n_max: int) -> list[Fraction]:
-    """tr(F^n) for n = 1..n_max from r = det(1 - t F), by Newton's
-    identities: the coefficients of -t r'(t) / r(t)."""
-    p: list[Fraction] = []
-    for k in range(1, n_max + 1):
-        acc = -k * r[k]
-        for j in range(1, min(k, r.degree + 1)):
-            acc -= r[j] * p[k - j - 1]
-        p.append(acc)
-    return p
-
-
 def trace_sequence(m: TracedMotive, n_max: int) -> TraceSequence:
+    """tr(F+^n) - tr(F-^n) for n = 1..n_max: the ghost components of
+    det(1 - t F-) minus those of det(1 - t F+), since the n-th ghost
+    component of det(1 - t F) is -tr(F^n)."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    rp, rm = m.reversed_char_polys
-    plus, minus = _power_sums(rp, n_max), _power_sums(rm, n_max)
-    return TraceSequence(tuple(a - b for a, b in zip(plus, minus)))
+    plus, minus = (
+        ghost_components(WittElement(TruncatedSeries.from_polynomial(r, n_max)), n_max)
+        for r in m.reversed_char_polys
+    )
+    return TraceSequence(tuple(b - a for a, b in zip(plus, minus)))
 
 
 def zeta_series(m: TracedMotive, precision: int = DEFAULT_PRECISION) -> WittElement:

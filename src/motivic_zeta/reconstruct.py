@@ -6,7 +6,8 @@ cancelled fraction-free and the content is divided out after each update.
 A reconstruction is accepted only when the recurrence stopped changing
 over the final ceil(len/4) terms and its order is at most floor(len/2);
 otherwise NotStabilized is returned carrying the linear-complexity
-profile as evidence.
+profile as evidence.  Either result carries the profile, so a caller that
+wants both runs Berlekamp-Massey once.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class ReconstructionResult:
     stabilized_at: int          # index of the last recurrence change
     residual_checked_to: int    # input length used for the residual check
     degree: int = 0             # deg(num) - deg(den) of the reduced value
+    profile: list[int] = field(default_factory=list)  # linear complexity per prefix
 
     def __post_init__(self):
         self.degree = self.value.degree
@@ -113,7 +115,7 @@ def berlekamp_massey(seq: Sequence) -> ReconstructionResult | NotStabilized:
         return NotStabilized(profile, L, "residual check failed")
     num = Polynomial(prod[:L] if L > 0 else prod[:1])
     value = RationalFunction(num, Polynomial([x * ds for x in cz]))
-    return ReconstructionResult(value, stabilized_at=last_change, residual_checked_to=n)
+    return ReconstructionResult(value, last_change, n, profile=profile)
 
 
 def traces_to_zeta(traces: Sequence) -> ReconstructionResult | NotStabilized:

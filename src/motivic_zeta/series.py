@@ -5,9 +5,11 @@ O(t^{N+1}) is unknown); binary operations truncate to the smaller N.
 Witt elements are series with constant term 1.  Witt addition is the
 plain series product; Witt multiplication goes through the ghost map
 (pointwise product of ghost components), which is an isomorphism here
-because the coefficients form a Q-algebra.  The exponential of a trace
-series, the step from traces to a zeta series, runs over the integers and
-makes `Fraction`s only of its outputs.
+because the coefficients form a Q-algebra.  Every move between a trace
+(ghost) sequence and a series goes through one of two kernels, both
+Newton's identities run over the integers with `Fraction`s made only of
+their outputs: `exp_from_traces` (traces to a zeta series, ghosts to a
+Witt element) and `series_log` (a series to its ghost components).
 """
 
 from __future__ import annotations
@@ -111,28 +113,26 @@ class TruncatedSeries:
         return f"TruncatedSeries({[frac_to_str(c) for c in self.coeffs]})"
 
 
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp(s) for s with zero constant term, to the same precision."""
-    if s.coeffs[0] != 0:
-        raise PreconditionError("series_exp requires zero constant term")
-    n = s.precision
-    out = [Fraction(1)]
-    for k in range(1, n + 1):
-        # k * b_k = sum_{j=1..k} j * a_j * b_{k-j}
-        acc = sum((j * s.coeffs[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
-        out.append(acc / k)
-    return TruncatedSeries(out)
-
-
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    """log(s) for s with constant term 1, to the same precision."""
+    """log(s) for s with constant term 1, to the same precision.
+
+    With p_k = k [t^k] log s, Newton's identities read
+    p_k = k s_k - sum_j s_j p_(k-j).  With D the lcm of the denominators of
+    s and S_j = D*s_j, the recurrence runs on the integers P_k = D^k p_k:
+    P_k = k D^(k-1) S_k - sum_j S_j D^(j-1) P_(k-j), in Horner form."""
     if s.coeffs[0] != 1:
         raise PreconditionError("series_log requires constant term 1")
-    n = s.precision
+    a, d = _integral(s.coeffs)
+    big = [0]
     out = [Fraction(0)]
-    for k in range(1, n + 1):
-        acc = sum((j * out[j] * s.coeffs[k - j] for j in range(1, k)), Fraction(0))
-        out.append(s.coeffs[k] - acc / k)
+    scale = 1  # D^k
+    for k in range(1, len(a)):
+        acc = k * a[k]
+        for j in range(k - 1, 0, -1):
+            acc = d * acc - a[j] * big[k - j]
+        big.append(acc)
+        scale *= d
+        out.append(Fraction(acc, k * scale))
     return TruncatedSeries(out)
 
 
@@ -215,12 +215,11 @@ def ghost_components(a: WittElement, n_max: int) -> list[Fraction]:
 
 def ghost_to_witt(ghosts: Sequence, precision: int | None = None) -> WittElement:
     """Inverse of ghost_components: the Witt element with the given ghosts."""
-    gh = [_frac(g) for g in ghosts]
+    gh = list(ghosts)
     n = len(gh) if precision is None else precision
     if n > len(gh):
         raise PrecisionError("not enough ghost components for requested precision")
-    log_coeffs = [Fraction(0)] + [gh[k - 1] / k for k in range(1, n + 1)]
-    return WittElement(series_exp(TruncatedSeries(log_coeffs)))
+    return WittElement(exp_from_traces(gh[:n]))
 
 
 def witt_mul(a: WittElement, b: WittElement) -> WittElement:

@@ -43,7 +43,8 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .exact_core import Polynomial, RationalFunction
+from .analytic import _poly_roots_certified
+from .exact_core import Polynomial, RationalFunction, _json_int
 from .gf import FqElement, FqField, fq_make, is_prime, row_echelon
 from .gfvec import CHUNK, VecField, vec_field
 from .reconstruct import NotStabilized, traces_to_zeta
@@ -185,14 +186,6 @@ class VarietySpec:
         except (TypeError, ValueError, IndexError) as exc:
             raise ValidationError(f"equations must be lists of [exponent_vector, coefficient] terms: {exc}")
         return VarietySpec(kind, _json_int(dim, "ambient dimension"), p, e, eqs)
-
-
-def _json_int(x, what: str) -> int:
-    """x itself if it is an int; floats, bools and strings are refused,
-    not coerced."""
-    if type(x) is not int:
-        raise ValidationError(f"{what} must be an integer, got {x!r}")
-    return x
 
 
 def projective_space(n: int, p: int, e: int = 1) -> VarietySpec:
@@ -711,7 +704,9 @@ def closed_points(v: VarietySpec, d_max: int, budget: int | None = None) -> list
 
 
 def euler_product_series(b_counts: Sequence[int], precision: int) -> TruncatedSeries:
-    """prod_d (1 - t^d)^{-B_d} truncated at t^precision."""
+    """prod_d (1 - t^d)^{-B_d} truncated at t^precision: an independent
+    route to the zeta series, kept apart from exp_from_traces so that
+    tests can compare the two."""
     result = TruncatedSeries.one(precision)
     for d, b in enumerate(b_counts, start=1):
         if d > precision:
@@ -757,24 +752,14 @@ class WeilReport:
         return out
 
 
-def _reciprocal_root_moduli(poly: Polynomial) -> list[float]:
-    if poly.degree < 1:
-        return []
-    coeffs = [float(poly[i]) for i in range(poly.degree, -1, -1)]
-    return [1.0 / abs(r) for r in np.roots(coeffs)]
-
-
 def weil_check(
     v: VarietySpec, dim: int, n_max: int, budget: int | None = None
 ) -> WeilReport:
     """Reconstruct Z_X from counts and verify rationality, the functional
     equation Z(1/(q^dim t)) = +- t^E q^{dim E/2} Z(t), and the expected
-    reciprocal-root magnitudes q^{i/2}."""
-    from .reconstruct import linear_complexity_profile
-
+    reciprocal-root magnitudes q^{i/2}, read from the certified roots of
+    the reconstructed numerator and denominator."""
     counts = [count_points(v, n, budget) for n in range(1, n_max + 1)]
-    series = exp_from_traces(counts)
-    profile = linear_complexity_profile(series.coeffs)
     rec = traces_to_zeta(counts)
     if isinstance(rec, NotStabilized):
         return WeilReport(
@@ -811,7 +796,7 @@ def weil_check(
         elif ratio.den == Polynomial.one() and ratio.num == Polynomial.constant(-1):
             fe_holds, sign = True, -1
 
-    moduli = _reciprocal_root_moduli(zeta.num) + _reciprocal_root_moduli(zeta.den)
+    moduli = [1.0 / abs(r) for poly in (zeta.num, zeta.den) for r in _poly_roots_certified(poly)]
     grid = [q ** (i / 2.0) for i in range(0, 2 * dim + 1)]
     rh = all(any(abs(m - g) <= 1e-9 * (1 + g) for g in grid) for m in moduli)
     return WeilReport(
@@ -822,7 +807,7 @@ def weil_check(
         sign=sign,
         rh_holds=rh,
         reciprocal_root_moduli=sorted(moduli),
-        profile=profile,
+        profile=rec.profile,
         counts=counts,
         note=note,
     )

@@ -1,8 +1,10 @@
 """Shared fixtures and random-input helpers for the test suite."""
 
+import cmath
 import functools
 import itertools
 import json
+import math
 import operator
 import random
 from fractions import Fraction
@@ -156,6 +158,24 @@ def exp_from_traces_by_fractions(traces) -> TruncatedSeries:
     for k in range(1, len(traces) + 1):
         out.append(sum((a[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)) / k)
     return TruncatedSeries(out)
+
+
+def series_log_by_fractions(s: TruncatedSeries) -> TruncatedSeries:
+    """k*l_k = k*s_k - sum_j j*l_j*s_(k-j) over Fraction."""
+    out = [Fraction(0)]
+    for k in range(1, s.precision + 1):
+        acc = sum((j * out[j] * s.coeffs[k - j] for j in range(1, k)), Fraction(0))
+        out.append(s.coeffs[k] - acc / k)
+    return TruncatedSeries(out)
+
+
+def log_q_lower_branch(lam: complex, q: int) -> complex:
+    """log_q on the branch with Im(log lam) in [-pi, pi[: the window a
+    wrong theta construction would pick, for the branch sentinels."""
+    w = cmath.log(lam)
+    if abs(w.imag - math.pi) <= 1e-12:
+        w = complex(w.real, -math.pi)
+    return w / math.log(q)
 
 
 def bm_core_by_fractions(seq: list[Fraction]):

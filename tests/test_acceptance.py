@@ -42,6 +42,7 @@ from motivic_zeta import (
     zeta_rational,
     zeta_series,
 )
+from motivic_zeta import analytic
 from motivic_zeta.k0 import kernel_is_saturated, right_kernel
 from motivic_zeta.k0 import EulerGram
 from motivic_zeta.measures import affine_space as m_affine
@@ -55,6 +56,7 @@ from motivic_zeta.varieties import projective_space as v_projective
 from conftest import (
     load_motive,
     load_variety,
+    log_q_lower_branch,
     matrix_power_traces,
     random_invertible_motive,
     random_motive,
@@ -192,7 +194,7 @@ def test_criterion_07_hasse_weil_analytics():
     _passed(7, "zeta_P1(2) = 125/96; periodic; abscissa 1")
 
 
-def test_criterion_08_regularized_determinants():
+def test_criterion_08_regularized_determinants(monkeypatch):
     rng = random.Random(8)
     fixtures = [
         (load_motive("p1_motive.json"), 5),
@@ -207,9 +209,8 @@ def test_criterion_08_regularized_determinants():
         assert regularized_det_check(m, q, samples)
     # the deliberately wrong branch window fails the sentinel
     boundary_fixture = TracedMotive(_mat([[-5]]), _empty())
-    assert not regularized_det_check(
-        boundary_fixture, 2, [3.5 + 0.3j], boundary="lower"
-    )
+    monkeypatch.setattr(analytic, "_principal_log_q", log_q_lower_branch)
+    assert not regularized_det_check(boundary_fixture, 2, [3.5 + 0.3j])
     _passed(8, "4 fixtures x 20 samples at 1e-9; sentinel fails as required")
 
 

@@ -4,10 +4,12 @@ regularized determinants."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from motivic_zeta import (
     Inapplicable,
+    analytic,
     RatMatrix,
     TracedMotive,
     convergence_abscissa,
@@ -23,6 +25,8 @@ from motivic_zeta import (
     trace_sequence,
 )
 from motivic_zeta.errors import NotInvertibleError, PoleError, PreconditionError
+
+from conftest import log_q_lower_branch
 
 
 def motive(plus_rows, minus_rows=None) -> TracedMotive:
@@ -124,13 +128,14 @@ def test_theta_construction_p1(p1_motive):
     assert theta.unipotent_blocks == []
 
 
-def test_theta_negative_eigenvalue_on_boundary():
+def test_theta_negative_eigenvalue_on_boundary(monkeypatch):
     m = motive([[-5]])
     theta = theta_construction(m, 2)
     assert theta.branch_window_ok
     z = theta.entries_plus[0].z
     assert abs(z.imag - math.pi / math.log(2)) < 1e-12  # boundary is included
-    wrong = theta_construction(m, 2, boundary="lower")
+    monkeypatch.setattr(analytic, "_principal_log_q", log_q_lower_branch)
+    wrong = theta_construction(m, 2)
     assert not wrong.branch_window_ok
 
 
@@ -155,11 +160,31 @@ def test_regularized_det_matches_zeta(p1_motive, elliptic_f5_motive):
     assert regularized_det_check(elliptic_f5_motive, 5, samples)
 
 
-def test_regularized_det_branch_sentinel():
+def test_regularized_det_branch_sentinel(monkeypatch):
     m = motive([[-5]])
     samples = [3.5 + 0.3j, 4.0 - 1.1j]
     assert regularized_det_check(m, 2, samples)
-    assert not regularized_det_check(m, 2, samples, boundary="lower")
+    monkeypatch.setattr(analytic, "_principal_log_q", log_q_lower_branch)
+    assert not regularized_det_check(m, 2, samples)
+
+
+def test_certified_roots_are_found_once_per_polynomial(monkeypatch, elliptic_f5_motive):
+    # ten samples of the check: the spectrum of each block and the zeta
+    # denominator of every Hasse-Weil sample share one np.roots each
+    calls = []
+    roots = np.roots
+
+    def counting_roots(coeffs):
+        calls.append(tuple(coeffs))
+        return roots(coeffs)
+
+    monkeypatch.setattr(analytic.np, "roots", counting_roots)
+    analytic._poly_roots_certified.cache_clear()
+    samples = [complex(3.0 + 0.1 * k, k - 5.0) for k in range(10)]
+    assert regularized_det_check(elliptic_f5_motive, 5, samples)
+    cp, cm = elliptic_f5_motive.char_polys
+    distinct = {p for p in (cp, cm, elliptic_f5_motive.zeta.den) if p.degree >= 1}
+    assert len(calls) == len(set(calls)) == len(distinct) == 3
 
 
 def test_q_validation(p1_motive):

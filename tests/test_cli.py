@@ -267,6 +267,30 @@ def test_missing_keys_give_validation_errors(capsys, tmp_path, argv, data):
     assert (code, out["status"]) == (1, "validation_error"), out
 
 
+_ONE = {"f_plus": [["2"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        ("numk0 compute", {"chi": [["x"]]}),
+        ("numk0 compute", {"chi": 5}),
+        ("numk0 compute", {"chi": [5]}),
+        ("numk0 compute", {"chi": [[1.5]]}),
+        ("numk0 compute", {"chi": [[True]]}),
+        ("hw eval --q 5", {"motive": _ONE, "samples": ["abc"]}),
+        ("hw eval --q 5", {"motive": _ONE, "samples": [{"re": "x"}]}),
+        ("hw eval --q 5", {"motive": _ONE, "samples": [[1, 2]]}),
+        ("hw eval --q 5", {"motive": _ONE, "samples": 3}),
+    ],
+)
+def test_bad_scalars_below_the_keys_give_validation_errors(capsys, tmp_path, argv, data):
+    # integers of a Gram matrix and numbers of a sample list: a string,
+    # float, bool, list or bare scalar is refused, not coerced or raised raw
+    code, out = run(capsys, *argv.split(), "--in", write(tmp_path, "in.json", data))
+    assert (code, out["status"]) == (1, "validation_error"), out
+
+
 def test_parser_is_built_once(capsys):
     # one process running two subcommands gives the envelopes of two cold calls
     calls = [

@@ -1,7 +1,7 @@
 """The integer kernels of the exact layer against the Fraction routes they
 replaced (the oracles in conftest.py): inverse, gcd and reduction, Taylor
-expansion, exp from traces and Berlekamp-Massey must give identical
-outputs, errors and reasons on seeded inputs."""
+expansion, exp from traces, the series logarithm and Berlekamp-Massey
+must give identical outputs, errors and reasons on seeded inputs."""
 
 import random
 from fractions import Fraction
@@ -12,7 +12,7 @@ from motivic_zeta import Polynomial, RatMatrix, RationalFunction
 from motivic_zeta.errors import NotInvertibleError
 from motivic_zeta.motives import trace_sequence
 from motivic_zeta.reconstruct import NotStabilized, _bm_core, berlekamp_massey
-from motivic_zeta.series import exp_from_traces
+from motivic_zeta.series import TruncatedSeries, exp_from_traces, series_log
 
 from conftest import (
     berlekamp_massey_by_fractions,
@@ -22,6 +22,7 @@ from conftest import (
     inverse_by_fractions,
     random_motive,
     reduce_by_fractions,
+    series_log_by_fractions,
     taylor_by_fractions,
 )
 
@@ -104,6 +105,24 @@ def test_exp_from_traces_matches_recurrence_over_fractions():
         else:
             traces = [rand_frac(rng, -50, 50) / order for _ in range(n)]
         assert exp_from_traces(traces) == exp_from_traces_by_fractions(traces)
+
+
+def test_series_log_matches_recurrence_over_fractions():
+    # dense series, reversed characteristic polynomials (the inputs of
+    # trace_sequence) and sparse rational polynomials, at precisions 0..40
+    rng = random.Random(405)
+    for case in range(CASES):
+        n = rng.randint(0, 40)
+        kind = case % 3
+        if kind == 0:
+            coeffs = [1] + [rand_frac(rng, -50, 50) for _ in range(n)]
+        elif kind == 1:
+            m = random_motive(rng)
+            coeffs = list(TruncatedSeries.from_polynomial(m.reversed_char_polys[case % 2], n).coeffs)
+        else:
+            coeffs = ([1] + [rand_frac(rng) for _ in range(rng.randint(0, 4))] + [0] * n)[: n + 1]
+        s = TruncatedSeries(coeffs)
+        assert series_log(s) == series_log_by_fractions(s)
 
 
 def bm_inputs(rng: random.Random):

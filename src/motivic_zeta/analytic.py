@@ -3,8 +3,13 @@ exponential growth rates, Hasse-Weil evaluation Z(f; q^{-s}), pole/zero
 lattices, principal-branch logarithms, and the regularized-determinant
 consistency check.
 
-All float outputs are derived from the exact characteristic polynomials;
-every eigenvalue is certified against its polynomial before use.
+Every root comes from one cached function, `_poly_roots_certified`: the
+square-free decomposition of the exact polynomial (exact_core) gives each
+root's multiplicity, and floats only place the simple roots of each
+square-free factor, each certified against its factor.  So multiplicities,
+the cancellations between the graded parts (the roots of the exact gcd of
+the two characteristic polynomials) and the multiplicities that Jordan
+block sizes are read at are exact; no two floats are ever grouped.
 """
 
 from __future__ import annotations
@@ -24,37 +29,49 @@ from .errors import (
     PoleError,
     PreconditionError,
 )
-from .exact_core import Polynomial, RatMatrix
+from .exact_core import Polynomial, RatMatrix, squarefree_factors
 from .motives import TracedMotive, trace_sequence, zeta_rational
 
 RESIDUAL_TOL = 1e-8
-BRANCH_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=64)
-def _poly_roots_certified(p: Polynomial) -> tuple[complex, ...]:
-    """Roots of an exact polynomial, each certified to satisfy
-    |p(root)| < 1e-8 (1+|root|)^deg; tiny imaginary parts are zeroed.
-    Computed once per polynomial (Polynomial is immutable and hashable),
-    so repeated spectra and every Hasse-Weil sample share one np.roots."""
-    d = p.degree
-    if d < 1:
+def _poly_roots_certified(p: Polynomial) -> tuple[tuple[complex, int], ...]:
+    """The distinct nonzero roots of p, each with its exact multiplicity,
+    sorted by real and then imaginary part.  The multiplicity i of a root
+    is the index of the square-free factor a_i of p / t^k that it is a
+    root of; np.roots places the simple roots of each a_i, and each is
+    certified to satisfy |a_i(root)| < 1e-8 (1+|root|)^deg(a_i); tiny
+    imaginary parts are zeroed.  Computed once per polynomial (Polynomial
+    is immutable and hashable), so repeated spectra and every Hasse-Weil
+    sample share one decomposition and one np.roots per factor."""
+    if p.is_zero():
         return ()
-    coeffs = [float(p[i]) for i in range(d, -1, -1)]
-    roots = np.roots(coeffs)
+    k = next(i for i, c in enumerate(p.coeffs) if c)
     out = []
-    for r in roots:
-        lam = complex(r)
-        if abs(lam.imag) <= 1e-9 * (1 + abs(lam)):
-            lam = complex(lam.real, 0.0)
-        residual = abs(p.evaluate(lam))
-        if residual >= RESIDUAL_TOL * (1 + abs(lam)) ** d:
-            raise NumericError(
-                f"eigenvalue {lam} fails the residual certificate "
-                f"({residual:.3e})"
-            )
-        out.append(lam)
+    for mult, a in enumerate(squarefree_factors(Polynomial(p.coeffs[k:])), 1):
+        d = a.degree
+        if d < 1:
+            continue
+        for r in np.roots([float(c) for c in reversed(a.coeffs)]):
+            lam = complex(r)
+            if abs(lam.imag) <= 1e-9 * (1 + abs(lam)):
+                lam = complex(lam.real, 0.0)
+            residual = abs(a.evaluate(lam))
+            if residual >= RESIDUAL_TOL * (1 + abs(lam)) ** d:
+                raise NumericError(
+                    f"eigenvalue {lam} fails the residual certificate "
+                    f"({residual:.3e})"
+                )
+            out.append((lam, mult))
+    out.sort(key=lambda e: (e[0].real, e[0].imag))
     return tuple(out)
+
+
+def _eigenvalues(p: Polynomial) -> list[complex]:
+    """All roots of p, each repeated by its exact multiplicity, zero first."""
+    roots = [lam for lam, mult in _poly_roots_certified(p) for _ in range(mult)]
+    return [0j] * (p.degree - len(roots)) + roots
 
 
 @dataclass
@@ -76,8 +93,8 @@ class ComplexSpectrum:
 def spectrum(m: TracedMotive) -> ComplexSpectrum:
     cp, cm = m.char_polys
     return ComplexSpectrum(
-        eigenvalues_plus=list(_poly_roots_certified(cp)),
-        eigenvalues_minus=list(_poly_roots_certified(cm)),
+        eigenvalues_plus=_eigenvalues(cp),
+        eigenvalues_minus=_eigenvalues(cm),
         charpoly_plus=cp,
         charpoly_minus=cm,
     )
@@ -128,8 +145,8 @@ def rate_estimate(traces: Sequence, n_max: int | None = None) -> float:
 
 
 class Inapplicable:
-    """Sentinel: the top-circle eigenvalue hypothesis fails, so the
-    closed-form growth rate does not apply."""
+    """Sentinel: every eigenvalue of top modulus cancels between the graded
+    parts, so the closed-form growth rate does not apply."""
 
     def __repr__(self):
         return "Inapplicable"
@@ -141,42 +158,20 @@ class Inapplicable:
         return hash("Inapplicable")
 
 
-def _top_circle(eigen: list[complex], rho: float) -> list[complex]:
-    return sorted(
-        (z for z in eigen if abs(z) >= rho * (1 - 1e-6)),
-        key=lambda z: (z.real, z.imag),
-    )
-
-
-def _multisets_match(a: list[complex], b: list[complex], tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    remaining = list(b)
-    for x in a:
-        hit = None
-        for i, y in enumerate(remaining):
-            if abs(x - y) <= tol:
-                hit = i
-                break
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return True
-
-
 def rate_exact(m: TracedMotive):
-    """log rho when the top-circle eigenvalue multisets of the two graded
-    parts differ (so no cancellation kills the leading term); otherwise
-    Inapplicable."""
-    spec = spectrum(m)
-    rp = max((abs(z) for z in spec.eigenvalues_plus), default=0.0)
-    rm = max((abs(z) for z in spec.eigenvalues_minus), default=0.0)
-    rho = max(rp, rm)
+    """log rho when some eigenvalue of modulus rho survives cancelling the
+    exact common factor gcd(cp, cm) of the two characteristic polynomials
+    (so the leading term of the traces does not cancel); otherwise
+    Inapplicable.  A survivor's modulus comes from the quotient
+    polynomial, not from cp or cm, so it is compared with rho to float
+    accuracy (1e-9, the slack of the pole test)."""
+    _, _, rho = spectral_radius(m)
     if rho == 0.0:
         return Inapplicable()
-    top_p = _top_circle(spec.eigenvalues_plus, rho)
-    top_m = _top_circle(spec.eigenvalues_minus, rho)
-    if _multisets_match(top_p, top_m, 1e-6 * (1 + rho)):
+    cp, cm = m.char_polys
+    g = cp.gcd(cm)
+    top = max((abs(z) for f in (cp // g, cm // g) for z, _ in _poly_roots_certified(f)), default=0.0)
+    if top < rho * (1 - 1e-9):
         return Inapplicable()
     return math.log(rho)
 
@@ -195,8 +190,7 @@ def hasse_weil_eval(m: TracedMotive, q: int, s: complex) -> complex:
         raise PreconditionError("q must be a prime power >= 2")
     z = zeta_rational(m)
     t0 = cmath.exp(-complex(s) * math.log(q))
-    pole_roots = _poly_roots_certified(z.den)
-    for root in pole_roots:
+    for root, _ in _poly_roots_certified(z.den):
         if abs(t0 - root) <= 1e-9 * (1 + abs(t0)):
             nearest = -cmath.log(root) / math.log(q)
             raise PoleError(
@@ -250,60 +244,30 @@ class MeromorphicReport:
         }
 
 
-def _cluster(eigen: list[complex], tol: float) -> list[tuple[complex, int]]:
-    clusters: list[list[complex]] = []
-    for z in sorted(eigen, key=lambda w: (w.real, w.imag)):
-        for c in clusters:
-            if abs(z - c[0]) <= tol:
-                c.append(z)
-                break
-        else:
-            clusters.append([z])
-    return [(sum(c) / len(c), len(c)) for c in clusters]
-
-
 def poles_and_zeros(
     m: TracedMotive, q: int, samples: Sequence[complex] = ()
 ) -> MeromorphicReport:
     """Base solutions of q^s = eigenvalue on the principal branch; the full
-    sets repeat along the imaginary lattice 2 pi / log q."""
+    sets repeat along the imaginary lattice 2 pi / log q.  Poles are the
+    nonzero roots of det(t - F+), zeros those of det(t - F-), and
+    cancellations those of their exact gcd, all with exact multiplicities."""
     if q < 2:
         raise PreconditionError("q must be a prime power >= 2")
-    spec = spectrum(m)
-    tol = 1e-9 * (1 + max((abs(z) for z in spec.eigenvalues_plus + spec.eigenvalues_minus), default=0.0))
-    plus = _cluster([z for z in spec.eigenvalues_plus if abs(z) > tol], tol)
-    minus = _cluster([z for z in spec.eigenvalues_minus if abs(z) > tol], tol)
+    cp, cm = m.char_polys
 
-    def entries(clusters):
+    def entries(p):
         return [
-            {
-                "s": _principal_log_q(lam, q),
-                "eigenvalue": lam,
-                "multiplicity": mult,
-            }
-            for lam, mult in clusters
+            {"s": _principal_log_q(lam, q), "eigenvalue": lam, "multiplicity": mult}
+            for lam, mult in _poly_roots_certified(p)
         ]
 
-    poles = entries(plus)
-    zeros = entries(minus)
-    cancellations = []
-    for pe in poles:
-        for ze in zeros:
-            if abs(pe["eigenvalue"] - ze["eigenvalue"]) <= tol:
-                cancellations.append(
-                    {
-                        "s": pe["s"],
-                        "eigenvalue": pe["eigenvalue"],
-                        "multiplicity": min(pe["multiplicity"], ze["multiplicity"]),
-                    }
-                )
     values = [{"s": complex(s), "value": hasse_weil_eval(m, q, s)} for s in samples]
     return MeromorphicReport(
         q=q,
         lattice_step=2 * math.pi / math.log(q),
-        poles=poles,
-        zeros=zeros,
-        cancellations=cancellations,
+        poles=entries(cp),
+        zeros=entries(cm),
+        cancellations=entries(cp.gcd(cm)),
         values=values,
     )
 
@@ -356,8 +320,8 @@ class ThetaData:
 
 
 def _jordan_block_sizes(mat: RatMatrix, lam: complex, alg_mult: int) -> tuple[int, ...]:
-    """Block-size partition for one eigenvalue, from float ranks of
-    (M - lam I)^j."""
+    """Block-size partition for one eigenvalue of exact algebraic
+    multiplicity alg_mult, from float ranks of (M - lam I)^j."""
     n = mat.rows
     a = np.array(
         [[float(mat[i, j]) for j in range(n)] for i in range(n)],
@@ -403,22 +367,21 @@ def theta_construction(m: TracedMotive, q: int) -> ThetaData:
     blocks, with Jordan data; requires invertible blocks."""
     if q < 2:
         raise PreconditionError("q must be a prime power >= 2")
-    if any(c[0] == 0 for c in m.char_polys):
+    cp, cm = m.char_polys
+    if cp[0] == 0 or cm[0] == 0:
         raise NotInvertibleError("theta construction needs invertible blocks")
     lq = math.log(q)
     window_hi = math.pi / lq
     window_lo = -math.pi / lq
 
-    spec = spectrum(m)
     unipotent = []
     branch_ok = True
     residual_ok = True
 
-    def build(eigen: list[complex], mat: RatMatrix, part: str) -> list[ThetaEntry]:
+    def build(p: Polynomial, mat: RatMatrix, part: str) -> list[ThetaEntry]:
         nonlocal branch_ok, residual_ok
-        tol = 1e-7 * (1 + max((abs(z) for z in eigen), default=0.0))
         entries = []
-        for lam, mult in _cluster(eigen, tol):
+        for lam, mult in _poly_roots_certified(p):
             z = _principal_log_q(lam, q)
             if not (window_lo < z.imag <= window_hi + 1e-12):
                 branch_ok = False
@@ -440,8 +403,8 @@ def theta_construction(m: TracedMotive, q: int) -> ThetaData:
                     )
         return entries
 
-    entries_plus = build(spec.eigenvalues_plus, m.f_plus, "+")
-    entries_minus = build(spec.eigenvalues_minus, m.f_minus, "-")
+    entries_plus = build(cp, m.f_plus, "+")
+    entries_minus = build(cm, m.f_minus, "-")
     return ThetaData(
         q=q,
         entries_plus=entries_plus,

@@ -21,7 +21,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .exact_core import _frac, _json_int
+from .exact_core import _frac, _json_int, _json_list
 from .motives import TracedMotive
 from .serialize import dumps
 from .series import DEFAULT_PRECISION, WittElement, ghost_components, witt_add, witt_mul
@@ -79,14 +79,15 @@ def _action_in(v: VarietySpec, data) -> lfunctions.GroupAction:
 
 
 def _character_in(data) -> lfunctions.Character:
-    raw = _key(data, "values")
+    raw = _json_list(_key(data, "values"), "values")
     m = _json_int(data.get("m", 1), "m")
     values = []
     for val in raw:
         if isinstance(val, dict):
             values.append(
                 lfunctions.Cyclotomic(
-                    val.get("m", m), tuple(_frac(c) for c in _key(val, "coeffs"))
+                    _json_int(val.get("m", m), "m"),
+                    tuple(_frac(c) for c in _json_list(_key(val, "coeffs"), "coeffs")),
                 )
             )
         elif isinstance(val, list):
@@ -220,13 +221,13 @@ def _reconstruction_payload(result):
 def cmd_reconstruct_bm(args):
     data = _load(args.infile)
     seq = _key(data, "sequence") if isinstance(data, dict) else data
-    return _reconstruction_payload(reconstruct.berlekamp_massey(seq))
+    return _reconstruction_payload(reconstruct.berlekamp_massey(_json_list(seq, "sequence")))
 
 
 def cmd_reconstruct_traces(args):
     data = _load(args.infile)
     seq = _key(data, "traces") if isinstance(data, dict) else data
-    return _reconstruction_payload(reconstruct.traces_to_zeta(seq))
+    return _reconstruction_payload(reconstruct.traces_to_zeta(_json_list(seq, "traces")))
 
 
 def cmd_variety_count(args):

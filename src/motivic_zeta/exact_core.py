@@ -11,8 +11,10 @@ and only its outputs become `Fraction`s again.  The characteristic
 polynomial (and with it the determinant) is Faddeev-LeVerrier on d*M; the
 inverse is fraction-free Gauss-Jordan elimination (Bareiss); the gcd, and
 with it the reduction of every rational function, is a primitive
-pseudo-remainder sequence (Collins); the Taylor expansion of a rational
-function is a recurrence on integers scaled by powers of den(0).
+pseudo-remainder sequence (Collins), and Yun's square-free decomposition,
+which gives every root multiplicity the analytic layer reports, runs on
+it; the Taylor expansion of a rational function is a recurrence on
+integers scaled by powers of den(0).
 """
 
 from __future__ import annotations
@@ -53,6 +55,14 @@ def _json_int(x, what: str) -> int:
     bools, strings and anything else raise ValidationError, naming what."""
     if type(x) is not int:
         raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_list(x, what: str) -> list:
+    """The one list-shape check: x itself if it is a list or tuple; a
+    string, a number or an object raises ValidationError, naming what."""
+    if not isinstance(x, (list, tuple)):
+        raise ValidationError(f"{what} must be a list, got {x!r}")
     return x
 
 
@@ -106,6 +116,42 @@ def _zdiv(a: list[int], g: list[int]) -> list[int]:
             for j, gj in enumerate(g):
                 r[i + j] -= c * gj
     return q
+
+
+def _zderiv(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    """a - b for integer polynomials, trailing zeros stripped."""
+    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def squarefree_factors(p: "Polynomial") -> list["Polynomial"]:
+    """Yun's square-free decomposition (SYMSAC 1976) of a nonzero p: monic,
+    pairwise coprime a_1..a_k with p = lead(p) * a_1 * a_2^2 * .. * a_k^k,
+    so the roots of a_i are the roots of p of multiplicity i (an a_i may
+    be 1; a constant p gives []).  It runs on the primitive integer form f
+    of p: b = f/gcd(f, f'), d = f'/gcd(f, f') - b', then a_i = gcd(b, d),
+    b <- b/a_i, d <- d/a_i - b'; b and d are always divided by the same
+    primitive polynomial, so every quotient is integral."""
+    if p.is_zero():
+        raise ValidationError("the zero polynomial has no square-free decomposition")
+    f = _primitive(_integral(p.coeffs)[0])
+    df = _zderiv(f)
+    g = _zgcd(f, df)
+    b = _zdiv(f, g)
+    d = _zsub(_zdiv(df, g), _zderiv(b))
+    out = []
+    while len(b) > 1:
+        a = _zgcd(b, d)
+        b = _zdiv(b, a)
+        d = _zsub(_zdiv(d, a), _zderiv(b))
+        out.append(Polynomial([Fraction(x, a[-1]) for x in a]))
+    return out
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -580,9 +626,10 @@ class RatMatrix:
 
     @staticmethod
     def from_json(data: Sequence[Sequence]) -> "RatMatrix":
-        if not data:
+        rows = [_json_list(row, "a matrix row") for row in _json_list(data, "a matrix")]
+        if not rows:
             return RatMatrix.empty()
-        return RatMatrix.from_rows([[_frac(e) for e in row] for row in data])
+        return RatMatrix.from_rows([[_frac(e) for e in row] for row in rows])
 
     def __repr__(self):
         return f"RatMatrix({self.to_json()})"

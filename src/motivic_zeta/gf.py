@@ -486,14 +486,18 @@ def row_echelon(rows) -> tuple[list[list[FqElement]], list[int]]:
 @lru_cache(maxsize=None)
 def fq_make(p: int, e: int) -> FqField:
     """Deterministic F_{p^e}: the modulus is the first monic irreducible
-    polynomial in base-p counting order."""
+    polynomial in base-p counting order.  The first p candidates are the
+    binomials x^e + c; when some prime factor of e does not divide p - 1,
+    or 4 | e and p = 3 mod 4, none of them is irreducible (Lidl and
+    Niederreiter, Finite Fields, Thm 3.75), so the scan starts after them."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if e < 1:
         raise ValidationError("extension degree must be >= 1")
     if e == 1:
         return FqField(p, 1, (0, 1))
-    for n in range(p**e):
+    no_binomial = any((p - 1) % ell for ell in _prime_factors(e)) or (e % 4 == 0 and p % 4 == 3)
+    for n in range(p if no_binomial else 0, p**e):
         coeffs = []
         m = n
         for _ in range(e):

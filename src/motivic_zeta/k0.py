@@ -1,8 +1,9 @@
 """Numerical Grothendieck groups from integer Euler-pairing matrices.
 
-Everything here is exact integer linear algebra: kernels come from one
-Hermite normal form, which also gives canonical lattice bases, and the
-Smith normal form with transform tracking tests saturation.
+Everything here is exact integer linear algebra on one normal form, the
+row-Hermite form: it gives the kernels and their canonical bases, tests
+saturation (K^T has Hermite form I_r), and, alternated with the form of
+the transpose, gives the Smith form with small transforms.
 """
 
 from __future__ import annotations
@@ -26,86 +27,58 @@ def _identity(n: int) -> IntMatrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _hermite_with(d: IntMatrix, u: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(t*d, t*u) with t*d the row-Hermite form of d, for u unimodular:
+    the Hermite form of [d | u], which keeps every row, since u has full
+    rank, and reduces t*u above its pivots too."""
+    n = len(d[0])
+    rows = hermite_rows([a + b for a, b in zip(d, u)])
+    return [row[:n] for row in rows], [row[n:] for row in rows]
+
+
+def _transpose(m: IntMatrix) -> IntMatrix:
+    return [list(col) for col in zip(*m)]
+
+
 def smith_normal_form(m: Sequence[Sequence[int]]):
-    """Returns (d, u, v) with u*m*v = d diagonal, d_i | d_{i+1}, u,v unimodular."""
+    """Returns (d, u, v) with u*m*v = d diagonal, d_i | d_(i+1), u, v
+    unimodular, and the zero entries of the diagonal last.  Row-Hermite
+    forms of d and of its transpose alternate until d is diagonal (each
+    pass makes the corner entry the gcd of its column, then of its row,
+    and once it divides both it splits off), then 2x2 steps
+    diag(a, b) -> diag(gcd, lcm) make the diagonal a divisibility chain.
+    Both forms reduce the transforms above their pivots, which keeps their
+    entries small."""
     d = _copy(m)
     rows = len(d)
     cols = len(d[0]) if rows else 0
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):  # row dst += c * row src
-        d[dst] = [a + c * b for a, b in zip(d[dst], d[src])]
-        u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        d[i] = [-a for a in d[i]]
-        u[i] = [-a for a in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # find pivot: nonzero entry of smallest magnitude in the submatrix
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    best = abs(d[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+    u, vt = _identity(rows), _identity(cols)  # vt is v transposed
+    if not (rows and cols):
+        return d, u, vt
+    while True:
+        d, u = _hermite_with(d, u)
+        dt, vt = _hermite_with(_transpose(d), vt)
+        d = _transpose(dt)
+        if not any(d[i][j] for i in range(rows) for j in range(cols) if i != j):
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear row and column t
-        while True:
-            progress = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(t, i, -q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                    progress = True
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(t, j, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                    progress = True
-            if not progress:
-                break
-        # enforce divisibility d[t][t] | d[i][j]
-        fixed = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if d[t][t] < 0:
-                negate_row(t)
-            t += 1
-    return d, u, v
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    for i, a in enumerate(diag):
+        for j in range(i + 1, len(diag)):
+            b = diag[j]
+            if a == 0 or b % a == 0:
+                continue
+            g = math.gcd(a, b)
+            ag, bg = a // g, b // g
+            s = pow(ag, -1, bg)
+            t = (g - s * a) // b  # s*a + t*b = g
+            ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
+            u[i], u[j] = [s * p + t * q for p, q in zip(ui, uj)], [ag * q - bg * p for p, q in zip(ui, uj)]
+            vt[i], vt[j] = [p + q for p, q in zip(vi, vj)], [s * ag * q - t * bg * p for p, q in zip(vi, vj)]
+            a, diag[j] = g, a * bg
+        diag[i] = a
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    return d, u, _transpose(vt)
 
 
 def hermite_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -251,13 +224,10 @@ def _complement_basis(kernel: list[list[int]], n: int) -> list[list[int]]:
 
 
 def kernel_is_saturated(kernel: list[list[int]]) -> bool:
-    """SNF diagonal of the kernel basis is all ones."""
-    if not kernel:
-        return True
-    d, _, _ = smith_normal_form(kernel)
-    r = min(len(d), len(d[0]))
-    diag = [d[i][i] for i in range(r) if d[i][i] != 0]
-    return all(x == 1 for x in diag) and len(diag) == len(kernel)
+    """True iff the r kernel rows span a saturated lattice: K v = w is
+    solvable in Z^n for every w in Z^r, that is, the row-Hermite form of
+    K^T is the identity I_r."""
+    return hermite_rows(_transpose(kernel)) == _identity(len(kernel))
 
 
 def beilinson_gram(n: int) -> EulerGram:

@@ -145,7 +145,9 @@ class GroupAction:
         if ident is None:
             raise ValidationError("no identity element found")
         self.identity_index = ident
-        self.inverse = [next(j for j in range(n) if table[i][j] == ident) for i in range(n)]
+        self.inverse = [next((j for j in range(n) if table[i][j] == ident), None) for i in range(n)]
+        if None in self.inverse:
+            raise ValidationError("an element has no inverse: the matrices are not a group")
         self.element_orders = [self._order(i) for i in range(n)]
         if not all(_preserves(variety, g) for g in elems):
             raise ValidationError(

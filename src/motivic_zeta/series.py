@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PrecisionError, PreconditionError, ValidationError
-from .exact_core import Polynomial, RationalFunction, _frac, _integral, frac_to_str
+from .exact_core import Polynomial, RationalFunction, _frac, _integral, _json_list, frac_to_str
 
 DEFAULT_PRECISION = 16
 
@@ -94,7 +94,9 @@ class TruncatedSeries:
 
     @staticmethod
     def from_json(data: dict) -> "TruncatedSeries":
-        s = TruncatedSeries([_frac(c) for c in data["coeffs"]])
+        if not isinstance(data, dict) or "coeffs" not in data:
+            raise ValidationError(f"a series is an object with a 'coeffs' list, got {data!r}")
+        s = TruncatedSeries([_frac(c) for c in _json_list(data["coeffs"], "coeffs")])
         if s.precision != data.get("precision", s.precision):
             raise ValidationError("precision field disagrees with coefficient count")
         return s

@@ -30,6 +30,7 @@ count_points counts them with its shortcuts intact.  A condition h' x = x
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -58,7 +59,11 @@ def resolve_budget(budget: int | None) -> int:
         return budget
     env = os.environ.get("MOTIVIC_ZETA_BUDGET")
     if env:
-        return int(env)
+        try:
+            env = json.loads(env)
+        except ValueError:
+            pass
+        return _json_int(env, "MOTIVIC_ZETA_BUDGET")
     return DEFAULT_BUDGET
 
 
@@ -183,7 +188,7 @@ class VarietySpec:
                 tuple((tuple(_json_int(x, "exponent") for x in exps), coefficient(c)) for exps, c in eq)
                 for eq in raw
             )
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise ValidationError(f"equations must be lists of [exponent_vector, coefficient] terms: {exc}")
         return VarietySpec(kind, _json_int(dim, "ambient dimension"), p, e, eqs)
 
@@ -758,7 +763,8 @@ def weil_check(
     """Reconstruct Z_X from counts and verify rationality, the functional
     equation Z(1/(q^dim t)) = +- t^E q^{dim E/2} Z(t), and the expected
     reciprocal-root magnitudes q^{i/2}, read from the certified roots of
-    the reconstructed numerator and denominator."""
+    the square-free factors of the reconstructed numerator and denominator,
+    each repeated by its exact multiplicity."""
     counts = [count_points(v, n, budget) for n in range(1, n_max + 1)]
     rec = traces_to_zeta(counts)
     if isinstance(rec, NotStabilized):
@@ -796,7 +802,8 @@ def weil_check(
         elif ratio.den == Polynomial.one() and ratio.num == Polynomial.constant(-1):
             fe_holds, sign = True, -1
 
-    moduli = [1.0 / abs(r) for poly in (zeta.num, zeta.den) for r in _poly_roots_certified(poly)]
+    roots = [r for poly in (zeta.num, zeta.den) for r, mult in _poly_roots_certified(poly) for _ in range(mult)]
+    moduli = [1.0 / abs(r) for r in roots]
     grid = [q ** (i / 2.0) for i in range(0, 2 * dim + 1)]
     rh = all(any(abs(m - g) <= 1e-9 * (1 + g) for g in grid) for m in moduli)
     return WeilReport(

@@ -178,6 +178,49 @@ def log_q_lower_branch(lam: complex, q: int) -> complex:
     return w / math.log(q)
 
 
+def smith_diagonal_by_pivots(m) -> list[int]:
+    """Diagonal of the Smith form by smallest-pivot elimination with no
+    transforms: the library's Smith routine before it moved onto Hermite
+    forms, kept as an oracle for its invariant factors."""
+    d = [list(row) for row in m]
+    rows, cols = len(d), len(d[0]) if d else 0
+    t = 0
+    while t < min(rows, cols):
+        nz = [(abs(d[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]]
+        if not nz:
+            break
+        _, pi, pj = min(nz)
+        d[t], d[pi] = d[pi], d[t]
+        for row in d:
+            row[t], row[pj] = row[pj], row[t]
+        progress = True
+        while progress:
+            progress = False
+            for i in range(t + 1, rows):
+                if d[i][t]:
+                    c = d[i][t] // d[t][t]
+                    d[i] = [a - c * b for a, b in zip(d[i], d[t])]
+                    if d[i][t]:
+                        d[t], d[i] = d[i], d[t]
+                    progress = True
+            for j in range(t + 1, cols):
+                if d[t][j]:
+                    c = d[t][j] // d[t][t]
+                    for row in d:
+                        row[j] -= c * row[t]
+                    if d[t][j]:
+                        for row in d:
+                            row[t], row[j] = row[j], row[t]
+                    progress = True
+        bad = next(((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if d[i][j] % d[t][t]), None)
+        if bad is None:
+            d[t] = [-a for a in d[t]] if d[t][t] < 0 else d[t]
+            t += 1
+        else:
+            d[t] = [a + b for a, b in zip(d[t], d[bad[0]])]
+    return [d[i][i] for i in range(min(rows, cols))]
+
+
 def bm_core_by_fractions(seq: list[Fraction]):
     """Classic Berlekamp-Massey over Fraction with C(0) = 1 throughout;
     returns (C, L, profile, last_change)."""

@@ -3,6 +3,8 @@ regularized determinants."""
 
 import cmath
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -192,3 +194,57 @@ def test_q_validation(p1_motive):
         hasse_weil_eval(p1_motive, 1, 2.0)
     with pytest.raises(PreconditionError):
         theta_construction(p1_motive, 0)
+
+
+def jordan_block(a: int, k: int) -> RatMatrix:
+    return RatMatrix(k, k, [a if i == j else int(j == i + 1) for i in range(k) for j in range(k)])
+
+
+def jordan_motive(rng: random.Random, shared: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(eigenvalue, block size) lists of the two parts, drawing eigenvalues
+    from `shared` so that they repeat within and across the parts."""
+    return tuple([(rng.choice(shared), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))] for _ in range(2))
+
+
+def test_jordan_motives_have_exact_multiplicities_and_block_sizes():
+    # block-diagonal motives of Jordan blocks J_k(a), a repeating: theta
+    # reads one entry per eigenvalue with the constructed multiplicity and
+    # block sizes, and poles_and_zeros cancels the common multiset
+    rng = random.Random(5)
+    for _ in range(25):
+        shared = rng.sample([a for a in range(-5, 6) if a], 2)
+        plus, minus = jordan_motive(rng, shared)
+        m = TracedMotive(
+            RatMatrix.block_diag(*(jordan_block(a, k) for a, k in plus)),
+            RatMatrix.block_diag(*(jordan_block(a, k) for a, k in minus)),
+        )
+        theta = theta_construction(m, 3)
+        for blocks, entries in ((plus, theta.entries_plus), (minus, theta.entries_minus)):
+            want = {a: sorted((k for b, k in blocks if b == a), reverse=True) for a, _ in blocks}
+            got = {round(e.eigenvalue.real): list(e.block_sizes) for e in entries}
+            assert got == want
+            assert all(e.eigenvalue.imag == 0 and e.multiplicity == sum(e.block_sizes) for e in entries)
+        mult_p, mult_m = Counter(), Counter()
+        for counter, blocks in ((mult_p, plus), (mult_m, minus)):
+            for a, k in blocks:
+                counter[a] += k
+        report = poles_and_zeros(m, 3)
+        assert {round(e["eigenvalue"].real): e["multiplicity"] for e in report.cancellations} == dict(mult_p & mult_m)
+        spec = spectrum(m)
+        assert (len(spec.eigenvalues_plus), len(spec.eigenvalues_minus)) == (m.d_plus, m.d_minus)
+
+
+def test_spectrum_repeats_zero_and_multiple_eigenvalues():
+    spec = spectrum(motive([[0, 1, 0], [0, 0, 0], [0, 0, 2]], [[2, 1], [0, 2]]))
+    assert spec.eigenvalues_plus == [0j, 0j, 2 + 0j]
+    assert spec.eigenvalues_minus == [2 + 0j, 2 + 0j]
+
+
+def test_rate_exact_survivors_after_exact_cancellation():
+    # 5 twice against 5 once: one copy survives
+    assert rate_exact(motive([[5, 0], [0, 5]], [[5]])) == math.log(5)
+    # 5 cancels, 3 +- 4i on the same circle survive
+    plus = RatMatrix.block_diag(RatMatrix.from_rows([[5]]), RatMatrix.from_rows([[3, -4], [4, 3]]))
+    assert rate_exact(TracedMotive(plus, RatMatrix.from_rows([[5]]))) == math.log(5)
+    # everything on the top circle cancels, 2 survives below it
+    assert isinstance(rate_exact(motive([[5, 0], [0, 2]], [[5]])), Inapplicable)

@@ -291,6 +291,86 @@ def test_bad_scalars_below_the_keys_give_validation_errors(capsys, tmp_path, arg
     assert (code, out["status"]) == (1, "validation_error"), out
 
 
+_LFUN = json.loads((FIXTURES / "p1_f5_z2_sign.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, data, budget",
+    [
+        ("witt ghost", {"coeffs": "12"}, None),
+        ("witt mul", {"a": 5, "b": {"coeffs": ["1"]}}, None),
+        ("motive zeta", {"f_plus": 5}, None),
+        ("motive zeta", {"f_plus": [5]}, None),
+        ("reconstruct traces", {"traces": 5}, None),
+        ("reconstruct bm", 5, None),
+        ("lfun", {**_LFUN, "character": {"m": 1, "values": 5}}, None),
+        ("lfun", {**_LFUN, "character": {"m": 1, "values": [{"coeffs": 5}, 1]}}, None),
+        ("lfun", {**_LFUN, "variety": {**_LFUN["variety"], "equations": {"x": 1}}}, None),
+        ("orbifold", {**_LFUN, "action": [[[1, 0], [0, 1]], [[1, 0], [0, 0]]]}, None),
+        ("variety count", json.loads((FIXTURES / "p1_f5_variety.json").read_text()), "abc"),
+        ("variety count", json.loads((FIXTURES / "p1_f5_variety.json").read_text()), "1.5"),
+    ],
+)
+def test_list_shapes_and_the_budget_variable_give_validation_errors(capsys, tmp_path, monkeypatch, argv, data, budget):
+    # a string or a number where a list belongs is refused, not iterated
+    # or raised raw, and MOTIVIC_ZETA_BUDGET is read as a JSON integer
+    if budget is not None:
+        monkeypatch.setenv("MOTIVIC_ZETA_BUDGET", budget)
+    code, out = run(capsys, *argv.split(), "--in", write(tmp_path, "in.json", data))
+    assert (code, out["status"]) == (1, "validation_error"), out
+
+
+def test_budget_variable_is_read_as_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MOTIVIC_ZETA_BUDGET", "3")
+    code, out = run(capsys, "variety", "count", "--in", fixture("elliptic_f5_variety.json"))
+    assert (code, out["status"]) == (2, "resource_error")
+    assert out["payload"]["budget"] == 3
+
+
+def diagonal_rows(a: int, k: int) -> list[list[str]]:
+    return [[str(a) if i == j else "0" for j in range(k)] for i in range(k)]
+
+
+def jordan_rows(a: int, k: int) -> list[list[str]]:
+    return [[str(a) if i == j else "1" if j == i + 1 else "0" for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize(
+    "rows, multiplicity, block_sizes, rho",
+    [
+        (diagonal_rows(5, 3), 3, [1, 1, 1], 5),
+        (jordan_rows(5, 3), 3, [3], 5),
+        (diagonal_rows(5, 4), 4, [1, 1, 1, 1], 5),
+        (jordan_rows(25, 6), 6, [6], 25),
+    ],
+)
+def test_repeated_eigenvalues_keep_exact_multiplicities(capsys, tmp_path, rows, multiplicity, block_sizes, rho):
+    # a root of multiplicity m >= 3 once split into m "distinct" roots near
+    # rho, with multiplicity 1 each and status ok
+    path = write(tmp_path, "m.json", {"f_plus": rows})
+    code, out = run(capsys, "theta", "--in", path, "--q", "5")
+    assert code == 0
+    [entry] = out["payload"]["entries_plus"]
+    assert (entry["multiplicity"], entry["block_sizes"]) == (multiplicity, block_sizes)
+    assert entry["eigenvalue"] == {"re": rho, "im": 0.0}
+    code, out = run(capsys, "hw", "poles", "--in", path, "--q", "5")
+    assert code == 0
+    [pole] = out["payload"]["poles"]
+    assert pole["multiplicity"] == multiplicity
+    code, out = run(capsys, "motive", "growth", "--in", path, "--nmax", "12")
+    assert code == 0
+    assert out["payload"]["spectral_radius"]["rho"] == rho
+    assert out["payload"]["rate_exact"] == float(f"{math.log(rho):.12g}")
+
+
+def test_evaluation_at_a_triple_pole_is_a_numeric_error(capsys, tmp_path):
+    # Z = 1/(1 - 5t)^3 at s = 1; the split roots once missed the pole and
+    # answered 4.6e15 with status ok
+    path = write(tmp_path, "m.json", {"motive": {"f_plus": diagonal_rows(5, 3)}, "samples": [1]})
+    code, out = run(capsys, "hw", "eval", "--in", path, "--q", "5")
+    assert (code, out["status"]) == (3, "numeric_error")
+
+
 def test_parser_is_built_once(capsys):
     # one process running two subcommands gives the envelopes of two cold calls
     calls = [

@@ -1,5 +1,6 @@
 """Exact polynomial, rational-function and matrix arithmetic."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from motivic_zeta import (
     char_poly,
     reversed_char_poly,
 )
+from motivic_zeta.exact_core import squarefree_factors
 from motivic_zeta.errors import (
     DimensionError,
     NotInvertibleError,
@@ -254,3 +256,37 @@ def test_json_round_trips():
     assert RationalFunction.from_json(r.to_json()) == r
     m = RatMatrix.from_rows([[Fraction(1, 3), 0], [1, 2]])
     assert RatMatrix.from_json(m.to_json()) == m
+
+
+def _derivative(p: Polynomial) -> Polynomial:
+    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def test_squarefree_factors_rebuild_seeded_products():
+    # lead * prod f_j^(e_j) over random factors that may share roots: the
+    # factors are monic, square-free and pairwise coprime, and rebuild p
+    rng = random.Random(11)
+    for _ in range(300):
+        p = Polynomial([rng.choice([1, -1, 3, Fraction(-5, 2), Fraction(2, 7)])])
+        for _ in range(rng.randint(1, 4)):
+            f = Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))] + [1])
+            p = p * f ** rng.randint(1, 3)
+        factors = squarefree_factors(p)
+        rebuilt = Polynomial([p.coeffs[-1]])
+        for i, a in enumerate(factors, 1):
+            assert a.coeffs[-1] == 1
+            assert a.gcd(_derivative(a)).degree == 0
+            rebuilt = rebuilt * a**i
+        for a, b in itertools.combinations(factors, 2):
+            assert a.gcd(b).degree == 0
+        assert factors[-1].degree >= 1
+        assert rebuilt == p
+
+
+def test_squarefree_factors_edge_cases():
+    t = Polynomial.x()
+    assert squarefree_factors(Polynomial([7])) == []
+    assert squarefree_factors(t**3) == [Polynomial.one(), Polynomial.one(), t]
+    assert squarefree_factors((t - 5) ** 6 * (t + 1) * 3) == [t + 1] + [Polynomial.one()] * 4 + [t - 5]
+    with pytest.raises(ValidationError):
+        squarefree_factors(Polynomial.zero())

@@ -1,6 +1,7 @@
 """Finite field construction, arithmetic and embeddings."""
 
 import copy
+import itertools
 import pickle
 import random
 import time
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from motivic_zeta import FqField, fq_make
 from motivic_zeta.errors import NotInvertibleError, ValidationError
-from motivic_zeta.gf import is_prime
+from motivic_zeta.gf import _is_irreducible, is_prime
 from motivic_zeta.varieties import twisted_count
 
 from conftest import inverse_by_euclid, load_variety, mul_by_schoolbook
@@ -308,3 +309,29 @@ def test_scalar_layer_runs_in_time():
         best = min(best, time.process_time() - start)
     assert count == 15700 and len(products) == 10**4
     assert best < 0.1, best
+
+
+def first_irreducible_by_full_scan(p: int, e: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree e in base-p counting order,
+    binomials included."""
+    for n in itertools.count():
+        modulus = [n // p**i % p for i in range(e)] + [1]
+        if _is_irreducible(modulus, p):
+            return tuple(modulus)
+
+
+def test_fq_make_modulus_matches_the_full_scan():
+    # skipping the binomials x^e + c that Thm 3.75 of Lidl-Niederreiter
+    # rules out keeps the first modulus for every p <= 23 and 2 <= e <= 8
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for e in range(2, 9):
+            assert fq_make(p, e).modulus == first_irreducible_by_full_scan(p, e), (p, e)
+
+
+def test_fq_make_skips_impossible_binomials_in_time():
+    # 3 does not divide 65536, so no x^3 + c is irreducible over F_65537;
+    # the scan of all 65537 of them took about 10 s
+    start = time.perf_counter()
+    f = fq_make.__wrapped__(65537, 3)
+    assert time.perf_counter() - start < 1.0
+    assert f.modulus == (4, 1, 0, 1)

@@ -411,6 +411,16 @@ def test_weil_check_elliptic():
     assert abs(moduli[1] - 5**0.5) < 1e-9 and abs(moduli[2] - 5**0.5) < 1e-9
 
 
+def test_weil_check_split_quadric_reads_exact_multiplicities():
+    # xy = zw in P^3/F_2 has Z = 1/((1-t)(1-2t)^2(1-4t)): the double root
+    # is placed as a simple root of a square-free factor, so its modulus is
+    # exact, not 2.000000000000003
+    quadric = plane(2, (((1, 1, 0, 0), 1), ((0, 0, 1, 1), -1)), dim=3)
+    report = weil_check(quadric, 2, 10)
+    assert report.reciprocal_root_moduli == [1.0, 2.0, 2.0, 4.0]
+    assert report.rh_holds and report.functional_equation_holds
+
+
 def test_weil_check_not_stabilized_with_short_data():
     report = weil_check(projective_space(2, 3), 2, 3)
     assert not report.stabilized

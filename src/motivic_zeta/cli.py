@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Every subcommand delegates to one library operation, reads JSON input via
---in, and writes a canonical-JSON CommandResult envelope to stdout or
---out.  Exit codes: 0 ok, 1 validation/precondition, 2 resource limit,
+COMMANDS has one row per subcommand: its words, the library operation it
+runs and the flags it reads, each with its default or REQUIRED.  A
+subcommand takes only those flags; all but two read a JSON document with
+--in.  Every run writes one canonical-JSON envelope
+{"status": ..., "payload": ...} to stdout or --out (to stdout when --out
+cannot be written).  Exit codes: 0 ok; 1 validation or precondition
+error, usage mistakes included (an undeclared or missing flag, a
+non-integer value, --nmax or --precision below 1); 2 resource limit;
 3 numeric failure.
 """
 
@@ -24,18 +29,25 @@ from .errors import (
 from .exact_core import _frac, _json_int, _json_list
 from .motives import TracedMotive
 from .serialize import dumps
-from .series import DEFAULT_PRECISION, WittElement, ghost_components, witt_add, witt_mul
+from .series import DEFAULT_PRECISION, TruncatedSeries, WittElement, ghost_components, witt_add, witt_mul
 from .varieties import VarietySpec
 
 
 def _load(path: str):
-    if path is None:
-        raise ValidationError("this command requires --in FILE")
-    with open(path) as fh:
-        try:
+    """The JSON document in the --in file; a file that cannot be read, is
+    not UTF-8, is not JSON or nests too deeply to decode is a
+    ValidationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}")
+    except OSError as exc:
+        raise ValidationError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{path} nests too deeply to decode") from None
 
 
 def _key(data, name: str):
@@ -64,18 +76,6 @@ def _samples_in(data, default: list) -> list[complex]:
             raise ValidationError(f"a sample must be a number or {{'re': x, 'im': y}} of numbers, got {s!r}")
         out.append(complex(*parts))
     return out
-
-
-def _motive_in(args) -> TracedMotive:
-    return TracedMotive.from_json(_load(args.infile))
-
-
-def _variety_in(data) -> VarietySpec:
-    return VarietySpec.from_json(data)
-
-
-def _action_in(v: VarietySpec, data) -> lfunctions.GroupAction:
-    return lfunctions.GroupAction(v, data)
 
 
 def _character_in(data) -> lfunctions.Character:
@@ -128,20 +128,21 @@ def _measure_class_in(data) -> measures.MeasureClass:
     raise ValidationError(f"unknown class builder {op!r}")
 
 
-# --- subcommand handlers; each returns the payload dict ---
+# --- subcommand handlers: the --in document arrives as `data`, each flag
+# under its own name; each returns the payload dict ---
 
 
-def cmd_motive_zeta(args):
-    m = _motive_in(args)
+def cmd_motive_zeta(data, precision):
+    m = TracedMotive.from_json(data)
     return {
-        "series": motives.zeta_series(m, args.precision).to_json(),
+        "series": motives.zeta_series(m, precision).to_json(),
         "rational": motives.zeta_rational(m).to_json(),
         "degrees": list(motives.zeta_degrees(m)),
     }
 
 
-def cmd_motive_feq(args):
-    report = motives.check_functional_equation(_motive_in(args))
+def cmd_motive_feq(data):
+    report = motives.check_functional_equation(TracedMotive.from_json(data))
     return {
         "holds": report.holds,
         "trace_of_identity": report.trace_of_identity,
@@ -151,54 +152,43 @@ def cmd_motive_feq(args):
     }
 
 
-def cmd_motive_traces(args):
-    traces = motives.trace_sequence(_motive_in(args), args.nmax)
-    return {"traces": list(traces)}
+def cmd_motive_traces(data, nmax):
+    return {"traces": list(motives.trace_sequence(TracedMotive.from_json(data), nmax))}
 
 
-def cmd_motive_det(args):
-    return {"det": motives.determinant(_motive_in(args))}
+def cmd_motive_det(data):
+    return {"det": motives.determinant(TracedMotive.from_json(data))}
 
 
-def cmd_motive_growth(args):
-    m = _motive_in(args)
+def cmd_motive_growth(data, nmax):
+    m = TracedMotive.from_json(data)
     rho_p, rho_m, rho = analytic.spectral_radius(m)
     exact = analytic.rate_exact(m)
-    traces = motives.trace_sequence(m, args.nmax)
+    traces = motives.trace_sequence(m, nmax)
     return {
         "spectral_radius": {"plus": rho_p, "minus": rho_m, "rho": rho},
         "rate_exact": "inapplicable" if isinstance(exact, analytic.Inapplicable) else exact,
         "rate_estimate": analytic.rate_estimate(list(traces)),
-        "growth_bound_holds": analytic.growth_bound_check(m, args.nmax),
+        "growth_bound_holds": analytic.growth_bound_check(m, nmax),
     }
 
 
-def _witt_pair(args):
-    data = _load(args.infile)
-    from .series import TruncatedSeries
-
-    a = WittElement(TruncatedSeries.from_json(_key(data, "a")))
-    b = WittElement(TruncatedSeries.from_json(_key(data, "b")))
-    return a, b
+def _witt_pair(data):
+    return [WittElement(TruncatedSeries.from_json(_key(data, name))) for name in ("a", "b")]
 
 
-def cmd_witt_add(args):
-    a, b = _witt_pair(args)
-    return witt_add(a, b).to_json()
+def cmd_witt_add(data):
+    return witt_add(*_witt_pair(data)).to_json()
 
 
-def cmd_witt_mul(args):
-    a, b = _witt_pair(args)
-    return witt_mul(a, b).to_json()
+def cmd_witt_mul(data):
+    return witt_mul(*_witt_pair(data)).to_json()
 
 
-def cmd_witt_ghost(args):
-    from .series import TruncatedSeries
-
-    data = _load(args.infile)
+def cmd_witt_ghost(data, nmax):
     w = WittElement(TruncatedSeries.from_json(data))
-    n = args.nmax if args.nmax is not None else w.precision
-    return {"ghosts": ghost_components(w, n)}
+    # nmax is None or >= 1: left out, it is the input's precision
+    return {"ghosts": ghost_components(w, nmax or w.precision)}
 
 
 def _reconstruction_payload(result):
@@ -218,63 +208,50 @@ def _reconstruction_payload(result):
     }
 
 
-def cmd_reconstruct_bm(args):
-    data = _load(args.infile)
+def cmd_reconstruct_bm(data):
     seq = _key(data, "sequence") if isinstance(data, dict) else data
     return _reconstruction_payload(reconstruct.berlekamp_massey(_json_list(seq, "sequence")))
 
 
-def cmd_reconstruct_traces(args):
-    data = _load(args.infile)
+def cmd_reconstruct_traces(data):
     seq = _key(data, "traces") if isinstance(data, dict) else data
     return _reconstruction_payload(reconstruct.traces_to_zeta(_json_list(seq, "traces")))
 
 
-def cmd_variety_count(args):
-    v = _variety_in(_load(args.infile))
-    n_max = args.nmax or 1
-    counts = [varieties.count_points(v, n, args.budget) for n in range(1, n_max + 1)]
-    return {"counts": counts}
+def cmd_variety_count(data, nmax, budget):
+    v = VarietySpec.from_json(data)
+    return {"counts": [varieties.count_points(v, n, budget) for n in range(1, nmax + 1)]}
 
 
-def cmd_variety_zeta(args):
-    v = _variety_in(_load(args.infile))
-    n_max = args.nmax or DEFAULT_PRECISION
-    return varieties.zeta_from_counts(v, n_max, args.budget).to_json()
+def cmd_variety_zeta(data, nmax, budget):
+    return varieties.zeta_from_counts(VarietySpec.from_json(data), nmax, budget).to_json()
 
 
-def cmd_variety_weil(args):
-    v = _variety_in(_load(args.infile))
-    if args.dim is None:
-        raise ValidationError("weil check requires --dim")
-    return varieties.weil_check(v, args.dim, args.nmax or 8, args.budget).to_json()
+def cmd_variety_weil(data, dim, nmax, budget):
+    return varieties.weil_check(VarietySpec.from_json(data), dim, nmax, budget).to_json()
 
 
-def cmd_variety_closed_points(args):
-    v = _variety_in(_load(args.infile))
-    return {"closed_points": varieties.closed_points(v, args.nmax or 3, args.budget)}
+def cmd_variety_closed_points(data, nmax, budget):
+    return {"closed_points": varieties.closed_points(VarietySpec.from_json(data), nmax, budget)}
 
 
-def cmd_lfun(args):
-    data = _load(args.infile)
-    v = _variety_in(_key(data, "variety"))
-    action = _action_in(v, _key(data, "action"))
+def _variety_and_action(data):
+    v = VarietySpec.from_json(_key(data, "variety"))
+    return v, lfunctions.GroupAction(v, _key(data, "action"))
+
+
+def cmd_lfun(data, nmax, budget):
+    v, action = _variety_and_action(data)
     character = _character_in(_key(data, "character"))
-    n_max = args.nmax or 5
-    return lfunctions.l_function(v, action, character, n_max, args.budget).to_json()
+    return lfunctions.l_function(v, action, character, nmax, budget).to_json()
 
 
-def cmd_orbifold(args):
-    data = _load(args.infile)
-    v = _variety_in(_key(data, "variety"))
-    action = _action_in(v, _key(data, "action"))
-    n_max = args.nmax or 5
-    return lfunctions.orbifold_zeta(v, action, n_max, args.budget).to_json()
+def cmd_orbifold(data, nmax, budget):
+    return lfunctions.orbifold_zeta(*_variety_and_action(data), nmax, budget).to_json()
 
 
-def cmd_artin_mazur(args):
-    data = _load(args.infile)
-    traces = varieties.artin_mazur_traces(_int_key(data, "p"), _int_key(data, "m"), args.nmax or 24)
+def cmd_artin_mazur(data, nmax):
+    traces = varieties.artin_mazur_traces(_int_key(data, "p"), _int_key(data, "m"), nmax)
     result = reconstruct.berlekamp_massey(traces)
     return {
         "traces": traces,
@@ -283,61 +260,50 @@ def cmd_artin_mazur(args):
     }
 
 
-def _motive_q_in(args):
-    data = _load(args.infile)
-    if "motive" in data:
-        m = TracedMotive.from_json(data["motive"])
-    else:
-        m = TracedMotive.from_json(data)
-        data = {}
-    if args.q is None:
-        raise ValidationError("this command requires --q")
-    return m, args.q, data
+def _motive_q_in(data):
+    """The motive of {"motive": ..., "samples": ...} or of a bare motive,
+    with the object that may hold the samples."""
+    if isinstance(data, dict) and "motive" in data:
+        return TracedMotive.from_json(data["motive"]), data
+    return TracedMotive.from_json(data), {}
 
 
-def cmd_hw_eval(args):
-    m, q, data = _motive_q_in(args)
+def cmd_hw_eval(data, q):
+    m, data = _motive_q_in(data)
     samples = _samples_in(data, [])
     values = [analytic.hasse_weil_eval(m, q, s) for s in samples]
     return {"values": [{"s": s, "value": v} for s, v in zip(samples, values)]}
 
 
-def cmd_hw_poles(args):
-    m, q, data = _motive_q_in(args)
-    samples = _samples_in(data, [])
-    return analytic.poles_and_zeros(m, q, samples).to_json()
+def cmd_hw_poles(data, q):
+    m, data = _motive_q_in(data)
+    return analytic.poles_and_zeros(m, q, _samples_in(data, [])).to_json()
 
 
-def cmd_hw_abscissa(args):
-    m, q, _ = _motive_q_in(args)
-    return {"abscissa": analytic.convergence_abscissa(m, q)}
+def cmd_hw_abscissa(data, q):
+    return {"abscissa": analytic.convergence_abscissa(_motive_q_in(data)[0], q)}
 
 
-def cmd_theta(args):
-    m, q, _ = _motive_q_in(args)
-    return analytic.theta_construction(m, q).to_json()
+def cmd_theta(data, q):
+    return analytic.theta_construction(_motive_q_in(data)[0], q).to_json()
 
 
-def cmd_regdet_check(args):
-    m, q, data = _motive_q_in(args)
+def cmd_regdet_check(data, q):
+    m, data = _motive_q_in(data)
     samples = _samples_in(data, [{"re": 2.0, "im": 0.0}])
     return {"passes": analytic.regularized_det_check(m, q, samples)}
 
 
-def cmd_numk0_compute(args):
-    gram = k0.EulerGram.from_rows(_key(_load(args.infile), "chi"))
-    return k0.num_grothendieck(gram).to_json()
+def cmd_numk0_compute(data):
+    return k0.num_grothendieck(k0.EulerGram.from_rows(_key(data, "chi"))).to_json()
 
 
-def cmd_numk0_beilinson(args):
-    if args.dim is None:
-        raise ValidationError("beilinson requires --dim")
-    gram = k0.beilinson_gram(args.dim)
+def cmd_numk0_beilinson(dim):
+    gram = k0.beilinson_gram(dim)
     return {"gram": gram.to_json(), "report": k0.num_grothendieck(gram).to_json()}
 
 
-def cmd_numk0_quiver(args):
-    data = _load(args.infile)
+def cmd_numk0_quiver(data):
     arrows = _key(data, "arrows")
     if not (isinstance(arrows, list) and all(isinstance(a, list) and len(a) == 2 for a in arrows)):
         raise ValidationError(f"arrows must be a list of [source, target] pairs, got {arrows!r}")
@@ -345,153 +311,149 @@ def cmd_numk0_quiver(args):
     return {"gram": gram.to_json(), "report": k0.num_grothendieck(gram).to_json()}
 
 
-def cmd_measure_eval(args):
-    cls = _measure_class_in(_load(args.infile))
+def cmd_measure_eval(data, q):
+    cls = _measure_class_in(data)
     out = {
         "poly": cls.poly.to_json(),
         "mu_rig": measures.mu_rig(cls),
         "mu_nc": measures.mu_nc_composite(cls).to_json(),
         "in_cell_span": cls.in_cell_span,
     }
-    if args.q is not None:
-        out["q"] = args.q
-        out["mu_count"] = measures.mu_count(cls, args.q)
+    if q is not None:  # --q is optional here: given, it adds the count over F_q
+        out["q"] = q
+        out["mu_count"] = measures.mu_count(cls, q)
     return out
 
 
-def cmd_measure_witness(args):
-    if args.n is None or args.q is None:
-        raise ValidationError("witness requires --n and --q")
-    return measures.non_factoring_witness(args.n, args.q).to_json()
+def cmd_measure_witness(n, q):
+    return measures.non_factoring_witness(n, q).to_json()
+
+
+REQUIRED = object()  # the default of a flag that must be given
+IO = {"in": REQUIRED, "out": None}
+
+# The only declaration of the CLI's commands and flags: a subcommand takes
+# exactly the flags of its row (every row has --out) and no other.
+COMMANDS = (
+    ("motive zeta", cmd_motive_zeta, {**IO, "precision": DEFAULT_PRECISION}),
+    ("motive feq", cmd_motive_feq, IO),
+    ("motive traces", cmd_motive_traces, {**IO, "nmax": REQUIRED}),
+    ("motive det", cmd_motive_det, IO),
+    ("motive growth", cmd_motive_growth, {**IO, "nmax": REQUIRED}),
+    ("witt add", cmd_witt_add, IO),
+    ("witt mul", cmd_witt_mul, IO),
+    ("witt ghost", cmd_witt_ghost, {**IO, "nmax": None}),
+    ("reconstruct bm", cmd_reconstruct_bm, IO),
+    ("reconstruct traces", cmd_reconstruct_traces, IO),
+    ("variety count", cmd_variety_count, {**IO, "nmax": 1, "budget": None}),
+    ("variety zeta", cmd_variety_zeta, {**IO, "nmax": DEFAULT_PRECISION, "budget": None}),
+    ("variety weil", cmd_variety_weil, {**IO, "dim": REQUIRED, "nmax": 8, "budget": None}),
+    ("variety closed-points", cmd_variety_closed_points, {**IO, "nmax": 3, "budget": None}),
+    ("lfun", cmd_lfun, {**IO, "nmax": 5, "budget": None}),
+    ("orbifold", cmd_orbifold, {**IO, "nmax": 5, "budget": None}),
+    ("artin-mazur", cmd_artin_mazur, {**IO, "nmax": 24}),
+    ("hw eval", cmd_hw_eval, {**IO, "q": REQUIRED}),
+    ("hw poles", cmd_hw_poles, {**IO, "q": REQUIRED}),
+    ("hw abscissa", cmd_hw_abscissa, {**IO, "q": REQUIRED}),
+    ("theta", cmd_theta, {**IO, "q": REQUIRED}),
+    ("regdet-check", cmd_regdet_check, {**IO, "q": REQUIRED}),
+    ("numk0 compute", cmd_numk0_compute, IO),
+    ("numk0 beilinson", cmd_numk0_beilinson, {"out": None, "dim": REQUIRED}),
+    ("numk0 quiver", cmd_numk0_quiver, IO),
+    ("measure eval", cmd_measure_eval, {**IO, "q": None}),
+    ("measure witness", cmd_measure_witness, {"out": None, "n": REQUIRED, "q": REQUIRED}),
+)
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+# how each flag's value is read
+_TYPES = {
+    "in": str, "out": str, "precision": _at_least_one, "nmax": _at_least_one,
+    "budget": int, "q": int, "dim": int, "n": int,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage mistakes raise ValidationError, so that they
+    leave as an envelope with exit 1, and that reads no abbreviated flags
+    (--n is never --nmax)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by later ones."""
-    parser = argparse.ArgumentParser(
+    """The parser of COMMANDS, built on the first call and shared by later ones."""
+    parser = _Parser(
         prog="motivic-zeta",
         description="Exact zeta and L-function computations for graded "
         "endomorphisms, finite-field point counts, and numerical "
         "Grothendieck groups.",
     )
-    top = parser.add_subparsers(dest="group", required=True)
-    # the flags every leaf takes, declared once and shared by all of them
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--in", dest="infile", default=None)
-    common.add_argument("--out", dest="outfile", default=None)
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    common.add_argument("--nmax", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--q", type=int, default=None)
-    common.add_argument("--dim", type=int, default=None)
-    common.add_argument("--n", type=int, default=None)
-
-    def leaf(sub, name, handler):
-        sub.add_parser(name, parents=[common]).set_defaults(handler=handler)
-
-    motive = top.add_parser("motive").add_subparsers(dest="op", required=True)
-    leaf(motive, "zeta", cmd_motive_zeta)
-    leaf(motive, "feq", cmd_motive_feq)
-    leaf(motive, "traces", cmd_motive_traces)
-    leaf(motive, "det", cmd_motive_det)
-    leaf(motive, "growth", cmd_motive_growth)
-
-    witt = top.add_parser("witt").add_subparsers(dest="op", required=True)
-    leaf(witt, "add", cmd_witt_add)
-    leaf(witt, "mul", cmd_witt_mul)
-    leaf(witt, "ghost", cmd_witt_ghost)
-
-    rec = top.add_parser("reconstruct").add_subparsers(dest="op", required=True)
-    leaf(rec, "bm", cmd_reconstruct_bm)
-    leaf(rec, "traces", cmd_reconstruct_traces)
-
-    var = top.add_parser("variety").add_subparsers(dest="op", required=True)
-    leaf(var, "count", cmd_variety_count)
-    leaf(var, "zeta", cmd_variety_zeta)
-    leaf(var, "weil", cmd_variety_weil)
-    leaf(var, "closed-points", cmd_variety_closed_points)
-
-    leaf(top, "lfun", cmd_lfun)
-    leaf(top, "orbifold", cmd_orbifold)
-    leaf(top, "artin-mazur", cmd_artin_mazur)
-
-    hw = top.add_parser("hw").add_subparsers(dest="op", required=True)
-    leaf(hw, "eval", cmd_hw_eval)
-    leaf(hw, "poles", cmd_hw_poles)
-    leaf(hw, "abscissa", cmd_hw_abscissa)
-
-    leaf(top, "theta", cmd_theta)
-    leaf(top, "regdet-check", cmd_regdet_check)
-
-    nk = top.add_parser("numk0").add_subparsers(dest="op", required=True)
-    leaf(nk, "compute", cmd_numk0_compute)
-    leaf(nk, "beilinson", cmd_numk0_beilinson)
-    leaf(nk, "quiver", cmd_numk0_quiver)
-
-    meas = top.add_parser("measure").add_subparsers(dest="op", required=True)
-    leaf(meas, "eval", cmd_measure_eval)
-    leaf(meas, "witness", cmd_measure_witness)
-
+    subcommands = {"": parser.add_subparsers(required=True)}
+    for words, handler, flags in COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group not in subcommands:
+            subcommands[group] = subcommands[""].add_parser(group).add_subparsers(required=True)
+        leaf = subcommands[group].add_parser(name)
+        leaf.set_defaults(handler=handler)
+        for flag, default in flags.items():
+            leaf.add_argument(f"--{flag}", type=_TYPES[flag], default=default, required=default is REQUIRED)
     return parser
 
 
-def _emit(result: dict, outfile: str | None) -> None:
-    text = dumps(result)
-    if outfile:
-        with open(outfile, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+# each library error's status and exit code, the first match wins
+_FAILURES = (
+    (ResourceError, "resource_error", 2),
+    (NumericError, "numeric_error", 3),
+    (PreconditionError, "precondition_error", 1),
+    (MotivicZetaError, "validation_error", 1),
+)
+
+
+def _open_out(path: str | None):
+    """The --out file, opened before the handler runs so that an unwritable
+    path is reported, on stdout, in place of the result."""
+    if not path:
+        return sys.stdout
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    infile = getattr(args, "infile", None)
+    infile, out = None, sys.stdout
     try:
-        payload = args.handler(args)
-    except ResourceError as exc:
-        _emit(
-            {
-                "status": "resource_error",
-                "payload": {
-                    "reason": str(exc),
-                    "required": exc.required,
-                    "budget": exc.budget,
-                    "input": infile,
-                },
-            },
-            getattr(args, "outfile", None),
-        )
-        return 2
-    except NumericError as exc:
-        _emit(
-            {"status": "numeric_error", "payload": {"reason": str(exc), "input": infile}},
-            getattr(args, "outfile", None),
-        )
-        return 3
-    except (ValidationError, PreconditionError, MotivicZetaError) as exc:
-        status = (
-            "precondition_error"
-            if isinstance(exc, PreconditionError)
-            else "validation_error"
-        )
-        _emit(
-            {"status": status, "payload": {"reason": str(exc), "input": infile}},
-            getattr(args, "outfile", None),
-        )
-        return 1
-    except FileNotFoundError as exc:
-        _emit(
-            {
-                "status": "validation_error",
-                "payload": {"reason": str(exc), "input": infile},
-            },
-            getattr(args, "outfile", None),
-        )
-        return 1
-    _emit({"status": "ok", "payload": payload}, getattr(args, "outfile", None))
-    return 0
+        flags = vars(build_parser().parse_args(argv))
+        handler, infile = flags.pop("handler"), flags.get("in")
+        out = _open_out(flags.pop("out"))
+        if "in" in flags:
+            flags["data"] = _load(flags.pop("in"))
+        envelope, code = {"status": "ok", "payload": handler(**flags)}, 0
+    except MotivicZetaError as exc:
+        status, code = next((s, c) for kind, s, c in _FAILURES if isinstance(exc, kind))
+        payload = {"reason": str(exc), "input": infile}
+        if isinstance(exc, ResourceError):
+            payload.update(required=exc.required, budget=exc.budget)
+        envelope = {"status": status, "payload": payload}
+    out.write(dumps(envelope) + "\n")
+    if out is not sys.stdout:
+        out.close()
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: validation/precondition -> 1,
-resource -> 2, numeric -> 3.
+The CLI turns each into an envelope status and exit code:
+ResourceError -> resource_error, 2; NumericError -> numeric_error, 3;
+PreconditionError -> precondition_error, 1; any other MotivicZetaError,
+usage mistakes and unreadable --in or --out files included ->
+validation_error, 1.
 """
 
 

@@ -163,7 +163,9 @@ def _fpoly_gcd(a: list, b: list) -> list:
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    # every Miller-Rabin base below is also trial-divided: a base that n
+    # divides witnesses nothing
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
     d, s = n - 1, 0

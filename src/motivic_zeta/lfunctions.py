@@ -279,7 +279,10 @@ def l_function(
     budget: int | None = None,
 ) -> LSeries:
     """exp(sum_n (1/|G|) sum_g chi(g^{-1}) N_n(g) t^n / n) where N_n(g) is
-    the twisted fixed-point count of g composed with Fr^n."""
+    the twisted fixed-point count of g composed with Fr^n.  v must be the
+    variety the action was built on, which proved that it is preserved."""
+    if v != action.variety:
+        raise ValidationError("the action was built on another variety than v")
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     character.check_against(action)
@@ -319,7 +322,10 @@ def orbifold_zeta(
     agree: the direct trace formula, summed over conjugacy classes and
     their centralizers, and the commuting-pairs formula
     (1/|G|) sum over all g, h with gh = hg of N_n(h; fix g), which reads
-    commutation from the multiplication table alone."""
+    commutation from the multiplication table alone.  v must be the
+    variety the action was built on."""
+    if v != action.variety:
+        raise ValidationError("the action was built on another variety than v")
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     if len(action) % v.p == 0:

@@ -1,15 +1,18 @@
 """CLI surface: envelopes, exit codes and canonical JSON output."""
 
-import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from motivic_zeta.cli import build_parser, main
+import motivic_zeta
+from motivic_zeta.cli import COMMANDS, REQUIRED, build_parser, main
 from motivic_zeta.serialize import dumps
-from motivic_zeta.series import DEFAULT_PRECISION
 
 from conftest import FIXTURES
 
@@ -59,6 +62,45 @@ def test_missing_file(capsys):
     code, out = run(capsys, "motive", "zeta", "--in", "/nonexistent.json")
     assert code == 1
     assert out["status"] == "validation_error"
+
+
+def _unreadable_files(tmp_path):
+    """--in a directory, a file that is not UTF-8 or that nests past the
+    decoder's recursion limit, and --out in a directory that does not
+    exist."""
+    (tmp_path / "latin1.json").write_bytes(b'{"f_plus": [["\xe9"]]}')
+    (tmp_path / "deep.json").write_text("[" * 10**5 + "]" * 10**5)
+    return [
+        ["--in", str(tmp_path)],
+        ["--in", str(tmp_path / "latin1.json")],
+        ["--in", str(tmp_path / "deep.json")],
+        ["--in", fixture("p1_motive.json"), "--out", str(tmp_path / "missing" / "x.json")],
+    ]
+
+
+def test_unreadable_input_and_unwritable_output_give_validation_errors(capsys, tmp_path):
+    # each raised a raw traceback; the envelope of an unwritable --out
+    # goes to stdout
+    for tail in _unreadable_files(tmp_path):
+        code, out = run(capsys, "motive", "zeta", *tail)
+        assert (code, out["status"]) == (1, "validation_error"), tail
+
+
+def test_the_module_run_leaves_no_traceback(tmp_path):
+    # python -m motivic_zeta.cli on input that once raised past main
+    (tmp_path / "five.json").write_text("5")
+    (tmp_path / "word.json").write_text('"motive"')
+    argvs = [["motive", "zeta", *tail] for tail in _unreadable_files(tmp_path)]
+    argvs += [[*command.split(), "--q", "5", "--in", str(tmp_path / name)] for command, name in (("hw eval", "five.json"), ("theta", "word.json"))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(motivic_zeta.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    runs = [
+        subprocess.Popen([sys.executable, "-m", "motivic_zeta.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for argv in argvs
+    ]
+    for argv, proc in zip(argvs, runs):
+        stdout, stderr = proc.communicate(timeout=60)
+        assert "Traceback" not in stderr, (argv, stderr)
+        assert (proc.returncode, json.loads(stdout)["status"]) == (1, "validation_error"), argv
 
 
 def test_witt_add_mul(capsys, tmp_path):
@@ -215,6 +257,9 @@ def test_bad_action_inputs_give_validation_errors(capsys, tmp_path, commands, da
         assert (code, out["status"]) == (1, "validation_error"), out
 
 
+_MOTIVE_Q_COMMANDS = ("hw eval", "hw poles", "hw abscissa", "theta", "regdet-check")
+
+
 def _series(*coeffs):
     return {"coeffs": list(coeffs)}
 
@@ -257,6 +302,7 @@ def test_bad_rationals_give_validation_errors(capsys, tmp_path, argv, data):
         ("lfun", _lfun_input(character={"m": 2, "values": [{"m": 2}, {"m": 2, "coeffs": [1]}]})),
         ("motive zeta", {"x": 1}),
         ("hw eval --q 5", {"samples": [{"re": 2.0}]}),
+        *((f"{command} --q 5", data) for command in _MOTIVE_Q_COMMANDS for data in (5, "motive")),
     ],
 )
 def test_missing_keys_give_validation_errors(capsys, tmp_path, argv, data):
@@ -385,45 +431,37 @@ def test_parser_is_built_once(capsys):
     assert build_parser() is build_parser()
 
 
-def leaves(parser, path=()):
-    """(subcommand words, parser) of every leaf of the command tree."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        yield list(path), parser
-        return
-    for name, child in subs[0].choices.items():
-        yield from leaves(child, path + (name,))
-
-
-def test_every_leaf_takes_the_common_flags(capsys):
-    # each leaf must parse, print help and fail on a bad value exactly as a
-    # parser that declares the eight flags on its own does
-    all_leaves = list(leaves(build_parser()))
-    assert len(all_leaves) == 27
-    defaults = {
-        "infile": None, "outfile": None, "precision": DEFAULT_PRECISION, "nmax": None,
-        "budget": None, "q": None, "dim": None, "n": None,
+def test_each_command_takes_exactly_the_flags_of_its_row(capsys, tmp_path):
+    # the table is the CLI: every flag a row declares parses to its value or
+    # its default, and every usage mistake is a validation_error, exit 1
+    assert len(COMMANDS) == 27 and sum(len(flags) for *_, flags in COMMANDS) == 79
+    values = {
+        "in": fixture("p1_motive.json"), "out": str(tmp_path / "out.json"),
+        "precision": "3", "nmax": "2", "budget": "100", "q": "5", "dim": "1", "n": "2",
     }
-    for path, leaf in all_leaves:
-        reference = argparse.ArgumentParser(prog=leaf.prog)
-        reference.add_argument("--in", dest="infile", default=None)
-        reference.add_argument("--out", dest="outfile", default=None)
-        reference.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-        for flag in ("nmax", "budget", "q", "dim", "n"):
-            reference.add_argument(f"--{flag}", type=int, default=None)
-        assert leaf.format_help() == reference.format_help()
-        assert leaf.format_usage() == reference.format_usage()
-        parsed = vars(leaf.parse_args([]))
-        assert callable(parsed.pop("handler")) and parsed == defaults
-        errors = []
-        for parser in (leaf, reference):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args(["--nmax", "x"])
-            errors.append((exc.value.code, capsys.readouterr().err))
-        assert errors[0] == errors[1] and errors[0][0] == 2
-        with pytest.raises(SystemExit) as exc:
-            main(path + ["--bogus"])
-        assert exc.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def argv(words, flags):
+        return words.split() + [x for flag in flags for x in (f"--{flag}", values[flag])]
+
+    for words, handler, flags in COMMANDS:
+        assert "out" in flags
+        given = {flag: values[flag] if flag in ("in", "out") else int(values[flag]) for flag in flags}
+        assert vars(build_parser().parse_args(argv(words, flags))) == {"handler": handler, **given}
+        required = [flag for flag, default in flags.items() if default is REQUIRED]
+        defaults = {flag: given[flag] if flag in required else default for flag, default in flags.items()}
+        assert vars(build_parser().parse_args(argv(words, required))) == {"handler": handler, **defaults}
+        mistakes = [argv(words, required + [flag]) for flag in values.keys() - flags]
+        mistakes += [argv(words, [flag for flag in required if flag != gone]) for gone in required]
+        mistakes += [
+            argv(words, required) + [f"--{flag}", bad]
+            for flag in ("nmax", "precision") if flag in flags for bad in ("0", "-1", "x")
+        ]
+        for bad in mistakes:
+            code, out = run(capsys, *bad)
+            assert (code, out["status"]) == (1, "validation_error"), bad
+    for bad in ([], ["motive"], ["motive", "bogus"], ["motive", "det", "--in", values["in"], "extra"]):
+        code, out = run(capsys, *bad)
+        assert (code, out["status"]) == (1, "validation_error"), bad
 
 
 def test_artin_mazur(capsys):

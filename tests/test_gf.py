@@ -20,6 +20,8 @@ from conftest import inverse_by_euclid, load_variety, mul_by_schoolbook
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # 37 is also a Miller-Rabin base, and was once refused
+    assert [n for n in range(2, 2000) if is_prime(n)] == [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
     assert not is_prime(1)
     assert is_prime(2**61 - 1)
 

@@ -74,6 +74,19 @@ def test_group_action_must_preserve_variety():
         GroupAction(no_points, [[[1]], [[2]]])
 
 
+def test_l_function_and_orbifold_refuse_another_variety(z2_action):
+    # x -> -x does not preserve x^2 - xy = 0 in P^1/F_5, and GroupAction
+    # refuses it there; handed the action built on P^1, l_function once
+    # answered 1, 3/2, 15/8 and orbifold_zeta said the routes agree
+    cut = VarietySpec("projective", 1, 5, 1, ((((2, 0), 1), ((1, 1), -1)),))
+    with pytest.raises(ValidationError, match="could not verify"):
+        GroupAction(cut, [[[1, 0], [0, 1]], [[-1, 0], [0, 1]]])
+    with pytest.raises(ValidationError, match="another variety"):
+        l_function(cut, z2_action, trivial_character(z2_action), 2)
+    with pytest.raises(ValidationError, match="another variety"):
+        orbifold_zeta(cut, z2_action, 2)
+
+
 @pytest.mark.parametrize(
     "variety, matrices",
     [

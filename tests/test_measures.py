@@ -1,5 +1,7 @@
 """Motivic measures on the cell-built Grothendieck classes."""
 
+import time
+
 import pytest
 
 from motivic_zeta import (
@@ -35,6 +37,18 @@ def test_is_prime_power():
     assert [q for q in range(2, 20) if is_prime_power(q)] == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19,
     ]
+
+
+def test_is_prime_power_of_large_q_is_fast():
+    # trial division up to sqrt(q) took 1.4 s on 10^14 + 31 and ran for
+    # more than 10 s on 2^61 - 1
+    cases = {
+        2**61 - 1: True, (2**31 - 1) ** 2: True, 3 * (2**61 - 1): False, 2**64: True,
+        37**2: True, -4: False, 0: False, 1: False, 4: True, 6: False,
+    }
+    start = time.perf_counter()
+    assert {q: is_prime_power(q) for q in cases} == cases
+    assert time.perf_counter() - start < 0.05
 
 
 def test_counting_polynomials():

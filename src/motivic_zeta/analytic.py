@@ -81,14 +81,6 @@ class ComplexSpectrum:
     charpoly_plus: Polynomial
     charpoly_minus: Polynomial
 
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues_plus": [{"re": z.real, "im": z.imag} for z in self.eigenvalues_plus],
-            "eigenvalues_minus": [{"re": z.real, "im": z.imag} for z in self.eigenvalues_minus],
-            "charpoly_plus": self.charpoly_plus.to_json(),
-            "charpoly_minus": self.charpoly_minus.to_json(),
-        }
-
 
 def spectrum(m: TracedMotive) -> ComplexSpectrum:
     cp, cm = m.char_polys
@@ -221,28 +213,6 @@ class MeromorphicReport:
     cancellations: list[dict]
     values: list[dict] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        def cpx(z):
-            return {"re": z.real, "im": z.imag}
-
-        def entry(e):
-            return {
-                "s": cpx(e["s"]),
-                "eigenvalue": cpx(e["eigenvalue"]),
-                "multiplicity": e["multiplicity"],
-            }
-
-        return {
-            "q": self.q,
-            "lattice_step": self.lattice_step,
-            "poles": [entry(e) for e in self.poles],
-            "zeros": [entry(e) for e in self.zeros],
-            "cancellations": [entry(e) for e in self.cancellations],
-            "values": [
-                {"s": cpx(v["s"]), "value": cpx(v["value"])} for v in self.values
-            ],
-        }
-
 
 def poles_and_zeros(
     m: TracedMotive, q: int, samples: Sequence[complex] = ()
@@ -282,14 +252,6 @@ class ThetaEntry:
     multiplicity: int
     block_sizes: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "z": {"re": self.z.real, "im": self.z.imag},
-            "eigenvalue": {"re": self.eigenvalue.real, "im": self.eigenvalue.imag},
-            "multiplicity": self.multiplicity,
-            "block_sizes": list(self.block_sizes),
-        }
-
 
 @dataclass
 class ThetaData:
@@ -299,24 +261,6 @@ class ThetaData:
     unipotent_blocks: list[dict]
     branch_window_ok: bool
     log_residual_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "entries_plus": [e.to_json() for e in self.entries_plus],
-            "entries_minus": [e.to_json() for e in self.entries_minus],
-            "unipotent_blocks": [
-                {
-                    "part": b["part"],
-                    "z": {"re": b["z"].real, "im": b["z"].imag},
-                    "size": b["size"],
-                    "nilpotent_log": b["nilpotent_log"],
-                }
-                for b in self.unipotent_blocks
-            ],
-            "branch_window_ok": self.branch_window_ok,
-            "log_residual_ok": self.log_residual_ok,
-        }
 
 
 def _jordan_block_sizes(mat: RatMatrix, lam: complex, alg_mult: int) -> tuple[int, ...]:

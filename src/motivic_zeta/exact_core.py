@@ -197,16 +197,14 @@ class Polynomial:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
+        other = _as_polynomial(other)
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
+        other = _as_polynomial(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self[i] + other[i] for i in range(n)])
 
@@ -216,8 +214,7 @@ class Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
+        other = _as_polynomial(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -368,31 +365,19 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction(
-                other if isinstance(other, Polynomial) else Polynomial([other]),
-                Polynomial.one(),
-            )
+        other = _as_rational_function(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction(
-                other if isinstance(other, Polynomial) else Polynomial([other]),
-                Polynomial.one(),
-            )
+        other = _as_rational_function(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __add__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction(
-                other if isinstance(other, Polynomial) else Polynomial([other]),
-                Polynomial.one(),
-            )
+        other = _as_rational_function(other)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -401,11 +386,7 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction(
-                other if isinstance(other, Polynomial) else Polynomial([other]),
-                Polynomial.one(),
-            )
+        other = _as_rational_function(other)
         return self + (-other)
 
     def substitute_reciprocal(self, scale=Fraction(1)) -> "RationalFunction":
@@ -463,6 +444,18 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.num!r} / {self.den!r})"
+
+
+def _as_polynomial(x) -> Polynomial:
+    """An int or Fraction operand as a constant Polynomial; anything else as it is."""
+    return Polynomial([x]) if isinstance(x, (int, Fraction)) else x
+
+
+def _as_rational_function(x) -> RationalFunction:
+    """An int, Fraction or Polynomial operand as a RationalFunction over 1;
+    anything else as it is."""
+    x = _as_polynomial(x)
+    return RationalFunction(x, Polynomial.one()) if isinstance(x, Polynomial) else x
 
 
 class RatMatrix:

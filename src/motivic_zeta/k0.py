@@ -171,18 +171,6 @@ class NumK0Report:
     quotient_basis: list[list[int]]
     warning: str | None = None
 
-    def to_json(self) -> dict:
-        out = {
-            "rank": self.rank,
-            "left_kernel_basis": self.left_kernel_basis,
-            "right_kernel_basis": self.right_kernel_basis,
-            "kernels_agree": self.kernels_agree,
-            "quotient_basis": self.quotient_basis,
-        }
-        if self.warning:
-            out["warning"] = self.warning
-        return out
-
 
 def num_grothendieck(g: EulerGram) -> NumK0Report:
     lk = left_kernel(g)

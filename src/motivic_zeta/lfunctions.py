@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError, ValidationError
-from .exact_core import _frac, frac_to_str
+from .exact_core import _frac
 from .gf import FqElement
 from .series import TruncatedSeries, WittElement, exp_from_traces
 from .varieties import (
@@ -101,9 +101,6 @@ class Cyclotomic:
             float(c) * cmath.exp(2j * cmath.pi * k / self.m)
             for k, c in enumerate(self.coeffs)
         )
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": [frac_to_str(c) for c in self.coeffs]}
 
 
 Matrix = tuple[tuple[FqElement, ...], ...]
@@ -217,9 +214,6 @@ class Character:
     def value_on_element(self, action: GroupAction, i: int) -> Cyclotomic:
         return self.values[action.class_of[i]]
 
-    def to_json(self) -> dict:
-        return {"m": self.m, "values": [v.to_json() for v in self.values]}
-
 
 def trivial_character(action: GroupAction) -> Character:
     return Character(1, tuple(Cyclotomic.rational(1) for _ in action.class_reps))
@@ -252,7 +246,7 @@ class LSeries:
         return {
             "m": self.m,
             "precision": self.precision,
-            "coeffs": [c.to_json() for c in self.coeffs],
+            "coeffs": self.coeffs,
         }
 
 
@@ -305,14 +299,6 @@ class OrbifoldReport:
     product: WittElement
     routes_agree: bool
     traces: list[Fraction]
-
-    def to_json(self) -> dict:
-        return {
-            "direct": self.direct.to_json(),
-            "product": self.product.to_json(),
-            "routes_agree": self.routes_agree,
-            "traces": [frac_to_str(t) for t in self.traces],
-        }
 
 
 def orbifold_zeta(

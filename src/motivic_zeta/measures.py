@@ -50,9 +50,6 @@ class EpsInt:
         """The ring map eps -> -1 down to Z."""
         return self.a - self.b
 
-    def to_json(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
     def __repr__(self):
         return f"EpsInt({self.a}, {self.b})"
 
@@ -171,21 +168,6 @@ class WitnessReport:
     mu_count_points: int
     count_values_agree: bool
     note: str | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "n": self.n,
-            "q": self.q,
-            "mu_nc_projective": self.mu_nc_projective.to_json(),
-            "mu_nc_points": self.mu_nc_points.to_json(),
-            "nc_values_agree": self.nc_values_agree,
-            "mu_count_projective": self.mu_count_projective,
-            "mu_count_points": self.mu_count_points,
-            "count_values_agree": self.count_values_agree,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
 def non_factoring_witness(n: int, q: int) -> WitnessReport:

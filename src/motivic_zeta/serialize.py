@@ -1,9 +1,14 @@
 """Canonical JSON output: sorted keys, rationals as "a/b" strings,
 complex numbers as {"re", "im"}, floats rounded to 12 significant digits
-so repeated runs are byte-stable."""
+so repeated runs are byte-stable.
+
+This is the one encoder of results.  An object with a to_json method is
+encoded through it; any other dataclass is encoded field by field, in
+field order, and a field whose value is None is left out."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -35,6 +40,9 @@ def canonical(obj):
         return [canonical(v) for v in obj]
     if hasattr(obj, "to_json"):
         return canonical(obj.to_json())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        return {name: canonical(v) for name, v in values if v is not None}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

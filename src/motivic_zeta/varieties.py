@@ -55,16 +55,20 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("MOTIVIC_ZETA_BUDGET")
-    if env:
+    """The budget given, else MOTIVIC_ZETA_BUDGET, else DEFAULT_BUDGET;
+    whichever it is, a budget below 0 is a ValidationError."""
+    if budget is None:
+        env = os.environ.get("MOTIVIC_ZETA_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
         try:
             env = json.loads(env)
         except ValueError:
             pass
-        return _json_int(env, "MOTIVIC_ZETA_BUDGET")
-    return DEFAULT_BUDGET
+        budget = _json_int(env, "MOTIVIC_ZETA_BUDGET")
+    if budget < 0:
+        raise ValidationError(f"a budget must be >= 0, got {budget}")
+    return budget
 
 
 class BudgetTracker:
@@ -737,24 +741,6 @@ class WeilReport:
     counts: list[int]
     smooth_proper_assumed: bool = True
     note: str | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "stabilized": self.stabilized,
-            "functional_equation_holds": self.functional_equation_holds,
-            "rh_holds": self.rh_holds,
-            "reciprocal_root_moduli": self.reciprocal_root_moduli,
-            "profile": self.profile,
-            "counts": self.counts,
-            "smooth_proper_assumed": self.smooth_proper_assumed,
-        }
-        if self.zeta is not None:
-            out["zeta"] = self.zeta.to_json()
-            out["e_degree"] = self.e_degree
-            out["sign"] = self.sign
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
 def weil_check(

@@ -6,13 +6,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import motivic_zeta
-from motivic_zeta.cli import COMMANDS, REQUIRED, build_parser, main
-from motivic_zeta.serialize import dumps
+from motivic_zeta.cli import ARTIN_MAZUR_MAX_NMAX, COMMANDS, REQUIRED, build_parser, main
+from motivic_zeta.serialize import canonical, dumps
 
 from conftest import FIXTURES
 
@@ -355,11 +357,14 @@ _LFUN = json.loads((FIXTURES / "p1_f5_z2_sign.json").read_text())
         ("orbifold", {**_LFUN, "action": [[[1, 0], [0, 1]], [[1, 0], [0, 0]]]}, None),
         ("variety count", json.loads((FIXTURES / "p1_f5_variety.json").read_text()), "abc"),
         ("variety count", json.loads((FIXTURES / "p1_f5_variety.json").read_text()), "1.5"),
+        ("variety count", json.loads((FIXTURES / "p1_f5_variety.json").read_text()), "-1"),
+        ("variety count --budget -1", json.loads((FIXTURES / "p1_f5_variety.json").read_text()), None),
     ],
 )
 def test_list_shapes_and_the_budget_variable_give_validation_errors(capsys, tmp_path, monkeypatch, argv, data, budget):
     # a string or a number where a list belongs is refused, not iterated
-    # or raised raw, and MOTIVIC_ZETA_BUDGET is read as a JSON integer
+    # or raised raw, and MOTIVIC_ZETA_BUDGET is read as a JSON integer;
+    # a negative budget is refused from the flag and the variable alike
     if budget is not None:
         monkeypatch.setenv("MOTIVIC_ZETA_BUDGET", budget)
     code, out = run(capsys, *argv.split(), "--in", write(tmp_path, "in.json", data))
@@ -367,10 +372,11 @@ def test_list_shapes_and_the_budget_variable_give_validation_errors(capsys, tmp_
 
 
 def test_budget_variable_is_read_as_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("MOTIVIC_ZETA_BUDGET", "3")
-    code, out = run(capsys, "variety", "count", "--in", fixture("elliptic_f5_variety.json"))
-    assert (code, out["status"]) == (2, "resource_error")
-    assert out["payload"]["budget"] == 3
+    for budget in (3, 0):  # 0 is a budget, not a refusal
+        monkeypatch.setenv("MOTIVIC_ZETA_BUDGET", str(budget))
+        code, out = run(capsys, "variety", "count", "--in", fixture("elliptic_f5_variety.json"))
+        assert (code, out["status"]) == (2, "resource_error")
+        assert out["payload"]["budget"] == budget
 
 
 def diagonal_rows(a: int, k: int) -> list[list[str]]:
@@ -474,6 +480,15 @@ def test_artin_mazur(capsys):
     assert payload["reconstruction"]["stabilized"] is False
 
 
+def test_artin_mazur_refuses_an_nmax_above_its_cap(capsys, monkeypatch):
+    # Berlekamp-Massey runs for seconds past the cap; the refusal comes
+    # before a single trace is computed
+    monkeypatch.setattr(motivic_zeta.varieties, "artin_mazur_traces", None)
+    code, out = run(capsys, "artin-mazur", "--in", fixture("artin_mazur.json"), "--nmax", str(ARTIN_MAZUR_MAX_NMAX + 1))
+    assert (code, out["status"]) == (2, "resource_error")
+    assert (out["payload"]["required"], out["payload"]["budget"]) == (701, 700)
+
+
 def test_hw_eval_and_pole_exit_code(capsys, tmp_path):
     motive = json.loads((FIXTURES / "p1_motive.json").read_text())
     path = write(tmp_path, "hw.json", {"motive": motive, "samples": [{"re": 2.0}]})
@@ -556,3 +571,121 @@ def test_output_is_byte_stable(capsys, tmp_path):
 def test_canonical_float_formatting():
     assert dumps({"x": -0.0}) == '{\n  "x": 0.0\n}'
     assert json.loads(dumps({"x": math.inf}))["x"] == "inf"
+
+
+@dataclass
+class _Report:
+    z: complex
+    ratio: Fraction
+    note: str | None = None
+
+
+@dataclass
+class _Encoded:
+    hidden: int
+
+    def to_json(self):
+        return {"shown": self.hidden + 1}
+
+
+def test_canonical_encodes_dataclasses_field_by_field():
+    assert canonical(_Report(1 + 2j, Fraction(-1, 3))) == {"z": {"re": 1.0, "im": 2.0}, "ratio": "-1/3"}
+    assert canonical(_Report(0.5j, Fraction(2), "kept")) == {"z": {"re": 0.0, "im": 0.5}, "ratio": "2", "note": "kept"}
+    # a to_json method wins over the fields
+    assert canonical([_Encoded(1)]) == [{"shown": 2}]
+    with pytest.raises(TypeError):
+        canonical(_Report)  # a class, not an instance
+
+
+def test_lfun_payload_of_a_cubic_character(capsys, tmp_path):
+    # a character of C_3 with values in Q[x]/(x^3 - 1): the non-rational LSeries path
+    data = {
+        "variety": {"ambient": {"projective": 1}, "p": 7, "e": 1, "equations": []},
+        "action": [[[1, 0], [0, 1]], [[2, 0], [0, 1]], [[4, 0], [0, 1]]],
+        "character": {"m": 3, "values": [1, [0, 1, 0], [0, 0, 1]]},
+    }
+    code, out = run(capsys, "lfun", "--in", write(tmp_path, "c3.json", data), "--nmax", "3")
+    assert code == 0
+    assert out["payload"] == {
+        "m": 3,
+        "precision": 3,
+        "coeffs": [
+            {"m": 3, "coeffs": ["1", "0", "0"]},
+            {"m": 3, "coeffs": ["8/3", "8/3", "8/3"]},
+            {"m": 3, "coeffs": ["19", "19", "19"]},
+            {"m": 3, "coeffs": ["400/3", "400/3", "400/3"]},
+        ],
+    }
+
+
+_WEIL_KEYS = {
+    "stabilized", "functional_equation_holds", "rh_holds", "reciprocal_root_moduli",
+    "profile", "counts", "smooth_proper_assumed",
+}
+
+
+@pytest.mark.parametrize(
+    "name, flags, keys",
+    [
+        # a functional equation that holds gives its sign
+        ("elliptic_f5_variety.json", [], _WEIL_KEYS | {"zeta", "e_degree", "sign"}),
+        # one that fails gives no sign, not "sign": null
+        ("gm_f2_variety.json", [], _WEIL_KEYS | {"zeta", "e_degree"}),
+        # no reconstruction: no zeta, e_degree or sign, and a note why
+        ("elliptic_f5_variety.json", ["--nmax", "2"], _WEIL_KEYS | {"note"}),
+    ],
+)
+def test_variety_weil_keys(capsys, name, flags, keys):
+    code, out = run(capsys, "variety", "weil", "--in", fixture(name), "--dim", "1", *flags)
+    assert code == 0
+    assert set(out["payload"]) == keys
+
+
+def _smoke_inputs(tmp_path):
+    """One passing invocation of every CLI subcommand, keyed by its words."""
+    motive = fixture("p1_motive.json")
+    sampled = write(tmp_path, "sampled.json", {"motive": json.loads(Path(motive).read_text()), "samples": [{"re": 2.5}]})
+    pair = write(tmp_path, "pair.json", {"a": {"coeffs": ["1", "2", "3"]}, "b": {"coeffs": ["1", "-1/2", "5"]}})
+    return {
+        "motive zeta": ["--in", motive],
+        "motive feq": ["--in", motive],
+        "motive traces": ["--in", motive, "--nmax", "4"],
+        "motive det": ["--in", motive],
+        "motive growth": ["--in", motive, "--nmax", "4"],
+        "witt add": ["--in", pair],
+        "witt mul": ["--in", pair],
+        "witt ghost": ["--in", write(tmp_path, "w.json", {"coeffs": ["1", "2", "3"]})],
+        "reconstruct bm": ["--in", write(tmp_path, "bm.json", {"sequence": [1, 1, 2, 3, 5, 8, 13, 21]})],
+        "reconstruct traces": ["--in", write(tmp_path, "tr.json", [6, 26, 126, 626, 3126, 15626])],
+        "variety count": ["--in", fixture("elliptic_f5_variety.json"), "--nmax", "2"],
+        "variety zeta": ["--in", fixture("p1_f5_variety.json"), "--nmax", "4"],
+        "variety weil": ["--in", fixture("elliptic_f5_variety.json"), "--dim", "1"],
+        "variety closed-points": ["--in", fixture("gm_f2_variety.json")],
+        "lfun": ["--in", fixture("p1_f5_z2_sign.json"), "--nmax", "2"],
+        "orbifold": ["--in", fixture("p1_f5_z2_trivial.json"), "--nmax", "2"],
+        "artin-mazur": ["--in", fixture("artin_mazur.json")],
+        "hw eval": ["--in", sampled, "--q", "5"],
+        "hw poles": ["--in", sampled, "--q", "5"],
+        "hw abscissa": ["--in", motive, "--q", "5"],
+        "theta": ["--in", fixture("elliptic_f5_motive.json"), "--q", "5"],
+        "regdet-check": ["--in", sampled, "--q", "5"],
+        "numk0 compute": ["--in", fixture("nonsmooth_gram.json")],
+        "numk0 beilinson": ["--dim", "2"],
+        "numk0 quiver": ["--in", write(tmp_path, "quiver.json", {"vertices": 2, "arrows": [[0, 1]]})],
+        "measure eval": ["--in", write(tmp_path, "cls.json", {"op": "torus"}), "--q", "3"],
+        "measure witness": ["--n", "1", "--q", "3"],
+    }
+
+
+@pytest.mark.parametrize("words", [words for words, *_ in COMMANDS])
+def test_every_command_runs_through_the_encoder(tmp_path, words):
+    # each row of the command table has a passing case, and its output is
+    # canonical: re-encoding the parsed envelope gives the same bytes
+    cases = _smoke_inputs(tmp_path)
+    assert words in cases, f"no smoke case for {words!r}: add one to _smoke_inputs"
+    out = tmp_path / "out.json"
+    code = main(words.split() + cases[words] + ["--out", str(out)])
+    text = out.read_text()
+    envelope = json.loads(text)
+    assert (code, envelope["status"]) == (0, "ok"), envelope
+    assert dumps(envelope) + "\n" == text

@@ -11,11 +11,13 @@ reduced once: the schoolbook terms of the two coordinate tuples are
 summed in Python ints, the terms of degree e .. 2e-2 are folded back
 through the rows x^k mod f that the field precomputes, and each output
 coordinate takes one % p (_mulmod; for e = 1 the product is a*b % p).
-The Rabin test of fq_make shares that kernel.  Sums and differences are
-one tuple comprehension each, and an inverse is pow(c, -1, p) over F_p
-and extended Euclid in F_p[x] above it.
+FqElement.__pow__ is the one square-and-multiply (builtin pow over F_p).
+Sums and differences are one tuple comprehension each, and an inverse is
+pow(c, -1, p) over F_p and extended Euclid above it.  Rabin's test runs
+in the candidate ring F_p[x]/(f), a provisional FqField.
 
-A subfield embeds by a root of its modulus, found by Cantor-Zassenhaus
+The _fpoly_* helpers are the one polynomial family, over FqElements.  A
+subfield embeds by a root of its modulus, found by Cantor-Zassenhaus
 splitting over the big field; row_echelon is the one linear-algebra
 routine over F_q (kernels, spans, inverses).
 """
@@ -28,26 +30,13 @@ from operator import mul
 
 from .errors import ValidationError
 
-# --- polynomial arithmetic over F_p on plain int lists (ascending) ---
+# --- coordinate tuples over F_p: the product kernel of F_p[x]/(m) ---
 
 
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _polymod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = a[:]
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        if a[i] == 0:
-            continue
-        c = a[i] * inv_lead % p
-        for j in range(dm + 1):
-            a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return _trim(a)
 
 
 def _fold_columns(m, p: int) -> tuple[tuple[int, ...], ...]:
@@ -81,26 +70,6 @@ def _mulmod(a: tuple[int, ...], b: tuple[int, ...], cols, p: int) -> tuple[int, 
     if any(high):
         return tuple([(x + sum(map(mul, high, col))) % p for x, col in zip(conv, cols)])
     return tuple([x % p for x in conv[:e]])
-
-
-def _polypowmod(a: tuple[int, ...], n: int, cols, p: int) -> tuple[int, ...]:
-    """a^n mod m for a coordinate tuple a, given the fold columns of m."""
-    result, base = (1,) + (0,) * (len(a) - 1), a
-    while n:
-        if n & 1:
-            result = _mulmod(result, base, cols, p)
-        n >>= 1
-        if n:
-            base = _mulmod(base, base, cols, p)
-    return result
-
-
-def _polygcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim(a[:]), _trim(b[:])
-    while b:
-        a = _polymod(a, b, p)
-        a, b = b, a
-    return a
 
 
 # --- polynomials over F_q on FqElement lists (ascending, no trailing zeros) ---
@@ -199,21 +168,20 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_irreducible(modulus: list[int], p: int) -> bool:
-    """Rabin test: x^{p^e} == x mod f and gcd(x^{p^{e/l}} - x, f) = 1,
-    for e >= 2 (so f is reducible when x divides it)."""
+    """Rabin's test (SIAM J. Comput. 9, 1980) of a monic f of degree e >= 2,
+    run in the ring F_p[x]/(f): x^{p^e} == x, and x^{p^{e/l}} - x is a unit
+    for every prime l | e (so f is reducible when x divides it)."""
     if modulus[0] == 0:
         return False
     e = len(modulus) - 1
-    cols = _fold_columns(modulus, p)
-    x = (0, 1) + (0,) * (e - 2)
-    if _polypowmod(x, p**e, cols, p) != x:
+    x = FqField(p, e, tuple(modulus)).element([0, 1])
+    if x ** p**e != x:
         return False
-    for ell in _prime_factors(e):
-        xq = _polypowmod(x, p ** (e // ell), cols, p)
-        diff = _trim([(a - b) % p for a, b in zip(xq, x)])
-        g = _polygcd(modulus, diff, p) if diff else modulus[:]
-        if len(g) - 1 > 0:
-            return False
+    try:
+        for ell in _prime_factors(e):
+            (x ** p ** (e // ell) - x).inverse()
+    except ZeroDivisionError:
+        return False
     return True
 
 
@@ -255,9 +223,13 @@ class FqField:
         if not isinstance(coeffs, (list, tuple)) or any(type(c) is not int for c in coeffs):
             raise ValidationError(f"a field element is an integer or a list of integers, got {coeffs!r}")
         cs = [c % self.p for c in coeffs]
-        if len(cs) > self.e:
-            cs = _polymod(cs, list(self.modulus), self.p)
-        return _new(self, tuple(cs) + (0,) * (self.e - len(cs)))
+        if len(cs) <= self.e:
+            return _new(self, tuple(cs) + (0,) * (self.e - len(cs)))
+        x = _new(self, (0, 1) + self._pad[1:]) if self.e > 1 else self._zero  # x mod the modulus
+        acc = self._zero
+        for c in reversed(cs):  # Horner's rule in the field
+            acc = acc * x + _new(self, (c,) + self._pad)
+        return acc
 
     def zero(self) -> "FqElement":
         return self._zero
@@ -329,8 +301,14 @@ class FqField:
                 f = d
 
     def embed(self, elt: "FqElement", big: "FqField") -> "FqElement":
-        if big == self:
+        """The image of elt in big; a prime-field element maps to itself
+        without the embedding root, so it never splits the modulus."""
+        if big is self or big == self:
             return elt
+        if not any(elt.coeffs[1:]):
+            if big.p != self.p or big.e % self.e != 0:
+                raise ValidationError("no embedding between these fields")
+            return _new(big, elt.coeffs[:1] + big._pad)
         root = self.embedding_root(big)
         acc = big.zero()
         for c in reversed(elt.coeffs):
@@ -398,17 +376,21 @@ class FqElement:
     def __pow__(self, n: int) -> "FqElement":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
+        f = self.field
+        if f.e == 1:
+            return _new(f, (pow(self.coeffs[0], n, f.p),))
+        cols, p = f._cols, f.p
+        result, base = f._one.coeffs, self.coeffs
         while n:
             if n & 1:
-                result = result * base
+                result = _mulmod(result, base, cols, p)
             n >>= 1
             if n:
-                base = base * base
-        return result
+                base = _mulmod(base, base, cols, p)
+        return _new(f, result)
 
     def inverse(self) -> "FqElement":
+        """ZeroDivisionError for a non-unit: zero, or a zero divisor."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
@@ -430,6 +412,8 @@ class FqElement:
                 _trim(r0)
                 _trim(s0)
             r0, s0, r1, s1 = r1, s1, r0, s0
+        if not r1:
+            raise ZeroDivisionError("not a unit: it shares a factor with the modulus")
         c = pow(r1[0], -1, p)
         return _new(f, tuple([x * c % p for x in s1]) + (0,) * (f.e - len(s1)))
 

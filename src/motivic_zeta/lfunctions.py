@@ -5,12 +5,13 @@ A finite group acts on a variety through matrices over the base field;
 that each element maps the variety into itself is proved by algebra at
 construction (F(g x) in the span of the equations), with no points.
 L-series coefficients are averages (1/|G|) sum_g chi(g^{-1}) N_n(g) of
-twisted point counts, with character values kept exact in a
-cyclotomic-rational model (coordinates in Q[x]/(x^m - 1)).  Each N_n(g),
-and each count N_n(h; fix g) of the orbifold routes, is an ordinary count
-of a descended variety over F_{q^n} (varieties._twisted_core), as cheap
-as an untwisted count of the same size, so no count outlives the call that
-made it; orbifold_zeta makes each count once for both routes.  The orbifold
+twisted point counts, with character values kept exact in the cyclotomic
+field Q(zeta_m) = Q[x]/(Phi_m), in coordinates over 1, x, ..,
+x^(phi(m)-1).  Each N_n(g), and each count N_n(h; fix g) of the orbifold
+routes, is an ordinary count of a descended variety over F_{q^n}
+(varieties._twisted_core), as cheap as an untwisted count of the same
+size, so no count outlives the call that made it; orbifold_zeta makes
+each count once for both routes.  The orbifold
 zeta function is computed along two independent routes, a direct trace
 formula summed over conjugacy classes and centralizers and the
 commuting-pairs sum over the whole group, and the two are compared.
@@ -31,27 +32,75 @@ from .series import TruncatedSeries, WittElement, exp_from_traces
 from .varieties import (
     VarietySpec,
     _mat_mul,
+    _mobius,
     _normalize_matrix,
     _preserves,
     _twisted_core,
 )
 
 
+@functools.cache
+def _cyclotomic_fold(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(m), the nonzero terms (j, a_j) of x^phi(m) = sum_j a_j x^j mod
+    Phi_m).  Phi_m is the product of (x^d - 1)^mu(m/d) over d | m: the
+    factors with mu = 1 are multiplied out first, so that each division by
+    a factor with mu = -1 is exact."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    f = [1]
+    for d in divisors:
+        if _mobius(m // d) == 1:
+            f = [(f[i - d] if i >= d else 0) - (f[i] if i < len(f) else 0) for i in range(len(f) + d)]
+    for d in divisors:
+        if _mobius(m // d) == -1:
+            q: list[int] = []
+            for i in range(len(f) - d):  # f = q (x^d - 1)
+                q.append((q[i - d] if i >= d else 0) - f[i])
+            f = q
+    phi = len(f) - 1
+    return phi, tuple((j, -c) for j, c in enumerate(f[:phi]) if c)
+
+
+def _fold(m: int, coeffs) -> tuple[Fraction, ...]:
+    """Coordinates over 1, x, .. reduced mod Phi_m to phi(m) coordinates,
+    each term of degree phi(m) or more folded through x^phi(m) mod Phi_m
+    from the top down."""
+    phi, terms = _cyclotomic_fold(m)
+    low = list(coeffs) + [Fraction(0)] * (phi - len(coeffs))
+    for k in range(len(low) - 1, phi - 1, -1):
+        c = low[k]
+        if c:
+            for j, a in terms:
+                low[k - phi + j] += c * a
+    return tuple(low[:phi])
+
+
+def _reduced(m: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
+    """The Cyclotomic with phi(m) coordinates that are already reduced,
+    without the constructor's check and fold."""
+    x = object.__new__(Cyclotomic)
+    object.__setattr__(x, "m", m)
+    object.__setattr__(x, "coeffs", coeffs)
+    return x
+
+
 @dataclass(frozen=True)
 class Cyclotomic:
-    """Element of Q[x]/(x^m - 1), coordinates in the basis 1, x, ..,
-    x^{m-1}; x plays the role of a primitive m-th root of unity."""
+    """Element of Q(zeta_m) = Q[x]/(Phi_m), x a primitive m-th root of
+    unity.  The constructor takes up to m coordinates over 1, x, x^2, ..
+    and folds them mod Phi_m, so coeffs holds phi(m) coordinates over the
+    basis 1, x, .., x^(phi(m)-1), and equality and rationality are exact."""
 
     m: int
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.m < 1 or len(self.coeffs) != self.m:
-            raise ValidationError("cyclotomic element needs m coordinates")
+        if self.m < 1 or len(self.coeffs) > self.m:
+            raise ValidationError("a cyclotomic element has an order m >= 1 and at most m coordinates")
+        object.__setattr__(self, "coeffs", _fold(self.m, self.coeffs))
 
     @staticmethod
     def rational(x, m: int = 1) -> "Cyclotomic":
-        return Cyclotomic(m, (_frac(x),) + (Fraction(0),) * (m - 1))
+        return Cyclotomic(m, (_frac(x),))
 
     @staticmethod
     def root_of_unity(j: int, m: int) -> "Cyclotomic":
@@ -65,26 +114,26 @@ class Cyclotomic:
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._match(other)
-        return Cyclotomic(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _reduced(self.m, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.m, tuple(-a for a in self.coeffs))
+        return _reduced(self.m, tuple([-a for a in self.coeffs]))
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self + (-other)
 
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.m, tuple(a * other for a in self.coeffs))
+            return _reduced(self.m, tuple([a * other for a in self.coeffs]))
         self._match(other)
-        out = [Fraction(0)] * self.m
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[(i + j) % self.m] += a * b
-        return Cyclotomic(self.m, tuple(out))
+        a, b = self.coeffs, other.coeffs
+        conv = [Fraction(0)] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        return _reduced(self.m, _fold(self.m, conv))
 
     __rmul__ = __mul__
 
@@ -188,7 +237,7 @@ class GroupAction:
 
 @dataclass(frozen=True)
 class Character:
-    """A class function on a group action, valued in Q[x]/(x^m - 1).
+    """A class function on a group action, valued in Q(zeta_m).
 
     values[k] is the value on the k-th conjugacy class.
     """
@@ -251,7 +300,7 @@ class LSeries:
 
 
 def _exp_cyclotomic(traces: Sequence[Cyclotomic], m: int) -> list[Cyclotomic]:
-    """exp(sum a_n t^n / n) with coefficients in Q[x]/(x^m - 1).  Kept
+    """exp(sum a_n t^n / n) with coefficients in Q(zeta_m).  Kept
     apart from series.exp_from_traces, which runs over Q: sharing that
     kernel would make it branch on the caller's ring."""
     n = len(traces)

@@ -2,19 +2,21 @@
 
 Varieties are given by equations in an affine or projective ambient
 space over F_q, q = p^e, with integer coefficients (read mod p) or
-coefficients in F_q itself.  Counting goes chart by chart over
-normalized point representatives (projective: first nonzero coordinate
-= 1).  Charts cut out by no equations are counted in closed form; a
-chart with a single equation of degree 1 or 2 in some free variable
-enumerates the remaining variables and counts roots (discriminant
-squares in odd characteristic, an absolute trace in characteristic 2);
-everything else is exhaustive.  All enumeration runs through one
-iterator over chunks of assignments, each variable an array of packed
-field elements, evaluated with gfvec: on exp/log/Zech tables once the
-field is enumerated over at least q rows (q <= 10^7), on base-p digits
-otherwise (one-row charts, larger fields).  Enumeration work is metered
-against a budget (default 10^7 assignments, env MOTIVIC_ZETA_BUDGET or
-per-call override).
+coefficients in F_q itself, each equation one polynomial over F_q.
+Counting goes chart by chart over normalized point representatives
+(projective: first nonzero coordinate = 1), with the chart plan made
+over the base field.  Charts cut out by no equations are counted in
+closed form; a chart with a single equation of degree 1 or 2 in some
+free variable enumerates the remaining variables and counts roots
+(discriminant squares in odd characteristic, an absolute trace in
+characteristic 2); everything else is exhaustive.  Enumeration work is
+metered against a budget (default 10^7 assignments, env
+MOTIVIC_ZETA_BUDGET or per-call override), charged before F_{q^n} is
+built.  All enumeration runs through one iterator over chunks of
+assignments, each variable an array of packed field elements, evaluated
+with gfvec: on exp/log/Zech tables once the field is enumerated over at
+least q rows (q <= 10^7), on base-p digits otherwise (one-row charts,
+larger fields).
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
 descent.  With r = ord(g) and Q = q^(n r), the map sigma = g Fr^n is
@@ -90,12 +92,6 @@ class BudgetTracker:
 Term = tuple[tuple[int, ...], "int | FqElement"]  # exponent vector, coefficient
 
 
-def _nonzero(c, p: int) -> bool:
-    """Whether a coefficient, an integer read mod p or a field element, is
-    nonzero."""
-    return c % p != 0 if isinstance(c, int) else not c.is_zero()
-
-
 @dataclass(frozen=True)
 class VarietySpec:
     """ambient_kind 'projective' or 'affine'; equations are tuples of
@@ -129,7 +125,7 @@ class VarietySpec:
                     raise ValidationError("exponents must be nonnegative")
                 if isinstance(coeff, FqElement) and coeff.field != self.base_field:
                     raise ValidationError("field-element coefficients must lie in the base field")
-                if _nonzero(coeff, self.p):
+                if (coeff % self.p if isinstance(coeff, int) else not coeff.is_zero()):
                     degrees.add(sum(exps))
             if self.ambient_kind == "projective" and len(degrees) > 1:
                 raise ValidationError("projective equations must be homogeneous")
@@ -208,15 +204,16 @@ def affine_space(n: int, p: int, e: int = 1) -> VarietySpec:
 # --- charts ---
 
 
-def _charts(v: VarietySpec, field: FqField):
-    """Yield (fixed, free, eqs) per chart, for points over field, an
-    extension of the base field.  fixed maps a variable index to 0 or 1
-    (projective: the first nonzero coordinate is 1), free lists the free
-    variable indices and eqs holds the equations restricted to the chart,
-    identically zero ones dropped.  Charts on which an equation is a
-    nonzero constant have no points and are skipped."""
+def _charts(v: VarietySpec):
+    """Yield (fixed, free, eqs) per chart, over the base field, where the
+    equations live.  fixed maps a variable index to 0 or 1 (projective:
+    the first nonzero coordinate is 1), free lists the free variable
+    indices and eqs holds the equations restricted to the chart as
+    polynomials over the base field, identically zero ones dropped.
+    Charts on which an equation is a nonzero constant have no points and
+    are skipped."""
     nv = v.num_vars
-    equations = [_in_field(eq, field) for eq in v.equations]
+    equations = [_poly(eq, v.base_field) for eq in v.equations]
     if v.ambient_kind == "affine":
         layouts = [({}, list(range(nv)))]
     else:
@@ -224,7 +221,7 @@ def _charts(v: VarietySpec, field: FqField):
     for fixed, free in layouts:
         eqs = []
         for eq in equations:
-            s = _specialize(eq, fixed, free, v.p)
+            s = _specialize(eq, fixed, free)
             if s is None:
                 continue
             if list(s) == [(0,) * len(free)]:
@@ -234,28 +231,17 @@ def _charts(v: VarietySpec, field: FqField):
             yield fixed, free, eqs
 
 
-def _in_field(eq, field: FqField):
-    """An equation with its field-element coefficients embedded in field;
-    an equation with integer coefficients only is returned as it is, and
-    one with both has its integers read as elements of field."""
-    if all(isinstance(c, int) for _, c in eq):
-        return eq
-    return tuple((exps, field.element(c) if isinstance(c, int) else c.field.embed(c, field)) for exps, c in eq)
-
-
-def _specialize(eq, fixed: dict, free: list[int], p: int):
-    """Restrict an equation to a chart; returns terms over the free
-    variables as {reduced exponent vector: coefficient} (an integer mod p
-    or a field element) or None when the equation is identically zero on
-    the chart."""
-    acc: dict[tuple[int, ...], int | FqElement] = {}
-    for exps, coeff in eq:
+def _specialize(poly: dict, fixed: dict, free: list[int]):
+    """Restrict a polynomial to a chart; returns its terms over the free
+    variables as {reduced exponent vector: coefficient}, or None when it
+    is identically zero on the chart."""
+    acc: dict[tuple[int, ...], FqElement] = {}
+    for exps, coeff in poly.items():
         if any(exps[j] > 0 and fixed[j] == 0 for j in fixed):
             continue  # a zeroed variable kills the term
         key = tuple(exps[j] for j in free)
-        c = acc[key] + coeff if key in acc else coeff
-        acc[key] = c % p if isinstance(c, int) else c
-    acc = {k: c for k, c in acc.items() if _nonzero(c, p)}
+        acc[key] = acc[key] + coeff if key in acc else coeff
+    acc = {k: c for k, c in acc.items() if not c.is_zero()}
     return acc if acc else None
 
 
@@ -273,9 +259,9 @@ def _assignments(vf: VecField, f: int):
 
 
 def _evaluate(vf: VecField, polys, values, rows: int) -> list:
-    """Each polynomial ({exponent vector: coefficient}, an integer mod p or
-    an FqElement of vf's field) at every row of values; powers of a
-    variable are shared across all terms."""
+    """Each polynomial ({exponent vector: FqElement of vf's field}) at
+    every row of values; powers of a variable are shared across all terms,
+    and a coefficient in the prime field scales."""
     pows = {}
     out = []
     for terms in polys:
@@ -289,10 +275,10 @@ def _evaluate(vf: VecField, polys, values, rows: int) -> list:
                     val = pows[i, e] if val is None else vf.mul(val, pows[i, e])
             if val is None:
                 val = vf.const(coeff)
-            elif isinstance(coeff, FqElement):
+            elif any(coeff.coeffs[1:]):
                 val = vf.mul(val, vf.const(coeff))
-            elif coeff != 1:
-                val = vf.scale(val, coeff)
+            elif coeff.coeffs[0] != 1:
+                val = vf.scale(val, coeff.coeffs[0])
             acc = vf.add(acc, val)
         out.append(acc)
     return out
@@ -327,22 +313,6 @@ def _pick_quadratic_var(terms: dict, f: int) -> int | None:
     return None
 
 
-def _chart_count(vf: VecField, eqs, f: int, tracker: BudgetTracker) -> int:
-    """Solutions in F_q^f of a chart's equations: in closed form without
-    equations, by the quadratic shortcut for one equation of degree 1-2 in
-    a free variable, else exhaustively."""
-    q = vf.q
-    if not eqs:
-        return q**f
-    if len(eqs) == 1:
-        j = _pick_quadratic_var(eqs[0], f)
-        if j is not None:
-            tracker.charge(q ** (f - 1))
-            return _quadratic_count(vf, eqs[0], f, j)
-    tracker.charge(q**f)
-    return sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
-
-
 def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
     """Solutions of one equation a v^2 + b v + c = 0, v the free variable
     j: the roots in v summed over the q^(f-1) assignments of the others."""
@@ -372,12 +342,30 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
 
 
 def count_points(v: VarietySpec, n: int, budget: int | None = None) -> int:
-    """#X(F_{q^n}) by chart-wise enumeration of normalized representatives."""
+    """#X(F_{q^n}) by chart-wise enumeration of normalized representatives.
+    The chart plan is over the base field and is charged in full before
+    F_{q^n} exists, so a closed-form or refused count builds no field."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
-    vf = vec_field(fq_make(v.p, v.e * n))
     tracker = BudgetTracker(resolve_budget(budget))
-    return sum(_chart_count(vf, eqs, len(free), tracker) for _, free, eqs in _charts(v, vf.field))
+    q = v.q**n
+    total, plan = 0, []
+    for _, free, eqs in _charts(v):
+        f = len(free)
+        if not eqs:
+            total += q**f
+            continue
+        j = _pick_quadratic_var(eqs[0], f) if len(eqs) == 1 else None
+        tracker.charge(q**f if j is None else q ** (f - 1))
+        plan.append((f, eqs, j))
+    vf = vec_field(fq_make(v.p, v.e * n)) if plan else None
+    for f, eqs, j in plan:
+        eqs = [_poly(eq.items(), vf.field) for eq in eqs]
+        if j is None:
+            total += sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
+        else:
+            total += _quadratic_count(vf, eqs[0], f, j)
+    return total
 
 
 def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
@@ -386,8 +374,9 @@ def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     vf = vec_field(fq_make(v.p, v.e * n))
     tracker = BudgetTracker(resolve_budget(budget))
     points = []
-    for fixed, free, eqs in _charts(v, vf.field):
+    for fixed, free, eqs in _charts(v):
         tracker.charge(vf.q ** len(free))
+        eqs = [_poly(eq.items(), vf.field) for eq in eqs]
         for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
             index = np.flatnonzero(mask)
             columns = [vf.elements(c, index) for c in coords]

@@ -18,9 +18,10 @@ from motivic_zeta.errors import NotInvertibleError
 from motivic_zeta.reconstruct import NotStabilized
 from motivic_zeta.series import TruncatedSeries
 from motivic_zeta.gfvec import vec_field
-from motivic_zeta.varieties import _chart_points, _charts, _normalize_matrix, matrix_order
+from motivic_zeta.varieties import _chart_points, _charts, _normalize_matrix, _poly, matrix_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "motivic_zeta" / "fixtures"
+VARIETY_FIXTURES = sorted(path.name for path in FIXTURES.glob("*_variety.json"))
 
 
 def load_json(name: str):
@@ -91,7 +92,8 @@ def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
     twist = embedded(act)
     fix = [embedded(_normalize_matrix(v, h)) for h in fixers]
     total = 0
-    for fixed, free, eqs in _charts(v, big):
+    for fixed, free, eqs in _charts(v):
+        eqs = [_poly(eq.items(), big) for eq in eqs]
         for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
             for m in fix:
                 mask = mask & same_point(apply(m, coords), coords)
@@ -295,6 +297,24 @@ def _polymod_by_steps(a: list[int], m: list[int], p: int) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def reducible_by_products(p: int, e: int) -> set[tuple[int, ...]]:
+    """Every product of two monic polynomials over F_p of positive degree
+    and total degree e, as an ascending coefficient tuple: the reducible
+    monic polynomials of degree e, found by multiplying out rather than by
+    Rabin's test."""
+    out = set()
+    for d in range(1, e // 2 + 1):
+        for a in itertools.product(range(p), repeat=d):
+            for b in itertools.product(range(p), repeat=e - d):
+                prod = [0] * (e + 1)
+                for i, x in enumerate(a + (1,)):
+                    if x:
+                        for j, y in enumerate(b + (1,)):
+                            prod[i + j] += x * y
+                out.add(tuple(c % p for c in prod))
+    return out
 
 
 def mul_by_schoolbook(x, y):

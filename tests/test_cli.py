@@ -598,7 +598,8 @@ def test_canonical_encodes_dataclasses_field_by_field():
 
 
 def test_lfun_payload_of_a_cubic_character(capsys, tmp_path):
-    # a character of C_3 with values in Q[x]/(x^3 - 1): the non-rational LSeries path
+    # a character of C_3 with values in Q(zeta_3): every twisted count is
+    # 7^n + 1, so the character sum vanishes, L = 1 and the payload is rational
     data = {
         "variety": {"ambient": {"projective": 1}, "p": 7, "e": 1, "equations": []},
         "action": [[[1, 0], [0, 1]], [[2, 0], [0, 1]], [[4, 0], [0, 1]]],
@@ -606,16 +607,47 @@ def test_lfun_payload_of_a_cubic_character(capsys, tmp_path):
     }
     code, out = run(capsys, "lfun", "--in", write(tmp_path, "c3.json", data), "--nmax", "3")
     assert code == 0
-    assert out["payload"] == {
-        "m": 3,
-        "precision": 3,
-        "coeffs": [
-            {"m": 3, "coeffs": ["1", "0", "0"]},
-            {"m": 3, "coeffs": ["8/3", "8/3", "8/3"]},
-            {"m": 3, "coeffs": ["19", "19", "19"]},
-            {"m": 3, "coeffs": ["400/3", "400/3", "400/3"]},
-        ],
-    }
+    assert out["payload"] == {"precision": 3, "coeffs": ["1", "0", "0", "0"]}
+
+
+# The full payloads of the finite-field commands on the shipped fixtures,
+# all exact: a byte change in any of them fails its named row.
+_ORBIFOLD_P1_F5_Z2 = {
+    "direct": {"coeffs": ["1", "8", "46", "240", "1215", "6096"], "precision": 5},
+    "product": {"coeffs": ["1", "8", "46", "240", "1215", "6096"], "precision": 5},
+    "routes_agree": True,
+    "traces": ["8", "28", "128", "628", "3128"],
+}
+PINNED_PAYLOADS = [
+    ("variety count", "elliptic_f5_variety.json", ["--nmax", "3"], {"counts": [9, 27, 108]}),
+    ("variety count", "elliptic_f7_variety.json", ["--nmax", "3"], {"counts": [5, 55, 380]}),
+    ("variety count", "gm_f2_variety.json", ["--nmax", "3"], {"counts": [1, 3, 7]}),
+    ("variety count", "p1_f5_variety.json", ["--nmax", "3"], {"counts": [6, 26, 126]}),
+    ("variety count", "p2_f3_variety.json", ["--nmax", "3"], {"counts": [13, 91, 757]}),
+    ("variety zeta", "elliptic_f5_variety.json", ["--nmax", "6"], {"coeffs": ["1", "9", "54", "279", "1404", "7029", "35154"], "precision": 6}),
+    ("variety zeta", "elliptic_f7_variety.json", ["--nmax", "6"], {"coeffs": ["1", "5", "40", "285", "2000", "14005", "98040"], "precision": 6}),
+    ("variety zeta", "gm_f2_variety.json", ["--nmax", "6"], {"coeffs": ["1", "1", "2", "4", "8", "16", "32"], "precision": 6}),
+    ("variety zeta", "p1_f5_variety.json", ["--nmax", "6"], {"coeffs": ["1", "6", "31", "156", "781", "3906", "19531"], "precision": 6}),
+    ("variety zeta", "p2_f3_variety.json", ["--nmax", "6"], {"coeffs": ["1", "13", "130", "1210", "11011", "99463", "896260"], "precision": 6}),
+    ("variety closed-points", "elliptic_f5_variety.json", [], {"closed_points": [9, 9, 33]}),
+    ("variety closed-points", "elliptic_f7_variety.json", [], {"closed_points": [5, 25, 125]}),
+    ("variety closed-points", "gm_f2_variety.json", [], {"closed_points": [1, 1, 2]}),
+    ("variety closed-points", "p1_f5_variety.json", [], {"closed_points": [6, 10, 40]}),
+    ("variety closed-points", "p2_f3_variety.json", [], {"closed_points": [13, 39, 248]}),
+    ("lfun", "p1_f5_z2_sign.json", [], {"coeffs": ["1", "0", "0", "0", "0", "0"], "precision": 5}),
+    ("lfun", "p1_f5_z2_trivial.json", [], {"coeffs": ["1", "6", "31", "156", "781", "3906"], "precision": 5}),
+    ("orbifold", "p1_f5_z2_sign.json", [], _ORBIFOLD_P1_F5_Z2),
+    ("orbifold", "p1_f5_z2_trivial.json", [], _ORBIFOLD_P1_F5_Z2),
+]
+
+
+@pytest.mark.parametrize(
+    "words, name, flags, payload", PINNED_PAYLOADS, ids=[f"{words} {name}" for words, name, _, _ in PINNED_PAYLOADS]
+)
+def test_finite_field_payloads_are_pinned(capsys, words, name, flags, payload):
+    code = main([*words.split(), "--in", fixture(name), *flags])
+    assert code == 0
+    assert capsys.readouterr().out == dumps({"status": "ok", "payload": payload}) + "\n"
 
 
 _WEIL_KEYS = {

@@ -15,7 +15,7 @@ from motivic_zeta.errors import NotInvertibleError, ValidationError
 from motivic_zeta.gf import _is_irreducible, is_prime
 from motivic_zeta.varieties import twisted_count
 
-from conftest import inverse_by_euclid, load_variety, mul_by_schoolbook
+from conftest import _polymod_by_steps, inverse_by_euclid, load_variety, mul_by_schoolbook, reducible_by_products
 
 
 def test_is_prime():
@@ -77,6 +77,12 @@ def test_inverse():
         assert x * x.inverse() == f.one()
     with pytest.raises(ZeroDivisionError):
         f.zero().inverse()
+    # in F_3[x]/(x^2 - 1), a ring with zero divisors, x + 1 is not a unit
+    # and x is its own inverse
+    ring = FqField(3, 2, (2, 0, 1))
+    with pytest.raises(ZeroDivisionError):
+        ring.element([1, 1]).inverse()
+    assert ring.element([0, 1]).inverse() == ring.element([0, 1])
 
 
 def test_embedding_is_a_ring_homomorphism():
@@ -215,6 +221,14 @@ def test_well_formed_elements_are_read_mod_p():
     assert f.element([7, -1]).coeffs == (2, 4)
     assert f.element([0, 0, 1]).coeffs == (3, 0) == (f.element([0, 1]) * f.element([0, 1])).coeffs
     assert f.from_int(24).coeffs == (4, 4) and f.from_int(0) == f.zero()
+    # a list longer than e is reduced mod the modulus, for e = 1 (modulus x) too
+    rng = random.Random(7)
+    for p, e in [(5, 1), (2, 1), (5, 2), (2, 8), (3, 5), (7, 3)]:
+        g = fq_make(p, e)
+        for length in range(e + 1, 3 * e + 3):
+            cs = [rng.randrange(-p, 2 * p) for _ in range(length)]
+            want = _polymod_by_steps([c % p for c in cs], list(g.modulus), p)
+            assert g.element(cs) == g.element(want or [0]), (p, e, cs)
 
 
 DIFFERENTIAL_PRIMES = (2, 3, 5, 7, 127, 65537, 2**31 - 1, 2**61 - 1)
@@ -328,6 +342,18 @@ def test_fq_make_modulus_matches_the_full_scan():
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
         for e in range(2, 9):
             assert fq_make(p, e).modulus == first_irreducible_by_full_scan(p, e), (p, e)
+
+
+def test_rabin_test_matches_products_of_monic_polynomials():
+    # every monic candidate of every degree e >= 2 with p^e <= 4096 against
+    # an oracle that multiplies out all the reducible ones
+    cases = [(p, e) for p in range(2, 65) if is_prime(p) for e in range(2, 13) if p**e <= 4096]
+    assert len(cases) == 40
+    for p, e in cases:
+        reducible = reducible_by_products(p, e)
+        for n in range(p**e):
+            modulus = [n // p**i % p for i in range(e)] + [1]
+            assert _is_irreducible(modulus, p) == (tuple(modulus) not in reducible), (p, modulus)
 
 
 def test_fq_make_skips_impossible_binomials_in_time():

@@ -8,6 +8,7 @@ from motivic_zeta import (
     Character,
     Cyclotomic,
     GroupAction,
+    count_points,
     l_function,
     orbifold_zeta,
     rational_character,
@@ -32,9 +33,10 @@ def z2_action(p1_f5):
 
 def test_cyclotomic_arithmetic():
     i = Cyclotomic.root_of_unity(1, 4)
-    # the group algebra Q[x]/(x^4 - 1) keeps x^2 and -1 distinct, but they
-    # agree as complex numbers
+    # in Q(zeta_4) = Q[x]/(x^2 + 1), x^2 is -1
     assert i * i == Cyclotomic.root_of_unity(2, 4)
+    assert i * i == Cyclotomic.rational(-1, 4)
+    assert (i * i).is_rational()
     assert abs((i * i).to_complex() + 1) < 1e-12
     assert (i * i * i * i).is_rational()
     assert (i + (-i)).rational_value() == 0
@@ -134,6 +136,31 @@ def test_character_l_functions_multiply_to_equivariant_product(p1_f5, z2_action)
     sign = l_function(p1_f5, z2_action, rational_character(z2_action, [1, -1]), 5)
     prod = triv.to_truncated_series() * sign.to_truncated_series()
     assert prod == zeta_from_counts(p1_f5, 5).series
+
+
+def test_quartic_character_on_an_elliptic_curve():
+    # E: y^2 z = x^3 + x z^2 over F_5, and C_4 generated by g = diag(4, 2, 1),
+    # which scales the equation by 4; chi(g^k) = x^k and its conjugate
+    # x^(-k), with x a primitive 4th root of unity: L(chi) is not rational,
+    # and L(chi) L(conj chi) = 1 - 2t + 5t^2 is the numerator of Z_E
+    curve = VarietySpec("projective", 2, 5, 1, ((((0, 2, 1), 1), ((3, 0, 0), -1), ((1, 0, 2), -1)),))
+    powers = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[4, 0, 0], [0, 2, 0], [0, 0, 1]]]
+    powers += [[[1, 0, 0], [0, 4, 0], [0, 0, 1]], [[4, 0, 0], [0, 3, 0], [0, 0, 1]]]
+    action = GroupAction(curve, powers)
+
+    def l_series(step):
+        values = [None] * 4
+        for k in range(4):
+            values[action.class_of[k]] = Cyclotomic.root_of_unity(step * k, 4)
+        return l_function(curve, action, Character(4, tuple(values)), 3).coeffs
+
+    chi, conj = l_series(1), l_series(3)
+    zero = Cyclotomic.rational(0, 4)
+    assert chi == (Cyclotomic.rational(1, 4), Cyclotomic(4, (-1, -2)), zero, zero)
+    assert not chi[1].is_rational()
+    product = [sum((chi[i] * conj[k - i] for i in range(k + 1)), zero) for k in range(4)]
+    assert [c.rational_value() for c in product] == [1, -2, 5, 0]
+    assert count_points(curve, 1) == 4  # so a_1 = 5 + 1 - 4 = 2
 
 
 def test_orbifold_routes_agree(p1_f5, z2_action):

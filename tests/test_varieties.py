@@ -22,12 +22,13 @@ from motivic_zeta import (
     weil_check,
     zeta_from_counts,
 )
+from motivic_zeta import varieties
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
 from motivic_zeta.gf import row_echelon
 from motivic_zeta.serialize import dumps
 from motivic_zeta.varieties import _twisted_core, affine_space, enumerate_points, matrix_order, projective_space
 
-from conftest import load_json, load_variety, twisted_count_by_enumeration
+from conftest import VARIETY_FIXTURES, load_json, load_variety, twisted_count_by_enumeration
 
 
 def brute_projective_count(v: VarietySpec, n: int) -> int:
@@ -234,6 +235,27 @@ def test_over_budget_twisted_count_is_refused_at_once(monkeypatch):
     assert (plain.value.required, plain.value.budget) == (err.value.required, err.value.budget)
 
 
+def test_closed_form_and_refused_counts_build_no_field(monkeypatch):
+    # every chart is charged before F_{q^n} exists: building F_{13^42} took
+    # 13.6 s before a closed form, and F_{5^56} 6.0 s before a refusal
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+
+    def base_fields_only(p, e):
+        assert e == 1, f"F_{p}^{e} was built"
+        return fq_make(p, e)
+
+    monkeypatch.setattr(varieties, "fq_make", base_fields_only)
+    start = time.perf_counter()
+    q = 13**42
+    assert count_points(projective_space(2, 13), 42) == 1 + q + q**2
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(ResourceError) as err:
+        count_points(load_variety("elliptic_f5_variety.json"), 56)
+    assert time.perf_counter() - start < 1
+    assert (err.value.required, err.value.budget) == (5**56, 10**7)
+
+
 def test_twisted_budget_is_charged_chart_by_chart():
     # E/F_5 over F_25: the chart x = 1 charges 25 (quadratic in y), the
     # chart x = 0, y = 1 charges 25 (z^3 - z, exhaustive); an identity twist
@@ -370,6 +392,17 @@ def test_field_element_coefficients():
         assert count_points(v, n) == brute == big.q
     with pytest.raises(ValidationError):
         VarietySpec("affine", 1, 3, 1, ((((1,), w),),))
+    # each shipped variety counts the same with every integer coefficient c
+    # written as the base-field element c
+    for name in VARIETY_FIXTURES:
+        v = load_variety(name)
+        base = fq_make(v.p, v.e)
+        eqs = tuple(tuple((exps, base.element(c)) for exps, c in eq) for eq in v.equations)
+        as_elements = VarietySpec(v.ambient_kind, v.ambient_dim, v.p, v.e, eqs)
+        for n in (1, 2, 3):
+            assert count_points(as_elements, n) == count_points(v, n), (name, n)
+
+
 def test_zeta_from_counts_p1():
     w = zeta_from_counts(projective_space(1, 5), 6)
     rf = RationalFunction(Polynomial.one(), Polynomial([1, -6, 5]))

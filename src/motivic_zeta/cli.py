@@ -3,12 +3,13 @@
 COMMANDS has one row per subcommand: its words, the library operation it
 runs and the flags it reads, each with its default or REQUIRED.  A
 subcommand takes only those flags; all but two read a JSON document with
---in.  Every run writes one canonical-JSON envelope
-{"status": ..., "payload": ...} to stdout or --out (to stdout when --out
-cannot be written).  Exit codes: 0 ok; 1 validation or precondition
-error, usage mistakes included (an undeclared or missing flag, a
-non-integer value, --nmax or --precision below 1); 2 resource limit;
-3 numeric failure.
+--in.  A run builds the parser of the one row its first words name, and
+the whole tree only when they name none.  Every run writes one
+canonical-JSON envelope {"status": ..., "payload": ...} to stdout or
+--out (to stdout when --out cannot be written).  Exit codes: 0 ok; 1
+validation or precondition error, usage mistakes included (an undeclared
+or missing flag, a non-integer value, --nmax or --precision below 1);
+2 resource limit; 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -407,8 +408,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of COMMANDS, built on the first call and shared by later ones."""
+def _parser(words: str | None) -> argparse.ArgumentParser:
+    """The parser of the COMMANDS row named by words, or of every row when
+    words is None, built on the first call and shared by later ones.  A
+    one-row parser is the full tree cut down to that row, so it reads a
+    command line of that row, and refuses its mistakes, word for word as
+    the full tree does."""
     parser = _Parser(
         prog="motivic-zeta",
         description="Exact zeta and L-function computations for graded "
@@ -416,8 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
         "Grothendieck groups.",
     )
     subcommands = {"": parser.add_subparsers(required=True)}
-    for words, handler, flags in COMMANDS:
-        group, _, name = words.rpartition(" ")
+    for row, handler, flags in COMMANDS:
+        if words is not None and row != words:
+            continue
+        group, _, name = row.rpartition(" ")
         if group not in subcommands:
             subcommands[group] = subcommands[""].add_parser(group).add_subparsers(required=True)
         leaf = subcommands[group].add_parser(name)
@@ -425,6 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, default in flags.items():
             leaf.add_argument(f"--{flag}", type=_TYPES[flag], default=default, required=default is REQUIRED)
     return parser
+
+
+def _row_words(argv: list[str]) -> str | None:
+    """The words of the COMMANDS row that argv begins with, or None when it
+    names no row (--help, an empty, partial or unknown command)."""
+    return next((words for words, *_ in COMMANDS if argv[: words.count(" ") + 1] == words.split()), None)
 
 
 # each library error's status and exit code, the first match wins
@@ -449,8 +462,9 @@ def _open_out(path: str | None):
 
 def main(argv: list[str] | None = None) -> int:
     infile, out = None, sys.stdout
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        flags = vars(build_parser().parse_args(argv))
+        flags = vars(_parser(_row_words(argv)).parse_args(argv))
         handler, infile = flags.pop("handler"), flags.get("in")
         out = _open_out(flags.pop("out"))
         if "in" in flags:

@@ -8,13 +8,13 @@ The kernels run over the integers, not over `Fraction`, whose every
 operation normalises with a gcd: `_integral` scales a list of rationals
 once by the lcm d of their denominators, the kernel works on Python ints,
 and only its outputs become `Fraction`s again.  The characteristic
-polynomial (and with it the determinant) is Faddeev-LeVerrier on d*M; the
-inverse is fraction-free Gauss-Jordan elimination (Bareiss); the gcd, and
-with it the reduction of every rational function, is a primitive
-pseudo-remainder sequence (Collins), and Yun's square-free decomposition,
-which gives every root multiplicity the analytic layer reports, runs on
-it; the Taylor expansion of a rational function is a recurrence on
-integers scaled by powers of den(0).
+polynomial (and with it the determinant) is Berkowitz's division-free
+algorithm on d*M; the inverse is fraction-free Gauss-Jordan elimination
+(Bareiss); the gcd, and with it the reduction of every rational function,
+is a primitive pseudo-remainder sequence (Collins), and Yun's square-free
+decomposition, which gives every root multiplicity the analytic layer
+reports, runs on it; the Taylor expansion of a rational function is a
+recurrence on integers scaled by powers of den(0).
 """
 
 from __future__ import annotations
@@ -629,27 +629,33 @@ class RatMatrix:
 
 
 def char_poly(m: RatMatrix) -> Polynomial:
-    """det(t*I - M), monic of degree n, by the Faddeev-LeVerrier recursion
-    over the integers.  With d the lcm of the entry denominators and
-    A = d*M, the recursion B_k = A*B_{k-1} + c_k*I, c_k = -tr(A*B_{k-1})/k
-    stays in Z (the characteristic polynomial of an integer matrix has
-    integer coefficients, so the division by k is exact), and the
-    coefficient of t^(n-k) in det(t*I - M) is c_k / d^k."""
+    """det(t*I - M), monic of degree n, by Berkowitz's division-free
+    algorithm (Inf. Process. Lett. 18, 1984) over the integers.  With d
+    the lcm of the entry denominators, A = d*M and A_r its leading r x r
+    block, split A_(r+1) into A_r, the column C above the corner, the row
+    R left of it and the corner a; then det(t*I - A_(r+1)) is the product
+    of the lower-triangular Toeplitz matrix with first column
+    [1, -a, -R*C, -R*A_r*C, .., -R*A_r^(r-1)*C] and the (descending)
+    coefficients of det(t*I - A_r).  The powers are matrix-vector products,
+    about n^4/4 integer multiplications in all, and the coefficient of
+    t^(n-k) in det(t*I - M) is the one of det(t*I - A) over d^k."""
     if not m.is_square():
         raise DimensionError("characteristic polynomial of non-square matrix")
     n = m.rows
     flat, d = _integral(m.entries)
     a = [flat[i * n : (i + 1) * n] for i in range(n)]
-    coeffs = [Fraction(1)]
-    b = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        cols = list(zip(*b))
-        b = [[sum(map(mul, row, col)) for col in cols] for row in a]
-        c = -sum(b[i][i] for i in range(n)) // k
-        for i in range(n):
-            b[i][i] += c
-        coeffs.append(Fraction(c, d**k))
-    return Polynomial(reversed(coeffs))
+    p = [1]  # det(t*I - A_r), descending
+    for r in range(n):
+        block = [ai[:r] for ai in a[:r]]
+        row, v = a[r][:r], [ai[r] for ai in a[:r]]  # R and C
+        t = [1, -a[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, bi, v)) for bi in block]  # A_r^k * C
+            t.append(-sum(map(mul, row, v)))
+        t.reverse()  # t[r + 1 - k] is the k-th entry of the first column
+        p = [sum(map(mul, t[r + 1 - i :], p)) for i in range(r + 2)]
+    return Polynomial(reversed([Fraction(c, d**k) for k, c in enumerate(p)]))
 
 
 def reversed_char_poly(m: RatMatrix) -> Polynomial:

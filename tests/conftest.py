@@ -15,6 +15,7 @@ import pytest
 
 from motivic_zeta import Polynomial, RatMatrix, RationalFunction, TracedMotive, VarietySpec, fq_make
 from motivic_zeta.errors import NotInvertibleError
+from motivic_zeta.exact_core import _integral
 from motivic_zeta.reconstruct import NotStabilized
 from motivic_zeta.series import TruncatedSeries
 from motivic_zeta.gfvec import vec_field
@@ -125,6 +126,26 @@ def inverse_by_fractions(m: RatMatrix) -> RatMatrix:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return RatMatrix(n, n, [a[i][n + j] for i in range(n) for j in range(n)])
+
+
+def char_poly_by_leverrier(m: RatMatrix) -> Polynomial:
+    """det(t*I - M) by the Faddeev-LeVerrier recursion on A = d*M, the
+    kernel char_poly ran before Berkowitz: B_k = A*B_(k-1) + c_k*I with
+    c_k = -tr(A*B_(k-1))/k exact in Z, and the coefficient of t^(n-k) is
+    c_k / d^k."""
+    n = m.rows
+    flat, d = _integral(m.entries)
+    a = [flat[i * n : (i + 1) * n] for i in range(n)]
+    coeffs = [Fraction(1)]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*b))
+        b = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+        c = -sum(b[i][i] for i in range(n)) // k
+        for i in range(n):
+            b[i][i] += c
+        coeffs.append(Fraction(c, d**k))
+    return Polynomial(reversed(coeffs))
 
 
 def gcd_by_fractions(a: Polynomial, b: Polynomial) -> Polynomial:

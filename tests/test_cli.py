@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import motivic_zeta
-from motivic_zeta.cli import ARTIN_MAZUR_MAX_NMAX, COMMANDS, REQUIRED, build_parser, main
+from motivic_zeta import cli
+from motivic_zeta.cli import ARTIN_MAZUR_MAX_NMAX, COMMANDS, REQUIRED, _parser, main
+from motivic_zeta.reconstruct import MAX_BITS
 from motivic_zeta.serialize import canonical, dumps
 
 from conftest import FIXTURES
@@ -424,23 +426,28 @@ def test_evaluation_at_a_triple_pole_is_a_numeric_error(capsys, tmp_path):
 
 
 def test_parser_is_built_once(capsys):
-    # one process running two subcommands gives the envelopes of two cold calls
+    # one process running two subcommands gives the envelopes of two cold
+    # calls; each builds the parser of its own row, once, and not the tree
     calls = [
         ["lfun", "--in", fixture("p1_f5_z2_sign.json"), "--nmax", "3"],
         ["variety", "count", "--in", fixture("elliptic_f5_variety.json"), "--nmax", "2"],
     ]
     cold = []
     for argv in calls:
-        build_parser.cache_clear()
+        _parser.cache_clear()
         cold.append(run(capsys, *argv))
+    _parser.cache_clear()
     assert [run(capsys, *argv) for argv in calls] == cold
-    assert build_parser() is build_parser()
+    assert _parser.cache_info().misses == 2
+    assert _parser("lfun") is _parser("lfun") and _parser.cache_info().misses == 2
+    assert _parser(None) is _parser(None)
 
 
-def test_each_command_takes_exactly_the_flags_of_its_row(capsys, tmp_path):
-    # the table is the CLI: every flag a row declares parses to its value or
-    # its default, and every usage mistake is a validation_error, exit 1
-    assert len(COMMANDS) == 27 and sum(len(flags) for *_, flags in COMMANDS) == 79
+def _flag_cases(tmp_path):
+    """For each row of COMMANDS: its words and flags, its command lines with
+    every flag it declares and with its required flags only, each with the
+    namespace it parses to, and its usage mistakes; then the mistakes that
+    name no row, or a row with a word too many."""
     values = {
         "in": fixture("p1_motive.json"), "out": str(tmp_path / "out.json"),
         "precision": "3", "nmax": "2", "budget": "100", "q": "5", "dim": "1", "n": "2",
@@ -449,25 +456,58 @@ def test_each_command_takes_exactly_the_flags_of_its_row(capsys, tmp_path):
     def argv(words, flags):
         return words.split() + [x for flag in flags for x in (f"--{flag}", values[flag])]
 
+    rows = []
     for words, handler, flags in COMMANDS:
-        assert "out" in flags
         given = {flag: values[flag] if flag in ("in", "out") else int(values[flag]) for flag in flags}
-        assert vars(build_parser().parse_args(argv(words, flags))) == {"handler": handler, **given}
         required = [flag for flag, default in flags.items() if default is REQUIRED]
         defaults = {flag: given[flag] if flag in required else default for flag, default in flags.items()}
-        assert vars(build_parser().parse_args(argv(words, required))) == {"handler": handler, **defaults}
+        parses = [(argv(words, flags), {"handler": handler, **given}), (argv(words, required), {"handler": handler, **defaults})]
         mistakes = [argv(words, required + [flag]) for flag in values.keys() - flags]
         mistakes += [argv(words, [flag for flag in required if flag != gone]) for gone in required]
         mistakes += [
             argv(words, required) + [f"--{flag}", bad]
             for flag in ("nmax", "precision") if flag in flags for bad in ("0", "-1", "x")
         ]
+        rows.append((words, flags, parses, mistakes))
+    unrouted = [[], ["motive"], ["motive", "bogus"], ["motive", "det", "--in", values["in"], "extra"]]
+    return rows, unrouted
+
+
+def test_each_command_takes_exactly_the_flags_of_its_row(capsys, tmp_path):
+    # the table is the CLI: every flag a row declares parses to its value or
+    # its default, and every usage mistake is a validation_error, exit 1
+    assert len(COMMANDS) == 27 and sum(len(flags) for *_, flags in COMMANDS) == 79
+    rows, unrouted = _flag_cases(tmp_path)
+    for words, flags, parses, mistakes in rows:
+        assert "out" in flags
+        for argv, namespace in parses:
+            assert vars(_parser(None).parse_args(argv)) == namespace
         for bad in mistakes:
             code, out = run(capsys, *bad)
             assert (code, out["status"]) == (1, "validation_error"), bad
-    for bad in ([], ["motive"], ["motive", "bogus"], ["motive", "det", "--in", values["in"], "extra"]):
+    for bad in unrouted:
         code, out = run(capsys, *bad)
         assert (code, out["status"]) == (1, "validation_error"), bad
+
+
+def test_one_row_parser_reads_as_the_whole_tree(capsys, monkeypatch, tmp_path):
+    # each row's own parser gives the namespace the whole tree gives, and
+    # each usage mistake leaves as the same envelope, byte for byte, whether
+    # main builds that row's parser or the whole tree
+    rows, unrouted = _flag_cases(tmp_path)
+    for words, flags, parses, mistakes in rows:
+        for argv, namespace in parses:
+            assert cli._row_words(argv) == words
+            assert vars(_parser(words).parse_args(argv)) == vars(_parser(None).parse_args(argv)) == namespace
+    everything = [bad for *_, mistakes in rows for bad in mistakes] + unrouted
+
+    def envelopes():
+        return [(main(bad), capsys.readouterr().out) for bad in everything]
+
+    one_row = envelopes()
+    monkeypatch.setattr(cli, "_row_words", lambda argv: None)
+    assert envelopes() == one_row
+    assert all(code == 1 and '"validation_error"' in out for code, out in one_row)
 
 
 def test_artin_mazur(capsys):
@@ -487,6 +527,36 @@ def test_artin_mazur_refuses_an_nmax_above_its_cap(capsys, monkeypatch):
     code, out = run(capsys, "artin-mazur", "--in", fixture("artin_mazur.json"), "--nmax", str(ARTIN_MAZUR_MAX_NMAX + 1))
     assert (code, out["status"]) == (2, "resource_error")
     assert (out["payload"]["required"], out["payload"]["budget"]) == (701, 700)
+
+
+def test_every_berlekamp_massey_route_refuses_800_terms(capsys, tmp_path):
+    # Berlekamp-Massey ran 4.25 s on 800 Artin-Mazur traces, and longer on
+    # their exp series; reconstruct refuses both once the connection
+    # polynomial passes MAX_BITS, and artin-mazur refuses --nmax 800 itself
+    traces = motivic_zeta.artin_mazur_traces(5, 2, 800)
+    routes = [
+        ["reconstruct", "bm", "--in", write(tmp_path, "bm.json", {"sequence": traces})],
+        ["reconstruct", "traces", "--in", write(tmp_path, "tr.json", traces)],
+    ]
+    for argv in routes:
+        code, out = run(capsys, *argv)
+        assert (code, out["status"]) == (2, "resource_error"), argv
+        assert out["payload"]["budget"] == MAX_BITS < out["payload"]["required"], argv
+    code, out = run(capsys, "artin-mazur", "--in", fixture("artin_mazur.json"), "--nmax", "800")
+    assert (code, out["status"]) == (2, "resource_error")
+    assert (out["payload"]["required"], out["payload"]["budget"]) == (800, 700)
+
+
+def test_berlekamp_massey_routes_answer_long_sequences_of_low_order(capsys, tmp_path):
+    code, out = run(capsys, "artin-mazur", "--in", fixture("artin_mazur.json"), "--nmax", "700")
+    assert (code, out["payload"]["reconstruction"]["stabilized"]) == (0, False)
+    assert len(out["payload"]["traces"]) == 700
+    for argv in (
+        ["reconstruct", "bm", "--in", write(tmp_path, "bm.json", {"sequence": [1] * 800})],
+        ["reconstruct", "traces", "--in", write(tmp_path, "tr.json", [2] * 800)],
+    ):
+        code, out = run(capsys, *argv)
+        assert (code, out["payload"]["stabilized"]) == (0, True), argv
 
 
 def test_hw_eval_and_pole_exit_code(capsys, tmp_path):

@@ -14,7 +14,9 @@ from motivic_zeta import (
     linear_complexity_profile,
     traces_to_zeta,
 )
-from motivic_zeta.errors import ValidationError
+from motivic_zeta.errors import ResourceError, ValidationError
+from motivic_zeta.reconstruct import MAX_BITS
+from motivic_zeta.varieties import artin_mazur_traces
 
 
 def test_geometric_sequence():
@@ -122,3 +124,14 @@ def test_traces_to_zeta_elliptic():
     rec = traces_to_zeta(counts)
     assert not isinstance(rec, NotStabilized)
     assert rec.value == expected
+
+
+@pytest.mark.parametrize("route", [berlekamp_massey, linear_complexity_profile, traces_to_zeta])
+def test_one_size_cap_for_every_route(route):
+    # the connection polynomial of 800 Artin-Mazur traces (and of their exp
+    # series) outgrows MAX_BITS, while long sequences of low order, where
+    # it stays small, still answer
+    with pytest.raises(ResourceError) as refused:
+        route(artin_mazur_traces(5, 2, 800))
+    assert refused.value.budget == MAX_BITS < refused.value.required
+    assert route([1] * 800) and route([0] * 799 + [1]) and route([2**k + 3**k for k in range(1, 801)])

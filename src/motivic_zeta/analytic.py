@@ -293,17 +293,11 @@ def _jordan_block_sizes(mat: RatMatrix, lam: complex, alg_mult: int) -> tuple[in
 
 
 def _nilpotent_log(size: int, lam: complex) -> list[list[float]]:
-    """log of the unipotent part of a size-k Jordan block at lam:
-    log(I + S/lam) for the shift matrix S, a finite nilpotent series."""
-    s = np.zeros((size, size), dtype=complex)
-    for i in range(size - 1):
-        s[i, i + 1] = 1.0 / lam
-    acc = np.zeros_like(s)
-    power = np.eye(size, dtype=complex)
-    for j in range(1, size):
-        power = power @ s
-        acc += ((-1) ** (j + 1)) * power / j
-    return [[abs(x) for x in row] for row in acc.tolist()]
+    """Entry moduli of the log of the unipotent part of a size-k Jordan
+    block at lam: log(I + S/lam) = sum_j (-1)^(j+1) (S/lam)^j / j for the
+    shift matrix S, so superdiagonal j holds 1/(j |lam|^j)."""
+    w = 1 / lam
+    return [[abs(w ** (j - i) / (j - i)) if j > i else 0.0 for j in range(size)] for i in range(size)]
 
 
 def theta_construction(m: TracedMotive, q: int) -> ThetaData:

@@ -79,15 +79,23 @@ def _samples_in(data, default: list) -> list[complex]:
     return out
 
 
-def _character_in(data) -> lfunctions.Character:
+def _character_in(data, action: lfunctions.GroupAction) -> lfunctions.Character:
+    """The character of data; each root order is checked against the
+    group before a value of that order is built."""
+
+    def order(x) -> int:
+        m = _json_int(x, "m")
+        lfunctions.check_root_order(action, m)
+        return m
+
     raw = _json_list(_key(data, "values"), "values")
-    m = _json_int(data.get("m", 1), "m")
+    m = order(data.get("m", 1))
     values = []
     for val in raw:
         if isinstance(val, dict):
             values.append(
                 lfunctions.Cyclotomic(
-                    _json_int(val.get("m", m), "m"),
+                    order(val.get("m", m)),
                     tuple(_frac(c) for c in _json_list(_key(val, "coeffs"), "coeffs")),
                 )
             )
@@ -221,8 +229,7 @@ def cmd_reconstruct_traces(data):
 
 
 def cmd_variety_count(data, nmax, budget):
-    v = VarietySpec.from_json(data)
-    return {"counts": [varieties.count_points(v, n, budget) for n in range(1, nmax + 1)]}
+    return {"counts": varieties.point_counts(VarietySpec.from_json(data), nmax, budget)}
 
 
 def cmd_variety_zeta(data, nmax, budget):
@@ -244,7 +251,7 @@ def _variety_and_action(data):
 
 def cmd_lfun(data, nmax, budget):
     v, action = _variety_and_action(data)
-    character = _character_in(_key(data, "character"))
+    character = _character_in(_key(data, "character"), action)
     return lfunctions.l_function(v, action, character, nmax, budget)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -235,6 +236,15 @@ class GroupAction:
         return self.elements[i]
 
 
+def check_root_order(action: GroupAction, m: int) -> None:
+    """Refuse a root order m above the exponent of the group, the lcm of
+    its element orders: every character value lies in Q(zeta_exponent),
+    and a larger m only makes each product cost more (phi(m)^2)."""
+    exponent = math.lcm(*action.element_orders)
+    if m > exponent:
+        raise ValidationError(f"character root order {m} exceeds the group exponent {exponent}")
+
+
 @dataclass(frozen=True)
 class Character:
     """A class function on a group action, valued in Q(zeta_m).
@@ -251,6 +261,7 @@ class Character:
                 raise ValidationError("character values must share the root order")
 
     def check_against(self, action: GroupAction):
+        check_root_order(action, self.m)
         if len(self.values) != len(action.class_reps):
             raise ValidationError("one value per conjugacy class required")
         dim = self.values[action.class_of[action.identity_index]]

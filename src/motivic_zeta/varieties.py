@@ -3,16 +3,19 @@
 Varieties are given by equations in an affine or projective ambient
 space over F_q, q = p^e, with integer coefficients (read mod p) or
 coefficients in F_q itself, each equation one polynomial over F_q.
-Counting goes chart by chart over normalized point representatives
-(projective: first nonzero coordinate = 1), with the chart plan made
-over the base field.  Charts cut out by no equations are counted in
-closed form; a chart with a single equation of degree 1 or 2 in some
-free variable enumerates the remaining variables and counts roots
-(discriminant squares in odd characteristic, an absolute trace in
-characteristic 2); everything else is exhaustive.  Enumeration work is
-metered against a budget (default 10^7 assignments, env
-MOTIVIC_ZETA_BUDGET or per-call override), charged before F_{q^n} is
-built.  All enumeration runs through one iterator over chunks of
+Every count, of one n or of n = 1..n_max, twisted or not, runs through
+one function (_counts) over normalized point representatives
+(projective: first nonzero coordinate = 1), chart by chart, with one
+chart plan made over the base field for all n.  Charts cut out by no
+equations are counted in closed form; a chart with a single equation of
+degree 1 or 2 in some free variable enumerates the remaining variables
+and counts roots (discriminant squares in odd characteristic, an
+absolute trace in characteristic 2); everything else is exhaustive.
+Enumeration work is metered against a budget (default 10^7 assignments
+per n, env MOTIVIC_ZETA_BUDGET or per-call override), and every n is
+charged before any F_{q^n} is built, so a refused count counts nothing
+(the descent of a twisted count below still builds F_{q^(n r)} before
+it charges).  All enumeration runs through one iterator over chunks of
 assignments, each variable an array of packed field elements, evaluated
 with gfvec: on exp/log/Zech tables once the field is enumerated over at
 least q rows (q <= 10^7), on base-p digits otherwise (one-row charts,
@@ -25,8 +28,9 @@ F_{q^n}-form of F_Q^N (Lang, Amer. J. Math. 78, 1956): a matrix h over
 F_Q with g Fr^n(h) = h.  Then x = h y maps the F_{q^n}-points of the
 twisted form, cut out by the coordinates of F(h y) in the F_{q^n}-basis
 1, X, .., X^(r-1) of F_Q, one to one onto the twisted fixed points, and
-count_points counts them with its shortcuts intact.  A condition h' x = x
-(or h' x proportional to x) from a fixing element becomes equations too.
+the ordinary count counts them with its shortcuts intact.  A condition
+h' x = x (or h' x proportional to x) from a fixing element becomes
+equations too.
 """
 
 from __future__ import annotations
@@ -73,20 +77,19 @@ def resolve_budget(budget: int | None) -> int:
     return budget
 
 
-class BudgetTracker:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, amount: int):
-        if self.used + amount > self.limit:
+def _charge(budget: int, amounts) -> None:
+    """Charge the assignments of each enumeration in turn; the first that
+    takes the running total past budget is a ResourceError naming that
+    total."""
+    used = 0
+    for amount in amounts:
+        used += amount
+        if used > budget:
             raise ResourceError(
-                f"enumeration of {self.used + amount} assignments exceeds "
-                f"budget {self.limit}",
-                required=self.used + amount,
-                budget=self.limit,
+                f"enumeration of {used} assignments exceeds budget {budget}",
+                required=used,
+                budget=budget,
             )
-        self.used += amount
 
 
 Term = tuple[tuple[int, ...], "int | FqElement"]  # exponent vector, coefficient
@@ -204,23 +207,27 @@ def affine_space(n: int, p: int, e: int = 1) -> VarietySpec:
 # --- charts ---
 
 
-def _charts(v: VarietySpec):
-    """Yield (fixed, free, eqs) per chart, over the base field, where the
-    equations live.  fixed maps a variable index to 0 or 1 (projective:
-    the first nonzero coordinate is 1), free lists the free variable
-    indices and eqs holds the equations restricted to the chart as
-    polynomials over the base field, identically zero ones dropped.
-    Charts on which an equation is a nonzero constant have no points and
-    are skipped."""
-    nv = v.num_vars
-    equations = [_poly(eq, v.base_field) for eq in v.equations]
-    if v.ambient_kind == "affine":
+def _equations(v: VarietySpec) -> list[dict]:
+    """The equations of v as polynomials over its base field, identically
+    zero ones dropped."""
+    base = v.base_field
+    return [poly for poly in (_poly(eq, base) for eq in v.equations) if poly]
+
+
+def _charts(kind: str, nv: int, polys: list[dict]):
+    """Yield (fixed, free, eqs) per chart of the kind ambient space in nv
+    variables, over the field of polys.  fixed maps a variable index to 0
+    or 1 (projective: the first nonzero coordinate is 1), free lists the
+    free variable indices and eqs holds polys restricted to the chart,
+    identically zero ones dropped.  Charts on which a polynomial is a
+    nonzero constant have no points and are skipped."""
+    if kind == "affine":
         layouts = [({}, list(range(nv)))]
     else:
         layouts = [({**{j: 0 for j in range(i)}, i: 1}, list(range(i + 1, nv))) for i in range(nv)]
     for fixed, free in layouts:
         eqs = []
-        for eq in equations:
+        for eq in polys:
             s = _specialize(eq, fixed, free)
             if s is None:
                 continue
@@ -292,13 +299,13 @@ def _vanish(vf: VecField, eqs, values, rows: int):
     return mask
 
 
-def _chart_points(vf: VecField, v: VarietySpec, fixed: dict, free: list[int], eqs):
-    """Per chunk of a chart's assignments: (rows, the coordinates of every
-    variable with fixed ones as one-row constants, mask of the solutions)."""
+def _chart_points(vf: VecField, nv: int, fixed: dict, free: list[int], eqs):
+    """Per chunk of a chart's assignments: (rows, the coordinates of all nv
+    variables with fixed ones as one-row constants, mask of the solutions)."""
     consts = {i: vf.const(c) for i, c in fixed.items()}
     for rows, values in _assignments(vf, len(free)):
         coords = {**consts, **dict(zip(free, values))}
-        yield rows, [coords[i] for i in range(v.num_vars)], _vanish(vf, eqs, values, rows)
+        yield rows, [coords[i] for i in range(nv)], _vanish(vf, eqs, values, rows)
 
 
 # --- point counts ---
@@ -341,43 +348,63 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
     return total
 
 
-def count_points(v: VarietySpec, n: int, budget: int | None = None) -> int:
-    """#X(F_{q^n}) by chart-wise enumeration of normalized representatives.
-    The chart plan is over the base field and is charged in full before
-    F_{q^n} exists, so a closed-form or refused count builds no field."""
-    if n < 1:
-        raise PreconditionError("extension degree must be >= 1")
-    tracker = BudgetTracker(resolve_budget(budget))
-    q = v.q**n
-    total, plan = 0, []
-    for _, free, eqs in _charts(v):
+def _counts(kind: str, nv: int, base: FqField, polys: list[dict], ns, budget: int | None) -> list[int]:
+    """#X(F_{q^n}) for each n in ns, X cut out of the kind ambient space in
+    nv variables by polys over base = F_q.  The chart plan is made once,
+    over base, and every n is charged in full before any field is built,
+    so a closed-form or refused count builds none."""
+    budget = resolve_budget(budget)
+    closed, plan = [], []
+    for _, free, eqs in _charts(kind, nv, polys):
         f = len(free)
         if not eqs:
-            total += q**f
-            continue
-        j = _pick_quadratic_var(eqs[0], f) if len(eqs) == 1 else None
-        tracker.charge(q**f if j is None else q ** (f - 1))
-        plan.append((f, eqs, j))
-    vf = vec_field(fq_make(v.p, v.e * n)) if plan else None
-    for f, eqs, j in plan:
-        eqs = [_poly(eq.items(), vf.field) for eq in eqs]
-        if j is None:
-            total += sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
+            closed.append(f)
         else:
-            total += _quadratic_count(vf, eqs[0], f, j)
-    return total
+            j = _pick_quadratic_var(eqs[0], f) if len(eqs) == 1 else None
+            plan.append((f, eqs, j))
+    for n in ns:
+        q = base.q**n
+        _charge(budget, [q**f if j is None else q ** (f - 1) for f, _, j in plan])
+    counts = []
+    for n in ns:
+        q = base.q**n
+        total = sum(q**f for f in closed)
+        vf = vec_field(fq_make(base.p, base.e * n)) if plan else None
+        for f, eqs, j in plan:
+            eqs = [_poly(eq.items(), vf.field) for eq in eqs]
+            if j is None:
+                total += sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
+            else:
+                total += _quadratic_count(vf, eqs[0], f, j)
+        counts.append(total)
+    return counts
+
+
+def count_points(v: VarietySpec, n: int, budget: int | None = None) -> int:
+    """#X(F_{q^n}) by chart-wise enumeration of normalized representatives."""
+    if n < 1:
+        raise PreconditionError("extension degree must be >= 1")
+    return _counts(v.ambient_kind, v.num_vars, v.base_field, _equations(v), [n], budget)[0]
+
+
+def point_counts(v: VarietySpec, n_max: int, budget: int | None = None) -> list[int]:
+    """[#X(F_{q^n}) for n = 1..n_max], each n charged before any is counted."""
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    return _counts(v.ambient_kind, v.num_vars, v.base_field, _equations(v), range(1, n_max + 1), budget)
 
 
 def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     """Normalized point representatives over F_{q^n}, chart by chart in
-    lexicographic order of the free coordinates (desk scale only)."""
+    lexicographic order of the free coordinates (desk scale only).  Every
+    chart is charged before F_{q^n} is built."""
+    charts = list(_charts(v.ambient_kind, v.num_vars, _equations(v)))
+    _charge(resolve_budget(budget), [v.q ** (n * len(free)) for _, free, _ in charts])
     vf = vec_field(fq_make(v.p, v.e * n))
-    tracker = BudgetTracker(resolve_budget(budget))
     points = []
-    for fixed, free, eqs in _charts(v):
-        tracker.charge(vf.q ** len(free))
+    for fixed, free, eqs in charts:
         eqs = [_poly(eq.items(), vf.field) for eq in eqs]
-        for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
+        for _, coords, mask in _chart_points(vf, v.num_vars, fixed, free, eqs):
             index = np.flatnonzero(mask)
             columns = [vf.elements(c, index) for c in coords]
             points += [tuple(col[i] for col in columns) for i in range(len(index))]
@@ -530,7 +557,7 @@ def _preserves(v: VarietySpec, g) -> bool:
     This proves that g maps X into itself; it is sufficient, not
     necessary, since the ideal of X may hold F(g x) outside that span."""
     base = v.base_field
-    polys = [poly for poly in (_poly(eq, base) for eq in v.equations) if poly]
+    polys = _equations(v)
     for f in polys:
         same = [p for p in polys if v.ambient_kind == "affine" or _degree(p) == _degree(f)]
         moved = _substitute(f, g)
@@ -561,20 +588,20 @@ def _twisted_core(v: VarietySpec, g, n: int, fixers: tuple, budget: int | None) 
     base = v.base_field
     if len(row_echelon(act)[1]) < len(act):
         raise ValidationError("group elements must be invertible")
-    eqs = [poly for poly in (_poly(eq, base) for eq in v.equations) if poly]
+    eqs = _equations(v)
     for h in fixers:
         eqs += _fixer_equations(v, _normalize_matrix(v, h))
     one, zero = base.one(), base.zero()
     if all(c == (one if i == j else zero) for i, row in enumerate(act) for j, c in enumerate(row)) or not eqs:
         # Fr^n alone, or the twisted form of P^N or A^N, which is P^N or A^N
-        cut = VarietySpec(v.ambient_kind, v.ambient_dim, v.p, v.e, tuple(tuple(eq.items()) for eq in eqs))
-        return count_points(cut, n, budget)
-    return count_points(_descend(v, act, matrix_order(v, act), n, eqs), 1, budget)
+        return _counts(v.ambient_kind, v.num_vars, base, eqs, [n], budget)[0]
+    descended = _descend(v, act, matrix_order(v, act), n, eqs)
+    return _counts(v.ambient_kind, v.num_vars, fq_make(v.p, v.e * n), descended, [1], budget)[0]
 
 
-def _descend(v: VarietySpec, g, r: int, n: int, eqs: list[dict]) -> VarietySpec:
-    """The twisted form of the variety cut out by eqs (over the base field)
-    under g Fr^n, as a variety over F_{q^n}; r = ord(g) > 1."""
+def _descend(v: VarietySpec, g, r: int, n: int, eqs: list[dict]) -> list[dict]:
+    """The equations over F_{q^n} of the twisted form of the variety cut
+    out by eqs (over the base field) under g Fr^n; r = ord(g) > 1."""
     small, big = fq_make(v.p, v.e * n), fq_make(v.p, v.e * n * r)
     coords, from_coords = _coordinates(small, big)
     nv = v.num_vars
@@ -617,10 +644,7 @@ def _descend(v: VarietySpec, g, r: int, n: int, eqs: list[dict]) -> VarietySpec:
         for part in parts:
             if part:
                 by_degree.setdefault(_degree(part), []).append(part)
-    equations = tuple(
-        tuple(poly.items()) for d in sorted(by_degree) for poly in _span_basis(by_degree[d], small)
-    )
-    return VarietySpec(v.ambient_kind, v.ambient_dim, v.p, v.e * n, equations)
+    return [poly for d in sorted(by_degree) for poly in _span_basis(by_degree[d], small)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -665,10 +689,7 @@ def zeta_from_counts(
     v: VarietySpec, n_max: int, budget: int | None = None
 ) -> WittElement:
     """exp(sum #X(F_{q^n}) t^n / n) truncated at t^{n_max}."""
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    counts = [count_points(v, n, budget) for n in range(1, n_max + 1)]
-    return WittElement(exp_from_traces(counts))
+    return WittElement(exp_from_traces(point_counts(v, n_max, budget)))
 
 
 def _mobius(n: int) -> int:
@@ -691,10 +712,10 @@ def closed_points(v: VarietySpec, d_max: int, budget: int | None = None) -> list
     """B_d = (1/d) sum_{e|d} mu(d/e) #X(F_{q^e}) for d = 1..d_max."""
     if d_max < 1:
         raise PreconditionError("d_max must be >= 1")
-    counts = {n: count_points(v, n, budget) for n in range(1, d_max + 1)}
+    counts = point_counts(v, d_max, budget)
     out = []
     for d in range(1, d_max + 1):
-        acc = sum(_mobius(d // e) * counts[e] for e in range(1, d + 1) if d % e == 0)
+        acc = sum(_mobius(d // e) * counts[e - 1] for e in range(1, d + 1) if d % e == 0)
         if acc % d != 0 or acc < 0:
             raise ValidationError(f"closed-point count B_{d} = {acc}/{d} is not valid")
         out.append(acc // d)
@@ -740,7 +761,7 @@ def weil_check(
     reciprocal-root magnitudes q^{i/2}, read from the certified roots of
     the square-free factors of the reconstructed numerator and denominator,
     each repeated by its exact multiplicity."""
-    counts = [count_points(v, n, budget) for n in range(1, n_max + 1)]
+    counts = point_counts(v, n_max, budget)
     rec = traces_to_zeta(counts)
     if isinstance(rec, NotStabilized):
         return WeilReport(

@@ -19,7 +19,7 @@ from motivic_zeta.exact_core import _integral
 from motivic_zeta.reconstruct import NotStabilized
 from motivic_zeta.series import TruncatedSeries
 from motivic_zeta.gfvec import vec_field
-from motivic_zeta.varieties import _chart_points, _charts, _normalize_matrix, _poly, matrix_order
+from motivic_zeta.varieties import _chart_points, _charts, _equations, _normalize_matrix, _poly, matrix_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "motivic_zeta" / "fixtures"
 VARIETY_FIXTURES = sorted(path.name for path in FIXTURES.glob("*_variety.json"))
@@ -93,9 +93,9 @@ def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
     twist = embedded(act)
     fix = [embedded(_normalize_matrix(v, h)) for h in fixers]
     total = 0
-    for fixed, free, eqs in _charts(v):
+    for fixed, free, eqs in _charts(v.ambient_kind, v.num_vars, _equations(v)):
         eqs = [_poly(eq.items(), big) for eq in eqs]
-        for _, coords, mask in _chart_points(vf, v, fixed, free, eqs):
+        for _, coords, mask in _chart_points(vf, v.num_vars, fixed, free, eqs):
             for m in fix:
                 mask = mask & same_point(apply(m, coords), coords)
             moved = apply(twist, [vf.power(x, v.q**n) for x in coords])
@@ -199,6 +199,22 @@ def log_q_lower_branch(lam: complex, q: int) -> complex:
     if abs(w.imag - math.pi) <= 1e-12:
         w = complex(w.real, -math.pi)
     return w / math.log(q)
+
+
+def nilpotent_log_by_series(size: int, lam: complex) -> list[list[float]]:
+    """Entry moduli of log(I + S/lam), S the size x size shift matrix, by
+    summing the nilpotent series (-1)^(j+1) (S/lam)^j / j with numpy
+    matrix powers: the route analytic._nilpotent_log took before its
+    closed form."""
+    s = np.zeros((size, size), dtype=complex)
+    for i in range(size - 1):
+        s[i, i + 1] = 1.0 / lam
+    acc = np.zeros_like(s)
+    power = np.eye(size, dtype=complex)
+    for j in range(1, size):
+        power = power @ s
+        acc += ((-1) ** (j + 1)) * power / j
+    return [[abs(x) for x in row] for row in acc.tolist()]
 
 
 def smith_diagonal_by_pivots(m) -> list[int]:

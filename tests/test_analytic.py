@@ -26,9 +26,10 @@ from motivic_zeta import (
     theta_construction,
     trace_sequence,
 )
+from motivic_zeta.analytic import _nilpotent_log
 from motivic_zeta.errors import NotInvertibleError, PoleError, PreconditionError
 
-from conftest import log_q_lower_branch
+from conftest import log_q_lower_branch, nilpotent_log_by_series
 
 
 def motive(plus_rows, minus_rows=None) -> TracedMotive:
@@ -149,6 +150,22 @@ def test_theta_jordan_blocks():
     assert entry.block_sizes == (2,)
     assert len(theta.unipotent_blocks) == 1
     assert theta.unipotent_blocks[0]["size"] == 2
+
+
+def test_nilpotent_log_closed_form_matches_series():
+    # the closed form 1/(j |lam|^j) on superdiagonal j against the numpy
+    # matrix series; the two round differently, so a printed 12th digit can
+    # differ at a rounding tie, and the entries are compared to 1e-13
+    rng = random.Random(16)
+    for _ in range(3000):
+        size = rng.randint(2, 7)
+        r = rng.uniform(0.05, 40)
+        lam = rng.choice([complex(-r), cmath.rect(r, rng.uniform(-math.pi, math.pi))])
+        closed, series = _nilpotent_log(size, lam), nilpotent_log_by_series(size, lam)
+        assert all(
+            math.isclose(a, b, rel_tol=1e-13) for row_a, row_b in zip(closed, series) for a, b in zip(row_a, row_b)
+        ), (size, lam)
+        assert [[a == 0 for a in row] for row in closed] == [[b == 0 for b in row] for row in series]
 
 
 def test_theta_requires_invertible_blocks():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import motivic_zeta
-from motivic_zeta import cli
+from motivic_zeta import cli, lfunctions
 from motivic_zeta.cli import ARTIN_MAZUR_MAX_NMAX, COMMANDS, REQUIRED, _parser, main
 from motivic_zeta.reconstruct import MAX_BITS
 from motivic_zeta.serialize import canonical, dumps
@@ -259,6 +259,26 @@ def test_bad_action_inputs_give_validation_errors(capsys, tmp_path, commands, da
     for command in commands.split():
         code, out = run(capsys, command, "--in", str(path), "--nmax", "2")
         assert (code, out["status"]) == (1, "validation_error"), out
+
+
+@pytest.mark.parametrize(
+    "character",
+    [{"m": 10**6, "values": [1, -1]}, {"m": 2, "values": [1, {"m": 10**6, "coeffs": [-1]}]}],
+)
+def test_lfun_refuses_a_root_order_above_the_group_exponent(capsys, tmp_path, monkeypatch, character):
+    # the sign character of Z/2 written in Q(zeta_(10^6)): refused before
+    # any value of that order is built, which took 0.5 s per value
+    fold = lfunctions._cyclotomic_fold
+
+    def no_large_fold(m):
+        assert m <= 2, f"Q(zeta_{m}) was built"
+        return fold(m)
+
+    monkeypatch.setattr(lfunctions, "_cyclotomic_fold", no_large_fold)
+    data = {**json.loads((FIXTURES / "p1_f5_z2_sign.json").read_text()), "character": character}
+    code, out = run(capsys, "lfun", "--in", write(tmp_path, "in.json", data), "--nmax", "2")
+    assert (code, out["status"]) == (1, "validation_error"), out
+    assert "exponent 2" in out["payload"]["reason"]
 
 
 _MOTIVE_Q_COMMANDS = ("hw eval", "hw poles", "hw abscissa", "theta", "regdet-check")

@@ -115,6 +115,18 @@ def test_character_validation(z2_action):
     chi.check_against(z2_action)
 
 
+def test_character_root_order_is_bounded_by_the_group_exponent(p1_f5, z2_action):
+    # Z/2 has exponent 2: its values lie in Q(zeta_2) = Q, so m = 1 and
+    # m = 2 are read and m = 3 is refused
+    for m in (1, 2):
+        Character(m, (Cyclotomic.rational(1, m), Cyclotomic.rational(-1, m))).check_against(z2_action)
+    too_big = Character(3, (Cyclotomic.rational(1, 3), Cyclotomic.rational(-1, 3)))
+    with pytest.raises(ValidationError, match="exponent 2"):
+        too_big.check_against(z2_action)
+    with pytest.raises(ValidationError, match="exponent 2"):
+        l_function(p1_f5, z2_action, too_big, 2)
+
+
 def test_trivial_character_recovers_zeta(p1_f5, z2_action):
     ls = l_function(p1_f5, z2_action, trivial_character(z2_action), 5)
     assert ls.is_rational()

@@ -3,7 +3,6 @@
 import itertools
 import json
 import random
-import time
 
 import pytest
 
@@ -23,12 +22,13 @@ from motivic_zeta import (
     zeta_from_counts,
 )
 from motivic_zeta import varieties
+from motivic_zeta.cli import main
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
 from motivic_zeta.gf import row_echelon
 from motivic_zeta.serialize import dumps
 from motivic_zeta.varieties import _twisted_core, affine_space, enumerate_points, matrix_order, projective_space
 
-from conftest import VARIETY_FIXTURES, load_json, load_variety, twisted_count_by_enumeration
+from conftest import FIXTURES, VARIETY_FIXTURES, load_json, load_variety, twisted_count_by_enumeration
 
 
 def brute_projective_count(v: VarietySpec, n: int) -> int:
@@ -218,42 +218,94 @@ def test_twisted_count_sign_action():
     assert twisted_count(p1, g, 4) == 626
 
 
-def test_over_budget_twisted_count_is_refused_at_once(monkeypatch):
+@pytest.fixture
+def field_builds(monkeypatch):
+    """The degrees e of the fields F_{p^e} that varieties asks fq_make
+    for, in call order; varieties.vec_field, which tabulates or enumerates
+    a field of points, raises.  Such a work guard holds on any host."""
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+    degrees = []
+
+    def recorded(p, e):
+        degrees.append(e)
+        return fq_make(p, e)
+
+    def no_enumeration(field):
+        raise AssertionError(f"F_{field.p}^{field.e} was set up for enumeration")
+
+    monkeypatch.setattr(varieties, "fq_make", recorded)
+    monkeypatch.setattr(varieties, "vec_field", no_enumeration)
+    return degrees
+
+
+def test_over_budget_twisted_count_is_refused_at_once(field_builds):
     # the Klein quartic over F_25 with an element of order 2 at n = 3: its
     # twisted form over F_{5^6} has no quadratic variable on the chart
     # x = 1, so its count needs 15625^2 assignments, as the untwisted count
-    # does; the refusal comes from that count, before any enumeration
-    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+    # does; the refusal comes from that count, before any enumeration.  The
+    # descent itself works in F_{5^12}, the field of its fixed vectors, and
+    # over F_5 when its coordinate maps are not cached yet
     klein = plane(5, [((3, 1, 0), 1), ((0, 3, 1), 1), ((1, 0, 3), 1)], e=2)
-    start = time.perf_counter()
     with pytest.raises(ResourceError) as err:
         twisted_count(klein, [[4, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
-    assert time.perf_counter() - start < 1
     assert (err.value.required, err.value.budget) == (5**12, 10**7)
+    assert {2, 6, 12} <= set(field_builds) <= {1, 2, 6, 12}
+    field_builds.clear()
     with pytest.raises(ResourceError) as plain:
         count_points(klein, 3)
     assert (plain.value.required, plain.value.budget) == (err.value.required, err.value.budget)
+    assert set(field_builds) == {2}
 
 
-def test_closed_form_and_refused_counts_build_no_field(monkeypatch):
+def test_closed_form_and_refused_counts_build_no_field(field_builds):
     # every chart is charged before F_{q^n} exists: building F_{13^42} took
-    # 13.6 s before a closed form, and F_{5^56} 6.0 s before a refusal
-    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
-
-    def base_fields_only(p, e):
-        assert e == 1, f"F_{p}^{e} was built"
-        return fq_make(p, e)
-
-    monkeypatch.setattr(varieties, "fq_make", base_fields_only)
-    start = time.perf_counter()
+    # 13.6 s before a closed form, and F_{5^56} 6.0 s before a refusal.
+    # enumerate_points visits every chart in full, so the chart x = 1 of
+    # E/F_5 alone is (5^56)^2 assignments
     q = 13**42
     assert count_points(projective_space(2, 13), 42) == 1 + q + q**2
-    assert time.perf_counter() - start < 1
-    start = time.perf_counter()
+    e5 = load_variety("elliptic_f5_variety.json")
     with pytest.raises(ResourceError) as err:
-        count_points(load_variety("elliptic_f5_variety.json"), 56)
-    assert time.perf_counter() - start < 1
+        count_points(e5, 56)
     assert (err.value.required, err.value.budget) == (5**56, 10**7)
+    with pytest.raises(ResourceError) as err:
+        enumerate_points(e5, 56)
+    assert (err.value.required, err.value.budget) == (5**112, 10**7)
+    assert set(field_builds) == {1}
+
+
+# E/F_7 at n = 8 is over the default budget: 7^8 on the chart x = 1
+# (quadratic in y) and 7^8 on x = 0, y = 1
+E7_N8 = 2 * 7**8
+
+
+@pytest.mark.parametrize("count", [weil_check, closed_points, zeta_from_counts])
+def test_multi_n_counts_are_charged_for_every_n_before_any_is_counted(field_builds, count):
+    # n = 8 is charged before n = 1..7 are counted, so no field is set up
+    args = (1, 9) if count is weil_check else (9,)
+    with pytest.raises(ResourceError) as err:
+        count(load_variety("elliptic_f7_variety.json"), *args)
+    assert (err.value.required, err.value.budget) == (E7_N8, 10**7)
+    assert set(field_builds) == {1}
+
+
+def test_cli_variety_count_is_charged_for_every_n_before_any_is_counted(field_builds, capsys):
+    code = main(["variety", "count", "--in", str(FIXTURES / "elliptic_f7_variety.json"), "--nmax", "9"])
+    envelope = json.loads(capsys.readouterr().out)
+    assert (code, envelope["status"]) == (2, "resource_error")
+    assert (envelope["payload"]["required"], envelope["payload"]["budget"]) == (E7_N8, 10**7)
+    assert set(field_builds) == {1}
+
+
+@pytest.mark.parametrize("name", VARIETY_FIXTURES)
+def test_point_counts_are_the_counts_one_by_one(name):
+    v = load_variety(name)
+    assert varieties.point_counts(v, 3) == [count_points(v, n) for n in (1, 2, 3)]
+
+
+def test_weil_check_needs_a_count():
+    with pytest.raises(PreconditionError):
+        weil_check(projective_space(1, 5), 1, 0)
 
 
 def test_twisted_budget_is_charged_chart_by_chart():
@@ -274,12 +326,11 @@ def test_twisted_budget_is_charged_chart_by_chart():
     assert twisted_count(e5, flip, 2, budget=50) == 25
 
 
-def test_twist_without_equations_is_closed_form():
+def test_twist_without_equations_is_closed_form(field_builds):
     # an element of order 156 of GL_3(F_13): enumeration would have built
     # F_{13^156}; the twisted form of P^2 is P^2, so no field is built
-    start = time.perf_counter()
     assert twisted_count(projective_space(2, 13), [[0, 0, 2], [1, 0, 1], [0, 1, 0]], 1, budget=10) == 183
-    assert time.perf_counter() - start < 1
+    assert set(field_builds) == {1}
 
 
 def _random_element(rng, field, nonzero=False):

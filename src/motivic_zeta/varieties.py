@@ -2,24 +2,24 @@
 
 Varieties are given by equations in an affine or projective ambient
 space over F_q, q = p^e, with integer coefficients (read mod p) or
-coefficients in F_q itself, each equation one polynomial over F_q.
-Every count, of one n or of n = 1..n_max, twisted or not, runs through
-one function (_counts) over normalized point representatives
-(projective: first nonzero coordinate = 1), chart by chart, with one
-chart plan made over the base field for all n.  Charts cut out by no
-equations are counted in closed form; a chart with a single equation of
-degree 1 or 2 in some free variable enumerates the remaining variables
-and counts roots (discriminant squares in odd characteristic, an
-absolute trace in characteristic 2); everything else is exhaustive.
+coefficients in F_q itself, each equation one polynomial over F_q.  Every
+count, of one n or of n = 1..n_max, twisted or not, runs through one
+function (_counts), handed a route's list of (chart plan, n) requests,
+over normalized point representatives (projective: first nonzero
+coordinate = 1), each plan made once over its base field.  Charts cut out
+by no equations are counted in closed form; a chart with a single
+equation of degree 1 or 2 in some free variable enumerates the remaining
+variables and counts roots (discriminant squares in odd characteristic,
+an absolute trace in characteristic 2); everything else is exhaustive.
 Enumeration work is metered against a budget (default 10^7 assignments
-per n, env MOTIVIC_ZETA_BUDGET or per-call override), and every n is
-charged before any F_{q^n} is built, so a refused count counts nothing
-(the descent of a twisted count below still builds F_{q^(n r)} before
-it charges).  All enumeration runs through one iterator over chunks of
-assignments, each variable an array of packed field elements, evaluated
-with gfvec: on exp/log/Zech tables once the field is enumerated over at
-least q rows (q <= 10^7), on base-p digits otherwise (one-row charts,
-larger fields).
+per count, env MOTIVIC_ZETA_BUDGET or per-call override), and every
+request is charged before any F_{q^n} is built, so a refused route
+counts nothing (a descent below still builds F_{q^(n r)} before its
+request is charged).  All enumeration runs through one iterator over
+chunks of assignments, each variable an array of packed field elements,
+evaluated with gfvec: on exp/log/Zech tables once the field is
+enumerated over at least q rows (q <= 10^7), on base-p digits otherwise
+(one-row charts, larger fields).
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
 descent.  With r = ord(g) and Q = q^(n r), the map sigma = g Fr^n is
@@ -28,9 +28,9 @@ F_{q^n}-form of F_Q^N (Lang, Amer. J. Math. 78, 1956): a matrix h over
 F_Q with g Fr^n(h) = h.  Then x = h y maps the F_{q^n}-points of the
 twisted form, cut out by the coordinates of F(h y) in the F_{q^n}-basis
 1, X, .., X^(r-1) of F_Q, one to one onto the twisted fixed points, and
-the ordinary count counts them with its shortcuts intact.  A condition
-h' x = x (or h' x proportional to x) from a fixing element becomes
-equations too.
+the ordinary count counts them with its shortcuts intact (_twisted makes
+that request).  A condition h' x = x (or h' x proportional to x) from a
+fixing element becomes equations too (_fixer_equations).
 """
 
 from __future__ import annotations
@@ -45,11 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    PreconditionError,
-    ResourceError,
-    ValidationError,
-)
+from .errors import PreconditionError, ResourceError, ValidationError
 from .analytic import _poly_roots_certified
 from .exact_core import Polynomial, RationalFunction, _json_int
 from .gf import FqElement, FqField, fq_make, is_prime, row_echelon
@@ -348,29 +344,37 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
     return total
 
 
-def _counts(kind: str, nv: int, base: FqField, polys: list[dict], ns, budget: int | None) -> list[int]:
-    """#X(F_{q^n}) for each n in ns, X cut out of the kind ambient space in
-    nv variables by polys over base = F_q.  The chart plan is made once,
-    over base, and every n is charged in full before any field is built,
-    so a closed-form or refused count builds none."""
-    budget = resolve_budget(budget)
-    closed, plan = [], []
+def _plan(kind: str, nv: int, base: FqField, polys: list[dict]):
+    """The chart plan, for every n, of polys over base in the kind ambient
+    space in nv variables: (base, the free-variable count f of each
+    closed-form chart, (f, eqs, quadratic variable or None) per other)."""
+    closed, charts = [], []
     for _, free, eqs in _charts(kind, nv, polys):
         f = len(free)
         if not eqs:
             closed.append(f)
         else:
             j = _pick_quadratic_var(eqs[0], f) if len(eqs) == 1 else None
-            plan.append((f, eqs, j))
-    for n in ns:
+            charts.append((f, eqs, j))
+    return base, closed, charts
+
+
+def _counts(requests, budget: int | None) -> list[int]:
+    """#X(F_{q^n}) for each request (plan of X over F_q, n).  Each request
+    is charged on its own as it arrives, and no field is built before all
+    are charged, so a closed-form or refused count builds none."""
+    budget = resolve_budget(budget)
+    charged = []
+    for (base, closed, charts), n in requests:
         q = base.q**n
-        _charge(budget, [q**f if j is None else q ** (f - 1) for f, _, j in plan])
+        _charge(budget, [q**f if j is None else q ** (f - 1) for f, _, j in charts])
+        charged.append((base, closed, charts, n))
     counts = []
-    for n in ns:
+    for base, closed, charts, n in charged:
         q = base.q**n
         total = sum(q**f for f in closed)
-        vf = vec_field(fq_make(base.p, base.e * n)) if plan else None
-        for f, eqs, j in plan:
+        vf = vec_field(fq_make(base.p, base.e * n)) if charts else None
+        for f, eqs, j in charts:
             eqs = [_poly(eq.items(), vf.field) for eq in eqs]
             if j is None:
                 total += sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
@@ -384,14 +388,15 @@ def count_points(v: VarietySpec, n: int, budget: int | None = None) -> int:
     """#X(F_{q^n}) by chart-wise enumeration of normalized representatives."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
-    return _counts(v.ambient_kind, v.num_vars, v.base_field, _equations(v), [n], budget)[0]
+    return _counts([(_plan(v.ambient_kind, v.num_vars, v.base_field, _equations(v)), n)], budget)[0]
 
 
 def point_counts(v: VarietySpec, n_max: int, budget: int | None = None) -> list[int]:
     """[#X(F_{q^n}) for n = 1..n_max], each n charged before any is counted."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    return _counts(v.ambient_kind, v.num_vars, v.base_field, _equations(v), range(1, n_max + 1), budget)
+    plan = _plan(v.ambient_kind, v.num_vars, v.base_field, _equations(v))
+    return _counts([(plan, n) for n in range(1, n_max + 1)], budget)
 
 
 def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
@@ -573,30 +578,22 @@ def twisted_count(v: VarietySpec, g, n: int, budget: int | None = None) -> int:
     """#{x in X(F-bar) : g(Fr^n(x)) = x}; all such x lie in
     X(F_{q^{n ord(g)}}).  Counted as the F_{q^n}-points of the twisted form
     of X, so it charges the budget what count_points charges for that."""
-    return _twisted_core(v, g, n, (), budget)
-
-
-def _twisted_core(v: VarietySpec, g, n: int, fixers: tuple, budget: int | None) -> int:
-    """Points x with g(Fr^n(x)) = x and h(x) = x (projective: h(x)
-    proportional to x) for every h in fixers, as an ordinary count: of X
-    cut by the fixers' equations when g is the identity, of the ambient
-    space when there are no equations at all, else of the descended
-    variety over F_{q^n}."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
     act = _normalize_matrix(v, g)
-    base = v.base_field
     if len(row_echelon(act)[1]) < len(act):
         raise ValidationError("group elements must be invertible")
     eqs = _equations(v)
-    for h in fixers:
-        eqs += _fixer_equations(v, _normalize_matrix(v, h))
-    one, zero = base.one(), base.zero()
-    if all(c == (one if i == j else zero) for i, row in enumerate(act) for j, c in enumerate(row)) or not eqs:
-        # Fr^n alone, or the twisted form of P^N or A^N, which is P^N or A^N
-        return _counts(v.ambient_kind, v.num_vars, base, eqs, [n], budget)[0]
-    descended = _descend(v, act, matrix_order(v, act), n, eqs)
-    return _counts(v.ambient_kind, v.num_vars, fq_make(v.p, v.e * n), descended, [1], budget)[0]
+    return _counts([_twisted(v, act, matrix_order(v, act) if eqs else 1, eqs, n)], budget)[0]
+
+
+def _twisted(v: VarietySpec, g, r: int, eqs: list[dict], n: int):
+    """The request (plan, n) counting the x with g(Fr^n(x)) = x, g of order
+    r, on the variety cut out by eqs over the base field: the plain plan at
+    n for the identity or for P^N and A^N, else the descended one at 1."""
+    if r == 1 or not eqs:
+        return _plan(v.ambient_kind, v.num_vars, v.base_field, eqs), n
+    return _plan(v.ambient_kind, v.num_vars, fq_make(v.p, v.e * n), _descend(v, g, r, n, eqs)), 1
 
 
 def _descend(v: VarietySpec, g, r: int, n: int, eqs: list[dict]) -> list[dict]:

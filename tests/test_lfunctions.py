@@ -1,5 +1,6 @@
 """Equivariant L-series and orbifold zeta functions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,12 @@ from motivic_zeta import (
     orbifold_zeta,
     rational_character,
     trivial_character,
+    twisted_count,
     zeta_from_counts,
 )
+from motivic_zeta import varieties
 from motivic_zeta.errors import ResourceError, ValidationError
+from motivic_zeta.lfunctions import _exp_cyclotomic
 from motivic_zeta.varieties import VarietySpec, projective_space
 
 from conftest import load_json, load_variety
@@ -225,3 +229,90 @@ def test_repeated_l_function_respects_budget():
     with pytest.raises(ResourceError) as err:
         l_function(e5, action, trivial_character(action), 2, budget=10)
     assert (err.value.required, err.value.budget) == (25, 10)
+
+
+FLIP = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]  # y -> -y
+
+
+@pytest.mark.parametrize("route", ["l_function", "orbifold_zeta"])
+def test_twisted_routes_charge_every_count_before_any_is_counted(monkeypatch, route):
+    # y -> -y on E/F_7 at n_max = 9: the identity's count at n = 8 charges
+    # 2 * 7^8 > 10^7 (the chart x = 1, quadratic in y, and x = 0, y = 1),
+    # so the route refuses before it sets up any field for enumeration
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+
+    def no_enumeration(field):
+        raise AssertionError(f"F_{field.p}^{field.e} was set up for enumeration")
+
+    monkeypatch.setattr(varieties, "vec_field", no_enumeration)
+    e7 = load_variety("elliptic_f7_variety.json")
+    action = GroupAction(e7, FLIP)
+    with pytest.raises(ResourceError) as err:
+        if route == "l_function":
+            l_function(e7, action, trivial_character(action), 9)
+        else:
+            orbifold_zeta(e7, action, 9)
+    assert (err.value.required, err.value.budget) == (2 * 7**8, 10**7)
+
+
+def _characters(action, fixture_character=None):
+    """The characters to test: a fixture's own, else every character of a
+    cyclic group whose elements are listed as g^0, g^1, ..."""
+    if fixture_character is not None:
+        return [rational_character(action, fixture_character["values"])]
+    size = len(action)
+    out = []
+    for step in range(size):
+        values = [None] * len(action.class_reps)
+        for k in range(size):
+            values[action.class_of[k]] = Cyclotomic.root_of_unity(step * k, size)
+        out.append(Character(size, tuple(values)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "variety, matrices, character",
+    [
+        (load_json(name)["variety"], load_json(name)["action"], load_json(name)["character"])
+        for name in ("p1_f5_z2_sign.json", "p1_f5_z2_trivial.json")
+    ]
+    + [(load_json(name), FLIP, None) for name in ("elliptic_f5_variety.json", "elliptic_f7_variety.json")]
+    # Z/3 on P^1/F_7, generated by diag(2, 1): 2 has order 3 mod 7
+    + [(projective_space(1, 7).to_json(), [[[1, 0], [0, 1]], [[2, 0], [0, 1]], [[4, 0], [0, 1]]], None)],
+    ids=["p1_f5_z2_sign", "p1_f5_z2_trivial", "e5_flip", "e7_flip", "p1_f7_z3"],
+)
+def test_l_function_is_the_character_average_of_counts_one_by_one(variety, matrices, character):
+    v = VarietySpec.from_json(variety)
+    action = GroupAction(v, matrices)
+    size = len(action)
+    counts = [[twisted_count(v, g, n) for g in matrices] for n in (1, 2, 3)]
+    for chi in _characters(action, character):
+        traces = [
+            sum((chi.value_on_element(action, action.inverse[i]) * c for i, c in enumerate(row)), Cyclotomic.rational(0, chi.m))
+            * Fraction(1, size)
+            for row in counts
+        ]
+        assert l_function(v, action, chi, 3).coeffs == tuple(_exp_cyclotomic(traces, chi.m))
+
+
+@pytest.mark.parametrize("p", [127, 251, 16381, 65537])
+def test_twisted_and_l_function_counts_at_large_primes(p):
+    # E: y^2 z = x^3 + a x z^2 + b z^3 with seeded a, b.  N_1 comes from a
+    # Legendre-symbol sum; y -> -y twists E into its quadratic twist, with
+    # 2(p + 1) - N_1 points, and the sign character's L-series is
+    # 1 + (N_1 - (p + 1)) t + ..
+    rng = random.Random(p)
+    while True:
+        a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a**3 + 27 * b**2) % p:
+            break
+
+    def legendre(x):
+        return 0 if x % p == 0 else (1 if pow(x, (p - 1) // 2, p) == 1 else -1)
+
+    n1 = p + 1 + sum(legendre(x**3 + a * x + b) for x in range(p))
+    curve = VarietySpec("projective", 2, p, 1, ((((0, 2, 1), 1), ((3, 0, 0), -1), ((1, 0, 2), -a), ((0, 0, 3), -b)),))
+    assert twisted_count(curve, FLIP[1], 1) == 2 * (p + 1) - n1
+    action = GroupAction(curve, FLIP)
+    ls = l_function(curve, action, rational_character(action, [1, -1]), 1)
+    assert ls.coeffs[1].rational_value() == n1 - (p + 1)

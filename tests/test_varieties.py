@@ -26,7 +26,17 @@ from motivic_zeta.cli import main
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
 from motivic_zeta.gf import row_echelon
 from motivic_zeta.serialize import dumps
-from motivic_zeta.varieties import _twisted_core, affine_space, enumerate_points, matrix_order, projective_space
+from motivic_zeta.varieties import (
+    _counts,
+    _equations,
+    _fixer_equations,
+    _normalize_matrix,
+    _twisted,
+    affine_space,
+    enumerate_points,
+    matrix_order,
+    projective_space,
+)
 
 from conftest import FIXTURES, VARIETY_FIXTURES, load_json, load_variety, twisted_count_by_enumeration
 
@@ -377,14 +387,46 @@ def _matrix_of_small_order(rng, v):
     return g if order > 1 else None
 
 
+# companion matrices of the cyclotomic polynomials x + 1, x^2 + x + 1 and
+# x^2 + 1: of order r = 2, 3, 4 over any field whose characteristic is
+# prime to r
+_PHI_COMPANIONS = {2: [[-1]], 3: [[0, -1], [1, -1]], 4: [[0, -1], [1, 0]]}
+
+
+def _conjugated_companion(rng, v, r):
+    """c (C + I) c^-1 for C the companion matrix of Phi_r, padded with an
+    identity block, and a seeded invertible matrix c: an element of order r
+    whose eigenvalues need not lie in the base field."""
+    field, nv = v.base_field, v.num_vars
+    block = _PHI_COMPANIONS[r]
+    m = [[field.element(block[i][j] if max(i, j) < len(block) else int(i == j)) for j in range(nv)] for i in range(nv)]
+    inv = None
+    while inv is None:
+        conj = [[_random_element(rng, field) for _ in range(nv)] for _ in range(nv)]
+        inv = _inverse(conj)
+    return _mat(_mat(conj, m), inv)
+
+
+def _twist_case(rng, v, f, g):
+    """The case (v, g, ord g, n, fixers), fixers none, g^2 or another
+    element; n is 2 or 1, the larger while the oracle enumerates at most
+    2*10^5 rows per chart of f free variables; None when neither does."""
+    order = matrix_order(v, g)
+    ns = [n for n in (2, 1) if v.q ** (n * order * f) <= 2 * 10**5]
+    if not ns:
+        return None
+    h = _matrix_of_small_order(rng, v)
+    fixers = rng.choice([(), (_mat(g, g),)] + ([(h,)] if h is not None else []))
+    return v, g, order, ns[0], fixers
+
+
 def _twist_cases(p):
     """Seeded twisted counts over F_p and F_{p^2}: P^1 (bare, and cut by a
     binary cubic), plane cubics and an affine conic, each with up to four
-    elements g of order 2..4, and as fixer none, g^2 or another element;
-    n is 2 or 1, the larger while the oracle enumerates at most 2*10^5
-    rows per chart, and a g with no such n is skipped."""
+    random elements g of order 2..4 (see _twist_case), and built ones
+    (_conjugated_companion) for a field or an order that no draw covered."""
     rng = random.Random(7000 + p)
-    cases = []
+    cases, fields = [], []
     for e in (1, 2):
         field = fq_make(p, e)
 
@@ -405,29 +447,35 @@ def _twist_cases(p):
             kept = 0
             for _ in range(300):
                 g = _matrix_of_small_order(rng, v)
-                if g is None:
+                case = None if g is None else _twist_case(rng, v, f, g)
+                if case is None:
                     continue
-                order = matrix_order(v, g)
-                ns = [n for n in (2, 1) if field.q ** (n * order * f) <= 2 * 10**5]
-                if not ns:
-                    continue
-                h = _matrix_of_small_order(rng, v)
-                fixers = rng.choice([(), (_mat(g, g),)] + ([(h,)] if h is not None else []))
-                cases.append((v, g, order, ns[0], fixers))
+                cases.append(case)
                 kept += 1
                 if kept == 4:
                     break
+        fields.append(shapes)
+    # what the draws missed: one built element over a field with no case,
+    # and one of each order no draw had, on the first shape it fits
+    for shapes, r in itertools.product(fields, (2, 3, 4)):
+        if shapes[0][0].e in {v.e for v, *_ in cases} and r in {order for _, _, order, _, _ in cases}:
+            continue
+        fit = [(v, f) for v, f in shapes if v.q ** (r * f) <= 2 * 10**5]
+        if fit:
+            cases.append(_twist_case(rng, *fit[0], _conjugated_companion(rng, fit[0][0], r)))
     return cases
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_descent_matches_enumeration_oracle(p):
     cases = _twist_cases(p)
     seen = {(v.e, order, bool(fixers)) for v, _, order, _, fixers in cases}
     assert {e for e, _, _ in seen} == {1, 2} and {fix for _, _, fix in seen} == {False, True}
     assert {order for _, order, _ in seen} == {2, 3, 4}
-    for v, g, _, n, fixers in cases:
-        assert _twisted_core(v, g, n, fixers, None) == twisted_count_by_enumeration(v, g, n, fixers), (v, g, n, fixers)
+    for v, g, order, n, fixers in cases:
+        eqs = _equations(v) + [eq for h in fixers for eq in _fixer_equations(v, _normalize_matrix(v, h))]
+        request = _twisted(v, _normalize_matrix(v, g), order, eqs, n)
+        assert _counts([request], None) == [twisted_count_by_enumeration(v, g, n, fixers)], (v, g, n, fixers)
 
 
 def test_field_element_coefficients():

@@ -251,6 +251,8 @@ def _lfun_input(**changes):
         ("lfun orbifold", "not json"),
         ("lfun", _lfun_input(character=None)),  # orbifold reads no character
         ("lfun", _lfun_input(character={"m": 1})),
+        # singular: diag(1, 0) is the identity of its own product table
+        ("lfun orbifold", _lfun_input(action=[[[1, 0], [0, 0]]], character={"m": 1, "values": [1]})),
     ],
 )
 def test_bad_action_inputs_give_validation_errors(capsys, tmp_path, commands, data):

@@ -68,6 +68,19 @@ def test_group_action_requires_closure(p1_f5):
         GroupAction(p1_f5, [[[1, 0], [0, 1]], [[2, 0], [0, 1]]])
 
 
+def test_group_action_refuses_singular_matrices(p1_f5):
+    # each set is closed, and its product table has an identity, the
+    # idempotent diag(1, 0) or diag(0, 1); l_function once answered the zeta
+    # of P^1 for the first, and a count on the second failed an assertion
+    with pytest.raises(ValidationError, match="must be invertible"):
+        GroupAction(p1_f5, [[[1, 0], [0, 0]]])
+    line = VarietySpec("affine", 2, 5, 1, ((((1, 0), 1),),))
+    with pytest.raises(ValidationError, match="must be invertible"):
+        GroupAction(line, [[[0, 0], [0, 1]], [[0, 0], [0, -1]]])
+    with pytest.raises(ValidationError, match="no inverse"):
+        GroupAction(p1_f5, [[[1, 0], [0, 1]], [[1, 0], [0, 0]]])
+
+
 def test_group_action_must_preserve_variety():
     e5 = load_variety("elliptic_f5_variety.json")
     swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]  # closed involution, but x <-> y

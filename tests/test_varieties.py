@@ -394,8 +394,8 @@ _PHI_COMPANIONS = {2: [[-1]], 3: [[0, -1], [1, -1]], 4: [[0, -1], [1, 0]]}
 
 
 def _conjugated_companion(rng, v, r):
-    """c (C + I) c^-1 for C the companion matrix of Phi_r, padded with an
-    identity block, and a seeded invertible matrix c: an element of order r
+    """c diag(C, I) c^-1 for C the companion matrix of Phi_r, I an identity
+    block, and a seeded invertible matrix c: an element of order r
     whose eigenvalues need not lie in the base field."""
     field, nv = v.base_field, v.num_vars
     block = _PHI_COMPANIONS[r]

@@ -23,7 +23,19 @@ element (int32 exp of 2(q - 1) entries, log and zech of q).  They are
 built the first time a field is enumerated over f >= 1 variables, a pass
 of at least q rows that the budget has already paid for, and only while
 q <= TABLE_MAX.  exp is built by doubling: multiplication by g^m is a k x k
-F_p-linear map on digits, so each step is one digit matmul.
+F_p-linear map on digits, so each step is one digit matmul.  These run in
+float64, through BLAS, and are exact: every entry is an integer, and no
+value formed exceeds _table_bound(p, k) = max(k (p - 1)^2, p^k) + 1, which
+stays below 2^51 for every field TABLE_MAX admits (about 10^14 at k = 1).
+A digit is reduced mod p as a - p floor((a + 1/2)(1/p)), or in a small
+array by np.fmod, exact as well, in one call.  The float quotient is off
+by less than (a + 1/2) 2^-52 / p, and (a + 1/2)/p lies at least 1/(2p)
+from an integer, so below 2^51 the floor is exact; without the 1/2, a
+multiple of p can round to just below its quotient (fl(1/p) p 2^j < 2^j),
+and 20011 * 2^j reduces to p instead of 0.  g is found by testing
+candidates against each cofactor (q - 1)/r, r a prime factor of q - 1:
+over F_p by pow(n, (q - 1)/r, p), above it by powers of its k x k digit
+matrix.
 
 Digits.  Every other field (one-row charts, q > TABLE_MAX, any field
 before its first enumeration pass) unpacks rows into base-p digits,
@@ -45,7 +57,7 @@ from .gf import FqElement, FqField, _prime_factors
 
 CHUNK = 1 << 18  # rows per array in an enumeration pass; bounds peak memory
 TABLE_MAX = 10_000_000  # largest field given tables: varieties.DEFAULT_BUDGET
-TABLE_BLOCK = 1 << 13  # digit rows per matmul while building tables; stays in cache
+TABLE_BLOCK = 1 << 11  # digit columns per matmul while building tables; stays in cache
 
 
 def _int_dtype(bound: int):
@@ -54,6 +66,35 @@ def _int_dtype(bound: int):
         if bound <= np.iinfo(dtype).max:
             return dtype
     return object
+
+
+def _table_bound(p: int, k: int) -> int:
+    """A bound on every float64 value that a table build of F_{p^k} forms:
+    a digit product sums k terms of at most (p - 1)^2, a packed element is
+    below p^k, and the reduction adds 1/2."""
+    return max(k * (p - 1) ** 2, p**k) + 1
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, into out if given.  Over an inner dimension of 1 (k = 1) the
+    product is an outer one, which np.matmul runs about 10x slower than
+    np.multiply does by broadcasting."""
+    return (np.multiply if a.shape[-1] == 1 else np.matmul)(a, b, out=out)
+
+
+def _mod_p(a: np.ndarray, p: int, spare: np.ndarray) -> np.ndarray:
+    """a mod p in place, for float64 integers 0 <= a < 2^51, as
+    a - p floor((a + 1/2)(1/p)); spare is a buffer of a's shape.  Below
+    256 entries one exact np.fmod call is cheaper than these five passes,
+    though per entry it is about 7x slower."""
+    if a.size < 256:
+        return np.fmod(a, p, out=a)
+    np.add(a, 0.5, out=spare)
+    spare *= 1 / p
+    np.floor(spare, out=spare)
+    spare *= p
+    a -= spare
+    return a
 
 
 class VecField:
@@ -234,49 +275,66 @@ class VecField:
         p, k, q = self.p, self.k, self.q
         order = q - 1
         g = self._generator()
-        # g^0..g^(rows-1) as digit rows, by doubling: step is the digit
-        # matrix of multiplication by g^m.  Integer matmuls, not float:
-        # BLAS's buffers would raise the peak memory of small counts
-        rows = min(TABLE_BLOCK, order)
-        block = np.zeros((rows, k), dtype=np.int64)
+        # g^0..g^(cols-1) as digit columns, by doubling: step is the digit
+        # matrix of multiplication by g^m.  Float64 products are exact (see
+        # the module docstring) and run in BLAS: at (10 x 10)(10 x 2048)
+        # 16 us against 283 us for numpy's integer matmul, which has no BLAS
+        # route, and 39 against 361 us with the reduction mod p (one thread)
+        cols = min(TABLE_BLOCK, order)
+        block = np.zeros((k, cols))
         block[0, 0] = 1
-        step, m = self._mul_matrix(g), 1
-        while m < rows:
-            n = min(m, rows - m)
-            block[m : m + n] = block[:n] @ step % p
+        # buffers of block's size, reduced through contiguous (k, n) views:
+        # ufuncs on column slices are 2-3x slower
+        work, spare = np.empty(k * cols), np.empty(k * cols)
+        step, m = self._mul_matrix(g).T.astype(np.float64), 1  # columns c*x^i
+        while m < cols:
+            n = min(m, cols - m)
+            product = _matmul(step, block[:, :n], work[: k * n].reshape(k, n))
+            block[:, m : m + n] = _mod_p(product, p, spare[: k * n].reshape(k, n))
             step, m = step @ step % p, 2 * m
-        # each further block of rows is the first one times g^start; when
-        # there is one, rows is a power of 2 and step multiplies by g^rows
-        weights = p ** np.arange(k, dtype=np.int64)
+        work, spare = work.reshape(k, cols), spare.reshape(k, cols)
+        weights = p ** np.arange(k, dtype=np.float64).reshape(1, k)
         exp = np.empty(2 * order, dtype=np.int32)
         log = np.empty(q, dtype=np.int32)
-        shift = np.eye(k, dtype=np.int64)
-        for start in range(0, order, rows):
-            stop = min(start + rows, order)
-            exp[start:stop] = block[: stop - start] @ shift % p @ weights
-            log[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
-            shift = shift @ step % p
+        zech = np.zeros(q, dtype=np.int32)  # 1 + g^d, then its log
+        digits, shift = block, step
+        for start in range(0, order, cols):
+            n = min(cols, order - start)
+            exp[start : start + n] = _matmul(weights, digits[:, :n])[0]
+            y = exp[start : start + n]
+            log[y] = np.arange(start, start + n, dtype=np.int32)
+            # 1 + y raises y's constant digit, p - 1 wrapping to 0
+            zech[start : start + n] = y + 1 - p * (digits[0, :n] == p - 1)
+            if start + cols < order:
+                # the next block is the first one times g^(start + cols):
+                # cols is then a power of 2, and step multiplies by g^cols
+                digits = _mod_p(_matmul(shift, block, work), p, spare)
+                shift = step @ shift % p
         exp[order : 2 * order - 1] = exp[: order - 1]
         exp[-1] = 0
         log[0] = 2 * order - 1
-        # zech[d] = log(1 + g^d): 1 + y raises y's constant digit, p - 1
-        # wrapping to 0; zech[q - 1] = 0 is the clip target for a zero summand
-        zech = np.zeros(q, dtype=np.int32)
+        # zech[d] = log(1 + g^d); zech[q - 1] = 0 is the clip target for a
+        # zero summand
         for start in range(0, order, CHUNK):
-            y = exp[start : min(start + CHUNK, order)]
-            zech[start : start + len(y)] = log.take(y + 1 - p * (y % p == p - 1))
+            part = zech[start : min(start + CHUNK, order)]
+            log.take(part, out=part)  # take buffers out, so part may be it
         self._exp, self._log, self._zech = exp, log, zech
 
     def _generator(self) -> list[int]:
         """Digits of the element of smallest packed index with multiplicative
         order q - 1 (past the constants when k > 1: their order divides
-        p - 1)."""
+        p - 1), the one whose power to no cofactor (q - 1)/r is 1.  Over F_p
+        a candidate n is tested by pow(n, c, p), above it by k x k digit
+        matrices."""
         order = self.q - 1
         cofactors = [order // r for r in _prime_factors(order)]
+        if self.k == 1:
+            return [next(n for n in range(1, self.p) if all(pow(n, c, self.p) != 1 for c in cofactors))]
         identity = np.eye(self.k, dtype=np.int64)
-        for n in range(self.p if self.k > 1 else 1, self.q):
+        for n in range(self.p, self.q):
             g = list(self.field.from_int(n).coeffs)
-            if not any((self._matrix_power(g, c) == identity).all() for c in cofactors):
+            m = self._mul_matrix(g)
+            if not any((self._matrix_power(m, c) == identity).all() for c in cofactors):
                 return g
         raise AssertionError("F_q^* is cyclic")  # unreachable
 
@@ -290,9 +348,9 @@ class VecField:
             rows.append(rows[-1] @ shift % self.p)
         return np.array(rows)
 
-    def _matrix_power(self, c: list[int], e: int) -> np.ndarray:
-        """Digit matrix of y -> c^e y, by square and multiply."""
-        result, base = np.eye(self.k, dtype=np.int64), self._mul_matrix(c)
+    def _matrix_power(self, base: np.ndarray, e: int) -> np.ndarray:
+        """base^e for a k x k digit matrix, by square and multiply."""
+        result = np.eye(self.k, dtype=np.int64)
         while e:
             if e & 1:
                 result = result @ base % self.p

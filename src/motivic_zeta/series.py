@@ -15,6 +15,8 @@ Witt element) and `series_log` (a series to its ghost components).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import PrecisionError, PreconditionError, ValidationError
@@ -142,22 +144,23 @@ def exp_from_traces(traces: Sequence) -> TruncatedSeries:
     """exp(sum_n a_n t^n / n) at precision len(traces), from a_1, a_2, ...
 
     The coefficients satisfy k*b_k = sum_j a_j b_(k-j).  With D the lcm of
-    the trace denominators and A_j = D*a_j, the recurrence runs on the
-    integers B_k = k! D^k b_k:
-    B_k = sum_j A_j D^(j-1) (k-1)!/(k-j)! B_(k-j), in Horner form."""
+    the trace denominators and A_j = D*a_j, the recurrence runs on integer
+    numerators N_k = E*b_k over one common denominator E: b_k is S/(kDE)
+    with S = sum_j A_j N_(k-j), and E is multiplied only by kD/gcd(S, kD),
+    the part of kD that does not divide S (every earlier numerator with it).
+    When every b_k is an integer, as for the point counts of a variety, kD
+    divides S and E stays 1."""
     a, d = _integral([_frac(t) for t in traces])
-    big = [1]
-    out = [Fraction(1)]
-    scale = 1  # k! D^k
+    num, den = [1], 1
     for k in range(1, len(a) + 1):
-        acc = a[k - 1] * big[0]
-        for j in range(k - 1, 0, -1):
-            # acc = sum over j' >= j of A_j' D^(j'-j) (k-j)!/(k-j')! B_(k-j')
-            acc = a[j - 1] * big[k - j] + (k - j) * d * acc
-        big.append(acc)
-        scale *= k * d
-        out.append(Fraction(acc, scale))
-    return TruncatedSeries(out)
+        s = sum(map(mul, a[:k], reversed(num)))
+        c = gcd(s, k * d)
+        if c != k * d:
+            f = k * d // c
+            num = [x * f for x in num]
+            den *= f
+        num.append(s // c)
+    return TruncatedSeries([Fraction(x, den) for x in num])
 
 
 class WittElement:

@@ -322,6 +322,22 @@ def berlekamp_massey_by_fractions(seq):
 # ran before the reduce-once kernel, reducing mod p at every step.
 
 
+def generator_by_orders(field):
+    """The element of smallest packed index with multiplicative order q - 1
+    (past the constants when e > 1), each candidate's order found by
+    multiplying it by itself until it reaches 1."""
+    one = field.one()
+    for n in range(field.p if field.e > 1 else 1, field.q):
+        x = g = field.from_int(n)
+        order = 1
+        while x != one:
+            x = x * g
+            order += 1
+        if order == field.q - 1:
+            return g
+    raise AssertionError("F_q^* is cyclic")
+
+
 def _polymod_by_steps(a: list[int], m: list[int], p: int) -> list[int]:
     a = a[:]
     dm = len(m) - 1

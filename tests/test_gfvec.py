@@ -7,10 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from motivic_zeta import VarietySpec, count_points
-from motivic_zeta.gf import fq_make
-from motivic_zeta.gfvec import TABLE_MAX, VecField, vec_field
+from motivic_zeta import VarietySpec, count_points, gfvec
+from motivic_zeta.gf import _prime_factors, fq_make
+from motivic_zeta.gfvec import TABLE_MAX, VecField, _mod_p, _table_bound, vec_field
 from motivic_zeta.varieties import DEFAULT_BUDGET
+
+from conftest import generator_by_orders
 
 TABLED = [(2, 1), (3, 2), (2, 4), (2, 12), (5, 7), (3, 10), (65537, 1)]
 DIGITS = [(3, 10), (2, 24), (2**31 - 1, 1), (2**61 - 1, 1)]
@@ -144,3 +146,113 @@ def test_one_row_charts_build_no_tables():
     curve = VarietySpec("projective", 2, 127, 1, ((((0, 2, 1), 1), ((3, 0, 0), -1), ((0, 0, 3), -1)),))
     count_points(curve, 1)
     assert vec_field(fq_make(127, 1)).tabulated
+
+
+# --- how the tables are built: float64 digit products, the reduction mod p
+# and the generator search
+
+
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+@pytest.mark.parametrize(
+    "p, e", TABLED + [(p, 1) for p in (20011, 32749, 40009, 1048573)], ids=lambda x: str(x)
+)
+def test_tables_match_scalar_powers(p, e):
+    """exp[i] = g^i, log[g^i] = i and g^zech[d] = 1 + g^d by scalar
+    arithmetic, at every i when q <= 2^12 and at 2000 seeded i above."""
+    vf = tabulated(p, e)
+    exp, log, zech = vf._exp, vf._log, vf._zech
+    f, q = vf.field, vf.q
+    order, sentinel = q - 1, 2 * (q - 1) - 1
+    assert (exp[-1], log[0], zech[order]) == (0, sentinel, 0)
+    g, one = f.element(vf._generator()), f.one()
+    if q <= 2**12:
+        powers = [one]
+        for _ in range(order - 1):
+            powers.append(powers[-1] * g)
+        picked, power = range(order), powers.__getitem__
+    else:
+        picked, power = random.Random(q).sample(range(order), 2000), g.__pow__
+    for i in picked:
+        x = power(i)
+        assert exp[i] == x.to_int() and log[exp[i]] == i, i
+        assert i == order - 1 or exp[i + order] == exp[i], i
+        if (one + x).is_zero():
+            assert zech[i] == sentinel, i
+        else:
+            assert zech[i] < order and power(int(zech[i])) == one + x, i
+
+
+def test_reduction_is_exact_where_the_plain_reciprocal_is_not():
+    p = 20011
+    m = [2**j + d for j in range(31) for d in (0, -1, 1)]
+    a = np.array([x * p + r for x in m for r in (0, 1, p - 1)], dtype=np.float64)
+    assert a.size >= 256  # the five-pass route, not np.fmod
+    assert _mod_p(a.copy(), p, np.empty_like(a)).tolist() == [r for _ in m for r in (0, 1, p - 1)]
+    # without the 1/2 offset the rounded quotient of p 2^j falls just below
+    # 2^j, and the remainder comes out as p instead of 0
+    multiples = np.array([p * 2.0**j for j in range(31)])
+    assert (multiples - p * np.floor(multiples * (1 / p)) == p).all()
+
+
+def test_table_build_values_stay_exact_in_float64(monkeypatch):
+    """For every k the largest prime p with p^k <= TABLE_MAX keeps every
+    float64 value of a table build below 2^51, where the reduction is exact;
+    and real builds stay within the bound."""
+    for k in range(1, 24):
+        p = int(TABLE_MAX ** (1 / k)) + 1
+        while p**k > TABLE_MAX or not is_prime(p):
+            p -= 1
+        assert p >= 2 and _table_bound(p, k) < 2**51, (p, k)
+    assert 2**24 > TABLE_MAX  # so k stops at 23
+    seen = []
+
+    def recording(a, p, spare):
+        seen.append(a.max(initial=0))
+        return _mod_p(a, p, spare)
+
+    monkeypatch.setattr(gfvec, "_mod_p", recording)
+    for p, k in ((3, 10), (7, 6), (13, 3), (65537, 1), (2, 12)):
+        seen.clear()
+        vf = tabulated(p, k)
+        assert 0 < max(seen) <= _table_bound(p, k) and vf._exp.max() < _table_bound(p, k)
+
+
+PRIMES = [p for p in range(2, 3000) if is_prime(p)] + [20011, 32749, 40009, 65537]
+
+
+def test_prime_field_generator_is_the_smallest_primitive_root(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a prime field reached the digit matrices")
+
+    monkeypatch.setattr(VecField, "_matrix_power", refuse)
+    for p in PRIMES:
+        f = fq_make(p, 1)
+        assert VecField(f)._generator() == [generator_by_orders(f).to_int()], p
+    tabulated(20011, 1)  # a whole table build, _matrix_power refusing
+
+
+# g for the extension fields of TABLED, pinned as the digit-matrix search
+# has always picked it; for q <= 2^12 the oracle's too
+GENERATORS = {
+    (3, 2): [1, 1],
+    (2, 4): [0, 1, 0, 0],
+    (2, 12): [1, 1] + [0] * 10,
+    (5, 7): [4, 1, 0, 0, 0, 0, 0],
+    (3, 10): [1, 2, 0, 1, 0, 0, 0, 0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("p, e", sorted(GENERATORS), ids=lambda x: str(x))
+def test_extension_field_generators_are_unchanged(p, e):
+    assert [(p, e) for p, e in TABLED if e > 1] == list(GENERATORS)
+    vf = VecField(fq_make(p, e))
+    g = vf._generator()
+    assert g == GENERATORS[p, e]
+    if vf.q <= 2**12:
+        assert generator_by_orders(vf.field).coeffs == tuple(g)
+    # g is primitive: no power to a cofactor is 1
+    x = vf.field.element(g)
+    assert all(x ** ((vf.q - 1) // r) != vf.field.one() for r in _prime_factors(vf.q - 1))

@@ -105,6 +105,13 @@ def test_exp_from_traces_matches_recurrence_over_fractions():
         else:
             traces = [rand_frac(rng, -50, 50) / order for _ in range(n)]
         assert exp_from_traces(traces) == exp_from_traces_by_fractions(traces)
+    # long inputs: constant traces give 1/(1 - t), every coefficient 1, and
+    # long rational ones make the common denominator grow many times
+    assert exp_from_traces([1] * 300) == exp_from_traces_by_fractions([1] * 300)
+    assert exp_from_traces([1] * 300).coeffs == (Fraction(1),) * 301
+    for _ in range(4):
+        traces = [rand_frac(rng) / rng.choice((1, 2, 3, 7)) for _ in range(120)]
+        assert exp_from_traces(traces) == exp_from_traces_by_fractions(traces)
 
 
 def test_series_log_matches_recurrence_over_fractions():

@@ -117,12 +117,10 @@ def growth_bound_check(m: TracedMotive, n_max: int) -> bool:
 NEG_INF = float("-inf")
 
 
-def rate_estimate(traces: Sequence, n_max: int | None = None) -> float:
+def rate_estimate(traces: Sequence) -> float:
     """max over the tail window (last ceil(N/2) indices) of (1/n)log|tr_n|;
     zero traces are skipped; all-zero input gives -inf."""
     values = [Fraction(t) if not isinstance(t, Fraction) else t for t in traces]
-    if n_max is not None:
-        values = values[:n_max]
     n = len(values)
     if n == 0:
         raise PreconditionError("need at least one trace")
@@ -136,18 +134,10 @@ def rate_estimate(traces: Sequence, n_max: int | None = None) -> float:
     return best
 
 
+@dataclass(frozen=True)
 class Inapplicable:
     """Sentinel: every eigenvalue of top modulus cancels between the graded
     parts, so the closed-form growth rate does not apply."""
-
-    def __repr__(self):
-        return "Inapplicable"
-
-    def __eq__(self, other):
-        return isinstance(other, Inapplicable)
-
-    def __hash__(self):
-        return hash("Inapplicable")
 
 
 def rate_exact(m: TracedMotive):

@@ -167,6 +167,13 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def mobius(n: int) -> int:
+    """The Mobius function: 0 when a square divides n, else -1 to the
+    number of prime factors of n."""
+    primes = _prime_factors(n)
+    return 0 if any(n % (r * r) == 0 for r in primes) else (-1) ** len(primes)
+
+
 def _is_irreducible(modulus: list[int], p: int) -> bool:
     """Rabin's test (SIAM J. Comput. 9, 1980) of a monic f of degree e >= 2,
     run in the ring F_p[x]/(f): x^{p^e} == x, and x^{p^{e/l}} - x is a unit
@@ -252,9 +259,6 @@ class FqField:
         """All p^e elements in ascending base-p coefficient order."""
         for n in range(self.q):
             yield self.from_int(n)
-
-    def extension(self, m: int) -> "FqField":
-        return fq_make(self.p, self.e * m)
 
     def embedding_root(self, big: "FqField") -> "FqElement":
         """Image of x (mod self.modulus) in the bigger field: the root of

@@ -109,9 +109,9 @@ class VecField:
         # then k - 1 more terms from the reduction matmul
         bound = k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))
         self.acc_dtype = np.float64 if bound < 2**53 else _int_dtype(bound)
-        # reduction rows: x^{k+i} mod modulus as digit vectors, i = 0..k-2
-        x = field.element([0, 1])
-        rows = [list((x ** (k + i)).coeffs) for i in range(k - 1)]
+        # reduction rows: x^{k+i} mod modulus as digit vectors, i = 0..k-2,
+        # the rows of the field's fold columns
+        rows = list(zip(*field._cols))
         self._reduce = np.array(rows, dtype=object).reshape(k - 1, k).astype(self.acc_dtype)
         self._exp = self._log = self._zech = None
 

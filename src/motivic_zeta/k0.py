@@ -234,28 +234,25 @@ def beilinson_gram(n: int) -> EulerGram:
 def quiver_gram(vertices: int, arrows: Sequence[tuple[int, int]]) -> EulerGram:
     """Euler form of an acyclic quiver algebra: chi = I - arrow-count matrix."""
     counts = [[0] * vertices for _ in range(vertices)]
-    adjacency = [[False] * vertices for _ in range(vertices)]
     for a, b in arrows:
         if not (0 <= a < vertices and 0 <= b < vertices):
             raise ValidationError(f"arrow ({a},{b}) out of range")
         counts[a][b] += 1
-        adjacency[a][b] = True
-    # cycle detection (self-loops included)
-    color = [0] * vertices
-
-    def dfs(x):
-        color[x] = 1
-        for y in range(vertices):
-            if adjacency[x][y]:
-                if color[y] == 1:
-                    raise ValidationError("quiver has a cycle")
-                if color[y] == 0:
-                    dfs(y)
-        color[x] = 2
-
-    for x in range(vertices):
-        if color[x] == 0:
-            dfs(x)
+    # Kahn's algorithm: the quiver is acyclic (no self-loops either) iff
+    # removing sources one by one removes every vertex
+    indegree = [sum(col) for col in zip(*counts)]
+    sources = [x for x in range(vertices) if indegree[x] == 0]
+    removed = 0
+    while sources:
+        x = sources.pop()
+        removed += 1
+        for y, c in enumerate(counts[x]):
+            if c:
+                indegree[y] -= c
+                if indegree[y] == 0:
+                    sources.append(y)
+    if removed < vertices:
+        raise ValidationError("quiver has a cycle")
     return EulerGram.from_rows(
         [
             [int(i == j) - counts[i][j] for j in range(vertices)]

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import PreconditionError, ValidationError
 from .exact_core import _frac
-from .gf import FqElement
+from .gf import FqElement, mobius
 from .series import TruncatedSeries, WittElement, exp_from_traces
 from .varieties import (
     VarietySpec,
@@ -36,7 +36,6 @@ from .varieties import (
     _equations,
     _fixer_equations,
     _mat_mul,
-    _mobius,
     _normalize_matrix,
     _preserves,
     _twisted,
@@ -52,10 +51,10 @@ def _cyclotomic_fold(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     divisors = [d for d in range(1, m + 1) if m % d == 0]
     f = [1]
     for d in divisors:
-        if _mobius(m // d) == 1:
+        if mobius(m // d) == 1:
             f = [(f[i - d] if i >= d else 0) - (f[i] if i < len(f) else 0) for i in range(len(f) + d)]
     for d in divisors:
-        if _mobius(m // d) == -1:
+        if mobius(m // d) == -1:
             q: list[int] = []
             for i in range(len(f) - d):  # f = q (x^d - 1)
                 q.append((q[i - d] if i >= d else 0) - f[i])
@@ -233,9 +232,6 @@ class GroupAction:
             [h for h in range(n) if self.table[h][g] == self.table[g][h]]
             for g in self.class_reps
         ]
-
-    def matrix(self, i: int) -> Matrix:
-        return self.elements[i]
 
 
 def check_root_order(action: GroupAction, m: int) -> None:

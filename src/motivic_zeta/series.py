@@ -218,17 +218,13 @@ def ghost_components(a: WittElement, n_max: int) -> list[Fraction]:
     return [n * lg.coeffs[n] for n in range(1, n_max + 1)]
 
 
-def ghost_to_witt(ghosts: Sequence, precision: int | None = None) -> WittElement:
+def ghost_to_witt(ghosts: Sequence) -> WittElement:
     """Inverse of ghost_components: the Witt element with the given ghosts."""
-    gh = list(ghosts)
-    n = len(gh) if precision is None else precision
-    if n > len(gh):
-        raise PrecisionError("not enough ghost components for requested precision")
-    return WittElement(exp_from_traces(gh[:n]))
+    return WittElement(exp_from_traces(ghosts))
 
 
 def witt_mul(a: WittElement, b: WittElement) -> WittElement:
     n = min(a.precision, b.precision)
     ga = ghost_components(a, n)
     gb = ghost_components(b, n)
-    return ghost_to_witt([x * y for x, y in zip(ga, gb)], n)
+    return ghost_to_witt([x * y for x, y in zip(ga, gb)])

@@ -39,7 +39,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import PreconditionError, ResourceError, ValidationError
 from .analytic import _poly_roots_certified
 from .exact_core import Polynomial, RationalFunction, _json_int
-from .gf import FqElement, FqField, fq_make, is_prime, row_echelon
+from .gf import FqElement, FqField, fq_make, is_prime, mobius, row_echelon
 from .gfvec import CHUNK, VecField, vec_field
 from .reconstruct import NotStabilized, traces_to_zeta
 from .series import TruncatedSeries, WittElement, exp_from_traces
@@ -689,22 +689,6 @@ def zeta_from_counts(
     return WittElement(exp_from_traces(point_counts(v, n_max, budget)))
 
 
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    mu, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
-
-
 def closed_points(v: VarietySpec, d_max: int, budget: int | None = None) -> list[int]:
     """B_d = (1/d) sum_{e|d} mu(d/e) #X(F_{q^e}) for d = 1..d_max."""
     if d_max < 1:
@@ -712,7 +696,7 @@ def closed_points(v: VarietySpec, d_max: int, budget: int | None = None) -> list
     counts = point_counts(v, d_max, budget)
     out = []
     for d in range(1, d_max + 1):
-        acc = sum(_mobius(d // e) * counts[e - 1] for e in range(1, d + 1) if d % e == 0)
+        acc = sum(mobius(d // e) * counts[e - 1] for e in range(1, d + 1) if d % e == 0)
         if acc % d != 0 or acc < 0:
             raise ValidationError(f"closed-point count B_{d} = {acc}/{d} is not valid")
         out.append(acc // d)
@@ -738,14 +722,14 @@ def euler_product_series(b_counts: Sequence[int], precision: int) -> TruncatedSe
 @dataclass
 class WeilReport:
     stabilized: bool
-    zeta: RationalFunction | None
-    e_degree: int | None
-    functional_equation_holds: bool
-    sign: int | None
-    rh_holds: bool
-    reciprocal_root_moduli: list[float]
     profile: list[int]
     counts: list[int]
+    zeta: RationalFunction | None = None
+    e_degree: int | None = None
+    functional_equation_holds: bool = False
+    sign: int | None = None
+    rh_holds: bool = False
+    reciprocal_root_moduli: list[float] = field(default_factory=list)
     smooth_proper_assumed: bool = True
     note: str | None = None
 
@@ -761,18 +745,7 @@ def weil_check(
     counts = point_counts(v, n_max, budget)
     rec = traces_to_zeta(counts)
     if isinstance(rec, NotStabilized):
-        return WeilReport(
-            stabilized=False,
-            zeta=None,
-            e_degree=None,
-            functional_equation_holds=False,
-            sign=None,
-            rh_holds=False,
-            reciprocal_root_moduli=[],
-            profile=rec.profile,
-            counts=counts,
-            note=rec.reason,
-        )
+        return WeilReport(stabilized=False, profile=rec.profile, counts=counts, note=rec.reason)
     zeta = rec.value
     e_deg = -zeta.degree
     q = v.q

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import motivic_zeta
-from motivic_zeta import cli, lfunctions
+from motivic_zeta import cli, lfunctions, measures
 from motivic_zeta.cli import ARTIN_MAZUR_MAX_NMAX, COMMANDS, REQUIRED, _parser, main
 from motivic_zeta.reconstruct import MAX_BITS
 from motivic_zeta.serialize import canonical, dumps
@@ -180,6 +180,19 @@ def test_readme_variety_example(capsys, tmp_path):
     assert code == 0
     assert out["status"] == "ok"
     assert out["payload"]["counts"] == [9, 27]
+
+
+def test_readme_cli_table_lists_every_command_with_its_flags():
+    # the hand-written table names each COMMANDS row once, with exactly its
+    # flags; --out, which every row takes, is stated once above the table
+    readme = (FIXTURES.parent.parent.parent / "README.md").read_text()
+    table = readme.split("| command | flags (default) |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    listed = []
+    for line in table.splitlines():
+        commands, flags = line.strip("|").split("|")
+        listed += [(words, set(re.findall(r"--([a-z]+)", flags))) for words in re.findall(r"`([^`]+)`", commands)]
+    assert all("out" in flags for _, _, flags in COMMANDS)
+    assert sorted(listed) == sorted((words, set(flags) - {"out"}) for words, _, flags in COMMANDS)
 
 
 def test_variety_weil_requires_dim(capsys):
@@ -630,6 +643,60 @@ def test_numk0(capsys, tmp_path):
     assert out["payload"]["report"]["rank"] == 2
 
 
+def test_numk0_quiver_refuses_a_long_closed_chain(capsys, tmp_path):
+    # a 1200-cycle, past Python's recursion limit: an envelope, not a
+    # RecursionError traceback
+    n = 1200
+    arrows = [[i, i + 1] for i in range(n - 1)] + [[n - 1, 0]]
+    code, out = run(capsys, "numk0", "quiver", "--in", write(tmp_path, "cycle.json", {"vertices": n, "arrows": arrows}))
+    assert (code, out["status"]) == (1, "validation_error")
+    assert out["payload"]["reason"] == "quiver has a cycle"
+
+
+_A1 = {"op": "affine_space", "n": 1}
+_P2 = {"op": "projective_space", "n": 2}
+
+
+@pytest.mark.parametrize(
+    "tree, expected",
+    [
+        ({"op": "sum", "args": [_A1, _P2, {"op": "point"}]},
+         measures.affine_space(1) + measures.projective_space(2) + measures.point()),
+        ({"op": "product", "args": [_A1, _P2, {"op": "torus"}]},
+         measures.affine_space(1) * measures.projective_space(2) * measures.torus()),
+        ({"op": "difference", "args": [_P2, _A1]}, measures.projective_space(2) - measures.affine_space(1)),
+    ],
+    ids=["sum", "product", "difference"],
+)
+def test_measure_eval_builders_match_the_library(capsys, tmp_path, tree, expected):
+    code, out = run(capsys, "measure", "eval", "--in", write(tmp_path, "cls.json", tree), "--q", "4")
+    assert code == 0
+    assert out["payload"] == canonical(
+        {
+            "poly": expected.poly,
+            "mu_rig": measures.mu_rig(expected),
+            "mu_nc": measures.mu_nc_composite(expected),
+            "in_cell_span": expected.in_cell_span,
+            "q": 4,
+            "mu_count": measures.mu_count(expected, 4),
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"op": "sum", "args": {"op": "point"}},
+        {"op": "product", "args": []},
+        {"op": "difference", "args": [_A1]},
+        {"op": "cube", "args": [_A1]},
+    ],
+)
+def test_measure_eval_refuses_malformed_builders(capsys, tmp_path, tree):
+    code, out = run(capsys, "measure", "eval", "--in", write(tmp_path, "cls.json", tree))
+    assert (code, out["status"]) == (1, "validation_error"), out
+
+
 def test_measure_eval_and_witness(capsys, tmp_path):
     path = write(tmp_path, "cls.json", {"op": "projective_space", "n": 2})
     code, out = run(capsys, "measure", "eval", "--in", path, "--q", "3")
@@ -739,6 +806,24 @@ PINNED_PAYLOADS = [
 def test_finite_field_payloads_are_pinned(capsys, words, name, flags, payload):
     code = main([*words.split(), "--in", fixture(name), *flags])
     assert code == 0
+    assert capsys.readouterr().out == dumps({"status": "ok", "payload": payload}) + "\n"
+
+
+def test_lfun_payload_of_a_quartic_character_is_pinned(capsys, tmp_path):
+    # C_4 = <diag(4, 2, 1)> on y^2 z = x^3 + x z^2 over F_5 and chi(g^k) =
+    # x^k in Q(zeta_4): L(chi) = 1 + (-1 - 2x) t + O(t^4) is not rational,
+    # so each coefficient keeps its phi(4) = 2 coordinates
+    data = {
+        "variety": {"ambient": {"projective": 2}, "p": 5, "e": 1,
+                    "equations": [[[[0, 2, 1], 1], [[3, 0, 0], -1], [[1, 0, 2], -1]]]},
+        "action": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[4, 0, 0], [0, 2, 0], [0, 0, 1]],
+                   [[1, 0, 0], [0, 4, 0], [0, 0, 1]], [[4, 0, 0], [0, 3, 0], [0, 0, 1]]],
+        "character": {"m": 4, "values": [1, [0, 1], [0, 0, 1], [0, 0, 0, 1]]},
+    }
+    code = main(["lfun", "--in", write(tmp_path, "c4.json", data), "--nmax", "3"])
+    assert code == 0
+    coeffs = [["1", "0"], ["-1", "-2"], ["0", "0"], ["0", "0"]]
+    payload = {"coeffs": [{"coeffs": c, "m": 4} for c in coeffs], "m": 4, "precision": 3}
     assert capsys.readouterr().out == dumps({"status": "ok", "payload": payload}) + "\n"
 
 

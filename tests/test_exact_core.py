@@ -118,6 +118,34 @@ def test_rational_function_taylor():
     assert geom.taylor(5) == [Fraction(1)] * 6
 
 
+def test_rational_function_arithmetic_matches_evaluation():
+    rng = random.Random(7)
+    points = [Fraction(k, 3) for k in range(-6, 7)]
+
+    def rational_function():
+        while True:
+            den = Polynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
+            if not den.is_zero():
+                return RationalFunction(Polynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]), den)
+
+    for _ in range(20):
+        r, s = rational_function(), rational_function()
+        for x in points:
+            if r.den.evaluate(x) == 0 or s.den.evaluate(x) == 0:
+                with pytest.raises(ZeroDivisionError):
+                    (r if r.den.evaluate(x) == 0 else s).evaluate(x)
+                continue
+            assert (r + s).evaluate(x) == r.evaluate(x) + s.evaluate(x)
+            assert (r - s).evaluate(x) == r.evaluate(x) - s.evaluate(x)
+            assert (-r).evaluate(x) == -r.evaluate(x)
+        assert r - r == 0 and r + RationalFunction.one() - RationalFunction.one() == r
+    p = Polynomial([2, Fraction(-1, 2), 3])
+    lifted = RationalFunction.from_polynomial(p)
+    assert lifted.den == Polynomial.one()
+    assert [lifted.evaluate(x) for x in points] == [p.evaluate(x) for x in points]
+    assert RationalFunction.one().evaluate(Fraction(5, 7)) == 1
+
+
 def test_substitute_reciprocal():
     # R(t) = 1/(1-t); R(1/(5t)) = 5t/(5t-1)
     r = RationalFunction(Polynomial.one(), Polynomial([1, -1]))

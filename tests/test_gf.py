@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from motivic_zeta import FqField, fq_make
 from motivic_zeta.errors import NotInvertibleError, ValidationError
-from motivic_zeta.gf import _is_irreducible, is_prime
+from motivic_zeta.gf import _is_irreducible, is_prime, mobius
 from motivic_zeta.varieties import twisted_count
 
 from conftest import _polymod_by_steps, inverse_by_euclid, load_variety, mul_by_schoolbook, reducible_by_products
@@ -24,6 +24,14 @@ def test_is_prime():
     assert [n for n in range(2, 2000) if is_prime(n)] == [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
     assert not is_prime(1)
     assert is_prime(2**61 - 1)
+
+
+def test_mobius_matches_its_defining_sum():
+    # mu(1) = 1 and sum_{d | n} mu(d) = 0 for n > 1 determine mu
+    brute = {1: 1}
+    for n in range(2, 201):
+        brute[n] = -sum(brute[d] for d in range(1, n) if n % d == 0)
+    assert [mobius(n) for n in range(1, 201)] == [brute[n] for n in range(1, 201)]
 
 
 def test_prime_field():

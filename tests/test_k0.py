@@ -166,6 +166,20 @@ def test_quiver_gram():
         quiver_gram(1, [(0, 0)])  # loop
 
 
+def test_quiver_gram_checks_a_long_chain_without_recursion():
+    # acyclicity is checked iteratively: a 1200-vertex chain, past
+    # Python's recursion limit, is accepted, and closed by one back arrow
+    # or given a self-loop it is refused
+    n = 1200
+    chain = [(i, i + 1) for i in range(n - 1)]
+    g = quiver_gram(n, chain)
+    assert g.n == n
+    assert all(g.chi[i][i + 1] == -1 and g.chi[i][i] == 1 for i in range(n - 1))
+    for arrows in (chain + [(n - 1, 0)], chain + [(n // 2, n // 2)]):
+        with pytest.raises(ValidationError, match="cycle"):
+            quiver_gram(n, arrows)
+
+
 def test_phi_pairing():
     g = beilinson_gram(2)
     opposite = EulerGram.from_rows(

@@ -1,5 +1,6 @@
 """Truncated series and big Witt ring arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,23 @@ def test_series_precision_tracking():
         s[3]
     t = TruncatedSeries([1, 1])
     assert (s * t).precision == 1
+
+
+def test_series_additive_group_on_seeded_inputs():
+    rng = random.Random(3)
+
+    def series(precision):
+        return TruncatedSeries([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(precision + 1)])
+
+    for _ in range(20):
+        a, b = series(rng.randint(0, 8)), series(rng.randint(0, 8))
+        n = min(a.precision, b.precision)
+        assert (a + b).coeffs == tuple(a[i] + b[i] for i in range(n + 1))
+        assert (a - b).coeffs == tuple(a[i] - b[i] for i in range(n + 1))
+        assert (-a).coeffs == tuple(-c for c in a.coeffs)
+        zero = TruncatedSeries.zero(a.precision)
+        assert zero.coeffs == (0,) * (a.precision + 1)
+        assert a + zero == a and a - a == zero and -(-a) == a
 
 
 def test_series_exp_log_inverse():

@@ -553,6 +553,26 @@ def test_weil_check_split_quadric_reads_exact_multiplicities():
     assert report.rh_holds and report.functional_equation_holds
 
 
+def test_weil_check_notes_an_odd_dim_times_e():
+    # Z(A^1/F_5) = 1/(1 - 5t): E = 1, so q^(dim E/2) is irrational at dim 1
+    report = weil_check(affine_space(1, 5), 1, 8)
+    assert report.stabilized and report.e_degree == 1
+    assert not report.functional_equation_holds and report.sign is None
+    assert report.note == "dim*E odd: functional equation constant is irrational"
+
+
+def test_weil_check_refuses_the_functional_equation_of_an_affine_curve():
+    # y^2 = x^3 + x + 1 in A^2/F_5 is E/F_5 less its point at infinity:
+    # Z = (1 + 3t + 5t^2)/(1 - 5t), so E = -1 and the monomial has a
+    # denominator; read at dim 2, the functional equation fails
+    curve = VarietySpec("affine", 2, 5, 1, ((((0, 2), 1), ((3, 0), -1), ((1, 0), -1), ((0, 0), -1)),))
+    report = weil_check(curve, 2, 8)
+    assert report.stabilized and report.e_degree == -1
+    assert report.zeta == RationalFunction(Polynomial([1, 3, 5]), Polynomial([1, -5]))
+    assert not report.functional_equation_holds
+    assert report.sign is None and report.note is None
+
+
 def test_weil_check_not_stabilized_with_short_data():
     report = weil_check(projective_space(2, 3), 2, 3)
     assert not report.stabilized

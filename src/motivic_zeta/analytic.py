@@ -101,20 +101,34 @@ def spectral_radius(m: TracedMotive) -> tuple[float, float, float]:
 
 
 def growth_bound_check(m: TracedMotive, n_max: int) -> bool:
-    """|tr(f^n)| <= (d+ + d-) rho^n for n = 1..n_max, with float slack."""
+    """|tr(f^n)| <= (d+ + d-) rho^n (1 + 1e-9) + 1e-12 for n = 1..n_max,
+    compared in logs, so that neither side leaves the float range."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     _, _, rho = spectral_radius(m)
     dim = m.d_plus + m.d_minus
     traces = trace_sequence(m, n_max)
+    log_rho = math.log(rho) if rho > 0 else NEG_INF
+    log_slack = math.log(1e-12)
     for n in range(1, n_max + 1):
-        bound = dim * rho**n
-        if abs(float(traces[n])) > bound * (1 + 1e-9) + 1e-12:
+        t = Fraction(traces[n])
+        if t == 0:
+            continue
+        # the log of bound + slack: the larger log plus log1p(e^-gap)
+        log_bound = math.log(dim) + n * log_rho + math.log1p(1e-9)
+        top = max(log_bound, log_slack)
+        if _log_abs(t) > top + math.log1p(math.exp(min(log_bound, log_slack) - top)):
             return False
     return True
 
 
 NEG_INF = float("-inf")
+
+
+def _log_abs(t: Fraction) -> float:
+    """log|t| for a nonzero rational of any size: math.log takes ints of
+    any size, so log|a/b| = log|a| - log b."""
+    return math.log(abs(t.numerator)) - math.log(t.denominator)
 
 
 def rate_estimate(traces: Sequence) -> float:
@@ -130,7 +144,7 @@ def rate_estimate(traces: Sequence) -> float:
         t = values[idx]
         if t == 0:
             continue
-        best = max(best, math.log(abs(float(t))) / (idx + 1))
+        best = max(best, _log_abs(t) / (idx + 1))
     return best
 
 

@@ -1,50 +1,64 @@
-"""Vectorized finite-field arithmetic on packed element indices.
+"""Vectorized finite-field arithmetic on arrays of field elements.
 
-An element of F_{p^k} is stored as one integer, its packed index
-sum_i c_i p^i over the coefficients c_i of its polynomial in x, as in
-FqElement.to_int and the FqField.enumerate order.  N elements form an
-array of shape (N,), one row per element; a one-row array is a constant
-that broadcasts against N-row arrays.  Row i of digits_of_range(a, b, f)
-holds the f-tuple of elements whose tuple index is a + i.
+N elements of F_{p^k} form an integer array of shape (N,), one row per
+element; a one-row array is a constant that broadcasts against N-row
+arrays.  Row i of digits_of_range(a, b, f) holds the f-tuple of elements
+whose tuple index is a + i.  Two engines share this layout and differ in
+what a row holds.
 
-Two engines share this representation.
+Tables: discrete logs.  Let g be the element of smallest packed index
+among those of multiplicative order q - 1.  A row holds log_g of its
+element, in [0, q - 1), and 0 is the one sentinel ZERO = -2^29.  A product
+or a power is integer arithmetic mod q - 1, and a nonzero square is an
+even log.  A sum of nonzero g^l and g^h, l <= h, is g^(h + zech[h - l])
+with zech[d] = log(1 + g^-d), one gather: an index at or past q - 1 (a
+zero summand, so h - l >= -ZERO) is clipped to zech's last entry, 0, and
+1 + g^-d = 0 gives ZERO.  A sum s formed in [2 ZERO, 2(q - 2)] is brought
+back to a row, with no mask, as max(min(u, u - (q - 1)), ZERO) for u the
+uint32 view of s: u - (q - 1) wraps above u for 0 <= s < q - 1, lies
+below it otherwise, and a negative s stays negative, now below ZERO.
+Alongside zech, exp[i] = g^i as a packed index (exp[q - 1] = 0, so
+the uint32 view of ZERO clips to it) and log = exp^-1 (log[0] = ZERO)
+convert between logs and packed indices, for constants and for elements,
+linear_map and trace; the three tables take 12 bytes per element.
 
-Tables.  With g the element of smallest packed index among those of
-multiplicative order q - 1, exp[i] = g^i for i <= 2q - 4 (so a sum of two
-logs needs no reduction), log[g^i] = i, and zech[d] = log(1 + g^d).
-log 0 is the sentinel 2q - 3, the index of exp's last entry, which is 0,
-and exp is read with mode="clip", so every index at or past the sentinel
-gives 0: a product is exp[log a + log b] with no mask.  A power multiplies
-a log mod q - 1, so Frobenius is a power; a sum of nonzero g^l and g^h,
-l <= h, is exp[l + zech[h - l]] (zech's last entry, 0, catches a zero
-summand), or an XOR in characteristic 2, or a sum mod p in a prime field;
-a nonzero square is an element of even log.  The tables take 16 bytes per
-element (int32 exp of 2(q - 1) entries, log and zech of q).  They are
-built the first time a field is enumerated over f >= 1 variables, a pass
-of at least q rows that the budget has already paid for, and only while
-q <= TABLE_MAX.  exp is built by doubling: multiplication by g^m is a k x k
-F_p-linear map on digits, so each step is one digit matmul.  These run in
-float64, through BLAS, and are exact: every entry is an integer, and no
-value formed exceeds _table_bound(p, k) = max(k (p - 1)^2, p^k) + 1, which
-stays below 2^51 for every field TABLE_MAX admits (about 10^14 at k = 1).
-A digit is reduced mod p as a - p floor((a + 1/2)(1/p)), or in a small
-array by np.fmod, exact as well, in one call.  The float quotient is off
-by less than (a + 1/2) 2^-52 / p, and (a + 1/2)/p lies at least 1/(2p)
-from an integer, so below 2^51 the floor is exact; without the 1/2, a
-multiple of p can round to just below its quotient (fl(1/p) p 2^j < 2^j),
-and 20011 * 2^j reduces to p instead of 0.  g is found by testing
-candidates against each cofactor (q - 1)/r, r a prime factor of q - 1:
-over F_p by pow(n, (q - 1)/r, p), above it by powers of its k x k digit
-matrix.
+Every intermediate stays inside int32, since q <= TABLE_MAX < 2^24: a row
+is at least ZERO = -2^29; a sum of two rows lies in [-2^30, 2^25); a
+difference h - l of rows is below 2^29 + 2^24; a reduced sum is at least
+-2^30 - 2^24; and a power e*log, at most (q - 2)^2 < 2^48, is formed in
+int64 whenever e (q - 2) >= 2^31.
 
-Digits.  Every other field (one-row charts, q > TABLE_MAX, any field
-before its first enumeration pass) unpacks rows into base-p digits,
-multiplies by schoolbook convolution plus a reduction matrix for the
-modulus and packs the result.  Its dtypes are worked out from p and k, so
-it is exact for every prime: products accumulate in float64 while every
-intermediate stays below 2^53, else in int64, and past the int64 range in
-Python-int (object) arrays.  F_p-linear maps such as the absolute trace
-are applied as digit matrices (linear_map) in either engine.
+The tables are built by prepare_pass before a pass over f >= 1
+variables: such a pass has at least q rows, which the budget has already
+paid for, and its arrays, constants included, are all made after the
+build.  Only fields with q <= TABLE_MAX get tables.  exp is built by
+doubling: multiplication by g^m is a k x k F_p-linear map on digits, so
+each step is one digit matmul.  These run in float64, through BLAS, and
+are exact: every entry is an integer, and no value formed exceeds
+_table_bound(p, k) = max(k (p - 1)^2, p^k) + 1, which stays below 2^51 for
+every field TABLE_MAX admits (about 10^14 at k = 1).  A digit is reduced
+mod p as a - p floor((a + 1/2)(1/p)), or in a small array by np.fmod,
+exact as well, in one call.  The float quotient is off by less than
+(a + 1/2) 2^-52 / p, and (a + 1/2)/p lies at least 1/(2p) from an
+integer, so below 2^51 the floor is exact; without the 1/2, a multiple of
+p can round to just below its quotient (fl(1/p) p 2^j < 2^j), and
+20011 * 2^j reduces to p instead of 0.  g is found by testing candidates
+against each cofactor (q - 1)/r, r a prime factor of q - 1: over F_p by
+pow(n, (q - 1)/r, p), above it by powers of its k x k digit matrix.
+
+Digits: packed indices.  Every other field (one no pass over f >= 1
+variables has prepared, or q > TABLE_MAX) holds the packed index
+sum_i c_i p^i of each element, over the
+coefficients c_i of its polynomial in x, as in FqElement.to_int and the
+FqField.enumerate order.  It unpacks rows into base-p digits, multiplies
+by schoolbook convolution plus a reduction matrix for the modulus and
+packs the result.  Its dtypes are worked out from p and k, so it is exact
+for every prime: products accumulate in float64 while every intermediate
+stays below 2^53, else in int64, and past the int64 range in Python-int
+(object) arrays.  F_p-linear maps are applied as digit matrices
+(linear_map) in either engine; the absolute trace is one, with its column
+Tr(x^i) from Newton's identities, and in characteristic 2 it is the
+parity of the packed bits under that column.
 """
 
 from __future__ import annotations
@@ -58,6 +72,7 @@ from .gf import FqElement, FqField, _prime_factors
 CHUNK = 1 << 18  # rows per array in an enumeration pass; bounds peak memory
 TABLE_MAX = 10_000_000  # largest field given tables: varieties.DEFAULT_BUDGET
 TABLE_BLOCK = 1 << 11  # digit columns per matmul while building tables; stays in cache
+ZERO = np.int32(-(1 << 29))  # the row of 0 in the table engine, which holds logs
 
 
 def _int_dtype(bound: int):
@@ -103,7 +118,7 @@ class VecField:
         self.p = p = field.p
         self.k = k = field.e
         self.q = q = field.q
-        self.dtype = _int_dtype(2 * (q - 1))  # a sum of two elements fits
+        self.dtype = _int_dtype(2 * (q - 1))  # a sum of two elements fits; int32 with tables
         self._wide = _int_dtype(q)  # packing and unpacking
         # largest intermediate of a digit product: k-term convolution sums,
         # then k - 1 more terms from the reduction matmul
@@ -114,75 +129,100 @@ class VecField:
         rows = list(zip(*field._cols))
         self._reduce = np.array(rows, dtype=object).reshape(k - 1, k).astype(self.acc_dtype)
         self._exp = self._log = self._zech = None
+        self._zero = 0  # the row of 0: ZERO once the tables are built
 
     @property
     def tabulated(self) -> bool:
-        """Whether this field's exp/log/Zech tables have been built."""
+        """Whether this field's exp/log/Zech tables have been built, so
+        that its rows hold logs."""
         return self._exp is not None
+
+    def prepare_pass(self, f: int):
+        """Call before a pass over f free variables makes any array, its
+        constants included.  A pass over f >= 1 variables has at least q
+        rows, which the budget has already paid for, so it builds the
+        field's tables if it has none and q <= TABLE_MAX; rows made before
+        the build are packed indices and do not mix with logs."""
+        if f and self._exp is None and self.q <= TABLE_MAX:
+            self._tabulate()
 
     # --- rows ---
 
     def digits_of_range(self, start: int, stop: int, f: int = 1) -> list[np.ndarray]:
         """The f-tuples of F_q^f with tuple indices start..stop-1, as f
-        arrays of packed elements.  Tuple index i = sum_j to_int(x_j)
-        q^(f-1-j): the lexicographic order of itertools.product over
-        enumerate().  A range over f >= 1 variables belongs to a pass over
-        at least q rows, so it builds the field's tables if it has none."""
-        if f and self._exp is None and self.q <= TABLE_MAX:
-            self._tabulate()
+        arrays of rows.  Tuple index i = sum_j v_j q^(f-1-j): the
+        lexicographic order of the value indices v_j in [0, q), where v is
+        the packed index in the digit engine and, with tables, log v for
+        v < q - 1 and 0 for v = q - 1."""
+        if f == 1 and self._exp is not None:
+            logs = np.arange(start, stop, dtype=np.int32)
+            if stop == self.q:
+                logs[-1] = ZERO
+            return [logs]
         n = np.arange(start, stop, dtype=np.int64 if stop <= np.iinfo(np.int64).max else object)
         out = []
         for _ in range(f):
-            out.append((n % self.q).astype(self.dtype))
+            v = (n % self.q).astype(self.dtype)
+            if self._exp is not None:
+                v += (v == self.q - 1) * np.int32(ZERO - (self.q - 1))
+            out.append(v)
             n = n // self.q
         return out[::-1]
+
+    def from_packed(self, n: np.ndarray) -> np.ndarray:
+        """Rows of an array of packed indices."""
+        return n.astype(self.dtype) if self._exp is None else self._log.take(n)
+
+    def packed(self, a: np.ndarray) -> np.ndarray:
+        """The packed indices of rows; the uint32 view of ZERO clips to
+        exp's last entry, 0."""
+        return a if self._exp is None else self._exp.take(a.view(np.uint32), mode="clip")
 
     def const(self, c) -> np.ndarray:
         """c as a one-row array: an FqElement of this field, or an integer
         read as the prime-field element c mod p."""
         n = c.to_int() if isinstance(c, FqElement) else c % self.p
-        return np.array([n], dtype=self.dtype)
-
-    def zeros(self, n: int) -> np.ndarray:
-        return np.zeros(n, dtype=self.dtype)
+        return self.from_packed(np.array([n]))
 
     def elements(self, a: np.ndarray, index: np.ndarray) -> list[FqElement]:
         """The FqElements at the given rows of a; a one-row constant stands
         for every row."""
         picked = a[index] if a.shape[0] > 1 else np.repeat(a, len(index))
-        return [self.field.from_int(n) for n in picked.tolist()]
+        return [self.field.from_int(n) for n in self.packed(picked).tolist()]
 
     # --- arithmetic ---
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._exp is not None:
+            hi, d = np.maximum(a, b), np.minimum(a, b)
+            np.subtract(hi, d, out=d)
+            hi += self._zech.take(d, mode="clip")
+            return self._reduce_log(hi)
         if self.p == 2:
             return a ^ b
         if self.k == 1:
             return (a + b) % self.p
-        if self._exp is None:
-            return self._pack(self._unpack(a) + self._unpack(b))
-        la, lb = self._log.take(a), self._log.take(b)
-        lo = np.minimum(la, lb)
-        return self._exp.take(lo + self._zech.take(np.maximum(la, lb) - lo, mode="clip"), mode="clip")
+        return self._pack(self._unpack(a) + self._unpack(b))
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._exp is not None:
+            # -1 = g^((q - 1)/2) in odd characteristic, and 1 in even
+            return self.add(a, b if self.p == 2 else self._reduce_log(b + (self.q - 1) // 2))
         if self.p == 2:
             return a ^ b
         if self.k == 1:
             return (a - b) % self.p
-        if self._exp is None:
-            return self._pack(self._unpack(a) - self._unpack(b))
-        return self.add(a, self._exp.take(self._log.take(b) + (self.q - 1) // 2, mode="clip"))
+        return self._pack(self._unpack(a) - self._unpack(b))
 
     def scale(self, a: np.ndarray, c: int) -> np.ndarray:
         """c * a for an integer c, an element of the prime field."""
-        if self._exp is None:
-            return self._pack(self._unpack(a) * (c % self.p))
-        return self._exp.take(self._log.take(a) + self._log[c % self.p], mode="clip")
+        if self._exp is not None:
+            return self._reduce_log(a + self._log[c % self.p])
+        return self._pack(self._unpack(a) * (c % self.p))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._exp is not None:
-            return self._exp.take(self._log.take(a) + self._log.take(b), mode="clip")
+            return self._reduce_log(a + b)
         k = self.k
         wa, wb = self._unpack(a), self._unpack(b)
         conv = np.zeros((max(a.shape[0], b.shape[0]), 2 * k - 1), dtype=self.acc_dtype)
@@ -198,10 +238,17 @@ class VecField:
             return self.const(1)
         if self._exp is not None:
             order = self.q - 1
-            if e % order == 1:  # x^e = x, as for Frobenius of the whole field
+            e %= order
+            if e == 1:  # x^e = x, as for Frobenius of the whole field
                 return a
-            logs = self._log.take(a).astype(np.int64) * (e % order) % order
-            return np.where(a == 0, 0, self._exp.take(logs))
+            # e * log a mod q - 1, with a zero row read as log 0; then the
+            # bits of ZERO, which no log has, are or-ed back into zero rows
+            logs = np.maximum(a, 0, dtype=np.int32 if e * (order - 1) < 2**31 else np.int64)
+            logs *= e
+            logs %= order
+            out = a & ZERO
+            out |= logs
+            return out
         result = None
         while e:
             if e & 1:
@@ -213,40 +260,59 @@ class VecField:
 
     def linear_map(self, a: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Apply the F_p-linear map from F_{p^k} to F_{p^j} whose i-th row
-        (j digits) is the image of x^i."""
-        return self._pack(self._unpack(a) @ m.astype(self.acc_dtype))
+        (j digits) is the image of x^i, as packed indices of F_{p^j}."""
+        return self._pack(self._unpack(self.packed(a)) @ m.astype(self.acc_dtype))
 
     def trace(self, a: np.ndarray) -> np.ndarray:
-        """Absolute trace to F_p of each row, as an integer array."""
-        return self.linear_map(a, self._trace_column)
+        """Absolute trace to F_p of each row, as an integer array: in
+        characteristic 2 the parity of the packed bits i with Tr(x^i) = 1,
+        folded by XOR (np.bitwise_count needs numpy 2)."""
+        if self.p != 2:
+            return self.linear_map(a, self._trace_column)
+        x = self.packed(a) & sum(int(t) << i for i, t in enumerate(self._trace_column[:, 0]))
+        width = 1 << (self.k - 1).bit_length()  # a power of 2 >= k
+        while width > 1:
+            width >>= 1
+            x ^= x >> width
+        return x & 1
 
     @cached_property
     def _trace_column(self) -> np.ndarray:
-        column = []
-        for i in range(self.k):
-            y = acc = self.field.element([0] * i + [1])
-            for _ in range(self.k - 1):
-                y = y**self.p
-                acc = acc + y
-            column.append([acc.coeffs[0]])
-        return np.array(column, dtype=object)
+        """Tr(x^i) for i < k as a k x 1 digit matrix.  The conjugates of x
+        are the roots of the modulus t^k + c_(k-1) t^(k-1) + ... + c_0, so
+        Tr(x^i) is their i-th power sum s_i, and Newton's identities give
+        s_0 = k and s_i = -(i c_(k-i) + sum_(0<j<i) c_(k-j) s_(i-j))."""
+        p, k, c = self.p, self.k, self.field.modulus
+        s = [k % p]
+        for i in range(1, k):
+            s.append(-(i * c[k - i] + sum(c[k - j] * s[i - j] for j in range(1, i))) % p)
+        return np.array(s, dtype=object).reshape(k, 1)
 
     def is_square(self, a: np.ndarray) -> np.ndarray:
         """True where a is a nonzero square: a nonzero row in characteristic
-        2, an even log with tables, else by Euler's criterion
-        a^((q-1)/2) = 1."""
+        2, an even log with tables (ZERO | 1 masks the parity and the bits
+        only ZERO has), else by Euler's criterion a^((q-1)/2) = 1."""
         if self.p == 2:
-            return a != 0
+            return a != self._zero
         if self._exp is not None:
-            return self._log.take(a) % 2 == 0  # log 0, the sentinel, is odd
+            return (a & (ZERO | 1)) == 0
         return self.equal(self.power(a, (self.q - 1) // 2), self.const(1))
 
     def is_zero(self, a: np.ndarray) -> np.ndarray:
-        return a == 0
+        return a == self._zero
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise equality; packed indices are unique."""
+        """Row-wise equality; a row is unique to its element in either engine."""
         return a == b
+
+    def _reduce_log(self, s: np.ndarray) -> np.ndarray:
+        """The row of a sum s of rows or of a row and a zech entry, in
+        [2 ZERO, 2(q - 2)], as max(min(u, u - (q - 1)), ZERO) for u the
+        uint32 view of s (see the module docstring); s is overwritten."""
+        u = s.view(np.uint32)
+        t = u - (self.q - 1)
+        np.minimum(u, t, out=t)
+        return np.maximum(t.view(np.int32), ZERO)
 
     # --- digit engine ---
 
@@ -294,9 +360,9 @@ class VecField:
             step, m = step @ step % p, 2 * m
         work, spare = work.reshape(k, cols), spare.reshape(k, cols)
         weights = p ** np.arange(k, dtype=np.float64).reshape(1, k)
-        exp = np.empty(2 * order, dtype=np.int32)
+        exp = np.empty(q, dtype=np.int32)
         log = np.empty(q, dtype=np.int32)
-        zech = np.zeros(q, dtype=np.int32)  # 1 + g^d, then its log
+        zech = np.zeros(q, dtype=np.int32)  # 1 + g^i, then zech[d] = log(1 + g^-d)
         digits, shift = block, step
         for start in range(0, order, cols):
             n = min(cols, order - start)
@@ -310,15 +376,20 @@ class VecField:
                 # cols is then a power of 2, and step multiplies by g^cols
                 digits = _mod_p(_matmul(shift, block, work), p, spare)
                 shift = step @ shift % p
-        exp[order : 2 * order - 1] = exp[: order - 1]
-        exp[-1] = 0
-        log[0] = 2 * order - 1
-        # zech[d] = log(1 + g^d); zech[q - 1] = 0 is the clip target for a
-        # zero summand
-        for start in range(0, order, CHUNK):
-            part = zech[start : min(start + CHUNK, order)]
-            log.take(part, out=part)  # take buffers out, so part may be it
+        exp[order] = 0
+        log[0] = ZERO
+        # zech[d] takes the log of 1 + g^(q - 1 - d) for 0 < d < q - 1: the
+        # pairs d, q - 1 - d swap in place, a chunk of each at a time;
+        # zech[q - 1] = 0 is the clip target for a zero summand
+        zech[0] = log[zech[0]]
+        half = order // 2 + 1
+        for start in range(1, half, CHUNK):
+            stop = min(start + CHUNK, half)
+            low, high = zech[start:stop], zech[order - stop + 1 : order - start + 1]
+            low_logs, high_logs = log.take(low), log.take(high)
+            low[:], high[:] = high_logs[::-1], low_logs[::-1]
         self._exp, self._log, self._zech = exp, log, zech
+        self._zero = ZERO
 
     def _generator(self) -> list[int]:
         """Digits of the element of smallest packed index with multiplicative

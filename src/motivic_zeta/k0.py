@@ -130,8 +130,9 @@ class EulerGram:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "EulerGram":
-        """Rows of ints; a non-list, a float, a bool or a string is
-        refused, not coerced."""
+        """Rows of ints from outside the library (JSON); a non-list, a
+        float, a bool or a string is refused, not coerced.  The builders
+        below make their int rows themselves and skip this check."""
         if not (isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)):
             raise ValidationError(f"an Euler Gram matrix must be a list of rows, got {rows!r}")
         return EulerGram(tuple(tuple(_json_int(x, "Gram entry") for x in row) for row in rows))
@@ -158,8 +159,7 @@ def right_kernel(g: EulerGram) -> list[list[int]]:
 
 def left_kernel(g: EulerGram) -> list[list[int]]:
     """Hermite-reduced Z-basis of {v : v^T chi = 0}."""
-    transposed = EulerGram.from_rows(list(map(list, zip(*g.chi))) if g.n else [])
-    return right_kernel(transposed)
+    return right_kernel(EulerGram(tuple(zip(*g.chi))))
 
 
 @dataclass
@@ -223,12 +223,7 @@ def beilinson_gram(n: int) -> EulerGram:
     chi_ij = C(n+j-i, n) for j >= i, 0 below the diagonal."""
     if n < 0:
         raise ValidationError("dimension must be >= 0")
-    return EulerGram.from_rows(
-        [
-            [math.comb(n + j - i, n) if j >= i else 0 for j in range(n + 1)]
-            for i in range(n + 1)
-        ]
-    )
+    return EulerGram(tuple(tuple(math.comb(n + j - i, n) if j >= i else 0 for j in range(n + 1)) for i in range(n + 1)))
 
 
 def quiver_gram(vertices: int, arrows: Sequence[tuple[int, int]]) -> EulerGram:
@@ -253,12 +248,7 @@ def quiver_gram(vertices: int, arrows: Sequence[tuple[int, int]]) -> EulerGram:
                     sources.append(y)
     if removed < vertices:
         raise ValidationError("quiver has a cycle")
-    return EulerGram.from_rows(
-        [
-            [int(i == j) - counts[i][j] for j in range(vertices)]
-            for i in range(vertices)
-        ]
-    )
+    return EulerGram(tuple(tuple(int(i == j) - c for j, c in enumerate(row)) for i, row in enumerate(counts)))
 
 
 def phi_pairing_check(g: EulerGram, opposite_g: EulerGram) -> bool:

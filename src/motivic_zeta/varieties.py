@@ -263,12 +263,13 @@ def _assignments(vf: VecField, f: int):
 
 def _evaluate(vf: VecField, polys, values, rows: int) -> list:
     """Each polynomial ({exponent vector: FqElement of vf's field}) at
-    every row of values; powers of a variable are shared across all terms,
-    and a coefficient in the prime field scales."""
+    every row of values, as an array of `rows` rows (a read-only broadcast
+    where it is constant); powers of a variable are shared across all
+    terms, and a coefficient in the prime field scales."""
     pows = {}
     out = []
     for terms in polys:
-        acc = vf.zeros(rows)
+        acc = None
         for exps, coeff in terms.items():
             val = None
             for i, e in enumerate(exps):
@@ -282,8 +283,10 @@ def _evaluate(vf: VecField, polys, values, rows: int) -> list:
                 val = vf.mul(val, vf.const(coeff))
             elif coeff.coeffs[0] != 1:
                 val = vf.scale(val, coeff.coeffs[0])
-            acc = vf.add(acc, val)
-        out.append(acc)
+            acc = val if acc is None else vf.add(acc, val)
+        if acc is None:
+            acc = vf.const(0)
+        out.append(acc if acc.shape[0] == rows else np.broadcast_to(acc, (rows,)))
     return out
 
 
@@ -373,7 +376,9 @@ def _counts(requests, budget: int | None) -> list[int]:
     for base, closed, charts, n in charged:
         q = base.q**n
         total = sum(q**f for f in closed)
-        vf = vec_field(fq_make(base.p, base.e * n)) if charts else None
+        if charts:
+            vf = vec_field(fq_make(base.p, base.e * n))
+            vf.prepare_pass(max(f - (j is not None) for f, _, j in charts))
         for f, eqs, j in charts:
             eqs = [_poly(eq.items(), vf.field) for eq in eqs]
             if j is None:
@@ -401,18 +406,22 @@ def point_counts(v: VarietySpec, n_max: int, budget: int | None = None) -> list[
 
 def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     """Normalized point representatives over F_{q^n}, chart by chart in
-    lexicographic order of the free coordinates (desk scale only).  Every
-    chart is charged before F_{q^n} is built."""
+    lexicographic order of the packed indices of the free coordinates
+    (desk scale only).  Every chart is charged before F_{q^n} is built."""
     charts = list(_charts(v.ambient_kind, v.num_vars, _equations(v)))
     _charge(resolve_budget(budget), [v.q ** (n * len(free)) for _, free, _ in charts])
     vf = vec_field(fq_make(v.p, v.e * n))
+    vf.prepare_pass(max((len(free) for _, free, _ in charts), default=0))
     points = []
     for fixed, free, eqs in charts:
         eqs = [_poly(eq.items(), vf.field) for eq in eqs]
+        chart = []
         for _, coords, mask in _chart_points(vf, v.num_vars, fixed, free, eqs):
             index = np.flatnonzero(mask)
             columns = [vf.elements(c, index) for c in coords]
-            points += [tuple(col[i] for col in columns) for i in range(len(index))]
+            chart += [tuple(col[i] for col in columns) for i in range(len(index))]
+        # rows with tables run in log order; the fixed coordinates are equal
+        points += sorted(chart, key=lambda point: [x.to_int() for x in point])
     return points
 
 

@@ -73,13 +73,14 @@ def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
     act = _normalize_matrix(v, g)
     big = fq_make(v.p, v.e * n * matrix_order(v, act))
     vf = vec_field(big)
+    vf.prepare_pass(v.num_vars)  # before the constants: rows may become logs
 
     def embedded(m):
         return [[None if x.is_zero() else vf.const(v.base_field.embed(x, big)) for x in row] for row in m]
 
     def apply(m, coords):
         return [
-            functools.reduce(vf.add, (x if c[0] == 1 else vf.mul(c, x) for c, x in zip(row, coords) if c is not None))
+            functools.reduce(vf.add, (vf.mul(c, x) for c, x in zip(row, coords) if c is not None))
             for row in m
         ]
 
@@ -336,6 +337,21 @@ def generator_by_orders(field):
         if order == field.q - 1:
             return g
     raise AssertionError("F_q^* is cyclic")
+
+
+def trace_column_by_frobenius(field) -> list[int]:
+    """Tr(x^i) for i < e as x^i + (x^i)^p + ... + (x^i)^(p^(e-1)), by
+    e - 1 Frobenius powers of each: a route independent of the Newton
+    identities behind VecField._trace_column."""
+    column = []
+    for i in range(field.e):
+        y = acc = field.element([0] * i + [1])
+        for _ in range(field.e - 1):
+            y = y**field.p
+            acc = acc + y
+        assert not any(acc.coeffs[1:])
+        column.append(acc.coeffs[0])
+    return column
 
 
 def _polymod_by_steps(a: list[int], m: list[int], p: int) -> list[int]:

@@ -452,6 +452,19 @@ def test_repeated_eigenvalues_keep_exact_multiplicities(capsys, tmp_path, rows, 
     assert out["payload"]["rate_exact"] == float(f"{math.log(rho):.12g}")
 
 
+@pytest.mark.parametrize("nmax", [450, 2000])
+def test_motive_growth_past_the_float_range(capsys, nmax):
+    # the traces 1 + 5^n of P^1/F_5 pass the float range at n = 441; the
+    # closed form gives the bound |1 + 5^n| <= 2 * 5^n and, over the tail
+    # window n > nmax - ceil(nmax / 2), the rate max log(1 + 5^n) / n
+    code, out = run(capsys, "motive", "growth", "--in", fixture("p1_motive.json"), "--nmax", str(nmax))
+    assert (code, out["status"]) == (0, "ok")
+    rate = max(math.log(1 + 5**n) / n for n in range(nmax - (nmax + 1) // 2 + 1, nmax + 1))
+    assert out["payload"]["growth_bound_holds"] is True
+    assert out["payload"]["rate_estimate"] == float(f"{rate:.12g}")
+    assert out["payload"]["rate_exact"] == float(f"{math.log(5):.12g}")
+
+
 def test_evaluation_at_a_triple_pole_is_a_numeric_error(capsys, tmp_path):
     # Z = 1/(1 - 5t)^3 at s = 1; the split roots once missed the pole and
     # answered 4.6e15 with status ok

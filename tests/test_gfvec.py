@@ -1,6 +1,7 @@
 """The vectorized field engine against scalar FqElement arithmetic, on
-seeded rows with forced zeros, through both of its engines: exp/log/Zech
-tables and base-p digits."""
+seeded rows with forced zeros, through both of its engines: logs with
+exp/log/Zech tables and packed indices with base-p digits.  Rows are
+compared through one conversion, VecField.packed."""
 
 import random
 
@@ -9,10 +10,10 @@ import pytest
 
 from motivic_zeta import VarietySpec, count_points, gfvec
 from motivic_zeta.gf import _prime_factors, fq_make
-from motivic_zeta.gfvec import TABLE_MAX, VecField, _mod_p, _table_bound, vec_field
+from motivic_zeta.gfvec import TABLE_MAX, ZERO, VecField, _mod_p, _table_bound, vec_field
 from motivic_zeta.varieties import DEFAULT_BUDGET
 
-from conftest import generator_by_orders
+from conftest import generator_by_orders, trace_column_by_frobenius
 
 TABLED = [(2, 1), (3, 2), (2, 4), (2, 12), (5, 7), (3, 10), (65537, 1)]
 DIGITS = [(3, 10), (2, 24), (2**31 - 1, 1), (2**61 - 1, 1)]
@@ -20,14 +21,14 @@ DIGITS = [(3, 10), (2, 24), (2**31 - 1, 1), (2**61 - 1, 1)]
 
 def tabulated(p, e):
     vf = VecField(fq_make(p, e))
-    vf.digits_of_range(0, 1)  # a range over one variable builds the tables
+    vf.prepare_pass(1)  # a pass over one variable builds the tables
     assert vf.tabulated
     return vf
 
 
 def untabulated(p, e):
     vf = VecField(fq_make(p, e))
-    vf.digits_of_range(0, 1, 0)  # a one-row range builds nothing
+    vf.prepare_pass(0)  # a one-row pass builds nothing
     assert not vf.tabulated
     return vf
 
@@ -38,8 +39,8 @@ ENGINES += [pytest.param(untabulated, p, e, id=f"digits-{p}^{e}") for p, e in DI
 
 
 def operands(vf, seed):
-    """Two seeded columns of packed elements: random rows plus every pairing
-    of zero, one, -1 and a, -a."""
+    """Two seeded columns of rows: random elements plus every pairing of
+    zero, one, -1 and a, -a."""
     rng = random.Random(seed)
     f = vf.field
     a = [rng.randrange(vf.q) for _ in range(100)]
@@ -52,11 +53,16 @@ def operands(vf, seed):
         for t in specials:
             a.append(s)
             b.append(t)
-    return np.array(a, dtype=vf.dtype), np.array(b, dtype=vf.dtype)
+    return vf.from_packed(np.array(a)), vf.from_packed(np.array(b))
+
+
+def indices(vf, rows):
+    """The packed indices of an array of rows, as a list."""
+    return vf.packed(np.asarray(rows)).tolist()
 
 
 def scalars(vf, column):
-    return [vf.field.from_int(int(n)) for n in column]
+    return [vf.field.from_int(n) for n in indices(vf, column)]
 
 
 def packed(values):
@@ -68,15 +74,15 @@ def test_ring_operations_match_scalar_arithmetic(make, p, e):
     vf = make(p, e)
     a, b = operands(vf, p * 100 + e)
     sa, sb = scalars(vf, a), scalars(vf, b)
-    assert vf.add(a, b).tolist() == packed(x + y for x, y in zip(sa, sb))
-    assert vf.sub(a, b).tolist() == packed(x - y for x, y in zip(sa, sb))
-    assert vf.mul(a, b).tolist() == packed(x * y for x, y in zip(sa, sb))
+    assert indices(vf, vf.add(a, b)) == packed(x + y for x, y in zip(sa, sb))
+    assert indices(vf, vf.sub(a, b)) == packed(x - y for x, y in zip(sa, sb))
+    assert indices(vf, vf.mul(a, b)) == packed(x * y for x, y in zip(sa, sb))
     assert vf.equal(a, b).tolist() == [x == y for x, y in zip(sa, sb)]
     assert vf.is_zero(a).tolist() == [x.is_zero() for x in sa]
     for c in (0, 1, -1, 2, p + 3):
         want = packed(vf.field.element(c) * x for x in sa)
-        assert vf.scale(a, c).tolist() == want
-        assert vf.mul(vf.const(c), a).tolist() == want  # one-row constants broadcast
+        assert indices(vf, vf.scale(a, c)) == want
+        assert indices(vf, vf.mul(vf.const(c), a)) == want  # one-row constants broadcast
 
 
 @pytest.mark.parametrize("make, p, e", ENGINES)
@@ -87,7 +93,7 @@ def test_powers_match_scalar_arithmetic(make, p, e):
     q = vf.q
     exponents = {0, 1, 2, q - 1, q, q + 1, 3 * q + 5} | {p**m for m in (1, 2, e // 2, e)}
     for n in sorted(exponents):
-        got = np.broadcast_to(vf.power(a, n), a.shape).tolist()
+        got = indices(vf, np.broadcast_to(vf.power(a, n), a.shape))
         assert got == packed(x**n for x in sa), n
 
 
@@ -119,18 +125,21 @@ def test_elements_and_ranges(make, p, e):
     vf = make(p, e)
     a, _ = operands(vf, p * 100 + e + 3)
     index = np.array([0, 3, len(a) - 1])
-    assert vf.elements(a, index) == [vf.field.from_int(int(a[i])) for i in index]
+    assert vf.elements(a, index) == [vf.field.from_int(indices(vf, a)[i]) for i in index]
     assert vf.elements(vf.const(-1), index) == [-vf.field.one()] * 3
-    # tuple index i = x_0 q + x_1 for two variables
+    # tuple index i = v_0 q + v_1 for two variables, v the value index of
+    # a row: its packed index, or with tables its log and q - 1 for zero
     start = max(vf.q**2 - 7, 0)
     x0, x1 = vf.digits_of_range(start, vf.q**2, 2)
+    if vf.tabulated:
+        x0, x1 = (np.where(x == ZERO, vf.q - 1, x) for x in (x0, x1))
     assert [int(u) * vf.q + int(w) for u, w in zip(x0, x1)] == list(range(start, vf.q**2))
 
 
 def test_tables_are_capped_at_the_default_budget():
     assert TABLE_MAX == DEFAULT_BUDGET
     vf = VecField(fq_make(2**31 - 1, 1))
-    vf.digits_of_range(0, 5)
+    vf.prepare_pass(1)
     assert not vf.tabulated
 
 
@@ -160,13 +169,14 @@ def is_prime(n):
     "p, e", TABLED + [(p, 1) for p in (20011, 32749, 40009, 1048573)], ids=lambda x: str(x)
 )
 def test_tables_match_scalar_powers(p, e):
-    """exp[i] = g^i, log[g^i] = i and g^zech[d] = 1 + g^d by scalar
+    """exp[i] = g^i, log[g^i] = i and g^zech[d] = 1 + g^-d by scalar
     arithmetic, at every i when q <= 2^12 and at 2000 seeded i above."""
     vf = tabulated(p, e)
     exp, log, zech = vf._exp, vf._log, vf._zech
     f, q = vf.field, vf.q
-    order, sentinel = q - 1, 2 * (q - 1) - 1
-    assert (exp[-1], log[0], zech[order]) == (0, sentinel, 0)
+    order = q - 1
+    assert (len(exp), len(log), len(zech)) == (q, q, q)
+    assert (exp[order], log[0], zech[order]) == (0, ZERO, 0)
     g, one = f.element(vf._generator()), f.one()
     if q <= 2**12:
         powers = [one]
@@ -178,11 +188,11 @@ def test_tables_match_scalar_powers(p, e):
     for i in picked:
         x = power(i)
         assert exp[i] == x.to_int() and log[exp[i]] == i, i
-        assert i == order - 1 or exp[i + order] == exp[i], i
+        d = -i % order  # g^-d = x
         if (one + x).is_zero():
-            assert zech[i] == sentinel, i
+            assert zech[d] == ZERO, i
         else:
-            assert zech[i] < order and power(int(zech[i])) == one + x, i
+            assert 0 <= zech[d] < order and power(int(zech[d])) == one + x, i
 
 
 def test_reduction_is_exact_where_the_plain_reciprocal_is_not():
@@ -256,3 +266,71 @@ def test_extension_field_generators_are_unchanged(p, e):
     # g is primitive: no power to a cofactor is 1
     x = vf.field.element(g)
     assert all(x ** ((vf.q - 1) // r) != vf.field.one() for r in _prime_factors(vf.q - 1))
+
+
+# --- the trace column, the log engine's edge rows and its int32 range
+
+
+@pytest.mark.parametrize("p, e", sorted(set(TABLED + DIGITS)) + [(2, k) for k in range(1, 25)], ids=lambda x: str(x))
+def test_trace_column_by_newton_matches_frobenius_sums(p, e):
+    vf = VecField(fq_make(p, e))
+    assert vf._trace_column[:, 0].tolist() == trace_column_by_frobenius(vf.field)
+
+
+@pytest.mark.parametrize("make, p, e", ENGINES)
+def test_edge_rows(make, p, e):
+    vf = make(p, e)
+    f, q = vf.field, vf.q
+    zero, x = vf.const(0), vf.const(f.from_int(q - 1))
+    minus_x = vf.const(-f.from_int(q - 1))
+    zero_rows = [vf.add(zero, zero), vf.add(x, minus_x), vf.sub(x, x), vf.mul(zero, x), vf.mul(x, zero)]
+    zero_rows += [vf.scale(zero, 3), vf.scale(x, 0), vf.scale(x, p)]
+    zero_rows += [vf.power(zero, n) for n in (1, 2, q - 1, q, q + 1, 3 * q + 5)]
+    for row in zero_rows:
+        # a zero row is the one row of 0, so equal and is_zero see it
+        assert indices(vf, row) == [0] and vf.is_zero(row).tolist() == [True]
+        assert vf.equal(row, zero).tolist() == [True]
+    assert indices(vf, vf.add(zero, x)) == indices(vf, vf.add(x, zero)) == [q - 1]
+    assert indices(vf, vf.power(zero, 0)) == indices(vf, vf.power(x, q - 1)) == [1]
+    assert vf.is_square(zero).tolist() == [False] and not vf.is_zero(x)[0]
+    assert indices(vf, vf.const(0)) == [0]
+    assert indices(vf, vf.const(p + 3)) == [f.element(p + 3).to_int()]
+    assert vf.elements(zero, [0, 1]) == [f.zero()] * 2
+
+
+def test_constants_made_before_a_pass_match_its_rows():
+    """The step a pass takes before making any array builds the tables, so
+    a constant made after it and the pass's rows are both logs."""
+    vf = VecField(fq_make(3, 4))
+    vf.prepare_pass(1)
+    consts = [vf.const(x) for x in vf.field.enumerate()]
+    (rows,) = vf.digits_of_range(0, vf.q)
+    assert vf.tabulated and sorted(indices(vf, rows)) == list(range(vf.q))
+    for n, c in enumerate(consts):
+        assert np.count_nonzero(vf.equal(rows, c)) == 1 and indices(vf, c) == [n]
+
+
+def test_log_arithmetic_stays_in_int32_near_table_max():
+    """At the largest prime field TABLE_MAX admits, rows at both ends of the
+    log range and zero give the products, sums, powers and squares of
+    arithmetic mod p: an int32 intermediate that wrapped would not."""
+    p = 9999991
+    assert is_prime(p) and not any(is_prime(n) for n in range(p + 1, TABLE_MAX + 1))
+    order = p - 1
+    # the module docstring's bounds: a sum of two rows, a difference, a
+    # reduced sum and the last exponent whose powers stay in int32
+    zero = int(ZERO)
+    assert 2 * zero - order >= -(2**31) and order - zero < 2**31 and 2 * order < 2**31
+    vf = tabulated(p, 1)
+    logs = [0, 1, order // 2 - 1, order // 2, order - 2, order - 1, ZERO]
+    a = np.array([x for x in logs for _ in logs], dtype=np.int32)
+    b = np.array([y for _ in logs for y in logs], dtype=np.int32)
+    sa, sb = indices(vf, a), indices(vf, b)
+    assert indices(vf, vf.mul(a, b)) == [x * y % p for x, y in zip(sa, sb)]
+    assert indices(vf, vf.add(a, b)) == [(x + y) % p for x, y in zip(sa, sb)]
+    assert indices(vf, vf.sub(a, b)) == [(x - y) % p for x, y in zip(sa, sb)]
+    assert indices(vf, vf.scale(a, -1)) == [-x % p for x in sa]
+    boundary = 2**31 // (order - 1)  # e * log stays in int32 up to here
+    for e in (2, boundary, boundary + 1, order - 1, order + 1, 3 * order - 1):
+        assert indices(vf, vf.power(a, e)) == [pow(x, e, p) for x in sa], e
+    assert vf.is_square(a).tolist() == [x != 0 and pow(x, order // 2, p) == 1 for x in sa]

@@ -16,6 +16,7 @@ from motivic_zeta import (
     quiver_gram,
     right_kernel,
 )
+from motivic_zeta import k0
 from motivic_zeta.errors import ValidationError
 from motivic_zeta.exact_core import RatMatrix
 from motivic_zeta.k0 import (
@@ -144,6 +145,26 @@ def test_beilinson_grams():
         assert report.kernels_agree
         assert report.right_kernel_basis == []
         assert len(report.quotient_basis) == n + 1
+
+
+def test_builders_do_not_recheck_their_own_grams(monkeypatch):
+    """Only rows from outside (EulerGram.from_rows, from_json) go through the
+    JSON integer check; the builders and left_kernel's transpose make int
+    rows themselves."""
+    calls = []
+
+    def counting(x, what):
+        calls.append(what)
+        return x
+
+    monkeypatch.setattr(k0, "_json_int", counting)
+    chain = quiver_gram(6, [(i, i + 1) for i in range(5)])
+    plane = beilinson_gram(2)
+    assert calls == []
+    assert chain.chi[0][:2] == (1, -1) and plane.chi == ((1, 3, 6), (0, 1, 3), (0, 0, 1))
+    assert left_kernel(chain) == [] and calls == []
+    EulerGram.from_json({"chi": [[1, 0], [0, 1]]})
+    assert calls == ["Gram entry"] * 4
 
 
 def test_non_smooth_gram_detected():

@@ -97,6 +97,7 @@ def test_vecfield_mul_rows_are_axis_zero():
     gfvec = importlib.import_module("motivic_zeta.gfvec")
     for p, e, tables in ((5, 3, True), (2, 24, False)):  # 2^24 > TABLE_MAX
         vf = gfvec.VecField(gf.fq_make(p, e))
+        vf.prepare_pass(1)
         (x,) = vf.digits_of_range(0, 7)
         assert vf.tabulated == tables
         c = vf.const(3)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from motivic_zeta import varieties
 from motivic_zeta.cli import main
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
 from motivic_zeta.gf import row_echelon
+from motivic_zeta.gfvec import vec_field
 from motivic_zeta.serialize import dumps
 from motivic_zeta.varieties import (
     _counts,
@@ -211,6 +213,26 @@ def test_enumerate_points_consistent():
     p1 = projective_space(1, 5)
     pts = list(enumerate_points(p1, 1))
     assert len(pts) == count_points(p1, 1)
+
+
+def test_enumerate_points_in_lexicographic_order():
+    """Chart by chart (the first nonzero coordinate is 1), the points in
+    itertools.product order over FqField.enumerate of the free coordinates,
+    over a field whose rows are logs."""
+    e5 = load_variety("elliptic_f5_variety.json")
+    field = fq_make(5, 2)
+    want = []
+    for i in range(e5.num_vars):
+        for free in itertools.product(list(field.enumerate()), repeat=e5.num_vars - 1 - i):
+            coords = (field.zero(),) * i + (field.one(),) + free
+            values = [
+                sum((field.element(c) * math.prod((x**e for x, e in zip(coords, exps)), start=field.one()) for exps, c in eq), field.zero())
+                for eq in e5.equations
+            ]
+            if all(value.is_zero() for value in values):
+                want.append(coords)
+    assert enumerate_points(e5, 2) == want and len(want) == count_points(e5, 2)
+    assert vec_field(field).tabulated
 
 
 def test_twisted_count_identity_is_plain_count():

@@ -458,6 +458,13 @@ def _as_rational_function(x) -> RationalFunction:
     return RationalFunction(x, Polynomial.one()) if isinstance(x, Polynomial) else x
 
 
+def _monomial(c, e: int) -> RationalFunction:
+    """c t^e as a rational function, for an exponent e of either sign."""
+    if e >= 0:
+        return RationalFunction(Polynomial([0] * e + [c]), Polynomial.one())
+    return RationalFunction(Polynomial([c]), Polynomial([0] * -e + [1]))
+
+
 class RatMatrix:
     """Dense rational matrix, row-major.  0x0 matrices are legal."""
 

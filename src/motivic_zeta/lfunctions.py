@@ -340,8 +340,8 @@ def l_function(
     character.check_against(action)
     m = character.m
     size = len(action)
-    eqs, elements = _equations(v), list(zip(action.elements, action.element_orders))
-    counts = _counts((_twisted(v, g, r, eqs, n) for n in range(1, n_max + 1) for g, r in elements), budget)
+    eqs = _equations(v)
+    counts = _counts((_twisted(v, g, eqs, n) for n in range(1, n_max + 1) for g in action.elements), budget)
     chi = [character.value_on_element(action, action.inverse[i]) for i in range(size)]
     traces = [
         sum((c * x for c, x in zip(chi, counts[k * size : (k + 1) * size])), Cyclotomic.rational(0, m)) * Fraction(1, size)
@@ -382,7 +382,7 @@ def orbifold_zeta(
     keys = list(dict.fromkeys(keys + [(h, g, n) for n in ns for g, h in pairs]))
     eqs = _equations(v)
     fixed = [eqs + _fixer_equations(v, g) for g in action.elements]
-    requests = (_twisted(v, action.elements[h], action.element_orders[h], fixed[g], n) for h, g, n in keys)
+    requests = (_twisted(v, action.elements[h], fixed[g], n) for h, g, n in keys)
     count = dict(zip(keys, _counts(requests, budget)))
     class_terms = [
         [Fraction(sum(count[h, g, n] for h in cent), len(cent)) for n in ns]

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import NotInvertibleError, PreconditionError, ValidationError
-from .exact_core import Polynomial, RatMatrix, RationalFunction, char_poly
+from .exact_core import Polynomial, RatMatrix, RationalFunction, _monomial, char_poly
 from .series import DEFAULT_PRECISION, TruncatedSeries, WittElement, ghost_components
 
 
@@ -180,16 +180,7 @@ def check_functional_equation(m: TracedMotive) -> FunctionalEquationReport:
     lhs = zeta_rational(dual).substitute_reciprocal()
     e = m.euler_characteristic()
     d = determinant(m)
-    sign = Fraction(-1) ** abs(e)
-    if e >= 0:
-        monomial = RationalFunction(
-            Polynomial([0] * e + [sign]), Polynomial.one()
-        )
-    else:
-        monomial = RationalFunction(
-            Polynomial([sign]), Polynomial([0] * (-e) + [1])
-        )
-    rhs = monomial * d * zeta_rational(m)
+    rhs = _monomial(Fraction(-1) ** abs(e), e) * d * zeta_rational(m)
     return FunctionalEquationReport(
         holds=(lhs == rhs),
         trace_of_identity=e,

@@ -14,23 +14,27 @@ an absolute trace in characteristic 2); everything else is exhaustive.
 Enumeration work is metered against a budget (default 10^7 assignments
 per count, env MOTIVIC_ZETA_BUDGET or per-call override), and every
 request is charged before any F_{q^n} is built, so a refused route
-counts nothing (a descent below still builds F_{q^(n r)} before its
-request is charged).  All enumeration runs through one iterator over
+counts nothing (a descent below builds only F_{q^n} before its request
+is charged).  All enumeration runs through one iterator over
 chunks of assignments, each variable an array of packed field elements,
 evaluated with gfvec: on exp/log/Zech tables once the field is
 enumerated over at least q rows (q <= 10^7), on base-p digits otherwise
 (one-row charts, larger fields).
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
-descent.  With r = ord(g) and Q = q^(n r), the map sigma = g Fr^n is
-F_{q^n}-linear on F_Q^N and sigma^r = 1, so its fixed vectors span an
-F_{q^n}-form of F_Q^N (Lang, Amer. J. Math. 78, 1956): a matrix h over
-F_Q with g Fr^n(h) = h.  Then x = h y maps the F_{q^n}-points of the
-twisted form, cut out by the coordinates of F(h y) in the F_{q^n}-basis
-1, X, .., X^(r-1) of F_Q, one to one onto the twisted fixed points, and
-the ordinary count counts them with its shortcuts intact (_twisted makes
-that request).  A condition h' x = x (or h' x proportional to x) from a
-fixing element becomes equations too (_fixer_equations).
+descent (Lang, Amer. J. Math. 78, 1956) in K = F_{q^n}[X]/(h), h monic
+and irreducible of degree r over F_{q^n} (found by Ben-Or's test), whose
+Frobenius phi fixes the coefficients and sends X to X^(q^n).  On A^N,
+r = ord(g) and sigma = g phi; on P^N, where g acts only up to a scalar, r
+is the least r with g^r = lam I and sigma = X g phi with h(0) =
+(-1)^r/lam, so that the norm of X is 1/lam.  Either way sigma^r = 1 on
+K^N, so its fixed vectors are the columns of a matrix H over K with
+sigma(H) = H.  Then x = H y maps the F_{q^n}-points of the twisted form,
+cut out by the coefficients of F(H y) over F_{q^n}, one to one onto the
+twisted fixed points, and the ordinary count counts them with its
+shortcuts intact (_twisted makes that request).  A condition h' x = x
+(or h' x proportional to x) from a fixing element becomes equations too
+(_fixer_equations).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import functools
 import json
 import math
 import os
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -47,8 +52,8 @@ import numpy as np
 
 from .errors import PreconditionError, ResourceError, ValidationError
 from .analytic import _poly_roots_certified
-from .exact_core import Polynomial, RationalFunction, _json_int
-from .gf import FqElement, FqField, fq_make, is_prime, mobius, row_echelon
+from .exact_core import Polynomial, RationalFunction, _json_int, _monomial
+from .gf import FqElement, FqField, _fpoly_add, _fpoly_gcd, _fpoly_mulmod, _fpoly_powmod, _fpoly_rem, fq_make, is_prime, mobius, row_echelon
 from .gfvec import CHUNK, VecField, vec_field
 from .reconstruct import NotStabilized, traces_to_zeta
 from .series import TruncatedSeries, WittElement, exp_from_traces
@@ -450,19 +455,18 @@ def _normalize_matrix(v: VarietySpec, g) -> tuple[tuple[FqElement, ...], ...]:
     return tuple(rows)
 
 
-def matrix_order(v: VarietySpec, g, limit: int = 10_000) -> int:
-    m = _normalize_matrix(v, g)
-    base = v.base_field
-    nv = v.num_vars
-    ident = tuple(
-        tuple(base.one() if i == j else base.zero() for j in range(nv))
-        for i in range(nv)
-    )
-    acc = m
-    for r in range(1, limit + 1):
-        if acc == ident:
-            return r
-        acc = _mat_mul(acc, m)
+@functools.lru_cache(maxsize=256)
+def _twist_order(kind: str, g) -> tuple[int, FqElement]:
+    """(r, lam) for a matrix g over the base field: the least r with
+    g^r = lam I, where lam = 1 on an affine variety (r is the order of g)
+    and any scalar on a projective one (r is the projective order)."""
+    zero, one = g[0][0].field.zero(), g[0][0].field.one()
+    acc = g
+    for r in range(1, 10_001):
+        lam = acc[0][0] if kind == "projective" else one
+        if all(x == (lam if i == j else zero) for i, row in enumerate(acc) for j, x in enumerate(row)):
+            return r, lam
+        acc = _mat_mul(acc, g)
     raise ValidationError("matrix has no finite order within the search limit")
 
 
@@ -584,111 +588,113 @@ def _preserves(v: VarietySpec, g) -> bool:
 
 
 def twisted_count(v: VarietySpec, g, n: int, budget: int | None = None) -> int:
-    """#{x in X(F-bar) : g(Fr^n(x)) = x}; all such x lie in
-    X(F_{q^{n ord(g)}}).  Counted as the F_{q^n}-points of the twisted form
-    of X, so it charges the budget what count_points charges for that."""
+    """#{x in X(F-bar) : g(Fr^n(x)) = x}, on a projective X up to a scalar.
+    Counted as the F_{q^n}-points of the twisted form of X, so it charges
+    the budget what count_points charges for that."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
     act = _normalize_matrix(v, g)
     if len(row_echelon(act)[1]) < len(act):
         raise ValidationError("group elements must be invertible")
-    eqs = _equations(v)
-    return _counts([_twisted(v, act, matrix_order(v, act) if eqs else 1, eqs, n)], budget)[0]
+    return _counts([_twisted(v, act, _equations(v), n)], budget)[0]
 
 
-def _twisted(v: VarietySpec, g, r: int, eqs: list[dict], n: int):
-    """The request (plan, n) counting the x with g(Fr^n(x)) = x, g of order
-    r, on the variety cut out by eqs over the base field: the plain plan at
-    n for the identity or for P^N and A^N, else the descended one at 1."""
-    if r == 1 or not eqs:
+def _twisted(v: VarietySpec, g, eqs: list[dict], n: int):
+    """The request (plan, n) counting the x with g(Fr^n(x)) = x (on P^N up
+    to a scalar) on the variety cut out by eqs over the base field: the
+    plain plan at n for P^N and A^N or when g acts as the identity, else
+    the descended one at 1."""
+    r, lam = _twist_order(v.ambient_kind, g) if eqs else (1, None)
+    if r == 1:
         return _plan(v.ambient_kind, v.num_vars, v.base_field, eqs), n
-    return _plan(v.ambient_kind, v.num_vars, fq_make(v.p, v.e * n), _descend(v, g, r, n, eqs)), 1
+    small = fq_make(v.p, v.e * n)
+    return _plan(v.ambient_kind, v.num_vars, small, _descend(v, g, r, lam, small, eqs)), 1
 
 
-def _descend(v: VarietySpec, g, r: int, n: int, eqs: list[dict]) -> list[dict]:
-    """The equations over F_{q^n} of the twisted form of the variety cut
-    out by eqs (over the base field) under g Fr^n; r = ord(g) > 1."""
-    small, big = fq_make(v.p, v.e * n), fq_make(v.p, v.e * n * r)
-    coords, from_coords = _coordinates(small, big)
-    nv = v.num_vars
-    g = [[v.base_field.embed(c, big) for c in row] for row in g]
-    # sigma(X^a e_j) = sum_i g_ij X^(a q^n) e_i: the matrix of sigma - 1 in
-    # the F_{q^n}-basis X^a e_j of F_Q^nv, one column per basis vector
-    frob = big.element([0, 1]) ** (v.q**n)
+class _Rel:
+    """An element of K = F_{q^n}[X]/(h): its coefficients over F_{q^n}, no
+    trailing zeros, with the ring operations that _substitute uses."""
+
+    __slots__ = ("c", "h")
+
+    def __init__(self, c: list, h: tuple):
+        self.c, self.h = c, h
+
+    def __add__(self, other):
+        return _Rel(_fpoly_add(self.c, other.c), self.h)
+
+    def __mul__(self, other):
+        return _Rel(_fpoly_mulmod(self.c, other.c, self.h), self.h)
+
+    def is_zero(self) -> bool:
+        return not self.c
+
+
+def _descend(v: VarietySpec, g, r: int, lam: FqElement, small: FqField, eqs: list[dict]) -> list[dict]:
+    """The equations over small = F_{q^n} of the twisted form of the
+    variety cut out by eqs (over the base field) under g Fr^n, where
+    g^r = lam I and r > 1 (see _twist_order)."""
+    base, nv = v.base_field, v.num_vars
+    zero, one = small.zero(), small.one()
+    c0 = base.embed(lam, small).inverse()
+    h = _relative_modulus(small, r, -c0 if r % 2 else c0)
+    # sigma(X^a e_j) = sum_i g_ij c X^(a Q) e_i with c = X on P^N, where
+    # N(X) = (-1)^r h(0) = 1/lam, and c = 1 on A^N: the matrix of sigma - 1
+    # in the F_{q^n}-basis X^a e_j of K^nv, one column per basis vector
+    frob = _fpoly_powmod([zero, one], small.q, h)
+    ts, t = [], [zero, one] if v.ambient_kind == "projective" else [one]
+    for _ in range(r):
+        ts.append(t + [zero] * (r - len(t)))
+        t = _fpoly_mulmod(t, frob, h)
+    g = [[base.embed(c, small) for c in row] for row in g]
     columns = []
     for j in range(nv):
-        t = big.one()
-        for a in range(r):
-            column = [c for i in range(nv) for c in coords(g[i][j] * t)]
-            column[j * r + a] = column[j * r + a] - small.one()
+        for a, t in enumerate(ts):
+            column = [g[i][j] * c for i in range(nv) for c in t]
+            column[j * r + a] = column[j * r + a] - one
             columns.append(column)
-            t = t * frob
     rows, pivots = row_echelon(list(zip(*columns)))
     free = [c for c in range(nv * r) if c not in pivots]
     if len(free) != nv:
         raise AssertionError("sigma^r = 1, so sigma - 1 has an nv-dimensional kernel")  # Lang
-    # the kernel vector of each free column holds, block i, the coordinates
-    # of the i-th entry of a column of h
+    # the kernel vector of each free column holds, block i, the coefficients
+    # of the i-th entry of a column of H
     h_cols = []
     for c in free:
-        vec = [small.zero()] * (nv * r)
-        vec[c] = small.one()
+        vec = [zero] * (nv * r)
+        vec[c] = one
         for row, pc in zip(rows, pivots):
             vec[pc] = -row[c]
-        h_cols.append([from_coords(vec[i * r : (i + 1) * r]) for i in range(nv)])
-    h = [[h_cols[j][i] for j in range(nv)] for i in range(nv)]
-    # each F(h y) splits into r coordinates over F_{q^n}; a rational y is a
-    # zero of F(h y) exactly when it is a zero of every coordinate
+        h_cols.append([_Rel(_fpoly_rem(vec[i * r : (i + 1) * r], h), h) for i in range(nv)])
+    big_h = [[h_cols[j][i] for j in range(nv)] for i in range(nv)]
+    # each F(H y) splits into its r coefficients over F_{q^n}; a rational y
+    # is a zero of F(H y) exactly when it is a zero of every coefficient
     by_degree: dict[int, list[dict]] = {}
     for eq in eqs:
-        moved = _substitute({k: v.base_field.embed(c, big) for k, c in eq.items()}, h)
-        parts: list[dict] = [{} for _ in range(r)]
-        for exps, c in moved.items():
-            for part, cb in zip(parts, coords(c)):
-                if not cb.is_zero():
-                    part[exps] = cb
-        for part in parts:
+        moved = _substitute({k: _Rel([base.embed(c, small)], h) for k, c in eq.items()}, big_h)
+        for a in range(r):
+            part = {exps: c.c[a] for exps, c in moved.items() if a < len(c.c) and not c.c[a].is_zero()}
             if part:
                 by_degree.setdefault(_degree(part), []).append(part)
     return [poly for d in sorted(by_degree) for poly in _span_basis(by_degree[d], small)]
 
 
-@functools.lru_cache(maxsize=16)
-def _coordinates(small: FqField, big: FqField):
-    """The coordinates over F_{q^n} = small of F_Q = big in the basis 1, X,
-    .., X^(r-1), X the generator of big, and back: a pair of maps between
-    an element of big and r elements of small.  Over F_p, c = u B where
-    B's rows are the digits of X^b z^a (z the image of small's generator)
-    and u the digits of the coordinates."""
-    k, kk, p = small.e, big.e, small.p
-    prime = fq_make(p, 1)
-    z = small.embedding_root(big)
-    basis, xb = [], big.one()
-    for _ in range(kk // k):
-        za = xb
-        for _ in range(k):
-            basis.append(za.coeffs)
-            za = za * z
-        xb = xb * big.element([0, 1])
-    augmented = [[prime.element(d) for d in b] + [prime.element(int(i == j)) for j in range(kk)] for i, b in enumerate(basis)]
-    rows, _ = row_echelon(augmented)
-    inverse = [[x.coeffs[0] for x in row[kk:]] for row in rows]
-
-    def combine(u: list[int], matrix) -> tuple[int, ...]:
-        out = [0] * kk
-        for d, row in zip(u, matrix):
-            if d:
-                out = [(x + d * y) % p for x, y in zip(out, row)]
-        return tuple(out)
-
-    def coords(c: FqElement) -> list[FqElement]:
-        u = combine(c.coeffs, inverse)
-        return [FqElement(small, u[b : b + k]) for b in range(0, kk, k)]
-
-    def from_coords(parts) -> FqElement:
-        return FqElement(big, combine([d for part in parts for d in part.coeffs], basis))
-
-    return coords, from_coords
+@functools.lru_cache(maxsize=64)
+def _relative_modulus(small: FqField, r: int, c0: FqElement) -> tuple:
+    """A monic irreducible h of degree r > 1 over small with h(0) = c0 != 0:
+    the first of a seeded stream of dense candidates to pass Ben-Or's test
+    (FOCS 1981), gcd(h, X^(Q^i) - X) = 1 for i <= r/2 with Q = |small|.  A
+    reducible h has a factor of degree at most r/2, so it fails early."""
+    rng = random.Random(r)
+    while True:
+        h = [c0] + [small.from_int(rng.randrange(small.q)) for _ in range(r - 1)] + [small.one()]
+        xq = [small.zero(), small.one()]
+        for _ in range(r // 2):
+            xq = _fpoly_powmod(xq, small.q, h)
+            if len(_fpoly_gcd(h, _fpoly_add(xq, [small.zero(), -small.one()]))) > 1:
+                break
+        else:
+            return tuple(h)
 
 
 def zeta_from_counts(
@@ -766,12 +772,7 @@ def weil_check(
         note = "dim*E odd: functional equation constant is irrational"
     else:
         lhs = zeta.substitute_reciprocal(scale=Fraction(q) ** dim)
-        factor = Fraction(q) ** (dim * e_deg // 2)
-        if e_deg >= 0:
-            mono = RationalFunction(Polynomial([0] * e_deg + [factor]), Polynomial.one())
-        else:
-            mono = RationalFunction(Polynomial([factor]), Polynomial([0] * (-e_deg) + [1]))
-        ratio = lhs / (mono * zeta)
+        ratio = lhs / (_monomial(Fraction(q) ** (dim * e_deg // 2), e_deg) * zeta)
         if ratio.den == Polynomial.one() and ratio.num == Polynomial.constant(1):
             fe_holds, sign = True, 1
         elif ratio.den == Polynomial.one() and ratio.num == Polynomial.constant(-1):

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from motivic_zeta import Polynomial, RatMatrix, RationalFunction, TracedMotive, VarietySpec, fq_make
-from motivic_zeta.errors import NotInvertibleError
+from motivic_zeta.errors import NotInvertibleError, ValidationError
 from motivic_zeta.exact_core import _integral
 from motivic_zeta.reconstruct import NotStabilized
 from motivic_zeta.series import TruncatedSeries
 from motivic_zeta.gfvec import vec_field
-from motivic_zeta.varieties import _chart_points, _charts, _equations, _normalize_matrix, _poly, matrix_order
+from motivic_zeta.varieties import _chart_points, _charts, _equations, _normalize_matrix, _poly
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "motivic_zeta" / "fixtures"
 VARIETY_FIXTURES = sorted(path.name for path in FIXTURES.glob("*_variety.json"))
@@ -66,12 +66,34 @@ def matrix_power_traces(m: TracedMotive, n_max: int) -> list[Fraction]:
     return out
 
 
+def matrix_order(v: VarietySpec, g, limit: int = 10_000, up_to_scalars: bool = False) -> int:
+    """The least r <= limit with g^r = I (the order of g) or, up_to_scalars,
+    with g^r a scalar matrix (its projective order); else ValidationError."""
+    m = _normalize_matrix(v, g)
+    zero = v.base_field.zero()
+    acc = m
+    for r in range(1, limit + 1):
+        lam = acc[0][0] if up_to_scalars else v.base_field.one()
+        if all(acc[i][j] == (lam if i == j else zero) for i in range(len(m)) for j in range(len(m))):
+            return r
+        acc = [[sum((acc[i][k] * m[k][j] for k in range(len(m))), zero) for j in range(len(m))] for i in range(len(m))]
+    raise ValidationError("matrix has no finite order within the search limit")
+
+
+def twist_degree(v: VarietySpec, g) -> int:
+    """The degree r with every twisted fixed point of g in X(F_{q^(n r)}):
+    ord g on A^N, the projective order r0 on P^N, since g^r0 = lam I makes
+    (g Fr^n)^r0 = lam Fr^(n r0) act on P^N as Fr^(n r0)."""
+    return matrix_order(v, g, up_to_scalars=v.ambient_kind == "projective")
+
+
 def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
     """#{x : g(Fr^n(x)) = x, h(x) = x for h in fixers} (projective: up to
-    scalars) by enumerating X over F_{q^(n ord g)} and testing the twist
-    row by row, independently of Lang descent; small fields only."""
+    scalars) by enumerating X over F_{q^(n r)}, r = twist_degree(v, g), and
+    testing the twist row by row, independently of Lang descent; small
+    fields only."""
     act = _normalize_matrix(v, g)
-    big = fq_make(v.p, v.e * n * matrix_order(v, act))
+    big = fq_make(v.p, v.e * n * twist_degree(v, act))
     vf = vec_field(big)
     vf.prepare_pass(v.num_vars)  # before the constants: rows may become logs
 

@@ -15,6 +15,7 @@ import pytest
 import motivic_zeta
 from motivic_zeta import cli, lfunctions, measures
 from motivic_zeta.cli import ARTIN_MAZUR_MAX_NMAX, COMMANDS, REQUIRED, _parser, main
+from motivic_zeta.gf import FqField
 from motivic_zeta.reconstruct import MAX_BITS
 from motivic_zeta.serialize import canonical, dumps
 
@@ -243,6 +244,18 @@ def test_lfun_and_orbifold(capsys):
     )
     assert code == 0
     assert out["payload"]["routes_agree"] is True
+
+
+def test_orbifold_descends_in_degree_two_at_every_n(capsys, monkeypatch):
+    # N_n(h; fix g) for h = diag(-1, 1) descends over F_{5^n} in degree 2,
+    # with no embedding searched; the traces are (1/2)(2 (5^n + 1) + 2 + 2)
+    def no_search(small, big):
+        raise AssertionError(f"an embedding of F_{small.q} in F_{big.q} was searched")
+
+    monkeypatch.setattr(FqField, "embedding_root", no_search)
+    code, out = run(capsys, "orbifold", "--in", fixture("p1_f5_z2_trivial.json"), "--nmax", "20")
+    assert code == 0
+    assert out["payload"]["traces"] == [str(5**n + 3) for n in range(1, 21)]
 
 
 def _lfun_input(**changes):

@@ -1,5 +1,6 @@
 """Point counting, zeta functions from counts, and Weil-type checks."""
 
+import functools
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from motivic_zeta import (
 from motivic_zeta import varieties
 from motivic_zeta.cli import main
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
-from motivic_zeta.gf import row_echelon
+from motivic_zeta.gf import FqField, row_echelon
 from motivic_zeta.gfvec import vec_field
 from motivic_zeta.serialize import dumps
 from motivic_zeta.varieties import (
@@ -36,11 +37,18 @@ from motivic_zeta.varieties import (
     _twisted,
     affine_space,
     enumerate_points,
-    matrix_order,
     projective_space,
 )
 
-from conftest import FIXTURES, VARIETY_FIXTURES, load_json, load_variety, twisted_count_by_enumeration
+from conftest import (
+    FIXTURES,
+    VARIETY_FIXTURES,
+    load_json,
+    load_variety,
+    matrix_order,
+    twist_degree,
+    twisted_count_by_enumeration,
+)
 
 
 def brute_projective_count(v: VarietySpec, n: int) -> int:
@@ -251,23 +259,37 @@ def test_twisted_count_sign_action():
 
 
 @pytest.fixture
-def field_builds(monkeypatch):
+def field_requests(monkeypatch):
     """The degrees e of the fields F_{p^e} that varieties asks fq_make
-    for, in call order; varieties.vec_field, which tabulates or enumerates
-    a field of points, raises.  Such a work guard holds on any host."""
+    for, in call order, and ("embedding_root", e, E) for each search of an
+    embedding of F_{p^e} in F_{p^E}.  Such a work guard holds on any host."""
     monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
     degrees = []
+    embedding_root = FqField.embedding_root
 
     def recorded(p, e):
         degrees.append(e)
         return fq_make(p, e)
 
+    def recorded_embedding(small, big):
+        degrees.append(("embedding_root", small.e, big.e))
+        return embedding_root(small, big)
+
+    monkeypatch.setattr(varieties, "fq_make", recorded)
+    monkeypatch.setattr(FqField, "embedding_root", recorded_embedding)
+    return degrees
+
+
+@pytest.fixture
+def field_builds(field_requests, monkeypatch):
+    """field_requests, where varieties.vec_field, which tabulates or
+    enumerates a field of points, raises."""
+
     def no_enumeration(field):
         raise AssertionError(f"F_{field.p}^{field.e} was set up for enumeration")
 
-    monkeypatch.setattr(varieties, "fq_make", recorded)
     monkeypatch.setattr(varieties, "vec_field", no_enumeration)
-    return degrees
+    return field_requests
 
 
 def test_over_budget_twisted_count_is_refused_at_once(field_builds):
@@ -275,13 +297,12 @@ def test_over_budget_twisted_count_is_refused_at_once(field_builds):
     # twisted form over F_{5^6} has no quadratic variable on the chart
     # x = 1, so its count needs 15625^2 assignments, as the untwisted count
     # does; the refusal comes from that count, before any enumeration.  The
-    # descent itself works in F_{5^12}, the field of its fixed vectors, and
-    # over F_5 when its coordinate maps are not cached yet
+    # descent itself works in F_{5^6}[X]/(h) and builds no other field
     klein = plane(5, [((3, 1, 0), 1), ((0, 3, 1), 1), ((1, 0, 3), 1)], e=2)
     with pytest.raises(ResourceError) as err:
         twisted_count(klein, [[4, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     assert (err.value.required, err.value.budget) == (5**12, 10**7)
-    assert {2, 6, 12} <= set(field_builds) <= {1, 2, 6, 12}
+    assert set(field_builds) == {2, 6}
     field_builds.clear()
     with pytest.raises(ResourceError) as plain:
         count_points(klein, 3)
@@ -358,6 +379,47 @@ def test_twisted_budget_is_charged_chart_by_chart():
     assert twisted_count(e5, flip, 2, budget=50) == 25
 
 
+def test_refused_quadratic_twist_builds_only_its_field(field_builds):
+    # y -> -y on E/F_5 at n = 20: the descent works in F_{5^20}[X]/(h) with
+    # h of degree 2, so it builds F_{5^20} and searches no embedding of F_5
+    # before the descended count over F_{5^20} is refused
+    e5 = load_variety("elliptic_f5_variety.json")
+    with pytest.raises(ResourceError) as err:
+        twisted_count(e5, [[1, 0, 0], [0, -1, 0], [0, 0, 1]], 20)
+    assert (err.value.required, err.value.budget) == (5**20, 10**7)
+    assert set(field_builds) == {1, 20}
+
+
+# P^1/F_13 cut by x^13 y - x y^13, whose points over any extension are
+# P^1(F_13)
+P1_F13 = VarietySpec("projective", 1, 13, 1, ((((13, 1), 1), ((1, 13), -1)),))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_twist_of_large_order_descends_by_its_projective_order(field_requests, n):
+    # [[0, 2], [1, 4]] has order 168 and projective order 14 (g^14 = 11 I),
+    # so the descent works over F_{13^n} in degree 14, not 168; its
+    # characteristic polynomial t^2 - 4t - 2 has discriminant 11, not a
+    # square mod 13, so g has no eigenvector in P^1(F_13) and no x of X has
+    # g(Fr^n(x)) proportional to x
+    g = _normalize_matrix(P1_F13, [[0, 2], [1, 4]])
+    assert (matrix_order(P1_F13, g), twist_degree(P1_F13, g)) == (168, 14)
+    assert varieties._twist_order("projective", g) == (14, P1_F13.base_field.element(11))
+    assert twisted_count(P1_F13, g, n, budget=10**7) == 0
+    assert set(field_requests) == {1, n}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unipotent_twist_of_projective_order_p(n):
+    # [[2, 1], [0, 2]] has order 156 and projective order 13: on P^1(F_13),
+    # where Fr^n is the identity, it fixes [1 : 0] alone
+    g = [[2, 1], [0, 2]]
+    assert (matrix_order(P1_F13, g), twist_degree(P1_F13, g)) == (156, 13)
+    points = [(1, 0)] + [(x, 1) for x in range(13)]
+    fixed = sum(1 for x, y in points if ((2 * x + y) * y - 2 * y * x) % 13 == 0)
+    assert twisted_count(P1_F13, g, n) == fixed == 1
+
+
 def test_twist_without_equations_is_closed_form(field_builds):
     # an element of order 156 of GL_3(F_13): enumeration would have built
     # F_{13^156}; the twisted form of P^2 is P^2, so no field is built
@@ -411,16 +473,16 @@ def _matrix_of_small_order(rng, v):
 
 # companion matrices of the cyclotomic polynomials x + 1, x^2 + x + 1 and
 # x^2 + 1: of order r = 2, 3, 4 over any field whose characteristic is
-# prime to r
-_PHI_COMPANIONS = {2: [[-1]], 3: [[0, -1], [1, -1]], 4: [[0, -1], [1, 0]]}
+# prime to r.  On P^1 the last one squares to -I; [[0, -2], [1, 2]], with
+# eigenvalues 1 +- i of ratio i, has projective order 4 in odd characteristic
+_BLOCKS = {2: [[[-1]]], 3: [[[0, -1], [1, -1]]], 4: [[[0, -1], [1, 0]], [[0, -2], [1, 2]]]}
 
 
-def _conjugated_companion(rng, v, r):
-    """c diag(C, I) c^-1 for C the companion matrix of Phi_r, I an identity
-    block, and a seeded invertible matrix c: an element of order r
-    whose eigenvalues need not lie in the base field."""
+def _conjugated_companion(rng, v, block):
+    """c diag(B, I) c^-1 for a block B of _BLOCKS, I an identity block, and
+    a seeded invertible matrix c: an element whose eigenvalues need not lie
+    in the base field."""
     field, nv = v.base_field, v.num_vars
-    block = _PHI_COMPANIONS[r]
     m = [[field.element(block[i][j] if max(i, j) < len(block) else int(i == j)) for j in range(nv)] for i in range(nv)]
     inv = None
     while inv is None:
@@ -430,23 +492,32 @@ def _conjugated_companion(rng, v, r):
 
 
 def _twist_case(rng, v, f, g):
-    """The case (v, g, ord g, n, fixers), fixers none, g^2 or another
-    element; n is 2 or 1, the larger while the oracle enumerates at most
-    2*10^5 rows per chart of f free variables; None when neither does."""
-    order = matrix_order(v, g)
-    ns = [n for n in (2, 1) if v.q ** (n * order * f) <= 2 * 10**5]
+    """The case (v, g, r, n, fixers), r = twist_degree(v, g), fixers none,
+    g^2 or another element; n is 2 or 1, the larger while the oracle
+    enumerates at most 2*10^5 rows per chart of f free variables, over
+    F_{q^(n r)}; None when neither does."""
+    r = twist_degree(v, g)
+    ns = [n for n in (2, 1) if v.q ** (n * r * f) <= 2 * 10**5]
     if not ns:
         return None
     h = _matrix_of_small_order(rng, v)
     fixers = rng.choice([(), (_mat(g, g),)] + ([(h,)] if h is not None else []))
-    return v, g, order, ns[0], fixers
+    return v, g, r, ns[0], fixers
+
+
+def _is_power(x, r) -> bool:
+    """Whether a nonzero x of F_q is an r-th power: x^((q-1)/gcd(r, q-1)) = 1."""
+    q = x.field.q
+    return x ** ((q - 1) // math.gcd(r, q - 1)) == x.field.one()
 
 
 def _twist_cases(p):
     """Seeded twisted counts over F_p and F_{p^2}: P^1 (bare, and cut by a
     binary cubic), plane cubics and an affine conic, each with up to four
-    random elements g of order 2..4 (see _twist_case), and built ones
-    (_conjugated_companion) for a field or an order that no draw covered."""
+    random elements g of order 2..4 (see _twist_case), built ones
+    (_conjugated_companion) for a field or a twist degree that no draw
+    covered, and per field a scalar g and a g with g^r0 = lam I, lam not an
+    r0-th power, where the field has such a lam."""
     rng = random.Random(7000 + p)
     cases, fields = [], []
     for e in (1, 2):
@@ -478,25 +549,47 @@ def _twist_cases(p):
                     break
         fields.append(shapes)
     # what the draws missed: one built element over a field with no case,
-    # and one of each order no draw had, on the first shape it fits
+    # and one of each twist degree no draw had, on the first shape it fits
+    # where a block of _BLOCKS gives it that degree
     for shapes, r in itertools.product(fields, (2, 3, 4)):
-        if shapes[0][0].e in {v.e for v, *_ in cases} and r in {order for _, _, order, _, _ in cases}:
+        if shapes[0][0].e in {v.e for v, *_ in cases} and r in {degree for _, _, degree, _, _ in cases}:
             continue
-        fit = [(v, f) for v, f in shapes if v.q ** (r * f) <= 2 * 10**5]
+        built = ((v, f, _conjugated_companion(rng, v, b)) for v, f in shapes if v.q ** (r * f) <= 2 * 10**5 for b in _BLOCKS[r])
+        fit = next(((v, f, g) for v, f, g in built if twist_degree(v, g) == r), None)
         if fit:
-            cases.append(_twist_case(rng, *fit[0], _conjugated_companion(rng, fit[0][0], r)))
+            cases.append(_twist_case(rng, *fit))
+    # per field: -I on the binary cubic, a scalar whose twist is X itself,
+    # and, on the first shape with equations in r0 variables, the companion
+    # matrix of X^r0 - lam with lam not an r0-th power, so that no scalar
+    # multiple of g has order r0 (r0 = 2 for odd q, 3 for q = 4; F_2 has none)
+    for shapes in fields:
+        field = shapes[0][0].base_field
+        scalar = field.from_int(field.q - 1)
+        cases.append(_twist_case(rng, *shapes[1], [[scalar, field.zero()], [field.zero(), scalar]]))
+        for r0 in (2, 3):
+            lam = next((x for x in field.enumerate() if not x.is_zero() and not _is_power(x, r0)), None)
+            if lam is not None:
+                companion = [[lam if (i, j) == (0, r0 - 1) else field.element(int(i == j + 1)) for j in range(r0)] for i in range(r0)]
+                cases.append(_twist_case(rng, *next((v, f) for v, f in shapes if v.equations and v.num_vars == r0), companion))
+                break
     return cases
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_descent_matches_enumeration_oracle(p):
     cases = _twist_cases(p)
-    seen = {(v.e, order, bool(fixers)) for v, _, order, _, fixers in cases}
+    seen = {(v.e, degree, bool(fixers)) for v, _, degree, _, fixers in cases}
     assert {e for e, _, _ in seen} == {1, 2} and {fix for _, _, fix in seen} == {False, True}
-    assert {order for _, order, _ in seen} == {2, 3, 4}
-    for v, g, order, n, fixers in cases:
+    assert {degree for _, degree, _ in seen} == {1, 2, 3, 4}
+    # some g^r0 = lam I with lam not an r0-th power: no scalar multiple of g
+    # has order r0, so the descent needs N(X) = 1/lam
+    assert any(
+        v.ambient_kind == "projective" and degree > 1 and not _is_power(functools.reduce(_mat, [_normalize_matrix(v, g)] * degree)[0][0], degree)
+        for v, g, degree, _, _ in cases
+    )
+    for v, g, _, n, fixers in cases:
         eqs = _equations(v) + [eq for h in fixers for eq in _fixer_equations(v, _normalize_matrix(v, h))]
-        request = _twisted(v, _normalize_matrix(v, g), order, eqs, n)
+        request = _twisted(v, _normalize_matrix(v, g), eqs, n)
         assert _counts([request], None) == [twisted_count_by_enumeration(v, g, n, fixers)], (v, g, n, fixers)
 
 

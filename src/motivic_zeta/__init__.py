@@ -1,6 +1,11 @@
 """Exact zeta and L-functions of graded-matrix endomorphisms, with
 finite-field point counting, Witt-ring arithmetic, Hasse-Weil analytics,
-numerical Grothendieck groups, and motivic measures."""
+numerical Grothendieck groups, and motivic measures.
+
+The exports of the two counting modules, `varieties` and `lfunctions`,
+are bound on first use (PEP 562), because those modules import numpy:
+the exact algebra, the analytics, K_0 and the measures load without it.
+"""
 
 from .errors import (
     DimensionError,
@@ -44,26 +49,6 @@ from .motives import (
     zeta_series,
 )
 from .gf import FqElement, FqField, fq_make
-from .varieties import (
-    VarietySpec,
-    artin_mazur_traces,
-    closed_points,
-    count_points,
-    euler_product_series,
-    twisted_count,
-    weil_check,
-    zeta_from_counts,
-)
-from .lfunctions import (
-    Character,
-    Cyclotomic,
-    GroupAction,
-    LSeries,
-    l_function,
-    orbifold_zeta,
-    rational_character,
-    trivial_character,
-)
 from .analytic import (
     Inapplicable,
     convergence_abscissa,
@@ -100,3 +85,47 @@ from .measures import (
 )
 
 __version__ = "0.1.0"
+
+# the names bound on first use, with their modules; touching one binds all
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "VarietySpec",
+            "artin_mazur_traces",
+            "closed_points",
+            "count_points",
+            "euler_product_series",
+            "twisted_count",
+            "weil_check",
+            "zeta_from_counts",
+        ),
+        "varieties",
+    ),
+    **dict.fromkeys(
+        (
+            "Character",
+            "Cyclotomic",
+            "GroupAction",
+            "LSeries",
+            "l_function",
+            "orbifold_zeta",
+            "rational_character",
+            "trivial_character",
+        ),
+        "lfunctions",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import lfunctions, varieties
+
+    modules = {"varieties": varieties, "lfunctions": lfunctions}
+    globals().update({n: getattr(modules[m], n) for n, m in _LAZY.items()})
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -10,6 +10,13 @@ square-free factor, each certified against its factor.  So multiplicities,
 the cancellations between the graded parts (the roots of the exact gcd of
 the two characteristic polynomials) and the multiplicities that Jordan
 block sizes are read at are exact; no two floats are ever grouped.
+
+The simple roots are placed in Python complex arithmetic, with no array
+library: closed forms at degrees 1 and 2, and above them the
+Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) started on
+circles whose radii come from the Newton polygon of the coefficients
+(Bini, Numer. Algorithms 13, 1996).  The Jordan block sizes read float
+ranks from a complete-pivoting elimination.
 """
 
 from __future__ import annotations
@@ -21,8 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     NotInvertibleError,
     NumericError,
@@ -30,9 +35,138 @@ from .errors import (
     PreconditionError,
 )
 from .exact_core import Polynomial, RatMatrix, squarefree_factors
+from .gf import is_prime_power
 from .motives import TracedMotive, trace_sequence, zeta_rational
 
 RESIDUAL_TOL = 1e-8
+ABERTH_MAX_SWEEPS = 100
+
+
+def _check_q(q: int) -> None:
+    if not (isinstance(q, int) and is_prime_power(q)):
+        raise PreconditionError(f"q must be a prime power, got {q!r}")
+
+
+def _quadratic_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[complex]:
+    """The roots of c2 t^2 + c1 t + c0 with a nonzero discriminant, whose
+    sign is decided exactly, so a non-real pair is never taken for two
+    real roots.  A real pair takes the larger root from the formula and
+    the smaller from the product c0/c2, so neither cancels."""
+    disc = c1 * c1 - 4 * c2 * c0
+    centre = float(-c1 / (2 * c2))
+    half_width = math.sqrt(float(abs(disc) / (4 * c2 * c2)))
+    if disc < 0:
+        return [complex(centre, half_width), complex(centre, -half_width)]
+    big = centre + math.copysign(half_width, centre)
+    return [complex(big, 0.0), complex(float(c0 / c2) / big, 0.0)]
+
+
+def _horner(rev: list[float], z: complex) -> tuple[complex, complex]:
+    """(p(z), p'(z)) for the coefficients of p from the leading one down."""
+    p, dp = rev[0], 0.0
+    for c in rev[1:]:
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
+def _initial_points(c: list[float]) -> list[complex]:
+    """Bini's starting points: for each edge (i, j) of the upper convex
+    hull of the points (k, log|c_k|), j - i points on the circle of radius
+    (|c_i|/|c_j|)^(1/(j-i)), turned by an angle that keeps the set off
+    the real axis's symmetry."""
+    d = len(c) - 1
+    pts = [(k, math.log(abs(x))) for k, x in enumerate(c) if x]
+    hull: list[tuple[int, float]] = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0) < 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    out = []
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        radius = math.exp((yi - yj) / (j - i))
+        for m in range(j - i):
+            out.append(cmath.rect(radius, 2 * math.pi * (m / (j - i) + i / d) + 0.7))
+    return out
+
+
+def _aberth(c: list[float]) -> list[complex]:
+    """Approximations to the d simple roots of sum c_k t^k, d >= 1, by
+    Aberth-Ehrlich sweeps that update each root in place.  A root stops
+    moving once |p(z)| is within the rounding error of Horner's rule,
+    d 2^-53 sum |c_k| |z|^k; each then takes one Newton step."""
+    d = len(c) - 1
+    rev = c[::-1]
+    mags = [abs(x) for x in rev]
+    eps = 4 * d * 2.0 ** -53
+    z = _initial_points(c)
+    moving = list(range(d))
+    for _ in range(ABERTH_MAX_SWEEPS):
+        if not moving:
+            break
+        still = []
+        for i in moving:
+            zi = z[i]
+            p, dp = _horner(rev, zi)
+            r, bound = abs(zi), 0.0
+            for m in mags:
+                bound = bound * r + m
+            if abs(p) <= eps * bound:
+                continue
+            repulsion = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            z[i] = zi - p / (dp - p * repulsion)
+            still.append(i)
+        moving = still
+    for i, zi in enumerate(z):
+        p, dp = _horner(rev, zi)
+        if dp:
+            z[i] = zi - p / dp
+    return z
+
+
+def _conjugate_pairs(roots: list[complex]) -> list[complex]:
+    """The roots of a real polynomial with the tiny imaginary parts zeroed
+    and each non-real root paired with the nearest conjugate of another,
+    both replaced by their mean: real roots have imag == 0.0 and the
+    others come in exact conjugate pairs."""
+    real, upper, lower = [], [], []
+    for z in roots:
+        if abs(z.imag) <= 1e-9 * (1 + abs(z)):
+            real.append(complex(z.real, 0.0))
+        else:
+            (upper if z.imag > 0 else lower).append(z)
+    if len(upper) != len(lower):
+        raise NumericError("the non-real roots of a real polynomial do not pair up")
+    for z in upper:
+        w = min(lower, key=lambda w: abs(w.conjugate() - z))
+        lower.remove(w)
+        re, im = (z.real + w.real) / 2, (z.imag - w.imag) / 2
+        real += [complex(re, im), complex(re, -im)]
+    return real
+
+
+def _simple_roots(a: Polynomial) -> list[complex]:
+    """Float approximations to the roots of a square-free a of degree >= 1
+    with a(0) != 0, real ones with imag == 0.0 and the others in exact
+    conjugate pairs: closed forms at degrees 1 and 2, Aberth-Ehrlich above
+    them."""
+    c = a.coeffs
+    if a.degree == 1:
+        return [complex(float(-c[0] / c[1]), 0.0)]
+    if a.degree == 2:
+        return _quadratic_roots(*c)
+    try:
+        z = _aberth([float(x) for x in c])
+    except ZeroDivisionError:
+        raise NumericError(f"the Aberth-Ehrlich iteration divided by zero on {a}") from None
+    for i in range(len(z)):
+        for j in range(i):
+            if abs(z[i] - z[j]) <= 1e-12 * (1 + abs(z[i])):
+                raise NumericError(f"two approximations meet at {z[i]} on a square-free factor")
+    return _conjugate_pairs(z)
 
 
 @functools.lru_cache(maxsize=64)
@@ -40,11 +174,11 @@ def _poly_roots_certified(p: Polynomial) -> tuple[tuple[complex, int], ...]:
     """The distinct nonzero roots of p, each with its exact multiplicity,
     sorted by real and then imaginary part.  The multiplicity i of a root
     is the index of the square-free factor a_i of p / t^k that it is a
-    root of; np.roots places the simple roots of each a_i, and each is
-    certified to satisfy |a_i(root)| < 1e-8 (1+|root|)^deg(a_i); tiny
-    imaginary parts are zeroed.  Computed once per polynomial (Polynomial
-    is immutable and hashable), so repeated spectra and every Hasse-Weil
-    sample share one decomposition and one np.roots per factor."""
+    root of; _simple_roots places the simple roots of each a_i, and each
+    is certified to satisfy |a_i(root)| < 1e-8 (1+|root|)^deg(a_i).
+    Computed once per polynomial (Polynomial is immutable and hashable),
+    so repeated spectra and every Hasse-Weil sample share one
+    decomposition and one root placement per factor."""
     if p.is_zero():
         return ()
     k = next(i for i, c in enumerate(p.coeffs) if c)
@@ -53,12 +187,9 @@ def _poly_roots_certified(p: Polynomial) -> tuple[tuple[complex, int], ...]:
         d = a.degree
         if d < 1:
             continue
-        for r in np.roots([float(c) for c in reversed(a.coeffs)]):
-            lam = complex(r)
-            if abs(lam.imag) <= 1e-9 * (1 + abs(lam)):
-                lam = complex(lam.real, 0.0)
+        for lam in _simple_roots(a):
             residual = abs(a.evaluate(lam))
-            if residual >= RESIDUAL_TOL * (1 + abs(lam)) ** d:
+            if not residual < RESIDUAL_TOL * (1 + abs(lam)) ** d:
                 raise NumericError(
                     f"eigenvalue {lam} fails the residual certificate "
                     f"({residual:.3e})"
@@ -182,8 +313,7 @@ def _principal_log_q(lam: complex, q: int) -> complex:
 
 def hasse_weil_eval(m: TracedMotive, q: int, s: complex) -> complex:
     """Z(f; q^{-s}) evaluated as a complex number."""
-    if q < 2:
-        raise PreconditionError("q must be a prime power >= 2")
+    _check_q(q)
     z = zeta_rational(m)
     t0 = cmath.exp(-complex(s) * math.log(q))
     for root, _ in _poly_roots_certified(z.den):
@@ -200,8 +330,7 @@ def hasse_weil_eval(m: TracedMotive, q: int, s: complex) -> complex:
 
 def convergence_abscissa(m: TracedMotive, q: int) -> float:
     """log rho / log q; -inf when the spectrum is empty or nilpotent."""
-    if q < 2:
-        raise PreconditionError("q must be a prime power >= 2")
+    _check_q(q)
     _, _, rho = spectral_radius(m)
     if rho == 0.0:
         return NEG_INF
@@ -225,8 +354,7 @@ def poles_and_zeros(
     sets repeat along the imaginary lattice 2 pi / log q.  Poles are the
     nonzero roots of det(t - F+), zeros those of det(t - F-), and
     cancellations those of their exact gcd, all with exact multiplicities."""
-    if q < 2:
-        raise PreconditionError("q must be a prime power >= 2")
+    _check_q(q)
     cp, cm = m.char_polys
 
     def entries(p):
@@ -267,20 +395,37 @@ class ThetaData:
     log_residual_ok: bool
 
 
+def _matrix_rank(rows: list[list[complex]], tol: float) -> int:
+    """The number of pivots above tol in Gaussian elimination with
+    complete pivoting, where each pivot is the largest entry left."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    for rank in range(n):
+        pivot, i0, j0 = max((abs(a[i][j]), i, j) for i in range(rank, n) for j in range(rank, n))
+        if pivot <= tol:
+            return rank
+        a[rank], a[i0] = a[i0], a[rank]
+        for row in a:
+            row[rank], row[j0] = row[j0], row[rank]
+        top = a[rank]
+        for i in range(rank + 1, n):
+            f = a[i][rank] / top[rank]
+            a[i] = [x - f * y for x, y in zip(a[i], top)]
+    return n
+
+
 def _jordan_block_sizes(mat: RatMatrix, lam: complex, alg_mult: int) -> tuple[int, ...]:
     """Block-size partition for one eigenvalue of exact algebraic
     multiplicity alg_mult, from float ranks of (M - lam I)^j."""
     n = mat.rows
-    a = np.array(
-        [[float(mat[i, j]) for j in range(n)] for i in range(n)],
-        dtype=complex,
-    ) - lam * np.eye(n)
-    scale = max(1.0, float(np.abs(a).max()))
+    a = [[complex(float(mat[i, j])) - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+    scale = max(1.0, max(abs(x) for row in a for x in row))
+    cols = list(zip(*a))
     ranks = [n]
-    power = np.eye(n, dtype=complex)
+    power = [[complex(i == j) for j in range(n)] for i in range(n)]
     for _ in range(alg_mult):
-        power = power @ a
-        r = int(np.linalg.matrix_rank(power, tol=1e-8 * scale ** (len(ranks))))
+        power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
+        r = _matrix_rank(power, 1e-8 * scale ** len(ranks))
         ranks.append(r)
         if n - r >= alg_mult:
             break
@@ -304,53 +449,52 @@ def _nilpotent_log(size: int, lam: complex) -> list[list[float]]:
     return [[abs(w ** (j - i) / (j - i)) if j > i else 0.0 for j in range(size)] for i in range(size)]
 
 
-def theta_construction(m: TracedMotive, q: int) -> ThetaData:
-    """Principal-branch logarithms of the eigenvalues of both graded
-    blocks, with Jordan data; requires invertible blocks."""
-    if q < 2:
-        raise PreconditionError("q must be a prime power >= 2")
+def _log_entries(m: TracedMotive, q: int):
+    """(z, eigenvalue, multiplicity) for each distinct eigenvalue of the
+    even and of the odd block, z its principal-branch log_q, and whether
+    every z lies in the branch window and satisfies q^z = eigenvalue;
+    requires invertible blocks."""
+    _check_q(q)
     cp, cm = m.char_polys
     if cp[0] == 0 or cm[0] == 0:
         raise NotInvertibleError("theta construction needs invertible blocks")
     lq = math.log(q)
-    window_hi = math.pi / lq
-    window_lo = -math.pi / lq
-
-    unipotent = []
-    branch_ok = True
-    residual_ok = True
-
-    def build(p: Polynomial, mat: RatMatrix, part: str) -> list[ThetaEntry]:
-        nonlocal branch_ok, residual_ok
+    window = math.pi / lq
+    branch_ok = residual_ok = True
+    parts = []
+    for p in (cp, cm):
         entries = []
         for lam, mult in _poly_roots_certified(p):
             z = _principal_log_q(lam, q)
-            if not (window_lo < z.imag <= window_hi + 1e-12):
-                branch_ok = False
-            if abs(cmath.exp(z * lq) - lam) > 1e-9 * (1 + abs(lam)):
-                residual_ok = False
-            sizes = (
-                _jordan_block_sizes(mat, lam, mult) if mult > 1 else (1,)
-            )
-            entries.append(ThetaEntry(z, lam, mult, sizes))
-            for size in sizes:
-                if size > 1:
-                    unipotent.append(
-                        {
-                            "part": part,
-                            "z": z,
-                            "size": size,
-                            "nilpotent_log": _nilpotent_log(size, lam),
-                        }
-                    )
-        return entries
+            branch_ok = branch_ok and -window < z.imag <= window + 1e-12
+            residual_ok = residual_ok and abs(cmath.exp(z * lq) - lam) <= 1e-9 * (1 + abs(lam))
+            entries.append((z, lam, mult))
+        parts.append(entries)
+    return parts[0], parts[1], branch_ok, residual_ok
 
-    entries_plus = build(cp, m.f_plus, "+")
-    entries_minus = build(cm, m.f_minus, "-")
+
+def theta_construction(m: TracedMotive, q: int) -> ThetaData:
+    """Principal-branch logarithms of the eigenvalues of both graded
+    blocks, with Jordan data; requires invertible blocks."""
+    plus, minus, branch_ok, residual_ok = _log_entries(m, q)
+    unipotent = []
+
+    def build(entries, mat: RatMatrix, part: str) -> list[ThetaEntry]:
+        out = []
+        for z, lam, mult in entries:
+            sizes = _jordan_block_sizes(mat, lam, mult) if mult > 1 else (1,)
+            out.append(ThetaEntry(z, lam, mult, sizes))
+            unipotent.extend(
+                {"part": part, "z": z, "size": size, "nilpotent_log": _nilpotent_log(size, lam)}
+                for size in sizes
+                if size > 1
+            )
+        return out
+
     return ThetaData(
         q=q,
-        entries_plus=entries_plus,
-        entries_minus=entries_minus,
+        entries_plus=build(plus, m.f_plus, "+"),
+        entries_minus=build(minus, m.f_minus, "-"),
         unipotent_blocks=unipotent,
         branch_window_ok=branch_ok,
         log_residual_ok=residual_ok,
@@ -360,22 +504,30 @@ def theta_construction(m: TracedMotive, q: int) -> ThetaData:
 def regularized_det_check(m: TracedMotive, q: int, samples: Sequence[complex]) -> bool:
     """The per-eigenvalue closed form of the regularized-determinant
     quotient, prod(1 - q^{z-s}) over the odd part divided by the same over
-    the even part, must reproduce Z(f; q^{-s}) at every sample; the theta
-    data must also satisfy its branch-window and q^z = lambda invariants
-    (a wrongly chosen branch fails here even though the product value is
-    branch-independent)."""
-    theta = theta_construction(m, q)
-    if not theta.branch_window_ok or not theta.log_residual_ok:
+    the even part, must reproduce Z(f; q^{-s}) at every sample; the
+    logarithms must also satisfy the theta data's branch-window and
+    q^z = lambda invariants (a wrongly chosen branch fails here even
+    though the product value is branch-independent).  The Jordan block
+    sizes play no part, so they are not computed."""
+    plus, minus, branch_ok, residual_ok = _log_entries(m, q)
+    if not branch_ok or not residual_ok:
         return False
     lq = math.log(q)
     for s in samples:
         reference = hasse_weil_eval(m, q, s)  # raises PoleError at poles
         num = 1.0 + 0.0j
-        for entry in theta.entries_minus:
-            num *= (1 - cmath.exp((entry.z - s) * lq)) ** entry.multiplicity
+        for z, _, mult in minus:
+            num *= (1 - cmath.exp((z - s) * lq)) ** mult
         den = 1.0 + 0.0j
-        for entry in theta.entries_plus:
-            den *= (1 - cmath.exp((entry.z - s) * lq)) ** entry.multiplicity
+        for z, _, mult in plus:
+            factor = 1 - cmath.exp((z - s) * lq)
+            if abs(factor) <= 1e-9:  # no pole of Z: the eigenvalue cancels against the odd part
+                raise PoleError(
+                    f"s = {s} hits an eigenvalue of both graded parts, where the "
+                    "per-eigenvalue quotient is 0/0",
+                    nearest_pole=z,
+                )
+            den *= factor ** mult
         value = num / den
         if abs(value - reference) > 1e-9 * (1 + abs(reference)):
             return False

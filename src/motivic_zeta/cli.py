@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 
-from . import analytic, k0, lfunctions, measures, motives, reconstruct, varieties
+from . import analytic, k0, measures, motives, reconstruct
 from .errors import (
     MotivicZetaError,
     NumericError,
@@ -31,7 +31,6 @@ from .exact_core import _frac, _json_int, _json_list
 from .motives import TracedMotive
 from .serialize import dumps
 from .series import DEFAULT_PRECISION, TruncatedSeries, WittElement, ghost_components, witt_add, witt_mul
-from .varieties import VarietySpec
 
 
 def _load(path: str):
@@ -79,9 +78,10 @@ def _samples_in(data, default: list) -> list[complex]:
     return out
 
 
-def _character_in(data, action: lfunctions.GroupAction) -> lfunctions.Character:
-    """The character of data; each root order is checked against the
-    group before a value of that order is built."""
+def _character_in(data, action):
+    """The lfunctions.Character of data for a GroupAction; each root order
+    is checked against the group before a value of that order is built."""
+    from . import lfunctions
 
     def order(x) -> int:
         m = _json_int(x, "m")
@@ -139,7 +139,8 @@ def _measure_class_in(data) -> measures.MeasureClass:
 
 # --- subcommand handlers: the --in document arrives as `data`, each flag
 # under its own name; each returns the payload, which serialize.canonical
-# encodes ---
+# encodes.  The handlers that read a variety import `varieties` and
+# `lfunctions`, and so numpy, when they run; no other row loads numpy ---
 
 
 def cmd_motive_zeta(data, precision):
@@ -229,33 +230,47 @@ def cmd_reconstruct_traces(data):
 
 
 def cmd_variety_count(data, nmax, budget):
-    return {"counts": varieties.point_counts(VarietySpec.from_json(data), nmax, budget)}
+    from . import varieties
+
+    return {"counts": varieties.point_counts(varieties.VarietySpec.from_json(data), nmax, budget)}
 
 
 def cmd_variety_zeta(data, nmax, budget):
-    return varieties.zeta_from_counts(VarietySpec.from_json(data), nmax, budget)
+    from . import varieties
+
+    return varieties.zeta_from_counts(varieties.VarietySpec.from_json(data), nmax, budget)
 
 
 def cmd_variety_weil(data, dim, nmax, budget):
-    return varieties.weil_check(VarietySpec.from_json(data), dim, nmax, budget)
+    from . import varieties
+
+    return varieties.weil_check(varieties.VarietySpec.from_json(data), dim, nmax, budget)
 
 
 def cmd_variety_closed_points(data, nmax, budget):
-    return {"closed_points": varieties.closed_points(VarietySpec.from_json(data), nmax, budget)}
+    from . import varieties
+
+    return {"closed_points": varieties.closed_points(varieties.VarietySpec.from_json(data), nmax, budget)}
 
 
 def _variety_and_action(data):
-    v = VarietySpec.from_json(_key(data, "variety"))
+    from . import lfunctions, varieties
+
+    v = varieties.VarietySpec.from_json(_key(data, "variety"))
     return v, lfunctions.GroupAction(v, _key(data, "action"))
 
 
 def cmd_lfun(data, nmax, budget):
+    from . import lfunctions
+
     v, action = _variety_and_action(data)
     character = _character_in(_key(data, "character"), action)
     return lfunctions.l_function(v, action, character, nmax, budget)
 
 
 def cmd_orbifold(data, nmax, budget):
+    from . import lfunctions
+
     return lfunctions.orbifold_zeta(*_variety_and_action(data), nmax, budget)
 
 
@@ -265,6 +280,8 @@ ARTIN_MAZUR_MAX_NMAX = 700
 
 
 def cmd_artin_mazur(data, nmax):
+    from . import varieties
+
     if nmax > ARTIN_MAZUR_MAX_NMAX:
         raise ResourceError(
             f"artin-mazur --nmax {nmax} exceeds the cap {ARTIN_MAZUR_MAX_NMAX}",

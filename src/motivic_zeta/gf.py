@@ -154,6 +154,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _integer_root(q: int, k: int) -> int:
+    """floor(q^(1/k)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def is_prime_power(q: int) -> bool:
+    """q = p^k for a prime p and k >= 1: some integer k-th root of q with
+    k <= log_2 q is a prime whose k-th power is q."""
+    if q < 2:
+        return False
+    for k in range(1, q.bit_length()):
+        r = _integer_root(q, k)
+        if r ** k == q and is_prime(r):
+            return True
+    return False
+
+
 def _prime_factors(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, ValidationError
 from .exact_core import Polynomial
+from .gf import is_prime_power
 
 
 @dataclass(frozen=True)
@@ -52,30 +53,6 @@ class EpsInt:
 
     def __repr__(self):
         return f"EpsInt({self.a}, {self.b})"
-
-
-def _integer_root(q: int, k: int) -> int:
-    """floor(q^(1/k)) for q >= 1, by Newton's method from above."""
-    r = 1 << -(-q.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + q // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def is_prime_power(q: int) -> bool:
-    """q = p^k for a prime p and k >= 1: some integer k-th root of q with
-    k <= log_2 q is a prime whose k-th power is q."""
-    from .gf import is_prime
-
-    if q < 2:
-        return False
-    for k in range(1, q.bit_length()):
-        r = _integer_root(q, k)
-        if r ** k == q and is_prime(r):
-            return True
-    return False
 
 
 @dataclass(frozen=True)

@@ -641,6 +641,22 @@ def test_hw_abscissa(capsys):
     assert abs(out["payload"]["abscissa"] - 1.0) < 1e-12
 
 
+def test_hasse_weil_rows_take_only_prime_power_q(capsys, tmp_path):
+    motive = json.loads((FIXTURES / "p1_motive.json").read_text())
+    path = write(tmp_path, "hw.json", {"motive": motive, "samples": [{"re": 2.0}]})
+    code, out = run(capsys, "hw", "eval", "--in", path, "--q", "6")
+    assert (code, out["status"]) == (1, "precondition_error")
+    assert "prime power" in out["payload"]["reason"]
+    for row in (["hw", "poles"], ["hw", "abscissa"], ["theta"], ["regdet-check"]):
+        code, out = run(capsys, *row, "--in", path, "--q", "6")
+        assert (code, out["status"]) == (1, "precondition_error"), row
+    code, out = run(capsys, "hw", "eval", "--in", path, "--q", "4")
+    assert code == 0
+    # the motive has eigenvalues 1 and 5, so Z(4^-s) = 1 / ((1 - 4^-s)(1 - 5 4^-s))
+    value = out["payload"]["values"][0]["value"]
+    assert abs(value["re"] - 1 / ((1 - 4 ** -2) * (1 - 5 * 4 ** -2))) < 1e-9 and value["im"] == 0.0
+
+
 def test_theta_and_regdet(capsys, tmp_path):
     code, out = run(capsys, "theta", "--in", fixture("p1_motive.json"), "--q", "5")
     assert code == 0

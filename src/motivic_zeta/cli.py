@@ -280,15 +280,13 @@ ARTIN_MAZUR_MAX_NMAX = 700
 
 
 def cmd_artin_mazur(data, nmax):
-    from . import varieties
-
     if nmax > ARTIN_MAZUR_MAX_NMAX:
         raise ResourceError(
             f"artin-mazur --nmax {nmax} exceeds the cap {ARTIN_MAZUR_MAX_NMAX}",
             required=nmax,
             budget=ARTIN_MAZUR_MAX_NMAX,
         )
-    traces = varieties.artin_mazur_traces(_int_key(data, "p"), _int_key(data, "m"), nmax)
+    traces = motives.artin_mazur_traces(_int_key(data, "p"), _int_key(data, "m"), nmax)
     result = reconstruct.berlekamp_massey(traces)
     return {
         "traces": traces,

@@ -28,6 +28,18 @@ difference h - l of rows is below 2^29 + 2^24; a reduced sum is at least
 -2^30 - 2^24; and a power e*log, at most (q - 2)^2 < 2^48, is formed in
 int64 whenever e (q - 2) >= 2^31.
 
+Passes run in chunks of CHUNK = 2^14 rows (varieties._assignments), and
+so does the Zech swap of a table build.  A row array is then 64 KB of
+int32.  A table-engine op writes its intermediates with out= into its
+result and at most one scratch array, and the intp indices that np.take
+wants for the Zech gather go into one per-thread buffer of CHUNK rows.
+So the arrays a chunk keeps alive, a few hundred KB, fit in cache, and
+the allocator hands the same memory back chunk after chunk.  With 2^18-row
+chunks every temporary was about 1 MB of fresh pages, zeroed by the kernel
+on first touch: the job loop of a seed-1 counts-large-q round took 7039
+minor page faults, at 2-4 us each on a 2-core x86-64 container, against
+about 2100 now.
+
 The tables are built by prepare_pass before a pass over f >= 1
 variables: such a pass has at least q rows, which the budget has already
 paid for, and its arrays, constants included, are all made after the
@@ -63,16 +75,18 @@ parity of the packed bits under that column.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+import threading
+from functools import cached_property
 
 import numpy as np
 
 from .gf import FqElement, FqField, _prime_factors
 
-CHUNK = 1 << 18  # rows per array in an enumeration pass; bounds peak memory
+CHUNK = 1 << 14  # rows per array in a pass: 64 KB of int32, so a chunk stays in cache (see above)
 TABLE_MAX = 10_000_000  # largest field given tables: varieties.DEFAULT_BUDGET
 TABLE_BLOCK = 1 << 11  # digit columns per matmul while building tables; stays in cache
 ZERO = np.int32(-(1 << 29))  # the row of 0 in the table engine, which holds logs
+_scratch = threading.local()  # per thread: index, the intp buffer of _index_rows
 
 
 def _int_dtype(bound: int):
@@ -81,6 +95,21 @@ def _int_dtype(bound: int):
         if bound <= np.iinfo(dtype).max:
             return dtype
     return object
+
+
+def _index_rows(a: np.ndarray) -> np.ndarray:
+    """a as intp, the index type np.take converts any other to: up to CHUNK
+    rows in this thread's one buffer, so a pass reuses it chunk after chunk
+    instead of taking fresh pages for each gather; past CHUNK, a new array."""
+    n = a.shape[0]
+    if n > CHUNK:
+        return a.astype(np.intp)
+    buf = getattr(_scratch, "index", None)
+    if buf is None or buf.shape[0] < n:
+        buf = _scratch.index = np.empty(CHUNK, dtype=np.intp)
+    d = buf[:n]
+    d[...] = a
+    return d
 
 
 def _table_bound(p: int, k: int) -> int:
@@ -137,6 +166,11 @@ class VecField:
         that its rows hold logs."""
         return self._exp is not None
 
+    @property
+    def table_bytes(self) -> int:
+        """Bytes held by the exp/log/Zech tables: 12 per element once built."""
+        return 0 if self._exp is None else self._exp.nbytes + self._log.nbytes + self._zech.nbytes
+
     def prepare_pass(self, f: int):
         """Call before a pass over f free variables makes any array, its
         constants included.  A pass over f >= 1 variables has at least q
@@ -159,14 +193,18 @@ class VecField:
             if stop == self.q:
                 logs[-1] = ZERO
             return [logs]
-        n = np.arange(start, stop, dtype=np.int64 if stop <= np.iinfo(np.int64).max else object)
+        n = np.arange(start, stop, dtype=_int_dtype(max(stop, self.q)))
         out = []
         for _ in range(f):
-            v = (n % self.q).astype(self.dtype)
+            # n mod q as n - q (n // q): numpy divides by a scalar through
+            # libdivide for //, and about 8x slower for % (int32, 16 Ki rows)
+            quo = n // self.q
+            n -= quo * self.q
+            v = n.astype(self.dtype, copy=False)
             if self._exp is not None:
-                v += (v == self.q - 1) * np.int32(ZERO - (self.q - 1))
+                np.putmask(v, v == self.q - 1, ZERO)
             out.append(v)
-            n = n // self.q
+            n = quo
         return out[::-1]
 
     def from_packed(self, n: np.ndarray) -> np.ndarray:
@@ -194,10 +232,7 @@ class VecField:
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._exp is not None:
-            hi, d = np.maximum(a, b), np.minimum(a, b)
-            np.subtract(hi, d, out=d)
-            hi += self._zech.take(d, mode="clip")
-            return self._reduce_log(hi)
+            return self._add_logs(np.maximum(a, b), np.minimum(a, b))
         if self.p == 2:
             return a ^ b
         if self.k == 1:
@@ -206,8 +241,15 @@ class VecField:
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._exp is not None:
-            # -1 = g^((q - 1)/2) in odd characteristic, and 1 in even
-            return self.add(a, b if self.p == 2 else self._reduce_log(b + (self.q - 1) // 2))
+            if self.p == 2:  # -1 = 1
+                return self.add(a, b)
+            # -b = g^((q - 1)/2) b; when it has the rows of a - b, the two
+            # arrays it is made in then hold the sum
+            s = b + (self.q - 1) // 2
+            neg = self._reduce_log(s)
+            if neg.shape[0] < a.shape[0]:
+                return self.add(a, neg)
+            return self._add_logs(np.maximum(a, neg, out=s), np.minimum(a, neg, out=neg))
         if self.p == 2:
             return a ^ b
         if self.k == 1:
@@ -305,14 +347,27 @@ class VecField:
         """Row-wise equality; a row is unique to its element in either engine."""
         return a == b
 
-    def _reduce_log(self, s: np.ndarray) -> np.ndarray:
+    def _add_logs(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """The row of g^hi + g^lo for rows hi >= lo, hi + zech[hi - lo]
+        reduced; both arrays are overwritten, and the result is lo's."""
+        np.subtract(hi, lo, out=lo)
+        self._zech.take(_index_rows(lo), mode="clip", out=lo)
+        hi += lo
+        return self._reduce_log(hi, out=lo)
+
+    def _reduce_log(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The row of a sum s of rows or of a row and a zech entry, in
         [2 ZERO, 2(q - 2)], as max(min(u, u - (q - 1)), ZERO) for u the
-        uint32 view of s (see the module docstring); s is overwritten."""
+        uint32 view of s (see the module docstring), written into out, an
+        int32 array of s's shape apart from s, or into a new array."""
         u = s.view(np.uint32)
-        t = u - (self.q - 1)
+        if out is None:
+            t = u - self._order
+            out = t.view(np.int32)
+        else:
+            t = np.subtract(u, self._order, out=out.view(np.uint32))
         np.minimum(u, t, out=t)
-        return np.maximum(t.view(np.int32), ZERO)
+        return np.maximum(out, ZERO, out=out)
 
     # --- digit engine ---
 
@@ -389,6 +444,7 @@ class VecField:
             low_logs, high_logs = log.take(low), log.take(high)
             low[:], high[:] = high_logs[::-1], low_logs[::-1]
         self._exp, self._log, self._zech = exp, log, zech
+        self._order = np.uint32(order)
         self._zero = ZERO
 
     def _generator(self) -> list[int]:
@@ -431,7 +487,21 @@ class VecField:
         return result
 
 
-@lru_cache(maxsize=16)
+_fields: dict[FqField, VecField] = {}  # vec_field's cache, least recently used first
+
+
 def vec_field(field: FqField) -> VecField:
-    """The VecField of a field, shared so its tables are built once."""
-    return VecField(field)
+    """The VecField of a field, shared so its tables are built once.  The
+    most recently used fields are kept while their tables take at most
+    12 TABLE_MAX bytes, those of one field of TABLE_MAX elements; a field
+    without tables costs nothing.  Tables are built after this returns, so
+    a field's are counted from the next call on."""
+    vf = _fields.pop(field, None) or VecField(field)
+    _fields[field] = vf
+    held = sum(v.table_bytes for v in _fields.values())
+    while held > 12 * TABLE_MAX:
+        held -= _fields.pop(next(iter(_fields))).table_bytes
+    return vf
+
+
+vec_field.cache_clear = _fields.clear

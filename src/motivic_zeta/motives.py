@@ -12,10 +12,15 @@ polynomials (series.series_log), with no matrix powers.  The polynomials,
 the reduction, the expansion and the logarithm run over the integers (see
 exact_core and series).  The functional-equation check takes the dual's
 polynomials from matrix inverses, not from these, so it can fail.
+
+The Artin-Mazur traces of a power map on P^1 are a trace sequence in
+closed form, with no motive behind them and no points counted; they live
+here, not in varieties, so that a command using them runs without numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,6 +28,7 @@ from typing import Sequence
 
 from .errors import NotInvertibleError, PreconditionError, ValidationError
 from .exact_core import Polynomial, RatMatrix, RationalFunction, _monomial, char_poly
+from .gf import is_prime
 from .series import DEFAULT_PRECISION, TruncatedSeries, WittElement, ghost_components
 
 
@@ -222,3 +228,23 @@ def cy_periodicity_check(traces: TraceSequence | Sequence, d: int, r: int) -> bo
                 ok = False
                 break
     return ok
+
+
+def artin_mazur_traces(p: int, m: int, n_max: int) -> list[int]:
+    """Fixed points of the n-th iterate of x -> x^m on the projective line
+    over an algebraic closure of F_p: 2 + (prime-to-p part of m^n - 1)."""
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
+    if m < 2:
+        raise ValidationError("power map exponent must be >= 2")
+    if math.gcd(m, p) != 1:
+        raise ValidationError("exponent must be coprime to the characteristic")
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    out = []
+    for n in range(1, n_max + 1):
+        val = m**n - 1
+        while val % p == 0:
+            val //= p
+        out.append(2 + val)
+    return out

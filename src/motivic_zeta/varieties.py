@@ -15,11 +15,14 @@ Enumeration work is metered against a budget (default 10^7 assignments
 per count, env MOTIVIC_ZETA_BUDGET or per-call override), and every
 request is charged before any F_{q^n} is built, so a refused route
 counts nothing (a descent below builds only F_{q^n} before its request
-is charged).  All enumeration runs through one iterator over
-chunks of assignments, each variable an array of packed field elements,
-evaluated with gfvec: on exp/log/Zech tables once the field is
-enumerated over at least q rows (q <= 10^7), on base-p digits otherwise
-(one-row charts, larger fields).
+is charged).  All enumeration runs through one iterator over chunks of
+at most gfvec.CHUNK = 2^14 assignments, each variable an array of rows:
+64 KB per array, so the arrays of a chunk stay in cache and reuse the
+same memory chunk after chunk, where 2^18-row chunks paged in fresh
+memory for every temporary (see gfvec).  A polynomial that is constant
+on the chart stays one row.  The rows are evaluated with gfvec: on
+exp/log/Zech tables once the field is enumerated over at least q rows
+(q <= 10^7), on base-p digits otherwise (one-row charts, larger fields).
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
 descent (Lang, Amer. J. Math. 78, 1956) in K = F_{q^n}[X]/(h), h monic
@@ -54,7 +57,9 @@ from .errors import PreconditionError, ResourceError, ValidationError
 from .analytic import _poly_roots_certified
 from .exact_core import Polynomial, RationalFunction, _json_int, _monomial
 from .gf import FqElement, FqField, _fpoly_add, _fpoly_gcd, _fpoly_mulmod, _fpoly_powmod, _fpoly_rem, fq_make, is_prime, mobius, row_echelon
-from .gfvec import CHUNK, VecField, vec_field
+from . import gfvec
+from .gfvec import VecField, vec_field
+from .motives import artin_mazur_traces  # noqa: F401  (exported from here too)
 from .reconstruct import NotStabilized, traces_to_zeta
 from .series import TruncatedSeries, WittElement, exp_from_traces
 
@@ -258,19 +263,20 @@ def _specialize(poly: dict, fixed: dict, free: list[int]):
 
 def _assignments(vf: VecField, f: int):
     """The q^f assignments of f free variables in lexicographic order, in
-    chunks of at most CHUNK rows: yields (rows, one digit array per
+    chunks of at most gfvec.CHUNK rows: yields (rows, one digit array per
     variable).  With f = 0 there is one, empty, assignment."""
-    total = vf.q**f
-    for start in range(0, total, CHUNK):
-        stop = min(start + CHUNK, total)
+    total, chunk = vf.q**f, gfvec.CHUNK
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
         yield stop - start, vf.digits_of_range(start, stop, f)
 
 
-def _evaluate(vf: VecField, polys, values, rows: int) -> list:
+def _evaluate(vf: VecField, polys, values) -> list:
     """Each polynomial ({exponent vector: FqElement of vf's field}) at
-    every row of values, as an array of `rows` rows (a read-only broadcast
-    where it is constant); powers of a variable are shared across all
-    terms, and a coefficient in the prime field scales."""
+    every row of values, as an array of their rows, or of one row where it
+    is constant, so arithmetic on it stays one row; powers of a variable
+    are shared across all terms, and a coefficient in the prime field
+    scales."""
     pows = {}
     out = []
     for terms in polys:
@@ -289,16 +295,14 @@ def _evaluate(vf: VecField, polys, values, rows: int) -> list:
             elif coeff.coeffs[0] != 1:
                 val = vf.scale(val, coeff.coeffs[0])
             acc = val if acc is None else vf.add(acc, val)
-        if acc is None:
-            acc = vf.const(0)
-        out.append(acc if acc.shape[0] == rows else np.broadcast_to(acc, (rows,)))
+        out.append(vf.const(0) if acc is None else acc)
     return out
 
 
 def _vanish(vf: VecField, eqs, values, rows: int):
     """Mask of the rows where every equation vanishes."""
     mask = np.broadcast_to(True, (rows,))
-    for val in _evaluate(vf, eqs, values, rows):
+    for val in _evaluate(vf, eqs, values):
         mask = mask & vf.is_zero(val)
     return mask
 
@@ -324,6 +328,12 @@ def _pick_quadratic_var(terms: dict, f: int) -> int | None:
     return None
 
 
+def _count(mask, rows: int) -> int:
+    """The set entries of a mask of rows rows, or of one row that stands
+    for all of them."""
+    return int(np.count_nonzero(mask)) * (rows // mask.shape[0])
+
+
 def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
     """Solutions of one equation a v^2 + b v + c = 0, v the free variable
     j: the roots in v summed over the q^(f-1) assignments of the others."""
@@ -333,9 +343,9 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
         by_degree[exps[j]][exps[:j] + exps[j + 1 :]] = coeff
     total = 0
     for rows, values in _assignments(vf, f - 1):
-        c, b, a = _evaluate(vf, by_degree, values, rows)
+        c, b, a = _evaluate(vf, by_degree, values)
         a0, b0, c0 = vf.is_zero(a), vf.is_zero(b), vf.is_zero(c)
-        total += int(np.count_nonzero(a0 & ~b0)) + q * int(np.count_nonzero(a0 & b0 & c0))
+        total += _count(a0 & ~b0, rows) + q * _count(a0 & b0 & c0, rows)
         if not by_degree[2]:
             continue
         if vf.p == 2:
@@ -348,7 +358,7 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
             disc = vf.sub(vf.mul(b, b), vf.scale(vf.mul(a, c), 4))
             one = vf.is_zero(disc)
             two = vf.is_square(disc)
-        total += int(np.count_nonzero(~a0 & one)) + 2 * int(np.count_nonzero(~a0 & two))
+        total += _count(~a0 & one, rows) + 2 * _count(~a0 & two, rows)
     return total
 
 
@@ -794,23 +804,3 @@ def weil_check(
         counts=counts,
         note=note,
     )
-
-
-def artin_mazur_traces(p: int, m: int, n_max: int) -> list[int]:
-    """Fixed points of the n-th iterate of x -> x^m on the projective line
-    over an algebraic closure of F_p: 2 + (prime-to-p part of m^n - 1)."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    if m < 2:
-        raise ValidationError("power map exponent must be >= 2")
-    if math.gcd(m, p) != 1:
-        raise ValidationError("exponent must be coprime to the characteristic")
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    out = []
-    for n in range(1, n_max + 1):
-        val = m**n - 1
-        while val % p == 0:
-            val //= p
-        out.append(2 + val)
-    return out

@@ -584,7 +584,7 @@ def test_artin_mazur(capsys):
 def test_artin_mazur_refuses_an_nmax_above_its_cap(capsys, monkeypatch):
     # Berlekamp-Massey runs for seconds past the cap; the refusal comes
     # before a single trace is computed
-    monkeypatch.setattr(motivic_zeta.varieties, "artin_mazur_traces", None)
+    monkeypatch.setattr(motivic_zeta.motives, "artin_mazur_traces", None)
     code, out = run(capsys, "artin-mazur", "--in", fixture("artin_mazur.json"), "--nmax", str(ARTIN_MAZUR_MAX_NMAX + 1))
     assert (code, out["status"]) == (2, "resource_error")
     assert (out["payload"]["required"], out["payload"]["budget"]) == (701, 700)

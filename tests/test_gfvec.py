@@ -334,3 +334,47 @@ def test_log_arithmetic_stays_in_int32_near_table_max():
     for e in (2, boundary, boundary + 1, order - 1, order + 1, 3 * order - 1):
         assert indices(vf, vf.power(a, e)) == [pow(x, e, p) for x in sa], e
     assert vf.is_square(a).tolist() == [x != 0 and pow(x, order // 2, p) == 1 for x in sa]
+
+
+def test_sums_past_a_chunk_match_scalar_arithmetic(monkeypatch):
+    """add and sub on more rows than CHUNK, whose Zech indices go to a new
+    array instead of the per-thread buffer, and sub of rows from a one-row
+    constant and of a constant from rows."""
+    monkeypatch.setattr(gfvec, "CHUNK", 16)
+    vf = tabulated(5, 3)
+    a, b = operands(vf, 53)
+    sa, sb = scalars(vf, a), scalars(vf, b)
+    three = vf.field.element(3)
+    assert indices(vf, vf.add(a, b)) == packed(x + y for x, y in zip(sa, sb))
+    assert indices(vf, vf.sub(a, b)) == packed(x - y for x, y in zip(sa, sb))
+    assert indices(vf, vf.sub(vf.const(3), a)) == packed(three - x for x in sa)
+    assert indices(vf, vf.sub(a, vf.const(3))) == packed(x - three for x in sa)
+
+
+def test_vec_field_keeps_tables_up_to_the_bytes_of_one_table_max_field(monkeypatch):
+    """vec_field keeps the most recently used fields while their tables take
+    at most 12 TABLE_MAX bytes: over two sweeps, 33 fields of at most
+    2 * 10^4 elements are each tabulated once (a cache of 16 fields rebuilt
+    every one), and past the bound the least recently used tables go."""
+    builds = []
+    tabulate = VecField._tabulate
+
+    def counted(vf):
+        builds.append(vf.q)
+        tabulate(vf)
+
+    monkeypatch.setattr(VecField, "_tabulate", counted)
+    vec_field.cache_clear()
+    fields = [fq_make(p, e) for p in (2, 3, 5, 7) for e in range(1, 15) if p**e <= 20_000][:33]
+    for _ in range(2):
+        for field in fields:
+            vec_field(field).prepare_pass(1)
+    assert len(fields) == 33 and sorted(builds) == sorted(field.q for field in fields)
+    monkeypatch.setattr(gfvec, "TABLE_MAX", 1000)  # a bound of 12 000 bytes
+    vec_field.cache_clear()
+    old, new = vec_field(fq_make(2, 9)), vec_field(fq_make(3, 6))
+    old.prepare_pass(1)  # 512 elements, 6144 bytes
+    assert vec_field(fq_make(2, 9)) is old and old.table_bytes == 6144
+    new.prepare_pass(1)  # 729 elements: 14 892 bytes in all
+    assert vec_field(fq_make(3, 6)) is new and vec_field(fq_make(2, 9)) is not old
+    vec_field.cache_clear()

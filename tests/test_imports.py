@@ -63,6 +63,7 @@ def test_exact_and_analytic_commands_run_without_numpy(tmp_path):
         ["regdet-check", "--in", str(tmp_path / "hw.json"), "--q", "5"],
         ["numk0", "beilinson", "--dim", "4"],
         ["reconstruct", "bm", "--in", str(tmp_path / "bm.json")],
+        ["artin-mazur", "--in", str(FIXTURES / "artin_mazur.json")],
     ]
     out = run_python(
         "import json, sys, motivic_zeta, motivic_zeta.cli\n"

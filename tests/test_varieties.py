@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from motivic_zeta import (
     weil_check,
     zeta_from_counts,
 )
-from motivic_zeta import varieties
+from motivic_zeta import gfvec, varieties
 from motivic_zeta.cli import main
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
 from motivic_zeta.gf import FqField, row_echelon
@@ -588,9 +589,93 @@ def test_descent_matches_enumeration_oracle(p):
         for v, g, degree, _, _ in cases
     )
     for v, g, _, n, fixers in cases:
-        eqs = _equations(v) + [eq for h in fixers for eq in _fixer_equations(v, _normalize_matrix(v, h))]
-        request = _twisted(v, _normalize_matrix(v, g), eqs, n)
-        assert _counts([request], None) == [twisted_count_by_enumeration(v, g, n, fixers)], (v, g, n, fixers)
+        assert descended_count(v, g, n, fixers) == twisted_count_by_enumeration(v, g, n, fixers), (v, g, n, fixers)
+
+
+def descended_count(v, g, n, fixers) -> int:
+    """The count of a twist case by descent, fixers as extra equations."""
+    eqs = _equations(v) + [eq for h in fixers for eq in _fixer_equations(v, _normalize_matrix(v, h))]
+    return _counts([_twisted(v, _normalize_matrix(v, g), eqs, n)], None)[0]
+
+
+# --- chunks and memory ---
+
+
+def brute_affine_count(v: VarietySpec, n: int) -> int:
+    """Reference count of an affine variety with integer coefficients:
+    every point of F_{q^n}^N tried with scalar arithmetic."""
+    field = fq_make(v.p, v.e * n)
+    return sum(
+        all(
+            sum((field.element(c) * math.prod((x**e for x, e in zip(xs, exps)), start=field.one()) for exps, c in eq), field.zero()).is_zero()
+            for eq in v.equations
+        )
+        for xs in itertools.product(list(field.enumerate()), repeat=v.num_vars)
+    )
+
+
+def fermat_cubic(p: int, e: int, nv: int) -> VarietySpec:
+    """x_1^3 + ... + x_nv^3 + 1 = 0 in A^nv: degree 3 in every variable, so
+    its one chart enumerates all q^nv assignments."""
+    cubes = tuple((tuple(3 * (i == j) for j in range(nv)), 1) for i in range(nv))
+    return VarietySpec("affine", nv, p, e, (cubes + (((0,) * nv, 1),),))
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    """Passes cut into chunks of 7 or 1000 rows count what brute force and
+    the enumeration oracle of the descent count.  The cases have ragged last
+    chunks; f = 1 log passes whose last row is the zero element (the
+    quadratic charts of the elliptic curves, 25 and 2401 rows); f = 2 and
+    f = 3 digit splits (625, 2401 and 729 rows); and a table build whose
+    Zech swap runs in chunks of the same size.  enumerate_points keeps its
+    order.  The references are taken at the default chunk size."""
+    e5, e7 = load_variety("elliptic_f5_variety.json"), load_variety("elliptic_f7_variety.json")
+    points = enumerate_points(e5, 2)
+    tables = vec_field(fq_make(7, 3))
+    tables.prepare_pass(1)
+    twists = [(case, twisted_count_by_enumeration(case[0], case[1], *case[3:])) for case in _twist_cases(2)]
+    monkeypatch.setattr(gfvec, "CHUNK", chunk)
+    rows = []
+    digits_of_range = gfvec.VecField.digits_of_range
+
+    def recorded(vf, start, stop, f=1):
+        rows.append(stop - start)
+        return digits_of_range(vf, start, stop, f)
+
+    monkeypatch.setattr(gfvec.VecField, "digits_of_range", recorded)
+    assert count_points(e5, 2) == frobenius_counts(5, 9, 2)[1]
+    assert count_points(e7, 4) == frobenius_counts(7, 5, 4)[3]
+    for p, e, nv in ((5, 2, 2), (7, 2, 2), (3, 2, 3)):
+        cubic = fermat_cubic(p, e, nv)
+        assert count_points(cubic, 1) == brute_affine_count(cubic, 1), (p, e, nv)
+    assert enumerate_points(e5, 2) == points
+    rebuilt = gfvec.VecField(fq_make(7, 3))
+    rebuilt.prepare_pass(1)
+    assert all((getattr(rebuilt, t) == getattr(tables, t)).all() for t in ("_exp", "_log", "_zech"))
+    for (v, g, _, n, fixers), expected in twists:
+        assert descended_count(v, g, n, fixers) == expected, (v, g, n, fixers)
+    assert max(rows) == chunk and any(0 < r < chunk for r in rows)
+
+
+def test_a_count_allocates_under_a_mebibyte(monkeypatch):
+    """A memory work guard, not a clock: with its field's tables built, a
+    count's numpy and Python allocations (tracemalloc sees both) peak under
+    1 MiB, however long its pass.  y^2 z = x^3 + 3 x z^2 + 2 z^3 over F_{7^6}
+    is one quadratic pass of 117 649 rows, x^3 + y^3 + 1 on A^2 over F_{3^7}
+    one exhaustive pass of 4.8 million; with chunks of 2^18 rows they
+    peaked at 4.9 and 10.2 MB."""
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+    curve = plane(7, [((0, 2, 1), 1), ((3, 0, 0), -1), ((1, 0, 2), -3), ((0, 0, 3), -2)])
+    for v, n in ((curve, 6), (fermat_cubic(3, 7, 2), 1)):
+        expected = count_points(v, n)  # builds the tables
+        tracemalloc.start()
+        try:
+            assert count_points(v, n) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (v, n, peak)
 
 
 def test_field_element_coefficients():

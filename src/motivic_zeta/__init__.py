@@ -37,6 +37,7 @@ from .reconstruct import (
 )
 from .motives import (
     TracedMotive,
+    artin_mazur_traces,
     check_functional_equation,
     cy_periodicity_check,
     determinant,
@@ -91,7 +92,6 @@ _LAZY = {
     **dict.fromkeys(
         (
             "VarietySpec",
-            "artin_mazur_traces",
             "closed_points",
             "count_points",
             "euler_product_series",

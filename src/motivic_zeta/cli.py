@@ -491,14 +491,14 @@ def main(argv: list[str] | None = None) -> int:
         out = _open_out(flags.pop("out"))
         if "in" in flags:
             flags["data"] = _load(flags.pop("in"))
-        envelope, code = {"status": "ok", "payload": handler(**flags)}, 0
+        text, code = dumps({"status": "ok", "payload": handler(**flags)}), 0
     except MotivicZetaError as exc:
         status, code = next((s, c) for kind, s, c in _FAILURES if isinstance(exc, kind))
         payload = {"reason": str(exc), "input": infile}
         if isinstance(exc, ResourceError):
             payload.update(required=exc.required, budget=exc.budget)
-        envelope = {"status": status, "payload": payload}
-    out.write(dumps(envelope) + "\n")
+        text = dumps({"status": status, "payload": payload})
+    out.write(text + "\n")
     if out is not sys.stdout:
         out.close()
     return code

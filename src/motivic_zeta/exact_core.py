@@ -19,13 +19,14 @@ recurrence on integers scaled by powers of den(0).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, NotInvertibleError, ValidationError
+from .errors import DimensionError, NotInvertibleError, ResourceError, ValidationError
 
 
 def _frac(x) -> Fraction:
@@ -154,8 +155,26 @@ def squarefree_factors(p: "Polynomial") -> list["Polynomial"]:
     return out
 
 
+def _printable(n: int) -> int:
+    """n, if its decimal digits are within the interpreter's limit on
+    int-to-str conversion (0 for none, as before Python 3.10.7); past it a
+    ResourceError, required bounding the digits by the bit length.  The
+    limit is process-wide and stays as set: it keeps outputs of many
+    thousand digits from being written."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    digits = n.bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103
+    if limit and digits > limit and abs(n) >= 10**limit:
+        raise ResourceError(
+            f"an output integer of up to {digits} digits passes the limit of {limit} digits",
+            required=digits,
+            budget=limit,
+        )
+    return n
+
+
 def frac_to_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    n, d = _printable(x.numerator), _printable(x.denominator)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class Polynomial:

@@ -4,7 +4,8 @@ N elements of F_{p^k} form an integer array of shape (N,), one row per
 element; a one-row array is a constant that broadcasts against N-row
 arrays.  Row i of digits_of_range(a, b, f) holds the f-tuple of elements
 whose tuple index is a + i.  Two engines share this layout and differ in
-what a row holds.
+what a row holds.  In both a row is unique to its element, so rows compare
+with ==, and a - b is add(a, scale(b, -1)).
 
 Tables: discrete logs.  Let g be the element of smallest packed index
 among those of multiplicative order q - 1.  A row holds log_g of its
@@ -40,10 +41,11 @@ on first touch: the job loop of a seed-1 counts-large-q round took 7039
 minor page faults, at 2-4 us each on a 2-core x86-64 container, against
 about 2100 now.
 
-The tables are built by prepare_pass before a pass over f >= 1
-variables: such a pass has at least q rows, which the budget has already
-paid for, and its arrays, constants included, are all made after the
-build.  Only fields with q <= TABLE_MAX get tables.  exp is built by
+vec_field(field, f) builds the tables before it returns when its caller
+will run a pass over f >= 1 variables: such a pass has at least q rows,
+which the budget has already paid for, and the caller makes every array,
+constants included, after the build.  Only fields with
+q <= TABLE_MAX get tables.  exp is built by
 doubling: multiplication by g^m is a k x k F_p-linear map on digits, so
 each step is one digit matmul.  These run in float64, through BLAS, and
 are exact: every entry is an integer, and no value formed exceeds
@@ -58,8 +60,8 @@ p can round to just below its quotient (fl(1/p) p 2^j < 2^j), and
 against each cofactor (q - 1)/r, r a prime factor of q - 1: over F_p by
 pow(n, (q - 1)/r, p), above it by powers of its k x k digit matrix.
 
-Digits: packed indices.  Every other field (one no pass over f >= 1
-variables has prepared, or q > TABLE_MAX) holds the packed index
+Digits: packed indices.  Every other field (one only asked for with
+f = 0, for one-row charts, or q > TABLE_MAX) holds the packed index
 sum_i c_i p^i of each element, over the
 coefficients c_i of its polynomial in x, as in FqElement.to_int and the
 FqField.enumerate order.  It unpacks rows into base-p digits, multiplies
@@ -161,24 +163,9 @@ class VecField:
         self._zero = 0  # the row of 0: ZERO once the tables are built
 
     @property
-    def tabulated(self) -> bool:
-        """Whether this field's exp/log/Zech tables have been built, so
-        that its rows hold logs."""
-        return self._exp is not None
-
-    @property
     def table_bytes(self) -> int:
         """Bytes held by the exp/log/Zech tables: 12 per element once built."""
         return 0 if self._exp is None else self._exp.nbytes + self._log.nbytes + self._zech.nbytes
-
-    def prepare_pass(self, f: int):
-        """Call before a pass over f free variables makes any array, its
-        constants included.  A pass over f >= 1 variables has at least q
-        rows, which the budget has already paid for, so it builds the
-        field's tables if it has none and q <= TABLE_MAX; rows made before
-        the build are packed indices and do not mix with logs."""
-        if f and self._exp is None and self.q <= TABLE_MAX:
-            self._tabulate()
 
     # --- rows ---
 
@@ -238,23 +225,6 @@ class VecField:
         if self.k == 1:
             return (a + b) % self.p
         return self._pack(self._unpack(a) + self._unpack(b))
-
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._exp is not None:
-            if self.p == 2:  # -1 = 1
-                return self.add(a, b)
-            # -b = g^((q - 1)/2) b; when it has the rows of a - b, the two
-            # arrays it is made in then hold the sum
-            s = b + (self.q - 1) // 2
-            neg = self._reduce_log(s)
-            if neg.shape[0] < a.shape[0]:
-                return self.add(a, neg)
-            return self._add_logs(np.maximum(a, neg, out=s), np.minimum(a, neg, out=neg))
-        if self.p == 2:
-            return a ^ b
-        if self.k == 1:
-            return (a - b) % self.p
-        return self._pack(self._unpack(a) - self._unpack(b))
 
     def scale(self, a: np.ndarray, c: int) -> np.ndarray:
         """c * a for an integer c, an element of the prime field."""
@@ -338,14 +308,10 @@ class VecField:
             return a != self._zero
         if self._exp is not None:
             return (a & (ZERO | 1)) == 0
-        return self.equal(self.power(a, (self.q - 1) // 2), self.const(1))
+        return self.power(a, (self.q - 1) // 2) == self.const(1)
 
     def is_zero(self, a: np.ndarray) -> np.ndarray:
         return a == self._zero
-
-    def equal(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise equality; a row is unique to its element in either engine."""
-        return a == b
 
     def _add_logs(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """The row of g^hi + g^lo for rows hi >= lo, hi + zech[hi - lo]
@@ -490,13 +456,16 @@ class VecField:
 _fields: dict[FqField, VecField] = {}  # vec_field's cache, least recently used first
 
 
-def vec_field(field: FqField) -> VecField:
-    """The VecField of a field, shared so its tables are built once.  The
-    most recently used fields are kept while their tables take at most
-    12 TABLE_MAX bytes, those of one field of TABLE_MAX elements; a field
-    without tables costs nothing.  Tables are built after this returns, so
-    a field's are counted from the next call on."""
+def vec_field(field: FqField, f: int) -> VecField:
+    """The VecField of a field, shared so its tables are built once, for a
+    caller whose longest pass runs over f free variables.  When f >= 1 and
+    q <= TABLE_MAX the tables are built before this returns (see the module
+    docstring).  The most recently used fields are kept while their tables
+    take at most 12 TABLE_MAX bytes, those of one field of TABLE_MAX
+    elements; a field without tables costs nothing."""
     vf = _fields.pop(field, None) or VecField(field)
+    if f and vf._exp is None and vf.q <= TABLE_MAX:
+        vf._tabulate()
     _fields[field] = vf
     held = sum(v.table_bytes for v in _fields.values())
     while held > 12 * TABLE_MAX:

@@ -137,9 +137,6 @@ class EulerGram:
             raise ValidationError(f"an Euler Gram matrix must be a list of rows, got {rows!r}")
         return EulerGram(tuple(tuple(_json_int(x, "Gram entry") for x in row) for row in rows))
 
-    def to_json(self) -> dict:
-        return {"chi": [list(row) for row in self.chi]}
-
     @staticmethod
     def from_json(data: dict) -> "EulerGram":
         return EulerGram.from_rows(data["chi"])

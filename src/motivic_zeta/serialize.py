@@ -1,6 +1,7 @@
 """Canonical JSON output: sorted keys, rationals as "a/b" strings,
 complex numbers as {"re", "im"}, floats rounded to 12 significant digits
-so repeated runs are byte-stable.
+so repeated runs are byte-stable.  An integer, or a part of a rational,
+with more decimal digits than the interpreter converts is a ResourceError.
 
 This is the one encoder of results.  An object with a to_json method is
 encoded through it; any other dataclass is encoded field by field, in
@@ -13,7 +14,7 @@ import json
 import math
 from fractions import Fraction
 
-from .exact_core import frac_to_str
+from .exact_core import _printable, frac_to_str
 
 
 def _round_float(x: float):
@@ -26,8 +27,10 @@ def _round_float(x: float):
 
 
 def canonical(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, str)):
         return obj
+    if isinstance(obj, int):
+        return _printable(obj)
     if isinstance(obj, float):
         return _round_float(obj)
     if isinstance(obj, Fraction):

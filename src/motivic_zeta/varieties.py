@@ -21,8 +21,9 @@ at most gfvec.CHUNK = 2^14 assignments, each variable an array of rows:
 same memory chunk after chunk, where 2^18-row chunks paged in fresh
 memory for every temporary (see gfvec).  A polynomial that is constant
 on the chart stays one row.  The rows are evaluated with gfvec: on
-exp/log/Zech tables once the field is enumerated over at least q rows
-(q <= 10^7), on base-p digits otherwise (one-row charts, larger fields).
+exp/log/Zech tables, which vec_field builds when the longest pass to
+come has at least q rows and q <= 10^7, else on base-p digits, 10x
+slower at q = 10^6 and 100x or more in characteristic 2 or 3.
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
 descent (Lang, Amer. J. Math. 78, 1956) in K = F_{q^n}[X]/(h), h monic
@@ -59,7 +60,6 @@ from .exact_core import Polynomial, RationalFunction, _json_int, _monomial
 from .gf import FqElement, FqField, _fpoly_add, _fpoly_gcd, _fpoly_mulmod, _fpoly_powmod, _fpoly_rem, fq_make, is_prime, mobius, row_echelon
 from . import gfvec
 from .gfvec import VecField, vec_field
-from .motives import artin_mazur_traces  # noqa: F401  (exported from here too)
 from .reconstruct import NotStabilized, traces_to_zeta
 from .series import TruncatedSeries, WittElement, exp_from_traces
 
@@ -355,7 +355,7 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
             inv_b2 = vf.power(vf.mul(b, b), q - 2)
             two = ~b0 & (vf.trace(vf.mul(vf.mul(a, c), inv_b2)) == 0)
         else:
-            disc = vf.sub(vf.mul(b, b), vf.scale(vf.mul(a, c), 4))
+            disc = vf.add(vf.mul(b, b), vf.scale(vf.mul(a, c), -4))
             one = vf.is_zero(disc)
             two = vf.is_square(disc)
         total += _count(~a0 & one, rows) + 2 * _count(~a0 & two, rows)
@@ -392,8 +392,7 @@ def _counts(requests, budget: int | None) -> list[int]:
         q = base.q**n
         total = sum(q**f for f in closed)
         if charts:
-            vf = vec_field(fq_make(base.p, base.e * n))
-            vf.prepare_pass(max(f - (j is not None) for f, _, j in charts))
+            vf = vec_field(fq_make(base.p, base.e * n), max(f - (j is not None) for f, _, j in charts))
         for f, eqs, j in charts:
             eqs = [_poly(eq.items(), vf.field) for eq in eqs]
             if j is None:
@@ -425,8 +424,7 @@ def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     (desk scale only).  Every chart is charged before F_{q^n} is built."""
     charts = list(_charts(v.ambient_kind, v.num_vars, _equations(v)))
     _charge(resolve_budget(budget), [v.q ** (n * len(free)) for _, free, _ in charts])
-    vf = vec_field(fq_make(v.p, v.e * n))
-    vf.prepare_pass(max((len(free) for _, free, _ in charts), default=0))
+    vf = vec_field(fq_make(v.p, v.e * n), max((len(free) for _, free, _ in charts), default=0))
     points = []
     for fixed, free, eqs in charts:
         eqs = [_poly(eq.items(), vf.field) for eq in eqs]

@@ -94,8 +94,7 @@ def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
     fields only."""
     act = _normalize_matrix(v, g)
     big = fq_make(v.p, v.e * n * twist_degree(v, act))
-    vf = vec_field(big)
-    vf.prepare_pass(v.num_vars)  # before the constants: rows may become logs
+    vf = vec_field(big, v.num_vars)  # before the constants: rows may become logs
 
     def embedded(m):
         return [[None if x.is_zero() else vf.const(v.base_field.embed(x, big)) for x in row] for row in m]
@@ -111,7 +110,7 @@ def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
             pairs = list(zip(a, b))
         else:
             pairs = [(vf.mul(a[i], b[j]), vf.mul(a[j], b[i])) for i in range(len(a)) for j in range(i + 1, len(a))]
-        return functools.reduce(operator.and_, (vf.equal(x, y) for x, y in pairs), True)
+        return functools.reduce(operator.and_, (x == y for x, y in pairs), True)
 
     twist = embedded(act)
     fix = [embedded(_normalize_matrix(v, h)) for h in fixers]

@@ -590,6 +590,33 @@ def test_artin_mazur_refuses_an_nmax_above_its_cap(capsys, monkeypatch):
     assert (out["payload"]["required"], out["payload"]["budget"]) == (701, 700)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variety", "count", "--in", fixture("p1_f5_variety.json"), "--nmax", "8000"],
+        ["motive", "traces", "--in", "ten.json", "--nmax", "5000"],
+        ["motive", "zeta", "--in", "ten.json", "--precision", "5000"],
+    ],
+    ids=["variety-count", "motive-traces", "motive-zeta"],
+)
+def test_an_output_past_the_int_digit_limit_is_a_resource_error(tmp_path, argv):
+    # 5^8000 + 1 and 10^5000 have more digits than the interpreter converts
+    # to str by default, and the limit is process-wide, so it stays as set
+    # and --out gets a resource_error envelope
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        write(tmp_path, "ten.json", {"f_plus": [["10"]], "f_minus": []})
+        argv = [str(tmp_path / a) if a == "ten.json" else a for a in argv]
+        code = main(argv + ["--out", str(tmp_path / "out.json")])
+        assert sys.get_int_max_str_digits() == 4300  # not lifted
+    finally:
+        sys.set_int_max_str_digits(default)
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert (code, out["status"]) == (2, "resource_error")
+    assert out["payload"]["budget"] == 4300 < out["payload"]["required"]
+
+
 def test_every_berlekamp_massey_route_refuses_800_terms(capsys, tmp_path):
     # Berlekamp-Massey ran 4.25 s on 800 Artin-Mazur traces, and longer on
     # their exp series; reconstruct refuses both once the connection

@@ -3,6 +3,8 @@ seeded rows with forced zeros, through both of its engines: logs with
 exp/log/Zech tables and packed indices with base-p digits.  Rows are
 compared through one conversion, VecField.packed."""
 
+import functools
+import itertools
 import random
 
 import numpy as np
@@ -19,23 +21,12 @@ TABLED = [(2, 1), (3, 2), (2, 4), (2, 12), (5, 7), (3, 10), (65537, 1)]
 DIGITS = [(3, 10), (2, 24), (2**31 - 1, 1), (2**61 - 1, 1)]
 
 
-def tabulated(p, e):
-    vf = VecField(fq_make(p, e))
-    vf.prepare_pass(1)  # a pass over one variable builds the tables
-    assert vf.tabulated
-    return vf
-
-
-def untabulated(p, e):
-    vf = VecField(fq_make(p, e))
-    vf.prepare_pass(0)  # a one-row pass builds nothing
-    assert not vf.tabulated
-    return vf
-
-
-ENGINES = [pytest.param(tabulated, p, e, id=f"tables-{p}^{e}") for p, e in TABLED]
-ENGINES += [pytest.param(untabulated, 127, 1, id="digits-127")]
-ENGINES += [pytest.param(untabulated, p, e, id=f"digits-{p}^{e}") for p, e in DIGITS]  # 2^24 > TABLE_MAX
+# a field asked for by a pass over one variable has tables; a bare VecField
+# has none, and neither has a field above TABLE_MAX (2^24 > TABLE_MAX)
+with_tables = functools.partial(vec_field, f=1)
+ENGINES = [pytest.param(with_tables, p, e, id=f"tables-{p}^{e}") for p, e in TABLED]
+ENGINES += [pytest.param(VecField, 127, 1, id="digits-127")]
+ENGINES += [pytest.param(VecField, p, e, id=f"digits-{p}^{e}") for p, e in DIGITS]
 
 
 def operands(vf, seed):
@@ -69,15 +60,27 @@ def packed(values):
     return [x.to_int() for x in values]
 
 
+def discriminant(vf, a, b, c):
+    """b^2 - 4ac as the quadratic count forms it, with no subtraction."""
+    return vf.add(vf.mul(b, b), vf.scale(vf.mul(a, c), -4))
+
+
+def scalar_discriminants(vf, sa, sb, sc):
+    four = vf.field.element(4)
+    return packed(y * y - four * x * z for x, y, z in zip(sa, sb, sc))
+
+
 @pytest.mark.parametrize("make, p, e", ENGINES)
 def test_ring_operations_match_scalar_arithmetic(make, p, e):
-    vf = make(p, e)
+    vf = make(fq_make(p, e))
+    assert bool(vf.table_bytes) == (make is with_tables)  # the engine its id names
     a, b = operands(vf, p * 100 + e)
     sa, sb = scalars(vf, a), scalars(vf, b)
     assert indices(vf, vf.add(a, b)) == packed(x + y for x, y in zip(sa, sb))
-    assert indices(vf, vf.sub(a, b)) == packed(x - y for x, y in zip(sa, sb))
+    assert indices(vf, vf.add(a, vf.scale(b, -1))) == packed(x - y for x, y in zip(sa, sb))
     assert indices(vf, vf.mul(a, b)) == packed(x * y for x, y in zip(sa, sb))
-    assert vf.equal(a, b).tolist() == [x == y for x, y in zip(sa, sb)]
+    assert indices(vf, discriminant(vf, a, b, b[::-1].copy())) == scalar_discriminants(vf, sa, sb, sb[::-1])
+    assert (a == b).tolist() == [x == y for x, y in zip(sa, sb)]
     assert vf.is_zero(a).tolist() == [x.is_zero() for x in sa]
     for c in (0, 1, -1, 2, p + 3):
         want = packed(vf.field.element(c) * x for x in sa)
@@ -87,7 +90,7 @@ def test_ring_operations_match_scalar_arithmetic(make, p, e):
 
 @pytest.mark.parametrize("make, p, e", ENGINES)
 def test_powers_match_scalar_arithmetic(make, p, e):
-    vf = make(p, e)
+    vf = make(fq_make(p, e))
     a, _ = operands(vf, p * 100 + e + 1)
     sa = scalars(vf, a)
     q = vf.q
@@ -99,7 +102,7 @@ def test_powers_match_scalar_arithmetic(make, p, e):
 
 @pytest.mark.parametrize("make, p, e", ENGINES)
 def test_squares_and_traces_match_scalar_arithmetic(make, p, e):
-    vf = make(p, e)
+    vf = make(fq_make(p, e))
     a, _ = operands(vf, p * 100 + e + 2)
     sa = scalars(vf, a)
     one = vf.field.one()
@@ -122,7 +125,7 @@ def test_squares_and_traces_match_scalar_arithmetic(make, p, e):
 
 @pytest.mark.parametrize("make, p, e", ENGINES)
 def test_elements_and_ranges(make, p, e):
-    vf = make(p, e)
+    vf = make(fq_make(p, e))
     a, _ = operands(vf, p * 100 + e + 3)
     index = np.array([0, 3, len(a) - 1])
     assert vf.elements(a, index) == [vf.field.from_int(indices(vf, a)[i]) for i in index]
@@ -131,16 +134,14 @@ def test_elements_and_ranges(make, p, e):
     # a row: its packed index, or with tables its log and q - 1 for zero
     start = max(vf.q**2 - 7, 0)
     x0, x1 = vf.digits_of_range(start, vf.q**2, 2)
-    if vf.tabulated:
+    if vf.table_bytes:
         x0, x1 = (np.where(x == ZERO, vf.q - 1, x) for x in (x0, x1))
     assert [int(u) * vf.q + int(w) for u, w in zip(x0, x1)] == list(range(start, vf.q**2))
 
 
 def test_tables_are_capped_at_the_default_budget():
     assert TABLE_MAX == DEFAULT_BUDGET
-    vf = VecField(fq_make(2**31 - 1, 1))
-    vf.prepare_pass(1)
-    assert not vf.tabulated
+    assert not vec_field(fq_make(2**31 - 1, 1), 1).table_bytes
 
 
 def test_one_row_charts_build_no_tables():
@@ -150,11 +151,11 @@ def test_one_row_charts_build_no_tables():
     for a, points in ((2, 2), (3, 0)):  # 2 is a square mod 127, 3 is not
         conic = VarietySpec("projective", 1, 127, 1, ((((2, 0), 1), ((0, 2), -a)),))
         assert count_points(conic, 1, budget=10) == points
-    assert not vec_field(fq_make(127, 1)).tabulated
+    assert not vec_field(fq_make(127, 1), 0).table_bytes
     # a curve in the plane enumerates q rows, and that pass builds them
     curve = VarietySpec("projective", 2, 127, 1, ((((0, 2, 1), 1), ((3, 0, 0), -1), ((0, 0, 3), -1)),))
     count_points(curve, 1)
-    assert vec_field(fq_make(127, 1)).tabulated
+    assert vec_field(fq_make(127, 1), 0).table_bytes
 
 
 # --- how the tables are built: float64 digit products, the reduction mod p
@@ -171,7 +172,7 @@ def is_prime(n):
 def test_tables_match_scalar_powers(p, e):
     """exp[i] = g^i, log[g^i] = i and g^zech[d] = 1 + g^-d by scalar
     arithmetic, at every i when q <= 2^12 and at 2000 seeded i above."""
-    vf = tabulated(p, e)
+    vf = vec_field(fq_make(p, e), 1)
     exp, log, zech = vf._exp, vf._log, vf._zech
     f, q = vf.field, vf.q
     order = q - 1
@@ -224,9 +225,10 @@ def test_table_build_values_stay_exact_in_float64(monkeypatch):
         return _mod_p(a, p, spare)
 
     monkeypatch.setattr(gfvec, "_mod_p", recording)
+    vec_field.cache_clear()  # so that each field below is built here
     for p, k in ((3, 10), (7, 6), (13, 3), (65537, 1), (2, 12)):
         seen.clear()
-        vf = tabulated(p, k)
+        vf = vec_field(fq_make(p, k), 1)
         assert 0 < max(seen) <= _table_bound(p, k) and vf._exp.max() < _table_bound(p, k)
 
 
@@ -241,7 +243,8 @@ def test_prime_field_generator_is_the_smallest_primitive_root(monkeypatch):
     for p in PRIMES:
         f = fq_make(p, 1)
         assert VecField(f)._generator() == [generator_by_orders(f).to_int()], p
-    tabulated(20011, 1)  # a whole table build, _matrix_power refusing
+    vec_field.cache_clear()
+    assert vec_field(fq_make(20011, 1), 1).table_bytes  # a whole table build, _matrix_power refusing
 
 
 # g for the extension fields of TABLED, pinned as the digit-matrix search
@@ -279,17 +282,21 @@ def test_trace_column_by_newton_matches_frobenius_sums(p, e):
 
 @pytest.mark.parametrize("make, p, e", ENGINES)
 def test_edge_rows(make, p, e):
-    vf = make(p, e)
+    vf = make(fq_make(p, e))
     f, q = vf.field, vf.q
     zero, x = vf.const(0), vf.const(f.from_int(q - 1))
     minus_x = vf.const(-f.from_int(q - 1))
-    zero_rows = [vf.add(zero, zero), vf.add(x, minus_x), vf.sub(x, x), vf.mul(zero, x), vf.mul(x, zero)]
+    zero_rows = [vf.add(zero, zero), vf.add(x, minus_x), vf.add(x, vf.scale(x, -1)), vf.mul(zero, x), vf.mul(x, zero)]
     zero_rows += [vf.scale(zero, 3), vf.scale(x, 0), vf.scale(x, p)]
     zero_rows += [vf.power(zero, n) for n in (1, 2, q - 1, q, q + 1, 3 * q + 5)]
     for row in zero_rows:
-        # a zero row is the one row of 0, so equal and is_zero see it
+        # a zero row is the one row of 0, so == and is_zero see it
         assert indices(vf, row) == [0] and vf.is_zero(row).tolist() == [True]
-        assert vf.equal(row, zero).tolist() == [True]
+        assert (row == zero).tolist() == [True]
+    edges = [zero, vf.const(1), vf.const(-1), x, minus_x]
+    for a, b, c in itertools.product(edges, repeat=3):
+        sa, sb, sc = (scalars(vf, r) for r in (a, b, c))
+        assert indices(vf, discriminant(vf, a, b, c)) == scalar_discriminants(vf, sa, sb, sc)
     assert indices(vf, vf.add(zero, x)) == indices(vf, vf.add(x, zero)) == [q - 1]
     assert indices(vf, vf.power(zero, 0)) == indices(vf, vf.power(x, q - 1)) == [1]
     assert vf.is_square(zero).tolist() == [False] and not vf.is_zero(x)[0]
@@ -299,15 +306,15 @@ def test_edge_rows(make, p, e):
 
 
 def test_constants_made_before_a_pass_match_its_rows():
-    """The step a pass takes before making any array builds the tables, so
-    a constant made after it and the pass's rows are both logs."""
-    vf = VecField(fq_make(3, 4))
-    vf.prepare_pass(1)
+    """vec_field builds the tables before it returns, so a constant made
+    before the pass, after that call, and the pass's rows are both logs."""
+    vec_field.cache_clear()
+    vf = vec_field(fq_make(3, 4), 1)
     consts = [vf.const(x) for x in vf.field.enumerate()]
     (rows,) = vf.digits_of_range(0, vf.q)
-    assert vf.tabulated and sorted(indices(vf, rows)) == list(range(vf.q))
+    assert vf.table_bytes and sorted(indices(vf, rows)) == list(range(vf.q))
     for n, c in enumerate(consts):
-        assert np.count_nonzero(vf.equal(rows, c)) == 1 and indices(vf, c) == [n]
+        assert np.count_nonzero(rows == c) == 1 and indices(vf, c) == [n]
 
 
 def test_log_arithmetic_stays_in_int32_near_table_max():
@@ -321,34 +328,39 @@ def test_log_arithmetic_stays_in_int32_near_table_max():
     # reduced sum and the last exponent whose powers stay in int32
     zero = int(ZERO)
     assert 2 * zero - order >= -(2**31) and order - zero < 2**31 and 2 * order < 2**31
-    vf = tabulated(p, 1)
+    vf = vec_field(fq_make(p, 1), 1)
     logs = [0, 1, order // 2 - 1, order // 2, order - 2, order - 1, ZERO]
     a = np.array([x for x in logs for _ in logs], dtype=np.int32)
     b = np.array([y for _ in logs for y in logs], dtype=np.int32)
     sa, sb = indices(vf, a), indices(vf, b)
     assert indices(vf, vf.mul(a, b)) == [x * y % p for x, y in zip(sa, sb)]
     assert indices(vf, vf.add(a, b)) == [(x + y) % p for x, y in zip(sa, sb)]
-    assert indices(vf, vf.sub(a, b)) == [(x - y) % p for x, y in zip(sa, sb)]
+    assert indices(vf, vf.add(a, vf.scale(b, -1))) == [(x - y) % p for x, y in zip(sa, sb)]
     assert indices(vf, vf.scale(a, -1)) == [-x % p for x in sa]
+    want = [(y * y - 4 * x * z) % p for x, y, z in zip(sa, sb, sb[::-1])]
+    assert indices(vf, discriminant(vf, a, b, b[::-1].copy())) == want
     boundary = 2**31 // (order - 1)  # e * log stays in int32 up to here
     for e in (2, boundary, boundary + 1, order - 1, order + 1, 3 * order - 1):
         assert indices(vf, vf.power(a, e)) == [pow(x, e, p) for x in sa], e
     assert vf.is_square(a).tolist() == [x != 0 and pow(x, order // 2, p) == 1 for x in sa]
+    vec_field.cache_clear()  # 120 MB of tables
 
 
 def test_sums_past_a_chunk_match_scalar_arithmetic(monkeypatch):
-    """add and sub on more rows than CHUNK, whose Zech indices go to a new
-    array instead of the per-thread buffer, and sub of rows from a one-row
-    constant and of a constant from rows."""
+    """Sums and differences on more rows than CHUNK, whose Zech indices go
+    to a new array instead of the per-thread buffer, differences of rows
+    from a one-row constant and of a constant from rows, and discriminants."""
     monkeypatch.setattr(gfvec, "CHUNK", 16)
-    vf = tabulated(5, 3)
+    vf = vec_field(fq_make(5, 3), 1)
     a, b = operands(vf, 53)
     sa, sb = scalars(vf, a), scalars(vf, b)
     three = vf.field.element(3)
     assert indices(vf, vf.add(a, b)) == packed(x + y for x, y in zip(sa, sb))
-    assert indices(vf, vf.sub(a, b)) == packed(x - y for x, y in zip(sa, sb))
-    assert indices(vf, vf.sub(vf.const(3), a)) == packed(three - x for x in sa)
-    assert indices(vf, vf.sub(a, vf.const(3))) == packed(x - three for x in sa)
+    assert indices(vf, vf.add(a, vf.scale(b, -1))) == packed(x - y for x, y in zip(sa, sb))
+    assert indices(vf, vf.add(vf.const(3), vf.scale(a, -1))) == packed(three - x for x in sa)
+    assert indices(vf, vf.add(a, vf.scale(vf.const(3), -1))) == packed(x - three for x in sa)
+    assert indices(vf, discriminant(vf, a, b, b[::-1].copy())) == scalar_discriminants(vf, sa, sb, sb[::-1])
+    assert indices(vf, discriminant(vf, vf.const(3), a, b)) == scalar_discriminants(vf, [three] * len(sa), sa, sb)
 
 
 def test_vec_field_keeps_tables_up_to_the_bytes_of_one_table_max_field(monkeypatch):
@@ -364,17 +376,23 @@ def test_vec_field_keeps_tables_up_to_the_bytes_of_one_table_max_field(monkeypat
         tabulate(vf)
 
     monkeypatch.setattr(VecField, "_tabulate", counted)
+
+    def held():
+        return sum(vf.table_bytes for vf in gfvec._fields.values())
+
     vec_field.cache_clear()
     fields = [fq_make(p, e) for p in (2, 3, 5, 7) for e in range(1, 15) if p**e <= 20_000][:33]
     for _ in range(2):
         for field in fields:
-            vec_field(field).prepare_pass(1)
+            assert vec_field(field, 1).table_bytes and held() <= 12 * TABLE_MAX
     assert len(fields) == 33 and sorted(builds) == sorted(field.q for field in fields)
     monkeypatch.setattr(gfvec, "TABLE_MAX", 1000)  # a bound of 12 000 bytes
     vec_field.cache_clear()
-    old, new = vec_field(fq_make(2, 9)), vec_field(fq_make(3, 6))
-    old.prepare_pass(1)  # 512 elements, 6144 bytes
-    assert vec_field(fq_make(2, 9)) is old and old.table_bytes == 6144
-    new.prepare_pass(1)  # 729 elements: 14 892 bytes in all
-    assert vec_field(fq_make(3, 6)) is new and vec_field(fq_make(2, 9)) is not old
+    old = vec_field(fq_make(2, 9), 1)  # 512 elements, 6144 bytes
+    assert old.table_bytes == 6144 and held() == 6144
+    built = len(builds)
+    assert vec_field(fq_make(2, 9), 1) is old and len(builds) == built  # no second build
+    new = vec_field(fq_make(3, 6), 1)  # 729 elements, 8748 bytes: 14 892 with old's, so old's go
+    assert new.table_bytes == 8748 and held() == 8748
+    assert vec_field(fq_make(3, 6), 0) is new and vec_field(fq_make(2, 9), 0) is not old
     vec_field.cache_clear()

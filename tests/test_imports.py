@@ -20,7 +20,7 @@ from conftest import FIXTURES
 SRC = Path(motivic_zeta.__file__).resolve().parent
 NUMPY_MODULES = {"gfvec", "varieties"}
 LAZY_EXPORTS = (
-    "VarietySpec", "artin_mazur_traces", "closed_points", "count_points", "euler_product_series",
+    "VarietySpec", "closed_points", "count_points", "euler_product_series",
     "twisted_count", "weil_check", "zeta_from_counts",
     "Character", "Cyclotomic", "GroupAction", "LSeries", "l_function", "orbifold_zeta",
     "rational_character", "trivial_character",
@@ -82,6 +82,14 @@ def test_touching_a_variety_export_loads_both_counting_modules():
         "print(before, after)\n"
     )
     assert out.strip() == "[False, False, False] [True, True, True]"
+
+
+def test_artin_mazur_traces_runs_without_numpy():
+    out = run_python(
+        "import sys, motivic_zeta\n"
+        "print(motivic_zeta.artin_mazur_traces(5, 2, 3), 'numpy' in sys.modules)\n"
+    )
+    assert out.strip() == "[3, 5, 9] False"
 
 
 def test_every_export_resolves_and_is_listed():

@@ -16,7 +16,7 @@ from motivic_zeta import (
 )
 from motivic_zeta.errors import ResourceError, ValidationError
 from motivic_zeta.reconstruct import MAX_BITS
-from motivic_zeta.varieties import artin_mazur_traces
+from motivic_zeta.motives import artin_mazur_traces
 
 
 def test_geometric_sequence():

@@ -14,7 +14,6 @@ from motivic_zeta import (
     Polynomial,
     RationalFunction,
     VarietySpec,
-    artin_mazur_traces,
     closed_points,
     count_points,
     euler_product_series,
@@ -29,6 +28,7 @@ from motivic_zeta.cli import main
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
 from motivic_zeta.gf import FqField, row_echelon
 from motivic_zeta.gfvec import vec_field
+from motivic_zeta.motives import artin_mazur_traces
 from motivic_zeta.serialize import dumps
 from motivic_zeta.varieties import (
     _counts,
@@ -241,7 +241,7 @@ def test_enumerate_points_in_lexicographic_order():
             if all(value.is_zero() for value in values):
                 want.append(coords)
     assert enumerate_points(e5, 2) == want and len(want) == count_points(e5, 2)
-    assert vec_field(field).tabulated
+    assert vec_field(field, 0).table_bytes
 
 
 def test_twisted_count_identity_is_plain_count():
@@ -286,7 +286,7 @@ def field_builds(field_requests, monkeypatch):
     """field_requests, where varieties.vec_field, which tabulates or
     enumerates a field of points, raises."""
 
-    def no_enumeration(field):
+    def no_enumeration(field, f):
         raise AssertionError(f"F_{field.p}^{field.e} was set up for enumeration")
 
     monkeypatch.setattr(varieties, "vec_field", no_enumeration)
@@ -632,8 +632,7 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     order.  The references are taken at the default chunk size."""
     e5, e7 = load_variety("elliptic_f5_variety.json"), load_variety("elliptic_f7_variety.json")
     points = enumerate_points(e5, 2)
-    tables = vec_field(fq_make(7, 3))
-    tables.prepare_pass(1)
+    tables = vec_field(fq_make(7, 3), 1)
     twists = [(case, twisted_count_by_enumeration(case[0], case[1], *case[3:])) for case in _twist_cases(2)]
     monkeypatch.setattr(gfvec, "CHUNK", chunk)
     rows = []
@@ -650,8 +649,8 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
         cubic = fermat_cubic(p, e, nv)
         assert count_points(cubic, 1) == brute_affine_count(cubic, 1), (p, e, nv)
     assert enumerate_points(e5, 2) == points
-    rebuilt = gfvec.VecField(fq_make(7, 3))
-    rebuilt.prepare_pass(1)
+    vec_field.cache_clear()
+    rebuilt = vec_field(fq_make(7, 3), 1)
     assert all((getattr(rebuilt, t) == getattr(tables, t)).all() for t in ("_exp", "_log", "_zech"))
     for (v, g, _, n, fixers), expected in twists:
         assert descended_count(v, g, n, fixers) == expected, (v, g, n, fixers)

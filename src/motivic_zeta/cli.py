@@ -35,7 +35,8 @@ from .series import DEFAULT_PRECISION, TruncatedSeries, WittElement, ghost_compo
 
 def _load(path: str):
     """The JSON document in the --in file; a file that cannot be read, is
-    not UTF-8, is not JSON or nests too deeply to decode is a
+    not UTF-8, is not JSON, holds an integer past the interpreter's limit
+    on str-to-int conversion or nests too deeply to decode is a
     ValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -46,6 +47,8 @@ def _load(path: str):
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise ValidationError(f"{path} cannot be decoded: {exc}") from None
     except RecursionError:
         raise ValidationError(f"{path} nests too deeply to decode") from None
 
@@ -482,6 +485,15 @@ def _open_out(path: str | None):
         raise ValidationError(f"cannot write --out: {exc}") from None
 
 
+def _failure(exc: MotivicZetaError, infile: str | None) -> tuple[str, int]:
+    """The envelope of a library error and its exit code."""
+    status, code = next((s, c) for kind, s, c in _FAILURES if isinstance(exc, kind))
+    payload = {"reason": str(exc), "input": infile}
+    if isinstance(exc, ResourceError):
+        payload.update(required=exc.required, budget=exc.budget)
+    return dumps({"status": status, "payload": payload}), code
+
+
 def main(argv: list[str] | None = None) -> int:
     infile, out = None, sys.stdout
     argv = sys.argv[1:] if argv is None else argv
@@ -493,11 +505,10 @@ def main(argv: list[str] | None = None) -> int:
             flags["data"] = _load(flags.pop("in"))
         text, code = dumps({"status": "ok", "payload": handler(**flags)}), 0
     except MotivicZetaError as exc:
-        status, code = next((s, c) for kind, s, c in _FAILURES if isinstance(exc, kind))
-        payload = {"reason": str(exc), "input": infile}
-        if isinstance(exc, ResourceError):
-            payload.update(required=exc.required, budget=exc.budget)
-        text = dumps({"status": status, "payload": payload})
+        try:
+            text, code = _failure(exc, infile)
+        except ResourceError as wide:  # required past the int digit limit
+            text, code = _failure(ResourceError(f"{exc}; {wide}", wide.required, wide.budget), infile)
     out.write(text + "\n")
     if out is not sys.stdout:
         out.close()

@@ -172,6 +172,15 @@ def _printable(n: int) -> int:
     return n
 
 
+def _int_text(n: int) -> str:
+    """n >= 0 for a message: in decimal, or past _printable's digit limit,
+    where str would raise, as the power of 2 it is at least."""
+    try:
+        return str(_printable(n))
+    except ResourceError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 def frac_to_str(x: Fraction) -> str:
     n, d = _printable(x.numerator), _printable(x.denominator)
     return str(n) if d == 1 else f"{n}/{d}"

@@ -496,6 +496,19 @@ def row_echelon(rows) -> tuple[list[list[FqElement]], list[int]]:
 
 
 @lru_cache(maxsize=None)
+def trace_column(field: FqField) -> tuple[int, ...]:
+    """Tr(x^i) for i < e, so that Tr(y) = sum_i y_i Tr(x^i) mod p.  The
+    conjugates of x are the roots of the modulus t^e + c_(e-1) t^(e-1) +
+    ... + c_0, so Tr(x^i) is their i-th power sum s_i, and Newton's
+    identities give s_0 = e and s_i = -(i c_(e-i) + sum_(0<j<i) c_(e-j) s_(i-j))."""
+    p, e, c = field.p, field.e, field.modulus
+    s = [e % p]
+    for i in range(1, e):
+        s.append(-(i * c[e - i] + sum(c[e - j] * s[i - j] for j in range(1, i))) % p)
+    return tuple(s)
+
+
+@lru_cache(maxsize=None)
 def fq_make(p: int, e: int) -> FqField:
     """Deterministic F_{p^e}: the modulus is the first monic irreducible
     polynomial in base-p counting order.  The first p candidates are the

@@ -1,13 +1,12 @@
 """Vectorized finite-field arithmetic on arrays of field elements.
 
-N elements of F_{p^k} form an integer array of shape (N,), one row per
+N elements of F_{p^k} form an int32 array of shape (N,), one row per
 element; a one-row array is a constant that broadcasts against N-row
 arrays.  Row i of digits_of_range(a, b, f) holds the f-tuple of elements
-whose tuple index is a + i.  Two engines share this layout and differ in
-what a row holds.  In both a row is unique to its element, so rows compare
-with ==, and a - b is add(a, scale(b, -1)).
+whose tuple index is a + i.  A row is unique to its element, so rows
+compare with ==, and a - b is add(a, mul(b, const(-1))).
 
-Tables: discrete logs.  Let g be the element of smallest packed index
+A row is a discrete log.  Let g be the element of smallest packed index
 among those of multiplicative order q - 1.  A row holds log_g of its
 element, in [0, q - 1), and 0 is the one sentinel ZERO = -2^29.  A product
 or a power is integer arithmetic mod q - 1, and a nonzero square is an
@@ -18,10 +17,13 @@ zero summand, so h - l >= -ZERO) is clipped to zech's last entry, 0, and
 back to a row, with no mask, as max(min(u, u - (q - 1)), ZERO) for u the
 uint32 view of s: u - (q - 1) wraps above u for 0 <= s < q - 1, lies
 below it otherwise, and a negative s stays negative, now below ZERO.
-Alongside zech, exp[i] = g^i as a packed index (exp[q - 1] = 0, so
-the uint32 view of ZERO clips to it) and log = exp^-1 (log[0] = ZERO)
+Alongside zech, exp[i] = g^i as a packed index sum_i c_i p^i over the
+coordinates c_i of the element, as in FqElement.to_int (exp[q - 1] = 0,
+so the uint32 view of ZERO clips to it), and log = exp^-1 (log[0] = ZERO)
 convert between logs and packed indices, for constants and for elements,
-linear_map and trace; the three tables take 12 bytes per element.
+linear_map and trace; the three tables take 12 bytes per element.  In
+characteristic 2 the absolute trace is the parity of the packed bits
+under the column Tr(x^i) of gf.trace_column.
 
 Every intermediate stays inside int32, since q <= TABLE_MAX < 2^24: a row
 is at least ZERO = -2^29; a sum of two rows lies in [-2^30, 2^25); a
@@ -31,58 +33,40 @@ int64 whenever e (q - 2) >= 2^31.
 
 Passes run in chunks of CHUNK = 2^14 rows (varieties._assignments), and
 so does the Zech swap of a table build.  A row array is then 64 KB of
-int32.  A table-engine op writes its intermediates with out= into its
-result and at most one scratch array, and the intp indices that np.take
-wants for the Zech gather go into one per-thread buffer of CHUNK rows.
-So the arrays a chunk keeps alive, a few hundred KB, fit in cache, and
-the allocator hands the same memory back chunk after chunk.  With 2^18-row
-chunks every temporary was about 1 MB of fresh pages, zeroed by the kernel
-on first touch: the job loop of a seed-1 counts-large-q round took 7039
-minor page faults, at 2-4 us each on a 2-core x86-64 container, against
-about 2100 now.
+int32.  An op writes its intermediates with out= into its result and at
+most one scratch array, and the intp indices that np.take wants for the
+Zech gather go into one per-thread buffer of CHUNK rows.  So the arrays a
+chunk keeps alive, a few hundred KB, fit in cache, and the allocator hands
+the same memory back chunk after chunk: 2^18-row chunks took about 1 MB
+of fresh pages per temporary (7039 minor page faults in a seed-1
+counts-large-q round against about 2100, on a 2-core x86-64 container).
 
-vec_field(field, f) builds the tables before it returns when its caller
-will run a pass over f >= 1 variables: such a pass has at least q rows,
-which the budget has already paid for, and the caller makes every array,
-constants included, after the build.  Only fields with
-q <= TABLE_MAX get tables.  exp is built by
-doubling: multiplication by g^m is a k x k F_p-linear map on digits, so
-each step is one digit matmul.  These run in float64, through BLAS, and
-are exact: every entry is an integer, and no value formed exceeds
-_table_bound(p, k) = max(k (p - 1)^2, p^k) + 1, which stays below 2^51 for
-every field TABLE_MAX admits (about 10^14 at k = 1).  A digit is reduced
-mod p as a - p floor((a + 1/2)(1/p)), or in a small array by np.fmod,
-exact as well, in one call.  The float quotient is off by less than
-(a + 1/2) 2^-52 / p, and (a + 1/2)/p lies at least 1/(2p) from an
+A VecField builds its tables when it is made, for at most TABLE_MAX
+elements: any larger field is a ResourceError (check_table_cap), which
+varieties raises before it builds the field.  exp is built by doubling: multiplication by g^m is a k x k F_p-linear
+map on digits, so each step is one digit matmul.  These run in float64,
+through BLAS, and are exact: every entry is an integer, and no value formed
+exceeds _table_bound(p, k) = max(k (p - 1)^2, p^k) + 1, which stays below
+2^51 for every field TABLE_MAX admits (about 10^14 at k = 1).  A digit is
+reduced mod p as a - p floor((a + 1/2)(1/p)), or in a small array by
+np.fmod, exact as well, in one call.  The float quotient is off by less
+than (a + 1/2) 2^-52 / p, and (a + 1/2)/p lies at least 1/(2p) from an
 integer, so below 2^51 the floor is exact; without the 1/2, a multiple of
 p can round to just below its quotient (fl(1/p) p 2^j < 2^j), and
 20011 * 2^j reduces to p instead of 0.  g is found by testing candidates
 against each cofactor (q - 1)/r, r a prime factor of q - 1: over F_p by
 pow(n, (q - 1)/r, p), above it by powers of its k x k digit matrix.
-
-Digits: packed indices.  Every other field (one only asked for with
-f = 0, for one-row charts, or q > TABLE_MAX) holds the packed index
-sum_i c_i p^i of each element, over the
-coefficients c_i of its polynomial in x, as in FqElement.to_int and the
-FqField.enumerate order.  It unpacks rows into base-p digits, multiplies
-by schoolbook convolution plus a reduction matrix for the modulus and
-packs the result.  Its dtypes are worked out from p and k, so it is exact
-for every prime: products accumulate in float64 while every intermediate
-stays below 2^53, else in int64, and past the int64 range in Python-int
-(object) arrays.  F_p-linear maps are applied as digit matrices
-(linear_map) in either engine; the absolute trace is one, with its column
-Tr(x^i) from Newton's identities, and in characteristic 2 it is the
-parity of the packed bits under that column.
 """
 
 from __future__ import annotations
 
 import threading
-from functools import cached_property
 
 import numpy as np
 
-from .gf import FqElement, FqField, _prime_factors
+from .errors import ResourceError
+from .exact_core import _int_text
+from .gf import FqElement, FqField, _prime_factors, trace_column
 
 CHUNK = 1 << 14  # rows per array in a pass: 64 KB of int32, so a chunk stays in cache (see above)
 TABLE_MAX = 10_000_000  # largest field given tables: varieties.DEFAULT_BUDGET
@@ -91,12 +75,12 @@ ZERO = np.int32(-(1 << 29))  # the row of 0 in the table engine, which holds log
 _scratch = threading.local()  # per thread: index, the intp buffer of _index_rows
 
 
-def _int_dtype(bound: int):
-    """Smallest signed integer dtype holding 0..bound; object past int64."""
-    for dtype in (np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return dtype
-    return object
+def check_table_cap(q: int) -> None:
+    """A pass over F_q runs on its tables, which only fields of at most
+    TABLE_MAX elements get: past that a ResourceError."""
+    if q > TABLE_MAX:
+        message = f"a pass over a field of {_int_text(q)} elements needs log tables, built for at most {TABLE_MAX}"
+        raise ResourceError(message, required=q, budget=TABLE_MAX)
 
 
 def _index_rows(a: np.ndarray) -> np.ndarray:
@@ -144,64 +128,53 @@ def _mod_p(a: np.ndarray, p: int, spare: np.ndarray) -> np.ndarray:
 
 
 class VecField:
+    """The rows and ring operations of one field, with its tables; a field
+    above TABLE_MAX is a ResourceError (check_table_cap)."""
+
     def __init__(self, field: FqField):
+        check_table_cap(field.q)
         self.field = field
-        self.p = p = field.p
-        self.k = k = field.e
-        self.q = q = field.q
-        self.dtype = _int_dtype(2 * (q - 1))  # a sum of two elements fits; int32 with tables
-        self._wide = _int_dtype(q)  # packing and unpacking
-        # largest intermediate of a digit product: k-term convolution sums,
-        # then k - 1 more terms from the reduction matmul
-        bound = k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))
-        self.acc_dtype = np.float64 if bound < 2**53 else _int_dtype(bound)
-        # reduction rows: x^{k+i} mod modulus as digit vectors, i = 0..k-2,
-        # the rows of the field's fold columns
-        rows = list(zip(*field._cols))
-        self._reduce = np.array(rows, dtype=object).reshape(k - 1, k).astype(self.acc_dtype)
-        self._exp = self._log = self._zech = None
-        self._zero = 0  # the row of 0: ZERO once the tables are built
+        self.p, self.k, self.q = field.p, field.e, field.q
+        self._tabulate()
 
     @property
     def table_bytes(self) -> int:
-        """Bytes held by the exp/log/Zech tables: 12 per element once built."""
-        return 0 if self._exp is None else self._exp.nbytes + self._log.nbytes + self._zech.nbytes
+        """Bytes held by the exp/log/Zech tables: 12 per element."""
+        return self._exp.nbytes + self._log.nbytes + self._zech.nbytes
 
     # --- rows ---
 
     def digits_of_range(self, start: int, stop: int, f: int = 1) -> list[np.ndarray]:
         """The f-tuples of F_q^f with tuple indices start..stop-1, as f
         arrays of rows.  Tuple index i = sum_j v_j q^(f-1-j): the
-        lexicographic order of the value indices v_j in [0, q), where v is
-        the packed index in the digit engine and, with tables, log v for
+        lexicographic order of the value indices v_j in [0, q), log v for
         v < q - 1 and 0 for v = q - 1."""
-        if f == 1 and self._exp is not None:
+        if f == 1:
             logs = np.arange(start, stop, dtype=np.int32)
             if stop == self.q:
                 logs[-1] = ZERO
             return [logs]
-        n = np.arange(start, stop, dtype=_int_dtype(max(stop, self.q)))
+        n = np.arange(start, stop, dtype=np.int32 if stop < 2**31 else np.int64)
         out = []
         for _ in range(f):
             # n mod q as n - q (n // q): numpy divides by a scalar through
             # libdivide for //, and about 8x slower for % (int32, 16 Ki rows)
             quo = n // self.q
             n -= quo * self.q
-            v = n.astype(self.dtype, copy=False)
-            if self._exp is not None:
-                np.putmask(v, v == self.q - 1, ZERO)
+            v = n.astype(np.int32, copy=False)
+            np.putmask(v, v == self.q - 1, ZERO)
             out.append(v)
             n = quo
         return out[::-1]
 
     def from_packed(self, n: np.ndarray) -> np.ndarray:
         """Rows of an array of packed indices."""
-        return n.astype(self.dtype) if self._exp is None else self._log.take(n)
+        return self._log.take(n)
 
     def packed(self, a: np.ndarray) -> np.ndarray:
         """The packed indices of rows; the uint32 view of ZERO clips to
         exp's last entry, 0."""
-        return a if self._exp is None else self._exp.take(a.view(np.uint32), mode="clip")
+        return self._exp.take(a.view(np.uint32), mode="clip")
 
     def const(self, c) -> np.ndarray:
         """c as a one-row array: an FqElement of this field, or an integer
@@ -218,100 +191,57 @@ class VecField:
     # --- arithmetic ---
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._exp is not None:
-            return self._add_logs(np.maximum(a, b), np.minimum(a, b))
-        if self.p == 2:
-            return a ^ b
-        if self.k == 1:
-            return (a + b) % self.p
-        return self._pack(self._unpack(a) + self._unpack(b))
-
-    def scale(self, a: np.ndarray, c: int) -> np.ndarray:
-        """c * a for an integer c, an element of the prime field."""
-        if self._exp is not None:
-            return self._reduce_log(a + self._log[c % self.p])
-        return self._pack(self._unpack(a) * (c % self.p))
+        return self._add_logs(np.maximum(a, b), np.minimum(a, b))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._exp is not None:
-            return self._reduce_log(a + b)
-        k = self.k
-        wa, wb = self._unpack(a), self._unpack(b)
-        conv = np.zeros((max(a.shape[0], b.shape[0]), 2 * k - 1), dtype=self.acc_dtype)
-        for i in range(k):
-            conv[:, i : i + k] += wa[:, i : i + 1] * wb
-        low = conv[:, :k]
-        if k > 1:
-            low = low + conv[:, k:] @ self._reduce
-        return self._pack(low)
+        return self._reduce_log(a + b)
 
     def power(self, a: np.ndarray, e: int) -> np.ndarray:
         if e == 0:
             return self.const(1)
-        if self._exp is not None:
-            order = self.q - 1
-            e %= order
-            if e == 1:  # x^e = x, as for Frobenius of the whole field
-                return a
-            # e * log a mod q - 1, with a zero row read as log 0; then the
-            # bits of ZERO, which no log has, are or-ed back into zero rows
-            logs = np.maximum(a, 0, dtype=np.int32 if e * (order - 1) < 2**31 else np.int64)
-            logs *= e
-            logs %= order
-            out = a & ZERO
-            out |= logs
-            return out
-        result = None
-        while e:
-            if e & 1:
-                result = a if result is None else self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
+        order = self.q - 1
+        e %= order
+        if e == 1:  # x^e = x, as for Frobenius of the whole field
+            return a
+        # e * log a mod q - 1, with a zero row read as log 0; then the bits
+        # of ZERO, which no log has, are or-ed back into zero rows
+        logs = np.maximum(a, 0, dtype=np.int32 if e * (order - 1) < 2**31 else np.int64)
+        logs *= e
+        logs %= order
+        out = a & ZERO
+        out |= logs
+        return out
 
-    def linear_map(self, a: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Apply the F_p-linear map from F_{p^k} to F_{p^j} whose i-th row
-        (j digits) is the image of x^i, as packed indices of F_{p^j}."""
-        return self._pack(self._unpack(self.packed(a)) @ m.astype(self.acc_dtype))
+    def linear_map(self, a: np.ndarray, m) -> np.ndarray:
+        """Apply the F_p-linear map from F_{p^k} to F_{p^j}, p^j < 2^63, whose
+        i-th row (j digits) is the image of x^i, as packed indices of F_{p^j};
+        int64 is exact, as a digit product sum is at most k (p - 1)^2 < 2^47."""
+        n = self.packed(a).astype(np.int64)
+        digits = np.stack([n // self.p**i % self.p for i in range(self.k)], axis=1)
+        image = digits @ np.asarray(m, dtype=np.int64) % self.p
+        return image @ self.p ** np.arange(image.shape[1], dtype=np.int64)
 
     def trace(self, a: np.ndarray) -> np.ndarray:
-        """Absolute trace to F_p of each row, as an integer array: in
-        characteristic 2 the parity of the packed bits i with Tr(x^i) = 1,
+        """Absolute trace to F_2 of each row, in characteristic 2 only, as
+        an integer array: the parity of the packed bits i with Tr(x^i) = 1,
         folded by XOR (np.bitwise_count needs numpy 2)."""
-        if self.p != 2:
-            return self.linear_map(a, self._trace_column)
-        x = self.packed(a) & sum(int(t) << i for i, t in enumerate(self._trace_column[:, 0]))
+        x = self.packed(a) & sum(t << i for i, t in enumerate(trace_column(self.field)))
         width = 1 << (self.k - 1).bit_length()  # a power of 2 >= k
         while width > 1:
             width >>= 1
             x ^= x >> width
         return x & 1
 
-    @cached_property
-    def _trace_column(self) -> np.ndarray:
-        """Tr(x^i) for i < k as a k x 1 digit matrix.  The conjugates of x
-        are the roots of the modulus t^k + c_(k-1) t^(k-1) + ... + c_0, so
-        Tr(x^i) is their i-th power sum s_i, and Newton's identities give
-        s_0 = k and s_i = -(i c_(k-i) + sum_(0<j<i) c_(k-j) s_(i-j))."""
-        p, k, c = self.p, self.k, self.field.modulus
-        s = [k % p]
-        for i in range(1, k):
-            s.append(-(i * c[k - i] + sum(c[k - j] * s[i - j] for j in range(1, i))) % p)
-        return np.array(s, dtype=object).reshape(k, 1)
-
     def is_square(self, a: np.ndarray) -> np.ndarray:
         """True where a is a nonzero square: a nonzero row in characteristic
-        2, an even log with tables (ZERO | 1 masks the parity and the bits
-        only ZERO has), else by Euler's criterion a^((q-1)/2) = 1."""
+        2, else an even log (ZERO | 1 masks the parity and the bits only
+        ZERO has)."""
         if self.p == 2:
-            return a != self._zero
-        if self._exp is not None:
-            return (a & (ZERO | 1)) == 0
-        return self.power(a, (self.q - 1) // 2) == self.const(1)
+            return a != ZERO
+        return (a & (ZERO | 1)) == 0
 
     def is_zero(self, a: np.ndarray) -> np.ndarray:
-        return a == self._zero
+        return a == ZERO
 
     def _add_logs(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """The row of g^hi + g^lo for rows hi >= lo, hi + zech[hi - lo]
@@ -334,27 +264,6 @@ class VecField:
             t = np.subtract(u, self._order, out=out.view(np.uint32))
         np.minimum(u, t, out=t)
         return np.maximum(out, ZERO, out=out)
-
-    # --- digit engine ---
-
-    def _unpack(self, a: np.ndarray) -> np.ndarray:
-        """(N, k) base-p digits of the rows, in the accumulator dtype."""
-        digits = np.empty((a.shape[0], self.k), dtype=self.acc_dtype)
-        n = a.astype(self._wide)
-        for i in range(self.k):
-            digits[:, i] = n % self.p
-            n = n // self.p
-        return digits
-
-    def _pack(self, digits: np.ndarray) -> np.ndarray:
-        """Packed rows of a digit array, reducing every digit mod p."""
-        digits = digits % self.p
-        if self.acc_dtype is np.float64:
-            digits = digits.astype(np.int64)
-        n = digits[:, -1].astype(self._wide)
-        for i in range(digits.shape[1] - 2, -1, -1):
-            n = n * self.p + digits[:, i]
-        return n.astype(self.dtype)
 
     # --- tables ---
 
@@ -411,7 +320,6 @@ class VecField:
             low[:], high[:] = high_logs[::-1], low_logs[::-1]
         self._exp, self._log, self._zech = exp, log, zech
         self._order = np.uint32(order)
-        self._zero = ZERO
 
     def _generator(self) -> list[int]:
         """Digits of the element of smallest packed index with multiplicative
@@ -456,16 +364,11 @@ class VecField:
 _fields: dict[FqField, VecField] = {}  # vec_field's cache, least recently used first
 
 
-def vec_field(field: FqField, f: int) -> VecField:
-    """The VecField of a field, shared so its tables are built once, for a
-    caller whose longest pass runs over f free variables.  When f >= 1 and
-    q <= TABLE_MAX the tables are built before this returns (see the module
-    docstring).  The most recently used fields are kept while their tables
-    take at most 12 TABLE_MAX bytes, those of one field of TABLE_MAX
-    elements; a field without tables costs nothing."""
+def vec_field(field: FqField) -> VecField:
+    """The VecField of a field, shared so its tables are built once.  The
+    most recently used fields are kept while their tables take at most
+    12 TABLE_MAX bytes, those of one field of TABLE_MAX elements."""
     vf = _fields.pop(field, None) or VecField(field)
-    if f and vf._exp is None and vf.q <= TABLE_MAX:
-        vf._tabulate()
     _fields[field] = vf
     held = sum(v.table_bytes for v in _fields.values())
     while held > 12 * TABLE_MAX:

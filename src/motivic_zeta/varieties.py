@@ -8,22 +8,20 @@ function (_counts), handed a route's list of (chart plan, n) requests,
 over normalized point representatives (projective: first nonzero
 coordinate = 1), each plan made once over its base field.  Charts cut out
 by no equations are counted in closed form; a chart with a single
-equation of degree 1 or 2 in some free variable enumerates the remaining
-variables and counts roots (discriminant squares in odd characteristic,
+equation of degree 1 or 2 in some free variable counts roots in it:
+from scalar coefficients when it is the only free variable, else over the
+assignments of the others (discriminant squares in odd characteristic,
 an absolute trace in characteristic 2); everything else is exhaustive.
 Enumeration work is metered against a budget (default 10^7 assignments
 per count, env MOTIVIC_ZETA_BUDGET or per-call override), and every
 request is charged before any F_{q^n} is built, so a refused route
 counts nothing (a descent below builds only F_{q^n} before its request
 is charged).  All enumeration runs through one iterator over chunks of
-at most gfvec.CHUNK = 2^14 assignments, each variable an array of rows:
-64 KB per array, so the arrays of a chunk stay in cache and reuse the
-same memory chunk after chunk, where 2^18-row chunks paged in fresh
-memory for every temporary (see gfvec).  A polynomial that is constant
-on the chart stays one row.  The rows are evaluated with gfvec: on
-exp/log/Zech tables, which vec_field builds when the longest pass to
-come has at least q rows and q <= 10^7, else on base-p digits, 10x
-slower at q = 10^6 and 100x or more in characteristic 2 or 3.
+at most gfvec.CHUNK = 2^14 assignments, each variable an array of rows,
+which stay in cache (see gfvec); a polynomial constant on the chart stays
+one row.  The rows are discrete logs on the field's exp/log/Zech tables,
+which only fields of at most gfvec.TABLE_MAX = 10^7 elements get: a pass
+over a larger field is a ResourceError, raised when it is charged.
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
 descent (Lang, Amer. J. Math. 78, 1956) in K = F_{q^n}[X]/(h), h monic
@@ -50,14 +48,15 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .errors import PreconditionError, ResourceError, ValidationError
 from .analytic import _poly_roots_certified
-from .exact_core import Polynomial, RationalFunction, _json_int, _monomial
-from .gf import FqElement, FqField, _fpoly_add, _fpoly_gcd, _fpoly_mulmod, _fpoly_powmod, _fpoly_rem, fq_make, is_prime, mobius, row_echelon
+from .exact_core import Polynomial, RationalFunction, _int_text, _json_int, _monomial
+from .gf import FqElement, FqField, _fpoly_add, _fpoly_gcd, _fpoly_mulmod, _fpoly_powmod, _fpoly_rem, fq_make, is_prime, mobius, row_echelon, trace_column
 from . import gfvec
 from .gfvec import VecField, vec_field
 from .reconstruct import NotStabilized, traces_to_zeta
@@ -83,19 +82,19 @@ def resolve_budget(budget: int | None) -> int:
     return budget
 
 
-def _charge(budget: int, amounts) -> None:
-    """Charge the assignments of each enumeration in turn; the first that
-    takes the running total past budget is a ResourceError naming that
-    total."""
+def _charge(budget: int, q: int, passes) -> None:
+    """Charge the q^m assignments of each pass over m variables of F_q in
+    turn; the first that takes the running total past budget is a
+    ResourceError naming that total, and so, then, is a pass over m >= 1
+    variables past the table cap (gfvec.check_table_cap)."""
     used = 0
-    for amount in amounts:
-        used += amount
+    for m in passes:
+        used += q**m
         if used > budget:
-            raise ResourceError(
-                f"enumeration of {used} assignments exceeds budget {budget}",
-                required=used,
-                budget=budget,
-            )
+            message = f"enumeration of {_int_text(used)} assignments exceeds budget {_int_text(budget)}"
+            raise ResourceError(message, required=used, budget=budget)
+    if any(passes):
+        gfvec.check_table_cap(q)
 
 
 Term = tuple[tuple[int, ...], "int | FqElement"]  # exponent vector, coefficient
@@ -264,7 +263,7 @@ def _specialize(poly: dict, fixed: dict, free: list[int]):
 def _assignments(vf: VecField, f: int):
     """The q^f assignments of f free variables in lexicographic order, in
     chunks of at most gfvec.CHUNK rows: yields (rows, one digit array per
-    variable).  With f = 0 there is one, empty, assignment."""
+    variable)."""
     total, chunk = vf.q**f, gfvec.CHUNK
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
@@ -275,8 +274,7 @@ def _evaluate(vf: VecField, polys, values) -> list:
     """Each polynomial ({exponent vector: FqElement of vf's field}) at
     every row of values, as an array of their rows, or of one row where it
     is constant, so arithmetic on it stays one row; powers of a variable
-    are shared across all terms, and a coefficient in the prime field
-    scales."""
+    are shared across all terms."""
     pows = {}
     out = []
     for terms in polys:
@@ -290,10 +288,8 @@ def _evaluate(vf: VecField, polys, values) -> list:
                     val = pows[i, e] if val is None else vf.mul(val, pows[i, e])
             if val is None:
                 val = vf.const(coeff)
-            elif any(coeff.coeffs[1:]):
+            elif coeff != vf.field.one():
                 val = vf.mul(val, vf.const(coeff))
-            elif coeff.coeffs[0] != 1:
-                val = vf.scale(val, coeff.coeffs[0])
             acc = val if acc is None else vf.add(acc, val)
         out.append(vf.const(0) if acc is None else acc)
     return out
@@ -355,11 +351,28 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
             inv_b2 = vf.power(vf.mul(b, b), q - 2)
             two = ~b0 & (vf.trace(vf.mul(vf.mul(a, c), inv_b2)) == 0)
         else:
-            disc = vf.add(vf.mul(b, b), vf.scale(vf.mul(a, c), -4))
+            disc = vf.add(vf.mul(b, b), vf.mul(vf.mul(a, c), vf.const(-4)))
             one = vf.is_zero(disc)
             two = vf.is_square(disc)
         total += _count(~a0 & one, rows) + 2 * _count(~a0 & two, rows)
     return total
+
+
+def _roots(terms: dict, field: FqField) -> int:
+    """Roots in field of a v^2 + b v + c, the one equation of a chart whose
+    only free variable is v, from scalar a, b and c, as _quadratic_count
+    counts them row by row (in characteristic 2 by Lidl and Niederreiter,
+    Finite Fields, Thm 2.25)."""
+    c, b, a = (terms.get((d,), field.zero()) for d in range(3))
+    if a.is_zero():
+        return 1 if not b.is_zero() else field.q if c.is_zero() else 0
+    if field.p == 2:
+        if b.is_zero():
+            return 1
+        y = a * c / (b * b)
+        return 0 if sum(map(mul, y.coeffs, trace_column(field))) % 2 else 2
+    disc = b * b - field.element(4) * a * c
+    return 1 if disc.is_zero() else 2 if disc ** ((field.q - 1) // 2) == field.one() else 0
 
 
 def _plan(kind: str, nv: int, base: FqField, polys: list[dict]):
@@ -384,21 +397,22 @@ def _counts(requests, budget: int | None) -> list[int]:
     budget = resolve_budget(budget)
     charged = []
     for (base, closed, charts), n in requests:
-        q = base.q**n
-        _charge(budget, [q**f if j is None else q ** (f - 1) for f, _, j in charts])
+        _charge(budget, base.q**n, [f - (j is not None) for f, _, j in charts])
         charged.append((base, closed, charts, n))
     counts = []
     for base, closed, charts, n in charged:
-        q = base.q**n
-        total = sum(q**f for f in closed)
+        total = sum(base.q ** (n * f) for f in closed)
         if charts:
-            vf = vec_field(fq_make(base.p, base.e * n), max(f - (j is not None) for f, _, j in charts))
+            field = fq_make(base.p, base.e * n)
         for f, eqs, j in charts:
-            eqs = [_poly(eq.items(), vf.field) for eq in eqs]
+            eqs = [_poly(eq.items(), field) for eq in eqs]
             if j is None:
+                vf = vec_field(field)
                 total += sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
+            elif f == 1:
+                total += _roots(eqs[0], field)
             else:
-                total += _quadratic_count(vf, eqs[0], f, j)
+                total += _quadratic_count(vec_field(field), eqs[0], f, j)
         counts.append(total)
     return counts
 
@@ -421,13 +435,18 @@ def point_counts(v: VarietySpec, n_max: int, budget: int | None = None) -> list[
 def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     """Normalized point representatives over F_{q^n}, chart by chart in
     lexicographic order of the packed indices of the free coordinates
-    (desk scale only).  Every chart is charged before F_{q^n} is built."""
+    (desk scale only); a chart with no free variables is one point.  Every
+    chart is charged before F_{q^n} is built."""
     charts = list(_charts(v.ambient_kind, v.num_vars, _equations(v)))
-    _charge(resolve_budget(budget), [v.q ** (n * len(free)) for _, free, _ in charts])
-    vf = vec_field(fq_make(v.p, v.e * n), max((len(free) for _, free, _ in charts), default=0))
+    _charge(resolve_budget(budget), v.q**n, [len(free) for _, free, _ in charts])
+    field = fq_make(v.p, v.e * n)
     points = []
     for fixed, free, eqs in charts:
-        eqs = [_poly(eq.items(), vf.field) for eq in eqs]
+        if not free:
+            points.append(tuple(field.element(fixed[i]) for i in range(v.num_vars)))
+            continue
+        vf = vec_field(field)
+        eqs = [_poly(eq.items(), field) for eq in eqs]
         chart = []
         for _, coords, mask in _chart_points(vf, v.num_vars, fixed, free, eqs):
             index = np.flatnonzero(mask)

@@ -94,7 +94,7 @@ def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
     fields only."""
     act = _normalize_matrix(v, g)
     big = fq_make(v.p, v.e * n * twist_degree(v, act))
-    vf = vec_field(big, v.num_vars)  # before the constants: rows may become logs
+    vf = vec_field(big)
 
     def embedded(m):
         return [[None if x.is_zero() else vf.const(v.base_field.embed(x, big)) for x in row] for row in m]
@@ -363,7 +363,7 @@ def generator_by_orders(field):
 def trace_column_by_frobenius(field) -> list[int]:
     """Tr(x^i) for i < e as x^i + (x^i)^p + ... + (x^i)^(p^(e-1)), by
     e - 1 Frobenius powers of each: a route independent of the Newton
-    identities behind VecField._trace_column."""
+    identities behind gf.trace_column."""
     column = []
     for i in range(field.e):
         y = acc = field.element([0] * i + [1])

@@ -617,6 +617,54 @@ def test_an_output_past_the_int_digit_limit_is_a_resource_error(tmp_path, argv):
     assert out["payload"]["budget"] == 4300 < out["payload"]["required"]
 
 
+def test_an_input_integer_past_the_int_digit_limit_is_a_validation_error(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text('{"f_plus": [[1' + "0" * 5000 + ']], "f_minus": []}')
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run(capsys, "motive", "det", "--in", str(path))
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert (code, out["status"]) == (1, "validation_error")
+    assert "5001 digits" in out["payload"]["reason"]
+
+
+@pytest.mark.parametrize("route", ["flag", "variable"])
+@pytest.mark.parametrize("case", ["charge", "table-cap"])
+def test_a_budget_of_4300_digits_ends_in_an_envelope(capsys, tmp_path, monkeypatch, route, case):
+    """Under a budget of 4300 nines a refusal's reason and numbers stay
+    printable: a cubic in 14300 variables over F_2 is charged 2^14300
+    assignments, 4305 digits, past the digit limit, so the envelope names
+    that limit; E/F_5 up to n = 6200 reaches the table cap at 5^11."""
+    nv = 14300
+    wide = {"ambient": {"affine": nv}, "p": 2, "equations": [[[[3] + [0] * (nv - 1), 1]]]}
+    argv = ["variety", "count"]
+    if case == "charge":
+        argv += ["--in", write(tmp_path, "wide.json", wide)]
+    else:
+        argv += ["--in", fixture("elliptic_f5_variety.json"), "--nmax", "6200"]
+    nines = "9" * 4300
+    if route == "flag":
+        argv += ["--budget", nines]
+    else:
+        monkeypatch.setenv("MOTIVIC_ZETA_BUDGET", nines)
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert (code, out["status"]) == (2, "resource_error")
+    payload = out["payload"]
+    if case == "charge":
+        assert f"at least 2^{nv} assignments exceeds budget {nines}" in payload["reason"]
+        assert payload["budget"] == 4300 < payload["required"]
+    else:
+        assert (payload["required"], payload["budget"]) == (5**11, 10**7)
+        assert "log tables" in payload["reason"]
+
+
 def test_every_berlekamp_massey_route_refuses_800_terms(capsys, tmp_path):
     # Berlekamp-Massey ran 4.25 s on 800 Artin-Mazur traces, and longer on
     # their exp series; reconstruct refuses both once the connection

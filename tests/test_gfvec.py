@@ -1,32 +1,26 @@
 """The vectorized field engine against scalar FqElement arithmetic, on
-seeded rows with forced zeros, through both of its engines: logs with
-exp/log/Zech tables and packed indices with base-p digits.  Rows are
-compared through one conversion, VecField.packed."""
+seeded rows with forced zeros: logs on exp/log/Zech tables.  Rows are
+compared through one conversion, VecField.packed.  A field past the table
+cap is refused."""
 
-import functools
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from motivic_zeta import VarietySpec, count_points, gfvec
-from motivic_zeta.gf import _prime_factors, fq_make
-from motivic_zeta.gfvec import TABLE_MAX, ZERO, VecField, _mod_p, _table_bound, vec_field
+from motivic_zeta.errors import ResourceError
+from motivic_zeta.gf import _prime_factors, fq_make, trace_column
+from motivic_zeta.gfvec import TABLE_MAX, ZERO, VecField, _mod_p, _table_bound, check_table_cap, vec_field
 from motivic_zeta.varieties import DEFAULT_BUDGET
 
 from conftest import generator_by_orders, trace_column_by_frobenius
 
 TABLED = [(2, 1), (3, 2), (2, 4), (2, 12), (5, 7), (3, 10), (65537, 1)]
-DIGITS = [(3, 10), (2, 24), (2**31 - 1, 1), (2**61 - 1, 1)]
-
-
-# a field asked for by a pass over one variable has tables; a bare VecField
-# has none, and neither has a field above TABLE_MAX (2^24 > TABLE_MAX)
-with_tables = functools.partial(vec_field, f=1)
-ENGINES = [pytest.param(with_tables, p, e, id=f"tables-{p}^{e}") for p, e in TABLED]
-ENGINES += [pytest.param(VecField, 127, 1, id="digits-127")]
-ENGINES += [pytest.param(VecField, p, e, id=f"digits-{p}^{e}") for p, e in DIGITS]
+PAST_THE_CAP = [(2, 24), (2**31 - 1, 1), (2**61 - 1, 1)]  # 2^24 > TABLE_MAX
+FIELDS = [pytest.param(p, e, id=f"tables-{p}^{e}") for p, e in TABLED]
 
 
 def operands(vf, seed):
@@ -62,7 +56,7 @@ def packed(values):
 
 def discriminant(vf, a, b, c):
     """b^2 - 4ac as the quadratic count forms it, with no subtraction."""
-    return vf.add(vf.mul(b, b), vf.scale(vf.mul(a, c), -4))
+    return vf.add(vf.mul(b, b), vf.mul(vf.mul(a, c), vf.const(-4)))
 
 
 def scalar_discriminants(vf, sa, sb, sc):
@@ -70,27 +64,26 @@ def scalar_discriminants(vf, sa, sb, sc):
     return packed(y * y - four * x * z for x, y, z in zip(sa, sb, sc))
 
 
-@pytest.mark.parametrize("make, p, e", ENGINES)
-def test_ring_operations_match_scalar_arithmetic(make, p, e):
-    vf = make(fq_make(p, e))
-    assert bool(vf.table_bytes) == (make is with_tables)  # the engine its id names
+@pytest.mark.parametrize("p, e", FIELDS)
+def test_ring_operations_match_scalar_arithmetic(p, e):
+    vf = vec_field(fq_make(p, e))
     a, b = operands(vf, p * 100 + e)
     sa, sb = scalars(vf, a), scalars(vf, b)
     assert indices(vf, vf.add(a, b)) == packed(x + y for x, y in zip(sa, sb))
-    assert indices(vf, vf.add(a, vf.scale(b, -1))) == packed(x - y for x, y in zip(sa, sb))
+    assert indices(vf, vf.add(a, vf.mul(b, vf.const(-1)))) == packed(x - y for x, y in zip(sa, sb))
     assert indices(vf, vf.mul(a, b)) == packed(x * y for x, y in zip(sa, sb))
     assert indices(vf, discriminant(vf, a, b, b[::-1].copy())) == scalar_discriminants(vf, sa, sb, sb[::-1])
     assert (a == b).tolist() == [x == y for x, y in zip(sa, sb)]
     assert vf.is_zero(a).tolist() == [x.is_zero() for x in sa]
     for c in (0, 1, -1, 2, p + 3):
         want = packed(vf.field.element(c) * x for x in sa)
-        assert indices(vf, vf.scale(a, c)) == want
-        assert indices(vf, vf.mul(vf.const(c), a)) == want  # one-row constants broadcast
+        assert indices(vf, vf.mul(a, vf.const(c))) == want  # one-row constants broadcast
+        assert indices(vf, vf.mul(vf.const(c), a)) == want
 
 
-@pytest.mark.parametrize("make, p, e", ENGINES)
-def test_powers_match_scalar_arithmetic(make, p, e):
-    vf = make(fq_make(p, e))
+@pytest.mark.parametrize("p, e", FIELDS)
+def test_powers_match_scalar_arithmetic(p, e):
+    vf = vec_field(fq_make(p, e))
     a, _ = operands(vf, p * 100 + e + 1)
     sa = scalars(vf, a)
     q = vf.q
@@ -100,9 +93,20 @@ def test_powers_match_scalar_arithmetic(make, p, e):
         assert got == packed(x**n for x in sa), n
 
 
-@pytest.mark.parametrize("make, p, e", ENGINES)
-def test_squares_and_traces_match_scalar_arithmetic(make, p, e):
-    vf = make(fq_make(p, e))
+def frobenius_trace(x):
+    """The absolute trace of x as x + x^p + ... + x^(p^(e-1))."""
+    f = x.field
+    acc = x
+    for _ in range(f.e - 1):
+        x = x**f.p
+        acc = acc + x
+    assert all(c == 0 for c in acc.coeffs[1:])
+    return acc.coeffs[0]
+
+
+@pytest.mark.parametrize("p, e", FIELDS)
+def test_squares_and_traces_match_scalar_arithmetic(p, e):
+    vf = vec_field(fq_make(p, e))
     a, _ = operands(vf, p * 100 + e + 2)
     sa = scalars(vf, a)
     one = vf.field.one()
@@ -111,51 +115,93 @@ def test_squares_and_traces_match_scalar_arithmetic(make, p, e):
     else:
         squares = [not x.is_zero() and x ** ((vf.q - 1) // 2) == one for x in sa]
     assert vf.is_square(a).tolist() == squares
-
-    def trace(x):
-        acc = x
-        for _ in range(e - 1):
-            x = x**p
-            acc = acc + x
-        assert all(c == 0 for c in acc.coeffs[1:])
-        return acc.coeffs[0]
-
-    assert vf.trace(a).tolist() == [trace(x) for x in sa]
+    traces = [frobenius_trace(x) for x in sa]
+    if p == 2:  # the parity route of the characteristic-2 quadratic count
+        assert vf.trace(a).tolist() == traces
+    column = np.array(trace_column(vf.field)).reshape(e, 1)
+    assert vf.linear_map(a, column).tolist() == traces
 
 
-@pytest.mark.parametrize("make, p, e", ENGINES)
-def test_elements_and_ranges(make, p, e):
-    vf = make(fq_make(p, e))
+@pytest.mark.parametrize("p, e", FIELDS)
+def test_linear_maps_match_scalar_arithmetic(p, e):
+    """linear_map against the scalar images of the F_p-linear maps it is
+    given: Frobenius x -> x^p, as a map of F_{p^e} to itself, and a seeded
+    matrix to F_{p^3}, each image digit sum_i c_i m[i][l] mod p."""
+    vf = vec_field(fq_make(p, e))
+    f = vf.field
+    a, _ = operands(vf, p * 100 + e + 4)
+    sa = scalars(vf, a)
+    frobenius = [list((f.element([0] * i + [1]) ** p).coeffs) for i in range(e)]
+    assert vf.linear_map(a, frobenius).tolist() == packed(x**p for x in sa)
+    rng = random.Random(p * 100 + e + 5)
+    m = [[rng.randrange(p) for _ in range(3)] for _ in range(e)]
+    want = []
+    for x in sa:
+        image = [sum(c * row[l] for c, row in zip(x.coeffs, m)) % p for l in range(3)]
+        want.append(image[0] + image[1] * p + image[2] * p * p)
+    assert vf.linear_map(a, m).tolist() == want
+
+
+@pytest.mark.parametrize("p, e", FIELDS)
+def test_elements_and_ranges(p, e):
+    vf = vec_field(fq_make(p, e))
     a, _ = operands(vf, p * 100 + e + 3)
     index = np.array([0, 3, len(a) - 1])
     assert vf.elements(a, index) == [vf.field.from_int(indices(vf, a)[i]) for i in index]
     assert vf.elements(vf.const(-1), index) == [-vf.field.one()] * 3
     # tuple index i = v_0 q + v_1 for two variables, v the value index of
-    # a row: its packed index, or with tables its log and q - 1 for zero
+    # a row: its log, and q - 1 for zero
     start = max(vf.q**2 - 7, 0)
-    x0, x1 = vf.digits_of_range(start, vf.q**2, 2)
-    if vf.table_bytes:
-        x0, x1 = (np.where(x == ZERO, vf.q - 1, x) for x in (x0, x1))
+    x0, x1 = (np.where(x == ZERO, vf.q - 1, x) for x in vf.digits_of_range(start, vf.q**2, 2))
     assert [int(u) * vf.q + int(w) for u, w in zip(x0, x1)] == list(range(start, vf.q**2))
 
 
+def plane_curve(p, e=1):
+    """y^2 z = x^3 + z^3 over F_{p^e}: the chart x = 1 is quadratic in y
+    and enumerates z, a pass over one variable."""
+    return VarietySpec("projective", 2, p, e, ((((0, 2, 1), 1), ((3, 0, 0), -1), ((0, 0, 3), -1)),))
+
+
 def test_tables_are_capped_at_the_default_budget():
+    """A pass over a field past TABLE_MAX = DEFAULT_BUDGET is refused under
+    a budget that pays for it, naming the cap, and so is its VecField; at
+    the default budget the charge refuses first.  No field gets tables."""
     assert TABLE_MAX == DEFAULT_BUDGET
-    assert not vec_field(fq_make(2**31 - 1, 1), 1).table_bytes
+    vec_field.cache_clear()
+    for p, n in ((2, 24), (2**31 - 1, 1)):
+        q = p**n
+        with pytest.raises(ResourceError) as err:
+            count_points(plane_curve(p), n, budget=10 * q)
+        assert (err.value.required, err.value.budget) == (q, TABLE_MAX)
+        with pytest.raises(ResourceError) as err:
+            vec_field(fq_make(p, n))
+        assert (err.value.required, err.value.budget) == (q, TABLE_MAX)
+        with pytest.raises(ResourceError) as err:
+            count_points(plane_curve(p), n)
+        assert err.value.budget == DEFAULT_BUDGET
+    assert not gfvec._fields
+    check_table_cap(TABLE_MAX)
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:  # a q past the int digit limit names its power of 2
+        with pytest.raises(ResourceError, match=r"at least 2\^100000 elements") as err:
+            check_table_cap(2**100000)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert (err.value.required, err.value.budget) == (2**100000, TABLE_MAX)
 
 
 def test_one_row_charts_build_no_tables():
     # x^2 = a y^2 on P^1 over F_127: the only chart with points has one
-    # free variable, and the quadratic shortcut enumerates none of them
+    # free variable, whose roots are counted from scalars
     vec_field.cache_clear()
     for a, points in ((2, 2), (3, 0)):  # 2 is a square mod 127, 3 is not
         conic = VarietySpec("projective", 1, 127, 1, ((((2, 0), 1), ((0, 2), -a)),))
         assert count_points(conic, 1, budget=10) == points
-    assert not vec_field(fq_make(127, 1), 0).table_bytes
+    assert not gfvec._fields
     # a curve in the plane enumerates q rows, and that pass builds them
-    curve = VarietySpec("projective", 2, 127, 1, ((((0, 2, 1), 1), ((3, 0, 0), -1), ((0, 0, 3), -1)),))
-    count_points(curve, 1)
-    assert vec_field(fq_make(127, 1), 0).table_bytes
+    count_points(plane_curve(127), 1)
+    assert list(gfvec._fields) == [fq_make(127, 1)]
 
 
 # --- how the tables are built: float64 digit products, the reduction mod p
@@ -172,7 +218,7 @@ def is_prime(n):
 def test_tables_match_scalar_powers(p, e):
     """exp[i] = g^i, log[g^i] = i and g^zech[d] = 1 + g^-d by scalar
     arithmetic, at every i when q <= 2^12 and at 2000 seeded i above."""
-    vf = vec_field(fq_make(p, e), 1)
+    vf = vec_field(fq_make(p, e))
     exp, log, zech = vf._exp, vf._log, vf._zech
     f, q = vf.field, vf.q
     order = q - 1
@@ -228,7 +274,7 @@ def test_table_build_values_stay_exact_in_float64(monkeypatch):
     vec_field.cache_clear()  # so that each field below is built here
     for p, k in ((3, 10), (7, 6), (13, 3), (65537, 1), (2, 12)):
         seen.clear()
-        vf = vec_field(fq_make(p, k), 1)
+        vf = vec_field(fq_make(p, k))
         assert 0 < max(seen) <= _table_bound(p, k) and vf._exp.max() < _table_bound(p, k)
 
 
@@ -244,7 +290,7 @@ def test_prime_field_generator_is_the_smallest_primitive_root(monkeypatch):
         f = fq_make(p, 1)
         assert VecField(f)._generator() == [generator_by_orders(f).to_int()], p
     vec_field.cache_clear()
-    assert vec_field(fq_make(20011, 1), 1).table_bytes  # a whole table build, _matrix_power refusing
+    assert vec_field(fq_make(20011, 1)).table_bytes  # a whole table build, _matrix_power refusing
 
 
 # g for the extension fields of TABLED, pinned as the digit-matrix search
@@ -274,20 +320,22 @@ def test_extension_field_generators_are_unchanged(p, e):
 # --- the trace column, the log engine's edge rows and its int32 range
 
 
-@pytest.mark.parametrize("p, e", sorted(set(TABLED + DIGITS)) + [(2, k) for k in range(1, 25)], ids=lambda x: str(x))
+@pytest.mark.parametrize("p, e", sorted(set(TABLED + PAST_THE_CAP)) + [(2, k) for k in range(1, 25)], ids=lambda x: str(x))
 def test_trace_column_by_newton_matches_frobenius_sums(p, e):
-    vf = VecField(fq_make(p, e))
-    assert vf._trace_column[:, 0].tolist() == trace_column_by_frobenius(vf.field)
+    vec_field.cache_clear()
+    field = fq_make(p, e)
+    assert list(trace_column(field)) == trace_column_by_frobenius(field)
+    assert not gfvec._fields  # the column is the field's, not its tables'
 
 
-@pytest.mark.parametrize("make, p, e", ENGINES)
-def test_edge_rows(make, p, e):
-    vf = make(fq_make(p, e))
+@pytest.mark.parametrize("p, e", FIELDS)
+def test_edge_rows(p, e):
+    vf = vec_field(fq_make(p, e))
     f, q = vf.field, vf.q
     zero, x = vf.const(0), vf.const(f.from_int(q - 1))
     minus_x = vf.const(-f.from_int(q - 1))
-    zero_rows = [vf.add(zero, zero), vf.add(x, minus_x), vf.add(x, vf.scale(x, -1)), vf.mul(zero, x), vf.mul(x, zero)]
-    zero_rows += [vf.scale(zero, 3), vf.scale(x, 0), vf.scale(x, p)]
+    zero_rows = [vf.add(zero, zero), vf.add(x, minus_x), vf.add(x, vf.mul(x, vf.const(-1))), vf.mul(zero, x), vf.mul(x, zero)]
+    zero_rows += [vf.mul(zero, vf.const(3)), vf.mul(x, vf.const(0)), vf.mul(x, vf.const(p))]
     zero_rows += [vf.power(zero, n) for n in (1, 2, q - 1, q, q + 1, 3 * q + 5)]
     for row in zero_rows:
         # a zero row is the one row of 0, so == and is_zero see it
@@ -309,7 +357,7 @@ def test_constants_made_before_a_pass_match_its_rows():
     """vec_field builds the tables before it returns, so a constant made
     before the pass, after that call, and the pass's rows are both logs."""
     vec_field.cache_clear()
-    vf = vec_field(fq_make(3, 4), 1)
+    vf = vec_field(fq_make(3, 4))
     consts = [vf.const(x) for x in vf.field.enumerate()]
     (rows,) = vf.digits_of_range(0, vf.q)
     assert vf.table_bytes and sorted(indices(vf, rows)) == list(range(vf.q))
@@ -328,15 +376,15 @@ def test_log_arithmetic_stays_in_int32_near_table_max():
     # reduced sum and the last exponent whose powers stay in int32
     zero = int(ZERO)
     assert 2 * zero - order >= -(2**31) and order - zero < 2**31 and 2 * order < 2**31
-    vf = vec_field(fq_make(p, 1), 1)
+    vf = vec_field(fq_make(p, 1))
     logs = [0, 1, order // 2 - 1, order // 2, order - 2, order - 1, ZERO]
     a = np.array([x for x in logs for _ in logs], dtype=np.int32)
     b = np.array([y for _ in logs for y in logs], dtype=np.int32)
     sa, sb = indices(vf, a), indices(vf, b)
     assert indices(vf, vf.mul(a, b)) == [x * y % p for x, y in zip(sa, sb)]
     assert indices(vf, vf.add(a, b)) == [(x + y) % p for x, y in zip(sa, sb)]
-    assert indices(vf, vf.add(a, vf.scale(b, -1))) == [(x - y) % p for x, y in zip(sa, sb)]
-    assert indices(vf, vf.scale(a, -1)) == [-x % p for x in sa]
+    assert indices(vf, vf.add(a, vf.mul(b, vf.const(-1)))) == [(x - y) % p for x, y in zip(sa, sb)]
+    assert indices(vf, vf.mul(a, vf.const(-1))) == [-x % p for x in sa]
     want = [(y * y - 4 * x * z) % p for x, y, z in zip(sa, sb, sb[::-1])]
     assert indices(vf, discriminant(vf, a, b, b[::-1].copy())) == want
     boundary = 2**31 // (order - 1)  # e * log stays in int32 up to here
@@ -351,14 +399,14 @@ def test_sums_past_a_chunk_match_scalar_arithmetic(monkeypatch):
     to a new array instead of the per-thread buffer, differences of rows
     from a one-row constant and of a constant from rows, and discriminants."""
     monkeypatch.setattr(gfvec, "CHUNK", 16)
-    vf = vec_field(fq_make(5, 3), 1)
+    vf = vec_field(fq_make(5, 3))
     a, b = operands(vf, 53)
     sa, sb = scalars(vf, a), scalars(vf, b)
     three = vf.field.element(3)
     assert indices(vf, vf.add(a, b)) == packed(x + y for x, y in zip(sa, sb))
-    assert indices(vf, vf.add(a, vf.scale(b, -1))) == packed(x - y for x, y in zip(sa, sb))
-    assert indices(vf, vf.add(vf.const(3), vf.scale(a, -1))) == packed(three - x for x in sa)
-    assert indices(vf, vf.add(a, vf.scale(vf.const(3), -1))) == packed(x - three for x in sa)
+    assert indices(vf, vf.add(a, vf.mul(b, vf.const(-1)))) == packed(x - y for x, y in zip(sa, sb))
+    assert indices(vf, vf.add(vf.const(3), vf.mul(a, vf.const(-1)))) == packed(three - x for x in sa)
+    assert indices(vf, vf.add(a, vf.mul(vf.const(3), vf.const(-1)))) == packed(x - three for x in sa)
     assert indices(vf, discriminant(vf, a, b, b[::-1].copy())) == scalar_discriminants(vf, sa, sb, sb[::-1])
     assert indices(vf, discriminant(vf, vf.const(3), a, b)) == scalar_discriminants(vf, [three] * len(sa), sa, sb)
 
@@ -384,15 +432,15 @@ def test_vec_field_keeps_tables_up_to_the_bytes_of_one_table_max_field(monkeypat
     fields = [fq_make(p, e) for p in (2, 3, 5, 7) for e in range(1, 15) if p**e <= 20_000][:33]
     for _ in range(2):
         for field in fields:
-            assert vec_field(field, 1).table_bytes and held() <= 12 * TABLE_MAX
+            assert vec_field(field).table_bytes and held() <= 12 * TABLE_MAX
     assert len(fields) == 33 and sorted(builds) == sorted(field.q for field in fields)
     monkeypatch.setattr(gfvec, "TABLE_MAX", 1000)  # a bound of 12 000 bytes
     vec_field.cache_clear()
-    old = vec_field(fq_make(2, 9), 1)  # 512 elements, 6144 bytes
+    old = vec_field(fq_make(2, 9))  # 512 elements, 6144 bytes
     assert old.table_bytes == 6144 and held() == 6144
     built = len(builds)
-    assert vec_field(fq_make(2, 9), 1) is old and len(builds) == built  # no second build
-    new = vec_field(fq_make(3, 6), 1)  # 729 elements, 8748 bytes: 14 892 with old's, so old's go
+    assert vec_field(fq_make(2, 9)) is old and len(builds) == built  # no second build
+    new = vec_field(fq_make(3, 6))  # 729 elements, 8748 bytes: 14 892 with old's, so old's go
     assert new.table_bytes == 8748 and held() == 8748
-    assert vec_field(fq_make(3, 6), 0) is new and vec_field(fq_make(2, 9), 0) is not old
+    assert vec_field(fq_make(3, 6)) is new and vec_field(fq_make(2, 9)) is not old
     vec_field.cache_clear()

@@ -254,7 +254,7 @@ def test_twisted_routes_charge_every_count_before_any_is_counted(monkeypatch, ro
     # so the route refuses before it sets up any field for enumeration
     monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
 
-    def no_enumeration(field, f):
+    def no_enumeration(field):
         raise AssertionError(f"F_{field.p}^{field.e} was set up for enumeration")
 
     monkeypatch.setattr(varieties, "vec_field", no_enumeration)

@@ -277,18 +277,7 @@ def cmd_orbifold(data, nmax, budget):
     return lfunctions.orbifold_zeta(*_variety_and_action(data), nmax, budget)
 
 
-# Berlekamp-Massey on the Artin-Mazur traces of x -> x^2 over F_5 takes
-# 0.5 s at nmax = 700 and 4 s at 800, so a larger nmax is refused
-ARTIN_MAZUR_MAX_NMAX = 700
-
-
 def cmd_artin_mazur(data, nmax):
-    if nmax > ARTIN_MAZUR_MAX_NMAX:
-        raise ResourceError(
-            f"artin-mazur --nmax {nmax} exceeds the cap {ARTIN_MAZUR_MAX_NMAX}",
-            required=nmax,
-            budget=ARTIN_MAZUR_MAX_NMAX,
-        )
     traces = motives.artin_mazur_traces(_int_key(data, "p"), _int_key(data, "m"), nmax)
     result = reconstruct.berlekamp_massey(traces)
     return {
@@ -485,15 +474,6 @@ def _open_out(path: str | None):
         raise ValidationError(f"cannot write --out: {exc}") from None
 
 
-def _failure(exc: MotivicZetaError, infile: str | None) -> tuple[str, int]:
-    """The envelope of a library error and its exit code."""
-    status, code = next((s, c) for kind, s, c in _FAILURES if isinstance(exc, kind))
-    payload = {"reason": str(exc), "input": infile}
-    if isinstance(exc, ResourceError):
-        payload.update(required=exc.required, budget=exc.budget)
-    return dumps({"status": status, "payload": payload}), code
-
-
 def main(argv: list[str] | None = None) -> int:
     infile, out = None, sys.stdout
     argv = sys.argv[1:] if argv is None else argv
@@ -505,10 +485,11 @@ def main(argv: list[str] | None = None) -> int:
             flags["data"] = _load(flags.pop("in"))
         text, code = dumps({"status": "ok", "payload": handler(**flags)}), 0
     except MotivicZetaError as exc:
-        try:
-            text, code = _failure(exc, infile)
-        except ResourceError as wide:  # required past the int digit limit
-            text, code = _failure(ResourceError(f"{exc}; {wide}", wide.required, wide.budget), infile)
+        status, code = next((s, c) for kind, s, c in _FAILURES if isinstance(exc, kind))
+        payload = {"reason": str(exc), "input": infile}
+        if isinstance(exc, ResourceError):  # charge keeps both printable
+            payload.update(required=exc.required, budget=exc.budget)
+        text = dumps({"status": status, "payload": payload})
     out.write(text + "\n")
     if out is not sys.stdout:
         out.close()

@@ -19,14 +19,13 @@ recurrence on integers scaled by powers of den(0).
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, NotInvertibleError, ResourceError, ValidationError
+from .errors import DimensionError, NotInvertibleError, ValidationError, _printable
 
 
 def _frac(x) -> Fraction:
@@ -153,32 +152,6 @@ def squarefree_factors(p: "Polynomial") -> list["Polynomial"]:
         d = _zsub(_zdiv(d, a), _zderiv(b))
         out.append(Polynomial([Fraction(x, a[-1]) for x in a]))
     return out
-
-
-def _printable(n: int) -> int:
-    """n, if its decimal digits are within the interpreter's limit on
-    int-to-str conversion (0 for none, as before Python 3.10.7); past it a
-    ResourceError, required bounding the digits by the bit length.  The
-    limit is process-wide and stays as set: it keeps outputs of many
-    thousand digits from being written."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    digits = n.bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103
-    if limit and digits > limit and abs(n) >= 10**limit:
-        raise ResourceError(
-            f"an output integer of up to {digits} digits passes the limit of {limit} digits",
-            required=digits,
-            budget=limit,
-        )
-    return n
-
-
-def _int_text(n: int) -> str:
-    """n >= 0 for a message: in decimal, or past _printable's digit limit,
-    where str would raise, as the power of 2 it is at least."""
-    try:
-        return str(_printable(n))
-    except ResourceError:
-        return f"at least 2^{n.bit_length() - 1}"
 
 
 def frac_to_str(x: Fraction) -> str:

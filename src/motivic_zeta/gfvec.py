@@ -42,12 +42,13 @@ of fresh pages per temporary (7039 minor page faults in a seed-1
 counts-large-q round against about 2100, on a 2-core x86-64 container).
 
 A VecField builds its tables when it is made, for at most TABLE_MAX
-elements: any larger field is a ResourceError (check_table_cap), which
-varieties raises before it builds the field.  exp is built by doubling: multiplication by g^m is a k x k F_p-linear
-map on digits, so each step is one digit matmul.  These run in float64,
-through BLAS, and are exact: every entry is an integer, and no value formed
-exceeds _table_bound(p, k) = max(k (p - 1)^2, p^k) + 1, which stays below
-2^51 for every field TABLE_MAX admits (about 10^14 at k = 1).  A digit is
+elements: a larger field is refused by errors.charge (kind TABLES), which
+varieties takes before it builds the field.  exp is built by doubling:
+multiplication by g^m is a k x k F_p-linear map on digits, so each step
+is one digit matmul.  These run in float64, through BLAS, and are
+exact: every entry is an integer, and no value formed exceeds
+_table_bound(p, k) = max(k (p - 1)^2, p^k) + 1, which stays below 2^51
+for every field TABLE_MAX admits (about 10^14 at k = 1).  A digit is
 reduced mod p as a - p floor((a + 1/2)(1/p)), or in a small array by
 np.fmod, exact as well, in one call.  The float quotient is off by less
 than (a + 1/2) 2^-52 / p, and (a + 1/2)/p lies at least 1/(2p) from an
@@ -64,23 +65,15 @@ import threading
 
 import numpy as np
 
-from .errors import ResourceError
-from .exact_core import _int_text
+from .errors import charge
 from .gf import FqElement, FqField, _prime_factors, trace_column
 
 CHUNK = 1 << 14  # rows per array in a pass: 64 KB of int32, so a chunk stays in cache (see above)
-TABLE_MAX = 10_000_000  # largest field given tables: varieties.DEFAULT_BUDGET
+TABLE_MAX = 10_000_000  # largest field given tables: errors.DEFAULT_BUDGET
+TABLES = "elements of a field given log tables"  # the kind charged against TABLE_MAX
 TABLE_BLOCK = 1 << 11  # digit columns per matmul while building tables; stays in cache
 ZERO = np.int32(-(1 << 29))  # the row of 0 in the table engine, which holds logs
 _scratch = threading.local()  # per thread: index, the intp buffer of _index_rows
-
-
-def check_table_cap(q: int) -> None:
-    """A pass over F_q runs on its tables, which only fields of at most
-    TABLE_MAX elements get: past that a ResourceError."""
-    if q > TABLE_MAX:
-        message = f"a pass over a field of {_int_text(q)} elements needs log tables, built for at most {TABLE_MAX}"
-        raise ResourceError(message, required=q, budget=TABLE_MAX)
 
 
 def _index_rows(a: np.ndarray) -> np.ndarray:
@@ -129,10 +122,10 @@ def _mod_p(a: np.ndarray, p: int, spare: np.ndarray) -> np.ndarray:
 
 class VecField:
     """The rows and ring operations of one field, with its tables; a field
-    above TABLE_MAX is a ResourceError (check_table_cap)."""
+    above TABLE_MAX is refused (charged as TABLES)."""
 
     def __init__(self, field: FqField):
-        check_table_cap(field.q)
+        charge(TABLES, field.q, TABLE_MAX)
         self.field = field
         self.p, self.k, self.q = field.p, field.e, field.q
         self._tabulate()

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, charge
 from .exact_core import _json_int
 
 
@@ -220,11 +220,13 @@ def beilinson_gram(n: int) -> EulerGram:
     chi_ij = C(n+j-i, n) for j >= i, 0 below the diagonal."""
     if n < 0:
         raise ValidationError("dimension must be >= 0")
+    charge("bits of a Beilinson Gram matrix", (n + 1) ** 2 * max(2 * n, 1), None)  # C(2n, n) < 4^n
     return EulerGram(tuple(tuple(math.comb(n + j - i, n) if j >= i else 0 for j in range(n + 1)) for i in range(n + 1)))
 
 
 def quiver_gram(vertices: int, arrows: Sequence[tuple[int, int]]) -> EulerGram:
     """Euler form of an acyclic quiver algebra: chi = I - arrow-count matrix."""
+    charge("entries of a quiver Gram matrix", vertices**2, None)
     counts = [[0] * vertices for _ in range(vertices)]
     for a, b in arrows:
         if not (0 <= a < vertices and 0 <= b < vertices):

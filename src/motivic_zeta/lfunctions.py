@@ -340,8 +340,8 @@ def l_function(
     character.check_against(action)
     m = character.m
     size = len(action)
-    eqs = _equations(v)
-    counts = _counts((_twisted(v, g, eqs, n) for n in range(1, n_max + 1) for g in action.elements), budget)
+    eqs = _equations(v, budget)
+    counts = _counts((_twisted(v, g, eqs, n, budget) for n in range(1, n_max + 1) for g in action.elements), budget)
     chi = [character.value_on_element(action, action.inverse[i]) for i in range(size)]
     traces = [
         sum((c * x for c, x in zip(chi, counts[k * size : (k + 1) * size])), Cyclotomic.rational(0, m)) * Fraction(1, size)
@@ -380,9 +380,9 @@ def orbifold_zeta(
     # the keys (h, g, n) of N_n(h; fix g) in the order the two routes read them
     keys = [(h, g, n) for g, cent in zip(action.class_reps, action.centralizers) for n in ns for h in cent]
     keys = list(dict.fromkeys(keys + [(h, g, n) for n in ns for g, h in pairs]))
-    eqs = _equations(v)
+    eqs = _equations(v, budget)
     fixed = [eqs + _fixer_equations(v, g) for g in action.elements]
-    requests = (_twisted(v, action.elements[h], fixed[g], n) for h, g, n in keys)
+    requests = (_twisted(v, action.elements[h], fixed[g], n, budget) for h, g, n in keys)
     count = dict(zip(keys, _counts(requests, budget)))
     class_terms = [
         [Fraction(sum(count[h, g, n] for h in cent), len(cent)) for n in ns]

@@ -26,9 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import NotInvertibleError, PreconditionError, ValidationError
+from .errors import NotInvertibleError, PreconditionError, ValidationError, charge
 from .exact_core import Polynomial, RatMatrix, RationalFunction, _monomial, char_poly
 from .gf import is_prime
+from .reconstruct import MAX_BITS
 from .series import DEFAULT_PRECISION, TruncatedSeries, WittElement, ghost_components
 
 
@@ -241,6 +242,7 @@ def artin_mazur_traces(p: int, m: int, n_max: int) -> list[int]:
         raise ValidationError("exponent must be coprime to the characteristic")
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
+    charge("bits of Artin-Mazur traces", (m - 1).bit_length() * n_max * (n_max + 1) // 2, MAX_BITS)
     out = []
     for n in range(1, n_max + 1):
         val = m**n - 1

@@ -9,9 +9,9 @@ otherwise NotStabilized is returned carrying the linear-complexity
 profile as evidence.  Either result carries the profile, so a caller that
 wants both runs Berlekamp-Massey once.  On a sequence that is not
 rational of low order the integers of the connection polynomial can grow
-with every update, and the run time with them, so Berlekamp-Massey raises
-ResourceError once they take more than MAX_BITS bits in all; a sequence
-of low order stays far below that, however long it is.
+with every update, and the run time with them, so Berlekamp-Massey
+charges their bits against MAX_BITS; a sequence of low order stays far
+below that, however long it is.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ResourceError, ValidationError
+from .errors import ValidationError, charge
 from .exact_core import Polynomial, RationalFunction, _frac, _integral, _primitive
 from .series import exp_from_traces
 
@@ -81,12 +81,7 @@ def _bm_core(seq: list[Fraction]):
             c = _primitive(c)
             size = sum(map(int.bit_length, c))
             if size > MAX_BITS:
-                raise ResourceError(
-                    f"Berlekamp-Massey's connection polynomial takes {size} bits "
-                    f"at term {i}, past the cap of {MAX_BITS}",
-                    required=size,
-                    budget=MAX_BITS,
-                )
+                charge("bits of Berlekamp-Massey's connection polynomial", size, MAX_BITS)
             if 2 * L <= i:
                 L = i + 1 - L
                 b, bb, m = t, d, 1

@@ -14,7 +14,8 @@ import json
 import math
 from fractions import Fraction
 
-from .exact_core import _printable, frac_to_str
+from .errors import _printable
+from .exact_core import frac_to_str
 
 
 def _round_float(x: float):

@@ -12,16 +12,14 @@ equation of degree 1 or 2 in some free variable counts roots in it:
 from scalar coefficients when it is the only free variable, else over the
 assignments of the others (discriminant squares in odd characteristic,
 an absolute trace in characteristic 2); everything else is exhaustive.
-Enumeration work is metered against a budget (default 10^7 assignments
-per count, env MOTIVIC_ZETA_BUDGET or per-call override), and every
-request is charged before any F_{q^n} is built, so a refused route
-counts nothing (a descent below builds only F_{q^n} before its request
-is charged).  All enumeration runs through one iterator over chunks of
-at most gfvec.CHUNK = 2^14 assignments, each variable an array of rows,
-which stay in cache (see gfvec); a polynomial constant on the chart stays
-one row.  The rows are discrete logs on the field's exp/log/Zech tables,
-which only fields of at most gfvec.TABLE_MAX = 10^7 elements get: a pass
-over a larger field is a ResourceError, raised when it is charged.
+Every request is charged before any F_{q^n} is built, so a refused route
+counts nothing: its chart sizes, assignments and its field's modulus
+search (a descent below charges and builds F_{q^n} first).  All
+enumeration runs through one iterator over chunks of at most gfvec.CHUNK
+= 2^14 assignments, each variable an array of rows, which stay in cache
+(see gfvec); a polynomial constant on the chart stays one row.  The rows
+are discrete logs on the field's exp/log/Zech tables, which only fields of
+at most gfvec.TABLE_MAX = 10^7 elements get, the cap their charge checks.
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
 descent (Lang, Amer. J. Math. 78, 1956) in K = F_{q^n}[X]/(h), h monic
@@ -42,9 +40,8 @@ shortcuts intact (_twisted makes that request).  A condition h' x = x
 from __future__ import annotations
 
 import functools
-import json
+import itertools
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,48 +50,39 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, ResourceError, ValidationError
+from .errors import PreconditionError, ValidationError, charge, resolve_budget
 from .analytic import _poly_roots_certified
-from .exact_core import Polynomial, RationalFunction, _int_text, _json_int, _monomial
+from .exact_core import Polynomial, RationalFunction, _json_int, _monomial
 from .gf import FqElement, FqField, _fpoly_add, _fpoly_gcd, _fpoly_mulmod, _fpoly_powmod, _fpoly_rem, fq_make, is_prime, mobius, row_echelon, trace_column
 from . import gfvec
 from .gfvec import VecField, vec_field
 from .reconstruct import NotStabilized, traces_to_zeta
 from .series import TruncatedSeries, WittElement, exp_from_traces
 
-DEFAULT_BUDGET = 10_000_000
+SIZES = "64-bit words of chart sizes q^f"
+SEARCH = "work of a modulus search"
+DESCENT = "work of a twist descent"
 
 
-def resolve_budget(budget: int | None) -> int:
-    """The budget given, else MOTIVIC_ZETA_BUDGET, else DEFAULT_BUDGET;
-    whichever it is, a budget below 0 is a ValidationError."""
-    if budget is None:
-        env = os.environ.get("MOTIVIC_ZETA_BUDGET")
-        if not env:
-            return DEFAULT_BUDGET
-        try:
-            env = json.loads(env)
-        except ValueError:
-            pass
-        budget = _json_int(env, "MOTIVIC_ZETA_BUDGET")
-    if budget < 0:
-        raise ValidationError(f"a budget must be >= 0, got {budget}")
-    return budget
-
-
-def _charge(budget: int, q: int, passes) -> None:
-    """Charge the q^m assignments of each pass over m variables of F_q in
-    turn; the first that takes the running total past budget is a
-    ResourceError naming that total, and so, then, is a pass over m >= 1
-    variables past the table cap (gfvec.check_table_cap)."""
+def _charge(budget: int | None, p: int, e: int, passes=()) -> None:
+    """Charge work over F_q, q = p^e, before F_q is built: the q^m
+    assignments of each pass over m variables as a running total, q's
+    tables if a pass has a variable, and F_q's modulus search, about e
+    Rabin tests of e^3 ceil(log2 p), none for e = 1 (F_{5^40}'s 2.6 10^6
+    took 1.6 s on a 2-core x86-64 host)."""
     used = 0
     for m in passes:
-        used += q**m
-        if used > budget:
-            message = f"enumeration of {_int_text(used)} assignments exceeds budget {_int_text(budget)}"
-            raise ResourceError(message, required=used, budget=budget)
+        used += p ** (e * m)
+        charge("assignments to enumerate", used, budget)
     if any(passes):
-        gfvec.check_table_cap(q)
+        charge(gfvec.TABLES, p**e, gfvec.TABLE_MAX)
+    charge(SEARCH, 0 if e == 1 else e**4 * (p - 1).bit_length(), budget)
+
+
+def _field(p: int, e: int, budget: int | None) -> FqField:
+    """fq_make(p, e), charged first."""
+    _charge(budget, p, e)
+    return fq_make(p, e)
 
 
 Term = tuple[tuple[int, ...], "int | FqElement"]  # exponent vector, coefficient
@@ -144,7 +132,7 @@ class VarietySpec:
 
     @property
     def base_field(self) -> FqField:
-        return fq_make(self.p, self.e)
+        return _field(self.p, self.e, None)
 
     @property
     def q(self) -> int:
@@ -183,7 +171,7 @@ class VarietySpec:
                 return _json_int(c, "coefficient")
             if not (is_prime(p) and 1 <= len(c) <= e):
                 raise ValidationError(f"a coefficient in F_{p}^{e} is a list of 1 to {e} integers, got {c!r}")
-            return fq_make(p, e).element([_json_int(x, "coefficient") for x in c])
+            return _field(p, e, None).element([_json_int(x, "coefficient") for x in c])
 
         raw = data.get("equations", [])
         try:
@@ -212,46 +200,47 @@ def affine_space(n: int, p: int, e: int = 1) -> VarietySpec:
 # --- charts ---
 
 
-def _equations(v: VarietySpec) -> list[dict]:
-    """The equations of v as polynomials over its base field, identically
-    zero ones dropped."""
-    base = v.base_field
+def _equations(v: VarietySpec, budget: int | None) -> list[dict]:
+    """The equations of v as polynomials over its base field, which is
+    built only for them, identically zero ones dropped."""
+    if not v.equations:
+        return []
+    base = _field(v.p, v.e, budget)
     return [poly for poly in (_poly(eq, base) for eq in v.equations) if poly]
 
 
-def _charts(kind: str, nv: int, polys: list[dict]):
-    """Yield (fixed, free, eqs) per chart of the kind ambient space in nv
-    variables, over the field of polys.  fixed maps a variable index to 0
-    or 1 (projective: the first nonzero coordinate is 1), free lists the
-    free variable indices and eqs holds polys restricted to the chart,
-    identically zero ones dropped.  Charts on which a polynomial is a
-    nonzero constant have no points and are skipped."""
-    if kind == "affine":
-        layouts = [({}, list(range(nv)))]
-    else:
-        layouts = [({**{j: 0 for j in range(i)}, i: 1}, list(range(i + 1, nv))) for i in range(nv)]
-    for fixed, free in layouts:
+def _charts(kind: str, nv: int, polys: list[dict], bits: int, budget: int | None):
+    """Yield (start, eqs) per chart of the kind ambient space in nv
+    variables, over the field of polys: the free variables are those from
+    start on, the fixed ones 0, ..., 0, 1 on P^N, and eqs holds polys
+    restricted to the chart, identically zero ones dropped; charts on which
+    a polynomial is a nonzero constant are skipped.  The sizes q^f, at most
+    f bits bits each, are charged in 64-bit words as the charts are made."""
+    words = 0
+    for start in [0] if kind == "affine" else range(1, nv + 1):
+        words += (nv - start) * bits
+        charge(SIZES, words >> 6, budget)
         eqs = []
         for eq in polys:
-            s = _specialize(eq, fixed, free)
+            s = _specialize(eq, start)
             if s is None:
                 continue
-            if list(s) == [(0,) * len(free)]:
+            if list(s) == [(0,) * (nv - start)]:
                 break  # a nonzero constant
             eqs.append(s)
         else:
-            yield fixed, free, eqs
+            yield start, eqs
 
 
-def _specialize(poly: dict, fixed: dict, free: list[int]):
-    """Restrict a polynomial to a chart; returns its terms over the free
-    variables as {reduced exponent vector: coefficient}, or None when it
-    is identically zero on the chart."""
+def _specialize(poly: dict, start: int):
+    """Restrict a polynomial to the chart whose free variables start at
+    start: its terms over them as {reduced exponent vector: coefficient},
+    or None when it is identically zero on the chart."""
     acc: dict[tuple[int, ...], FqElement] = {}
     for exps, coeff in poly.items():
-        if any(exps[j] > 0 and fixed[j] == 0 for j in fixed):
+        if any(exps[: max(start - 1, 0)]):
             continue  # a zeroed variable kills the term
-        key = tuple(exps[j] for j in free)
+        key = exps[start:]
         acc[key] = acc[key] + coeff if key in acc else coeff
     acc = {k: c for k, c in acc.items() if not c.is_zero()}
     return acc if acc else None
@@ -301,15 +290,6 @@ def _vanish(vf: VecField, eqs, values, rows: int):
     for val in _evaluate(vf, eqs, values):
         mask = mask & vf.is_zero(val)
     return mask
-
-
-def _chart_points(vf: VecField, nv: int, fixed: dict, free: list[int], eqs):
-    """Per chunk of a chart's assignments: (rows, the coordinates of all nv
-    variables with fixed ones as one-row constants, mask of the solutions)."""
-    consts = {i: vf.const(c) for i, c in fixed.items()}
-    for rows, values in _assignments(vf, len(free)):
-        coords = {**consts, **dict(zip(free, values))}
-        yield rows, [coords[i] for i in range(nv)], _vanish(vf, eqs, values, rows)
 
 
 # --- point counts ---
@@ -375,35 +355,37 @@ def _roots(terms: dict, field: FqField) -> int:
     return 1 if disc.is_zero() else 2 if disc ** ((field.q - 1) // 2) == field.one() else 0
 
 
-def _plan(kind: str, nv: int, base: FqField, polys: list[dict]):
-    """The chart plan, for every n, of polys over base in the kind ambient
-    space in nv variables: (base, the free-variable count f of each
-    closed-form chart, (f, eqs, quadratic variable or None) per other)."""
+def _plan(kind: str, nv: int, p: int, e: int, polys: list[dict], budget: int | None):
+    """The chart plan, for every n, of polys over F_{p^e} in the kind
+    ambient space in nv variables: (p, e, the free-variable count f of each
+    closed-form chart, (f, eqs, quadratic variable or None) per other),
+    its chart sizes charged at n = 1."""
     closed, charts = [], []
-    for _, free, eqs in _charts(kind, nv, polys):
-        f = len(free)
+    for start, eqs in _charts(kind, nv, polys, e * (p - 1).bit_length(), budget):
+        f = nv - start
         if not eqs:
             closed.append(f)
         else:
             j = _pick_quadratic_var(eqs[0], f) if len(eqs) == 1 else None
             charts.append((f, eqs, j))
-    return base, closed, charts
+    return p, e, closed, charts
 
 
 def _counts(requests, budget: int | None) -> list[int]:
     """#X(F_{q^n}) for each request (plan of X over F_q, n).  Each request
     is charged on its own as it arrives, and no field is built before all
     are charged, so a closed-form or refused count builds none."""
-    budget = resolve_budget(budget)
     charged = []
-    for (base, closed, charts), n in requests:
-        _charge(budget, base.q**n, [f - (j is not None) for f, _, j in charts])
-        charged.append((base, closed, charts, n))
-    counts = []
-    for base, closed, charts, n in charged:
-        total = sum(base.q ** (n * f) for f in closed)
+    for (p, e, closed, charts), n in requests:
+        charge(SIZES, (sum(closed) + sum(f for f, _, _ in charts)) * n * e * (p - 1).bit_length() >> 6, budget)
         if charts:
-            field = fq_make(base.p, base.e * n)
+            _charge(budget, p, e * n, [f - (j is not None) for f, _, j in charts])
+        charged.append((p, e * n, closed, charts))
+    counts = []
+    for p, e, closed, charts in charged:
+        total = sum(p ** (e * f) for f in closed)
+        if charts:
+            field = fq_make(p, e)
         for f, eqs, j in charts:
             eqs = [_poly(eq.items(), field) for eq in eqs]
             if j is None:
@@ -421,14 +403,14 @@ def count_points(v: VarietySpec, n: int, budget: int | None = None) -> int:
     """#X(F_{q^n}) by chart-wise enumeration of normalized representatives."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
-    return _counts([(_plan(v.ambient_kind, v.num_vars, v.base_field, _equations(v)), n)], budget)[0]
+    return _counts([(_plan(v.ambient_kind, v.num_vars, v.p, v.e, _equations(v, budget), budget), n)], budget)[0]
 
 
 def point_counts(v: VarietySpec, n_max: int, budget: int | None = None) -> list[int]:
     """[#X(F_{q^n}) for n = 1..n_max], each n charged before any is counted."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    plan = _plan(v.ambient_kind, v.num_vars, v.base_field, _equations(v))
+    plan = _plan(v.ambient_kind, v.num_vars, v.p, v.e, _equations(v, budget), budget)
     return _counts([(plan, n) for n in range(1, n_max + 1)], budget)
 
 
@@ -437,22 +419,23 @@ def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     lexicographic order of the packed indices of the free coordinates
     (desk scale only); a chart with no free variables is one point.  Every
     chart is charged before F_{q^n} is built."""
-    charts = list(_charts(v.ambient_kind, v.num_vars, _equations(v)))
-    _charge(resolve_budget(budget), v.q**n, [len(free) for _, free, _ in charts])
+    nv = v.num_vars
+    charts = list(_charts(v.ambient_kind, nv, _equations(v, budget), v.e * n * (v.p - 1).bit_length(), budget))
+    _charge(budget, v.p, v.e * n, [nv - start for start, _ in charts])
     field = fq_make(v.p, v.e * n)
     points = []
-    for fixed, free, eqs in charts:
-        if not free:
-            points.append(tuple(field.element(fixed[i]) for i in range(v.num_vars)))
+    for start, eqs in charts:
+        fixed = tuple(field.element(c) for c in ([0] * (start - 1) + [1] if start else []))
+        if start == nv:
+            points.append(fixed)
             continue
         vf = vec_field(field)
         eqs = [_poly(eq.items(), field) for eq in eqs]
         chart = []
-        for _, coords, mask in _chart_points(vf, v.num_vars, fixed, free, eqs):
-            index = np.flatnonzero(mask)
-            columns = [vf.elements(c, index) for c in coords]
-            chart += [tuple(col[i] for col in columns) for i in range(len(index))]
-        # rows with tables run in log order; the fixed coordinates are equal
+        for rows, values in _assignments(vf, nv - start):
+            index = np.flatnonzero(_vanish(vf, eqs, values, rows))
+            chart += [fixed + point for point in zip(*(vf.elements(c, index) for c in values))]
+        # rows with tables run in log order
         points += sorted(chart, key=lambda point: [x.to_int() for x in point])
     return points
 
@@ -483,18 +466,27 @@ def _normalize_matrix(v: VarietySpec, g) -> tuple[tuple[FqElement, ...], ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def _twist_order(kind: str, g) -> tuple[int, FqElement]:
-    """(r, lam) for a matrix g over the base field: the least r with
-    g^r = lam I, where lam = 1 on an affine variety (r is the order of g)
-    and any scalar on a projective one (r is the projective order)."""
-    zero, one = g[0][0].field.zero(), g[0][0].field.one()
+def _twist_order(kind: str, g, budget: int) -> tuple[int, FqElement]:
+    """(r, lam) for an invertible matrix g over the base field: the least r
+    with g^r = lam I, where lam = 1 on an affine variety (r is the order of
+    g) and any scalar on a projective one (r is the projective order); r
+    can be huge, so the descent of degree r + 1 is charged before it."""
+    field = g[0][0].field
+    zero, one = field.zero(), field.one()
     acc = g
-    for r in range(1, 10_001):
+    for r in itertools.count(1):
         lam = acc[0][0] if kind == "projective" else one
         if all(x == (lam if i == j else zero) for i, row in enumerate(acc) for j, x in enumerate(row)):
             return r, lam
+        charge(DESCENT, _descent_work(r + 1, field), budget)
         acc = _mat_mul(acc, g)
-    raise ValidationError("matrix has no finite order within the search limit")
+
+
+def _descent_work(r: int, small: FqField) -> int:
+    """_relative_modulus's work over small = F_{p^e}: about r candidates of
+    r/2 Frobenius powers of e log2 p squarings of r^2 products of e^2, so
+    r^4 e^2 ceil(log2 p); r = 30 over F_61's 4.9 10^6 took 1.7 s (as above)."""
+    return r**4 * small.e**2 * (small.p - 1).bit_length()
 
 
 def _mat_mul(a, b):
@@ -602,7 +594,7 @@ def _preserves(v: VarietySpec, g) -> bool:
     This proves that g maps X into itself; it is sufficient, not
     necessary, since the ideal of X may hold F(g x) outside that span."""
     base = v.base_field
-    polys = _equations(v)
+    polys = _equations(v, None)
     for f in polys:
         same = [p for p in polys if v.ambient_kind == "affine" or _degree(p) == _degree(f)]
         moved = _substitute(f, g)
@@ -616,26 +608,28 @@ def _preserves(v: VarietySpec, g) -> bool:
 
 def twisted_count(v: VarietySpec, g, n: int, budget: int | None = None) -> int:
     """#{x in X(F-bar) : g(Fr^n(x)) = x}, on a projective X up to a scalar.
-    Counted as the F_{q^n}-points of the twisted form of X, so it charges
-    the budget what count_points charges for that."""
+    Counted as the F_{q^n}-points of the twisted form of X: it charges what
+    count_points charges for that, after its descent (see _twisted)."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
     act = _normalize_matrix(v, g)
     if len(row_echelon(act)[1]) < len(act):
         raise ValidationError("group elements must be invertible")
-    return _counts([_twisted(v, act, _equations(v), n)], budget)[0]
+    return _counts([_twisted(v, act, _equations(v, budget), n, budget)], budget)[0]
 
 
-def _twisted(v: VarietySpec, g, eqs: list[dict], n: int):
+def _twisted(v: VarietySpec, g, eqs: list[dict], n: int, budget: int | None):
     """The request (plan, n) counting the x with g(Fr^n(x)) = x (on P^N up
     to a scalar) on the variety cut out by eqs over the base field: the
     plain plan at n for P^N and A^N or when g acts as the identity, else
-    the descended one at 1."""
-    r, lam = _twist_order(v.ambient_kind, g) if eqs else (1, None)
+    the descended one at 1, its field and descent charged first."""
+    kind, nv = v.ambient_kind, v.num_vars
+    r, lam = _twist_order(kind, g, resolve_budget(budget)) if eqs else (1, None)
     if r == 1:
-        return _plan(v.ambient_kind, v.num_vars, v.base_field, eqs), n
-    small = fq_make(v.p, v.e * n)
-    return _plan(v.ambient_kind, v.num_vars, small, _descend(v, g, r, lam, small, eqs)), 1
+        return _plan(kind, nv, v.p, v.e, eqs, budget), n
+    small = _field(v.p, v.e * n, budget)
+    charge(DESCENT, _descent_work(r, small), budget)
+    return _plan(kind, nv, small.p, small.e, _descend(v, g, r, lam, small, eqs), budget), 1
 
 
 class _Rel:
@@ -661,7 +655,7 @@ def _descend(v: VarietySpec, g, r: int, lam: FqElement, small: FqField, eqs: lis
     """The equations over small = F_{q^n} of the twisted form of the
     variety cut out by eqs (over the base field) under g Fr^n, where
     g^r = lam I and r > 1 (see _twist_order)."""
-    base, nv = v.base_field, v.num_vars
+    base, nv = lam.field, v.num_vars
     zero, one = small.zero(), small.one()
     c0 = base.embed(lam, small).inverse()
     h = _relative_modulus(small, r, -c0 if r % 2 else c0)

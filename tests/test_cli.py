@@ -14,7 +14,7 @@ import pytest
 
 import motivic_zeta
 from motivic_zeta import cli, lfunctions, measures
-from motivic_zeta.cli import ARTIN_MAZUR_MAX_NMAX, COMMANDS, REQUIRED, _parser, main
+from motivic_zeta.cli import COMMANDS, REQUIRED, _parser, main
 from motivic_zeta.gf import FqField
 from motivic_zeta.reconstruct import MAX_BITS
 from motivic_zeta.serialize import canonical, dumps
@@ -582,12 +582,15 @@ def test_artin_mazur(capsys):
 
 
 def test_artin_mazur_refuses_an_nmax_above_its_cap(capsys, monkeypatch):
-    # Berlekamp-Massey runs for seconds past the cap; the refusal comes
-    # before a single trace is computed
-    monkeypatch.setattr(motivic_zeta.motives, "artin_mazur_traces", None)
-    code, out = run(capsys, "artin-mazur", "--in", fixture("artin_mazur.json"), "--nmax", str(ARTIN_MAZUR_MAX_NMAX + 1))
+    # the traces of x -> x^2 up to n take n (n + 1) / 2 bits, charged
+    # against MAX_BITS: n = 1447 fits and 1448 does not, and the refusal
+    # comes before a trace is formed or Berlekamp-Massey runs
+    monkeypatch.setattr(motivic_zeta.reconstruct, "berlekamp_massey", None)
+    code, out = run(capsys, "artin-mazur", "--in", fixture("artin_mazur.json"), "--nmax", "1448")
     assert (code, out["status"]) == (2, "resource_error")
-    assert (out["payload"]["required"], out["payload"]["budget"]) == (701, 700)
+    assert (out["payload"]["required"], out["payload"]["budget"]) == (1448 * 1449 // 2, MAX_BITS)
+    assert "Artin-Mazur traces" in out["payload"]["reason"]
+    assert 1447 * 1448 // 2 <= MAX_BITS
 
 
 @pytest.mark.parametrize(
@@ -658,7 +661,7 @@ def test_a_budget_of_4300_digits_ends_in_an_envelope(capsys, tmp_path, monkeypat
     assert (code, out["status"]) == (2, "resource_error")
     payload = out["payload"]
     if case == "charge":
-        assert f"at least 2^{nv} assignments exceeds budget {nines}" in payload["reason"]
+        assert f"assignments to enumerate: at least 2^{nv} exceeds the budget of {nines}" in payload["reason"]
         assert payload["budget"] == 4300 < payload["required"]
     else:
         assert (payload["required"], payload["budget"]) == (5**11, 10**7)
@@ -668,7 +671,7 @@ def test_a_budget_of_4300_digits_ends_in_an_envelope(capsys, tmp_path, monkeypat
 def test_every_berlekamp_massey_route_refuses_800_terms(capsys, tmp_path):
     # Berlekamp-Massey ran 4.25 s on 800 Artin-Mazur traces, and longer on
     # their exp series; reconstruct refuses both once the connection
-    # polynomial passes MAX_BITS, and artin-mazur refuses --nmax 800 itself
+    # polynomial passes MAX_BITS (artin-mazur --nmax 800 is in test_cost)
     traces = motivic_zeta.artin_mazur_traces(5, 2, 800)
     routes = [
         ["reconstruct", "bm", "--in", write(tmp_path, "bm.json", {"sequence": traces})],
@@ -678,9 +681,6 @@ def test_every_berlekamp_massey_route_refuses_800_terms(capsys, tmp_path):
         code, out = run(capsys, *argv)
         assert (code, out["status"]) == (2, "resource_error"), argv
         assert out["payload"]["budget"] == MAX_BITS < out["payload"]["required"], argv
-    code, out = run(capsys, "artin-mazur", "--in", fixture("artin_mazur.json"), "--nmax", "800")
-    assert (code, out["status"]) == (2, "resource_error")
-    assert (out["payload"]["required"], out["payload"]["budget"]) == (800, 700)
 
 
 def test_berlekamp_massey_routes_answer_long_sequences_of_low_order(capsys, tmp_path):

@@ -13,8 +13,8 @@ import pytest
 from motivic_zeta import VarietySpec, count_points, gfvec
 from motivic_zeta.errors import ResourceError
 from motivic_zeta.gf import _prime_factors, fq_make, trace_column
-from motivic_zeta.gfvec import TABLE_MAX, ZERO, VecField, _mod_p, _table_bound, check_table_cap, vec_field
-from motivic_zeta.varieties import DEFAULT_BUDGET
+from motivic_zeta.errors import DEFAULT_BUDGET, charge
+from motivic_zeta.gfvec import TABLE_MAX, TABLES, ZERO, VecField, _mod_p, _table_bound, vec_field
 
 from conftest import generator_by_orders, trace_column_by_frobenius
 
@@ -180,15 +180,16 @@ def test_tables_are_capped_at_the_default_budget():
             count_points(plane_curve(p), n)
         assert err.value.budget == DEFAULT_BUDGET
     assert not gfvec._fields
-    check_table_cap(TABLE_MAX)
+    charge(TABLES, TABLE_MAX, TABLE_MAX)
     default = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
-    try:  # a q past the int digit limit names its power of 2
-        with pytest.raises(ResourceError, match=r"at least 2\^100000 elements") as err:
-            check_table_cap(2**100000)
+    try:  # a q past the int digit limit names its power of 2, and the
+        # refusal is that limit's, for at most 30104 digits
+        with pytest.raises(ResourceError, match=r"log tables: at least 2\^100000 exceeds") as err:
+            charge(TABLES, 2**100000, TABLE_MAX)
     finally:
         sys.set_int_max_str_digits(default)
-    assert (err.value.required, err.value.budget) == (2**100000, TABLE_MAX)
+    assert (err.value.required, err.value.budget) == (30104, 4300)
 
 
 def test_one_row_charts_build_no_tables():

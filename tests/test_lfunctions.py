@@ -232,16 +232,17 @@ def test_trivial_group_orbifold_is_plain_zeta(p1_f5):
 
 
 def test_repeated_l_function_respects_budget():
-    # y -> -y on E/F_5: the counts at n = 2 charge 50 assignments each, so a
-    # repeated call with budget 10 must refuse them, as a first call does
+    # y -> -y on E/F_5: its descent over F_5 charges 48 and the counts at
+    # n = 2 charge 50 assignments each, so a repeated call with budget 49
+    # must refuse them, as a first call does
     e5 = load_variety("elliptic_f5_variety.json")
     action = GroupAction(e5, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]])
     ls = l_function(e5, action, trivial_character(action), 2)
     assert ls.to_truncated_series() == zeta_from_counts(projective_space(1, 5), 2).series
-    assert l_function(e5, action, trivial_character(action), 1, budget=10).precision == 1
+    assert l_function(e5, action, trivial_character(action), 1, budget=49).precision == 1
     with pytest.raises(ResourceError) as err:
-        l_function(e5, action, trivial_character(action), 2, budget=10)
-    assert (err.value.required, err.value.budget) == (25, 10)
+        l_function(e5, action, trivial_character(action), 2, budget=49)
+    assert (err.value.required, err.value.budget) == (50, 49)
 
 
 FLIP = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]  # y -> -y

@@ -415,7 +415,9 @@ def test_weil_check_needs_a_count():
 def test_twisted_budget_is_charged_chart_by_chart():
     # E/F_5 over F_25: the chart x = 1 charges 25 (quadratic in y), the
     # chart x = 0, y = 1 charges 25 (z^3 - z, exhaustive); an identity twist
-    # is count_points itself and the twist y -> -y charges its descended count
+    # is count_points itself.  The twist y -> -y first charges its descent
+    # of degree 2 over F_25, 2^4 2^2 ceil(log2 5) = 192, then its descended
+    # count, 50
     e5 = load_variety("elliptic_f5_variety.json")
     ident, flip = [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
     with pytest.raises(ResourceError) as plain:
@@ -424,10 +426,10 @@ def test_twisted_budget_is_charged_chart_by_chart():
         twisted_count(e5, ident, 2, budget=27)
     assert (err.value.required, err.value.budget) == (plain.value.required, plain.value.budget) == (50, 27)
     assert twisted_count(e5, ident, 2, budget=50) == count_points(e5, 2) == 27
-    with pytest.raises(ResourceError) as err:
-        twisted_count(e5, flip, 2, budget=49)
-    assert (err.value.required, err.value.budget) == (50, 49)
-    assert twisted_count(e5, flip, 2, budget=50) == 25
+    with pytest.raises(ResourceError, match="twist descent") as err:
+        twisted_count(e5, flip, 2, budget=191)
+    assert (err.value.required, err.value.budget) == (192, 191)
+    assert twisted_count(e5, flip, 2, budget=192) == 25
 
 
 def test_refused_quadratic_twist_builds_only_its_field(field_builds):
@@ -455,7 +457,7 @@ def test_twist_of_large_order_descends_by_its_projective_order(field_requests, n
     # g(Fr^n(x)) proportional to x
     g = _normalize_matrix(P1_F13, [[0, 2], [1, 4]])
     assert (matrix_order(P1_F13, g), twist_degree(P1_F13, g)) == (168, 14)
-    assert varieties._twist_order("projective", g) == (14, P1_F13.base_field.element(11))
+    assert varieties._twist_order("projective", g, 10**7) == (14, P1_F13.base_field.element(11))
     assert twisted_count(P1_F13, g, n, budget=10**7) == 0
     assert set(field_requests) == {1, n}
 
@@ -644,8 +646,8 @@ def test_descent_matches_enumeration_oracle(p):
 
 def descended_count(v, g, n, fixers) -> int:
     """The count of a twist case by descent, fixers as extra equations."""
-    eqs = _equations(v) + [eq for h in fixers for eq in _fixer_equations(v, _normalize_matrix(v, h))]
-    return _counts([_twisted(v, _normalize_matrix(v, g), eqs, n)], None)[0]
+    eqs = _equations(v, None) + [eq for h in fixers for eq in _fixer_equations(v, _normalize_matrix(v, h))]
+    return _counts([_twisted(v, _normalize_matrix(v, g), eqs, n, None)], None)[0]
 
 
 # --- chunks and memory ---

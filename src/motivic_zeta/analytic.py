@@ -34,7 +34,7 @@ from .errors import (
     PoleError,
     PreconditionError,
 )
-from .exact_core import Polynomial, RatMatrix, squarefree_factors
+from .exact_core import Polynomial, RatMatrix, _frac, squarefree_factors
 from .gf import is_prime_power
 from .motives import TracedMotive, trace_sequence, zeta_rational
 
@@ -264,8 +264,9 @@ def _log_abs(t: Fraction) -> float:
 
 def rate_estimate(traces: Sequence) -> float:
     """max over the tail window (last ceil(N/2) indices) of (1/n)log|tr_n|;
-    zero traces are skipped; all-zero input gives -inf."""
-    values = [Fraction(t) if not isinstance(t, Fraction) else t for t in traces]
+    zero traces are skipped; all-zero input gives -inf.  Traces are exact
+    rationals as _frac reads them: a float or a bool is a ValidationError."""
+    values = [_frac(t) for t in traces]
     n = len(values)
     if n == 0:
         raise PreconditionError("need at least one trace")

@@ -391,17 +391,13 @@ class RationalFunction:
         return self + (-other)
 
     def substitute_reciprocal(self, scale=Fraction(1)) -> "RationalFunction":
-        """R(1/(scale*t)) as an exact rational function of t."""
+        """R(1/(scale*t)) as an exact rational function of t, scale nonzero:
+        t^d p(1/(s t)) = s^-d p.reversed(d)(s t), and s^-d cancels."""
         scale = _frac(scale)
+        if scale == 0:
+            raise ValidationError("the scale of a reciprocal substitution must be nonzero")
         d = max(self.num.degree, self.den.degree)
-        # R(1/(s t)) = (t^d num(1/(s t))) / (t^d den(1/(s t)))
-        num = Polynomial(
-            [self.num[d - i] * scale ** -(d - i) for i in range(d + 1)]
-        )
-        den = Polynomial(
-            [self.den[d - i] * scale ** -(d - i) for i in range(d + 1)]
-        )
-        return RationalFunction(num, den)
+        return RationalFunction(*(p.reversed(d).scale_argument(scale) for p in (self.num, self.den)))
 
     def evaluate(self, x):
         den_val = self.den.evaluate(x)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError, ValidationError
-from .exact_core import _frac
+from .exact_core import Polynomial, _frac
 from .gf import FqElement, mobius
 from .series import TruncatedSeries, WittElement, exp_from_traces
 from .varieties import (
@@ -77,21 +77,14 @@ def _fold(m: int, coeffs) -> tuple[Fraction, ...]:
     return tuple(low[:phi])
 
 
-def _reduced(m: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
-    """The Cyclotomic with phi(m) coordinates that are already reduced,
-    without the constructor's check and fold."""
-    x = object.__new__(Cyclotomic)
-    object.__setattr__(x, "m", m)
-    object.__setattr__(x, "coeffs", coeffs)
-    return x
-
-
 @dataclass(frozen=True)
 class Cyclotomic:
     """Element of Q(zeta_m) = Q[x]/(Phi_m), x a primitive m-th root of
     unity.  The constructor takes up to m coordinates over 1, x, x^2, ..
     and folds them mod Phi_m, so coeffs holds phi(m) coordinates over the
-    basis 1, x, .., x^(phi(m)-1), and equality and rationality are exact."""
+    basis 1, x, .., x^(phi(m)-1), and equality and rationality are exact.
+    Results come from the constructor, a product folded first: its
+    2 phi(m) - 1 coordinates may be more than m."""
 
     m: int
     coeffs: tuple[Fraction, ...]
@@ -117,26 +110,19 @@ class Cyclotomic:
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._match(other)
-        return _reduced(self.m, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
+        return Cyclotomic(self.m, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "Cyclotomic":
-        return _reduced(self.m, tuple([-a for a in self.coeffs]))
+        return Cyclotomic(self.m, tuple([-a for a in self.coeffs]))
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self + (-other)
 
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
-            return _reduced(self.m, tuple([a * other for a in self.coeffs]))
+            return Cyclotomic(self.m, tuple([a * other for a in self.coeffs]))
         self._match(other)
-        a, b = self.coeffs, other.coeffs
-        conv = [Fraction(0)] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return _reduced(self.m, _fold(self.m, conv))
+        return Cyclotomic(self.m, _fold(self.m, (Polynomial(self.coeffs) * Polynomial(other.coeffs)).coeffs))
 
     __rmul__ = __mul__
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError, charge, resolve_budget
 from .analytic import _poly_roots_certified
-from .exact_core import Polynomial, RationalFunction, _json_int, _monomial
+from .exact_core import RationalFunction, _json_int, _monomial
 from .gf import FqElement, FqField, _fpoly_add, _fpoly_gcd, _fpoly_mulmod, _fpoly_powmod, _fpoly_rem, fq_make, is_prime, mobius, row_echelon, trace_column
 from . import gfvec
 from .gfvec import VecField, vec_field
@@ -64,19 +64,22 @@ SEARCH = "work of a modulus search"
 DESCENT = "work of a twist descent"
 
 
-def _charge(budget: int | None, p: int, e: int, passes=()) -> None:
+def _charge(budget: int | None, p: int, e: int, passes=(), searches=None) -> None:
     """Charge work over F_q, q = p^e, before F_q is built: the q^m
     assignments of each pass over m variables as a running total, q's
     tables if a pass has a variable, and F_q's modulus search, about e
     Rabin tests of e^3 ceil(log2 p), none for e = 1 (F_{5^40}'s 2.6 10^6
-    took 1.6 s on a 2-core x86-64 host)."""
+    took 1.6 s on a 2-core x86-64 host), entered in searches, the caller's
+    searches by field if given, whose total is charged."""
     used = 0
     for m in passes:
         used += p ** (e * m)
         charge("assignments to enumerate", used, budget)
     if any(passes):
         charge(gfvec.TABLES, p**e, gfvec.TABLE_MAX)
-    charge(SEARCH, 0 if e == 1 else e**4 * (p - 1).bit_length(), budget)
+    searches = {} if searches is None else searches
+    searches[p, e] = 0 if e == 1 else e**4 * (p - 1).bit_length()
+    charge(SEARCH, sum(searches.values()), budget)
 
 
 def _field(p: int, e: int, budget: int | None) -> FqField:
@@ -373,13 +376,14 @@ def _plan(kind: str, nv: int, p: int, e: int, polys: list[dict], budget: int | N
 
 def _counts(requests, budget: int | None) -> list[int]:
     """#X(F_{q^n}) for each request (plan of X over F_q, n).  Each request
-    is charged on its own as it arrives, and no field is built before all
-    are charged, so a closed-form or refused count builds none."""
-    charged = []
+    is charged on its own as it arrives, but the modulus searches of the
+    distinct fields they build as a running total, and no field is built
+    before all are charged, so a closed-form or refused count builds none."""
+    charged, searches = [], {}
     for (p, e, closed, charts), n in requests:
         charge(SIZES, (sum(closed) + sum(f for f, _, _ in charts)) * n * e * (p - 1).bit_length() >> 6, budget)
         if charts:
-            _charge(budget, p, e * n, [f - (j is not None) for f, _, j in charts])
+            _charge(budget, p, e * n, [f - (j is not None) for f, _, j in charts], searches)
         charged.append((p, e * n, closed, charts))
     counts = []
     for p, e, closed, charts in charged:
@@ -786,18 +790,14 @@ def weil_check(
     e_deg = -zeta.degree
     q = v.q
 
-    fe_holds = False
-    sign = None
-    note = None
+    sign = note = None
     if (dim * e_deg) % 2 != 0:
         note = "dim*E odd: functional equation constant is irrational"
     else:
         lhs = zeta.substitute_reciprocal(scale=Fraction(q) ** dim)
         ratio = lhs / (_monomial(Fraction(q) ** (dim * e_deg // 2), e_deg) * zeta)
-        if ratio.den == Polynomial.one() and ratio.num == Polynomial.constant(1):
-            fe_holds, sign = True, 1
-        elif ratio.den == Polynomial.one() and ratio.num == Polynomial.constant(-1):
-            fe_holds, sign = True, -1
+        sign = next((s for s in (1, -1) if ratio == s), None)
+    fe_holds = sign is not None
 
     roots = [r for poly in (zeta.num, zeta.den) for r, mult in _poly_roots_certified(poly) for _ in range(mult)]
     moduli = [1.0 / abs(r) for r in roots]

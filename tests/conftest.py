@@ -16,6 +16,8 @@ import pytest
 from motivic_zeta import Polynomial, RatMatrix, RationalFunction, TracedMotive, VarietySpec, fq_make
 from motivic_zeta.errors import NotInvertibleError, ValidationError
 from motivic_zeta.exact_core import _integral
+from motivic_zeta.k0 import hermite_rows
+from motivic_zeta.lfunctions import _fold
 from motivic_zeta.reconstruct import NotStabilized
 from motivic_zeta.series import TruncatedSeries
 from motivic_zeta.gfvec import vec_field
@@ -282,6 +284,34 @@ def smith_diagonal_by_pivots(m) -> list[int]:
         else:
             d[t] = [a + b for a, b in zip(d[t], d[bad[0]])]
     return [d[i][i] for i in range(min(rows, cols))]
+
+
+def right_kernel_by_two_passes(chi) -> list[list[int]]:
+    """The integer right kernel of chi as the library found it before one
+    Hermite form per kernel: the Hermite form of [chi^T | I], then a second
+    Hermite form of the I-parts of its rows whose chi-part vanishes."""
+    n = len(chi)
+    rows = [[chi[j][i] for j in range(n)] + [int(i == k) for k in range(n)] for i in range(n)]
+    return hermite_rows([row[n:] for row in hermite_rows(rows) if not any(row[:n])])
+
+
+def substitute_reciprocal_by_powers(r: RationalFunction, scale) -> RationalFunction:
+    """R(1/(scale t)) with the reversal and the powers of scale written out,
+    as the library formed it before it used reversed and scale_argument."""
+    scale = Fraction(scale)
+    d = max(r.num.degree, r.den.degree)
+    num, den = (Polynomial([p[d - i] * scale ** -(d - i) for i in range(d + 1)]) for p in (r.num, r.den))
+    return RationalFunction(num, den)
+
+
+def cyclotomic_product_by_convolution(a, b) -> tuple[Fraction, ...]:
+    """The coordinates of a * b in Q(zeta_m) by the convolution loop that
+    Cyclotomic.__mul__ ran before it used Polynomial products."""
+    conv = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            conv[i + j] += x * y
+    return _fold(a.m, conv)
 
 
 def bm_core_by_fractions(seq: list[Fraction]):

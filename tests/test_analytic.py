@@ -28,7 +28,7 @@ from motivic_zeta import (
     trace_sequence,
 )
 from motivic_zeta.analytic import _nilpotent_log
-from motivic_zeta.errors import NotInvertibleError, NumericError, PoleError, PreconditionError
+from motivic_zeta.errors import NotInvertibleError, NumericError, PoleError, PreconditionError, ValidationError
 from motivic_zeta.exact_core import Polynomial, char_poly, squarefree_factors
 
 from conftest import log_q_lower_branch, nilpotent_log_by_series
@@ -71,8 +71,21 @@ def test_rate_exact_inapplicable_on_cancellation():
 
 
 def test_rate_estimate_tracks_exact(p1_motive):
-    traces = [float(t) for t in trace_sequence(p1_motive, 30)]
+    traces = list(trace_sequence(p1_motive, 30))
     assert abs(rate_estimate(traces) - math.log(5)) < 1e-3
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "two"])
+def test_rate_estimate_refuses_traces_that_are_not_exact_rationals(bad):
+    # a float, a bool or a string that is not a number was read as a
+    # rational: [1.5, 2.25, 3.375] gave 0.405 and [True, 2] 0.347
+    with pytest.raises(ValidationError):
+        rate_estimate([bad, 4])
+
+
+def test_rate_estimate_reads_ints_fractions_and_ratio_strings():
+    assert rate_estimate([3, Fraction(27, 1), "81/1"]) == rate_estimate([3, 27, 81]) == math.log(27) / 2
+    assert rate_estimate(["1/2", Fraction(1, 4)]) == math.log(Fraction(1, 4)) / 2
 
 
 def test_growth_bound(p1_motive, elliptic_f5_motive):

@@ -17,7 +17,7 @@ from motivic_zeta.cli import main
 from motivic_zeta.errors import DEFAULT_BUDGET, ResourceError
 from motivic_zeta.gf import fq_make
 from motivic_zeta.reconstruct import MAX_BITS
-from motivic_zeta.varieties import VarietySpec, count_points, enumerate_points, projective_space, twisted_count
+from motivic_zeta.varieties import VarietySpec, count_points, enumerate_points, point_counts, projective_space, twisted_count
 
 QUAD = [[[2, 0], 1], [[0, 2], 1]]  # x0^2 + x1^2: its one chart counts roots from scalars
 
@@ -45,8 +45,11 @@ CLI_CASES = [
     ("list-coefficient-e400", ["variety", "count"], p1(400, [[[[1, 1], [1]]]], p=2), SEARCH),
     ("lfun-e100000", ["lfun"], {**sign_action(p1(100000, [])), "character": {"m": 1, "values": [1, -1]}}, SEARCH),
     ("orbifold-e100000", ["orbifold"], sign_action(p1(100000, [])), SEARCH),
-    # each F_{5^n} a count builds is charged: n = 43 is the first past 10^7
+    # the searches of the fields F_{5^n} one count builds are summed:
+    # n = 2..28 is the first run past 10^7 (PINS), and --nmax 42, whose
+    # fields were charged one by one, took 17.5 s
     ("quadric-nmax60", ["variety", "count", "--nmax", "60"], p1(1, [QUAD]), SEARCH),
+    ("quadric-nmax42", ["variety", "count", "--nmax", "42"], p1(1, [QUAD]), SEARCH),
     ("quadric-nmax20", ["variety", "count", "--nmax", "20"], p1(1, [QUAD]), "ok"),
     # huge ambient spaces: the chart sizes are charged as the charts are made
     ("P^100000", ["variety", "count"], {"ambient": {"projective": 100000}, "p": 5}, SIZES),
@@ -58,13 +61,18 @@ CLI_CASES = [
     ("quiver-10^5", ["numk0", "quiver"], {"vertices": 10**5, "arrows": []}, "quiver Gram matrix"),
     ("beilinson-10^5", ["numk0", "beilinson", "--dim", "100000"], None, "Beilinson Gram matrix"),
     ("beilinson-10^40", ["numk0", "beilinson", "--dim", str(10**40)], None, "Beilinson Gram matrix"),
+    # a Gram that fits is charged its Hermite forms: this chain took 30.9 s
+    ("chain-900", ["numk0", "quiver"], {"vertices": 900, "arrows": [[i, i + 1] for i in range(899)]}, "Hermite form"),
     # Artin-Mazur: the traces are charged against MAX_BITS, which lets
     # 701 through (once a cap of its own); at 800 Berlekamp-Massey refuses
     # with required 1244981 (PINS)
     ("artin-mazur-701", ["artin-mazur", "--nmax", "701"], {"p": 5, "m": 2}, "ok"),
     ("artin-mazur-800", ["artin-mazur", "--nmax", "800"], {"p": 5, "m": 2}, "Berlekamp-Massey"),
 ]
-PINS = {("artin-mazur", "--nmax", "800"): (1244981, MAX_BITS)}
+PINS = {
+    ("artin-mazur", "--nmax", "800"): (1244981, MAX_BITS),
+    ("variety", "count", "--nmax"): (3 * sum(n**4 for n in range(2, 29)), DEFAULT_BUDGET),
+}
 
 
 @contextlib.contextmanager
@@ -151,3 +159,29 @@ def test_refusals_come_before_the_work_they_refuse(monkeypatch):
         twisted_count(FERMAT_13, ORDER_183, 1)
     with pytest.raises(ResourceError, match=SEARCH):
         VarietySpec.from_json(p1(400, [[[[1, 1], [1]]]], p=2))
+
+
+def test_one_count_sums_the_searches_of_its_distinct_fields(monkeypatch):
+    """F_{5^2}..F_{5^27} fit 10^7 together (3 sum n^4 = 9426183), so the
+    count reaches its first field; one more field, or the same requests
+    once more, is charged before any field is built."""
+
+    class Built(Exception):
+        pass
+
+    def build(p, e):
+        if e > 1:
+            raise Built(e)
+        return fq_make(p, e)
+
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+    monkeypatch.setattr(varieties, "fq_make", build)
+    v = VarietySpec.from_json(p1(1, [QUAD]))
+    with pytest.raises(Built):
+        point_counts(v, 27)
+    with pytest.raises(ResourceError, match=SEARCH) as err:
+        point_counts(v, 28)
+    assert (err.value.required, err.value.budget) == (11270151, DEFAULT_BUDGET)
+    plan = varieties._plan(v.ambient_kind, v.num_vars, v.p, v.e, varieties._equations(v, None), None)
+    with pytest.raises(Built):  # a field counted over twice is searched once
+        varieties._counts([(plan, n) for n in range(1, 28)] * 2, None)

@@ -25,7 +25,7 @@ from motivic_zeta.errors import (
     ValidationError,
 )
 
-from conftest import char_poly_by_leverrier, random_matrix
+from conftest import char_poly_by_leverrier, random_matrix, substitute_reciprocal_by_powers
 
 small_fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -152,6 +152,27 @@ def test_substitute_reciprocal():
     s = r.substitute_reciprocal(scale=5)
     expected = RationalFunction(Polynomial([0, 5]), Polynomial([-1, 5]))
     assert s == expected
+
+
+@pytest.mark.parametrize("scale", [1, 5, 125, -3, Fraction(2, 7), Fraction(-9, 4), "1/3"])
+def test_substitute_reciprocal_matches_the_written_out_powers(scale):
+    rng = random.Random(17)
+    for _ in range(40):
+        num = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))])
+        den = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))])
+        if den.is_zero():
+            continue
+        r = RationalFunction(num, den)
+        s = r.substitute_reciprocal(scale)
+        assert s == substitute_reciprocal_by_powers(r, Fraction(scale))
+        x = Fraction(3, 11)  # R(1/(s x)), where both sides are defined
+        if r.den.evaluate(1 / (Fraction(scale) * x)) != 0 and s.den.evaluate(x) != 0:
+            assert s.evaluate(x) == r.evaluate(1 / (Fraction(scale) * x))
+
+
+def test_substitute_reciprocal_refuses_a_zero_scale():
+    with pytest.raises(ValidationError, match="nonzero"):
+        RationalFunction(Polynomial.one(), Polynomial([1, -1])).substitute_reciprocal(0)
 
 
 def test_matrix_shapes_and_errors():

@@ -18,7 +18,7 @@ from motivic_zeta import (
     right_kernel,
 )
 from motivic_zeta import k0
-from motivic_zeta.errors import ValidationError
+from motivic_zeta.errors import ResourceError, ValidationError
 from motivic_zeta.exact_core import RatMatrix
 from motivic_zeta.k0 import (
     hermite_rows,
@@ -27,7 +27,7 @@ from motivic_zeta.k0 import (
 )
 from motivic_zeta.serialize import dumps
 
-from conftest import smith_diagonal_by_pivots
+from conftest import right_kernel_by_two_passes, smith_diagonal_by_pivots
 
 int_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -256,3 +256,94 @@ def test_kernel_saturation_by_hermite_form():
     assert not kernel_is_saturated([[2, 4, 6]])  # twice a primitive vector
     assert not kernel_is_saturated([[1, 1, 0], [1, -1, 0]])  # index 2 in its span
     assert not kernel_is_saturated([[0, 0, 0]])
+
+
+def gram_of_rank(rng, n, r, entry=3):
+    """An n x n integer Gram of rank at most r, a product of random n x r
+    and r x n factors, so not symmetric: its left and right kernels differ."""
+    left = [[rng.randint(-entry, entry) for _ in range(r)] for _ in range(n)]
+    right = [[rng.randint(-entry, entry) for _ in range(n)] for _ in range(r)]
+    return [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+
+
+def test_one_hermite_form_per_kernel_matches_two_passes():
+    rng = random.Random(29)
+    differ = 0
+    for n in range(9):
+        for r in range(n + 1):
+            for _ in range(6):
+                chi = gram_of_rank(rng, n, r)
+                g = EulerGram.from_rows(chi)
+                transpose = [list(col) for col in zip(*chi)]
+                assert right_kernel(g) == right_kernel_by_two_passes(chi), chi
+                assert left_kernel(g) == right_kernel_by_two_passes(transpose), chi
+                differ += right_kernel(g) != left_kernel(g)
+    assert differ > 100  # non-smooth Grams, whose kernels differ, are covered
+
+
+def test_each_kernel_is_one_hermite_form(monkeypatch):
+    calls = []
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return hermite_rows(vectors)
+
+    monkeypatch.setattr(k0, "hermite_rows", counting)
+    singular = EulerGram.from_rows(gram_of_rank(random.Random(5), 6, 3))
+    for call, forms in [
+        (lambda: right_kernel(singular), 1),
+        (lambda: left_kernel(singular), 1),
+        (lambda: num_grothendieck(singular), 2),
+        (lambda: phi_pairing_check(singular, singular), 2),
+    ]:
+        calls.clear()
+        call()
+        assert calls == [6] * forms
+
+
+@pytest.mark.parametrize(
+    "kernel, n, complement",
+    [
+        ([], 0, []),  # no coordinates at all
+        ([], 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),  # empty kernel: the whole lattice
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, []),  # full kernel: nothing left
+        ([[1, 0, 2], [0, 0, 1]], 3, [[0, 1, 0]]),  # pivots 0 and 2
+        ([[0, 1, -4, 7]], 4, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ],
+)
+def test_complement_basis_is_the_units_outside_the_pivots(kernel, n, complement):
+    assert k0._complement_basis(kernel, n) == complement
+
+
+def test_num_grothendieck_of_the_empty_and_the_zero_gram():
+    empty = num_grothendieck(EulerGram(()))
+    assert (empty.rank, empty.right_kernel_basis, empty.quotient_basis) == (0, [], [])
+    zero = num_grothendieck(EulerGram.from_rows([[0, 0], [0, 0]]))
+    assert (zero.rank, zero.right_kernel_basis, zero.quotient_basis) == (0, [[1, 0], [0, 1]], [])
+
+
+def test_hermite_work_is_charged_before_the_first_form(monkeypatch):
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+    monkeypatch.setattr(k0, "hermite_rows", lambda vectors: pytest.fail("a Hermite form ran before its charge"))
+    chain = quiver_gram(900, [(i, i + 1) for i in range(899)])
+    with pytest.raises(ResourceError, match=k0.HERMITE) as err:
+        num_grothendieck(chain)
+    assert (err.value.required, err.value.budget) == (900**3 // 8, 10**7)
+    # entries of 65 bits are charged two words each
+    wide = EulerGram.from_rows([[2**64, 0], [0, 1]])
+    monkeypatch.setenv("MOTIVIC_ZETA_BUDGET", "1")
+    with pytest.raises(ResourceError, match=k0.HERMITE) as err:
+        right_kernel(wide)
+    assert err.value.required == 2**3 * 2 // 8
+
+
+def test_the_hermite_charge_leaves_small_grams_far_below_the_budget(monkeypatch):
+    # the bench's Grams (n <= 8, entries of a few bits) and P^170, the
+    # largest Beilinson Gram that is allocated, answer at the default
+    monkeypatch.setenv("MOTIVIC_ZETA_BUDGET", "1000")
+    rng = random.Random(8)
+    for n in range(1, 9):
+        num_grothendieck(EulerGram.from_rows(gram_of_rank(rng, n, n - 1, 9)))
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET")
+    monkeypatch.setattr(k0, "hermite_rows", lambda vectors: [])  # the charge alone
+    assert num_grothendieck(beilinson_gram(170)).rank == 171

@@ -1,5 +1,6 @@
 """Equivariant L-series and orbifold zeta functions."""
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from motivic_zeta.errors import ResourceError, ValidationError
 from motivic_zeta.lfunctions import _exp_cyclotomic
 from motivic_zeta.varieties import VarietySpec, projective_space
 
-from conftest import load_json, load_variety
+from conftest import cyclotomic_product_by_convolution, load_json, load_variety
 
 
 @pytest.fixture
@@ -33,6 +34,23 @@ def p1_f5():
 @pytest.fixture
 def z2_action(p1_f5):
     return GroupAction(p1_f5, [[[1, 0], [0, 1]], [[-1, 0], [0, 1]]])
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_cyclotomic_products_match_the_convolution(m):
+    rng = random.Random(m)
+    zeta = cmath.exp(2j * cmath.pi / m)
+
+    def value(x):
+        return sum(complex(c) * zeta**k for k, c in enumerate(x.coeffs))
+
+    for _ in range(8):
+        a, b = (Cyclotomic(m, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(0, m)))) for _ in "ab")
+        product = a * b
+        assert product.coeffs == cyclotomic_product_by_convolution(a, b)
+        assert abs(value(product) - value(a) * value(b)) < 1e-9 * (1 + abs(value(a) * value(b)))
+        for result in (product, a + b, -a, a - b, a * Fraction(-3, 2)):
+            assert type(result) is Cyclotomic and len(result.coeffs) == len(a.coeffs)
 
 
 def test_cyclotomic_arithmetic():

@@ -334,7 +334,10 @@ def cmd_numk0_quiver(data):
     arrows = _key(data, "arrows")
     if not (isinstance(arrows, list) and all(isinstance(a, list) and len(a) == 2 for a in arrows)):
         raise ValidationError(f"arrows must be a list of [source, target] pairs, got {arrows!r}")
-    gram = k0.quiver_gram(_int_key(data, "vertices"), [tuple(_json_int(x, "arrow end") for x in a) for a in arrows])
+    vertices, arrows = _int_key(data, "vertices"), [tuple(_json_int(x, "arrow end") for x in a) for a in arrows]
+    k0.check_quiver(vertices, arrows)  # then the least its kernels cost, before it is built
+    k0.charge_hermite(vertices)
+    gram = k0.quiver_gram(vertices, arrows)
     return {"gram": gram, "report": k0.num_grothendieck(gram)}
 
 

@@ -152,12 +152,16 @@ def right_kernel(g: EulerGram) -> list[list[int]]:
     reduced positive pivots on the I-block: the kernel's Hermite basis.
     """
     n = g.n
-    # n^3 operations on entries of 1 + bits // 64 words, over 8: the two
-    # kernels of a 340-vertex chain (4.9 10^6 each) took 1.5 s on a 2-core x86-64 host
-    bits = max((max(map(abs, row)) for row in g.chi), default=0).bit_length()
-    charge(HERMITE, n**3 * (1 + bits // 64) >> 3, None)
+    charge_hermite(n, max((max(map(abs, row)) for row in g.chi), default=0).bit_length())
     rows = [[g.chi[j][i] for j in range(n)] + e for i, e in enumerate(_identity(n))]
     return [row[n:] for row in hermite_rows(rows) if not any(row[:n])]
+
+
+def charge_hermite(n: int, bits: int = 0) -> None:
+    """Charge a Hermite form of an n x n Gram of bits-bit entries (bits = 0:
+    the least any costs), n^3 operations on 1 + bits // 64 words, over 8;
+    a 340-vertex chain's two (4.9 10^6 each) took 1.5 s on a 2-core x86-64."""
+    charge(HERMITE, n**3 * (1 + bits // 64) >> 3, None)
 
 
 def left_kernel(g: EulerGram) -> list[list[int]]:
@@ -215,29 +219,36 @@ def beilinson_gram(n: int) -> EulerGram:
     return EulerGram(tuple(tuple(math.comb(n + j - i, n) if j >= i else 0 for j in range(n + 1)) for i in range(n + 1)))
 
 
-def quiver_gram(vertices: int, arrows: Sequence[tuple[int, int]]) -> EulerGram:
-    """Euler form of an acyclic quiver algebra: chi = I - arrow-count matrix."""
+def check_quiver(vertices: int, arrows: Sequence[tuple[int, int]]) -> None:
+    """Charge a quiver Gram's vertices^2 entries, then refuse an arrow out of
+    range or an oriented cycle in O(vertices + arrows), with no Gram: Kahn's
+    algorithm removes every vertex, source by source, iff there is none."""
     charge("entries of a quiver Gram matrix", vertices**2, None)
-    counts = [[0] * vertices for _ in range(vertices)]
+    heads: list[list[int]] = [[] for _ in range(vertices)]
+    indegree = [0] * vertices
     for a, b in arrows:
         if not (0 <= a < vertices and 0 <= b < vertices):
             raise ValidationError(f"arrow ({a},{b}) out of range")
-        counts[a][b] += 1
-    # Kahn's algorithm: the quiver is acyclic (no self-loops either) iff
-    # removing sources one by one removes every vertex
-    indegree = [sum(col) for col in zip(*counts)]
+        heads[a].append(b)
+        indegree[b] += 1
     sources = [x for x in range(vertices) if indegree[x] == 0]
     removed = 0
     while sources:
-        x = sources.pop()
         removed += 1
-        for y, c in enumerate(counts[x]):
-            if c:
-                indegree[y] -= c
-                if indegree[y] == 0:
-                    sources.append(y)
+        for y in heads[sources.pop()]:
+            indegree[y] -= 1
+            if indegree[y] == 0:
+                sources.append(y)
     if removed < vertices:
         raise ValidationError("quiver has a cycle")
+
+
+def quiver_gram(vertices: int, arrows: Sequence[tuple[int, int]]) -> EulerGram:
+    """Euler form of an acyclic quiver algebra: chi = I - arrow-count matrix."""
+    check_quiver(vertices, arrows)
+    counts = [[0] * vertices for _ in range(vertices)]
+    for a, b in arrows:
+        counts[a][b] += 1
     return EulerGram(tuple(tuple(int(i == j) - c for j, c in enumerate(row)) for i, row in enumerate(counts)))
 
 

@@ -11,7 +11,7 @@ x^(phi(m)-1).  Each N_n(g), and each count N_n(h; fix g) of the orbifold
 routes, is an ordinary count of a descended variety over F_{q^n}
 (varieties._twisted), as cheap as an untwisted count of the same size;
 a route hands all its (element, n) counts, each once, to varieties._counts,
-which charges every one before it counts any.  The orbifold
+which prices every one before it counts any.  The orbifold
 zeta function is computed along two independent routes, a direct trace
 formula summed over conjugacy classes and centralizers and the
 commuting-pairs sum over the whole group, and the two are compared.
@@ -30,16 +30,7 @@ from .errors import PreconditionError, ValidationError
 from .exact_core import Polynomial, _frac
 from .gf import FqElement, mobius
 from .series import TruncatedSeries, WittElement, exp_from_traces
-from .varieties import (
-    VarietySpec,
-    _counts,
-    _equations,
-    _fixer_equations,
-    _mat_mul,
-    _normalize_matrix,
-    _preserves,
-    _twisted,
-)
+from .varieties import VarietySpec, _counts, _equations, _fixer_equations, _mat_mul, _normalize_matrix, _preserves, _twisted
 
 
 @functools.cache

@@ -3,23 +3,21 @@
 Varieties are given by equations in an affine or projective ambient
 space over F_q, q = p^e, with integer coefficients (read mod p) or
 coefficients in F_q itself, each equation one polynomial over F_q.  Every
-count, of one n or of n = 1..n_max, twisted or not, runs through one
-function (_counts), handed a route's list of (chart plan, n) requests,
-over normalized point representatives (projective: first nonzero
-coordinate = 1), each plan made once over its base field.  Charts cut out
-by no equations are counted in closed form; a chart with a single
-equation of degree 1 or 2 in some free variable counts roots in it:
-from scalar coefficients when it is the only free variable, else over the
-assignments of the others (discriminant squares in odd characteristic,
-an absolute trace in characteristic 2); everything else is exhaustive.
-Every request is charged before any F_{q^n} is built, so a refused route
-counts nothing: its chart sizes, assignments and its field's modulus
-search (a descent below charges and builds F_{q^n} first).  All
-enumeration runs through one iterator over chunks of at most gfvec.CHUNK
-= 2^14 assignments, each variable an array of rows, which stay in cache
-(see gfvec); a polynomial constant on the chart stays one row.  The rows
-are discrete logs on the field's exp/log/Zech tables, which only fields of
-at most gfvec.TABLE_MAX = 10^7 elements get, the cap their charge checks.
+count, twisted or not, and every listing of points goes through one
+pricer (_priced), which takes a call's requests (what to count: ambient,
+field F_{p^e} and equations; at which n), charges all of them before any
+chart or field is made, and makes each distinct Plan once.  One executor
+(_run) counts a plan over normalized point representatives (projective:
+first nonzero coordinate = 1) by route: a chart cut out by no equations in
+closed form; one with a single equation of degree 1 or 2 in some free
+variable by its roots in it, from scalars when it is the only free
+variable, else over rows of assignments of the others (discriminant
+squares, or an absolute trace in characteristic 2); any other by
+enumeration, in chunks of at most gfvec.CHUNK = 2^14 assignments, each
+variable an array of rows, which stay in cache (see gfvec); a polynomial
+constant on the chart stays one row.  The rows are discrete logs on the
+field's exp/log/Zech tables, which only fields of at most gfvec.TABLE_MAX
+= 10^7 elements get, the cap their charge checks.
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
 descent (Lang, Amer. J. Math. 78, 1956) in K = F_{q^n}[X]/(h), h monic
@@ -62,29 +60,18 @@ from .series import TruncatedSeries, WittElement, exp_from_traces
 SIZES = "64-bit words of chart sizes q^f"
 SEARCH = "work of a modulus search"
 DESCENT = "work of a twist descent"
+CLOSED, ROOTS, ROWS, ENUMERATE = "closed form", "scalar roots", "quadratic rows", "enumeration"
 
 
-def _charge(budget: int | None, p: int, e: int, passes=(), searches=None) -> None:
-    """Charge work over F_q, q = p^e, before F_q is built: the q^m
-    assignments of each pass over m variables as a running total, q's
-    tables if a pass has a variable, and F_q's modulus search, about e
-    Rabin tests of e^3 ceil(log2 p), none for e = 1 (F_{5^40}'s 2.6 10^6
-    took 1.6 s on a 2-core x86-64 host), entered in searches, the caller's
-    searches by field if given, whose total is charged."""
-    used = 0
-    for m in passes:
-        used += p ** (e * m)
-        charge("assignments to enumerate", used, budget)
-    if any(passes):
-        charge(gfvec.TABLES, p**e, gfvec.TABLE_MAX)
-    searches = {} if searches is None else searches
-    searches[p, e] = 0 if e == 1 else e**4 * (p - 1).bit_length()
-    charge(SEARCH, sum(searches.values()), budget)
+def _search(p: int, e: int) -> int:
+    """fq_make(p, e)'s modulus search: about e Rabin tests of e^3 ceil(log2
+    p), none for e = 1 (F_{5^40}'s 2.6 10^6 took 1.6 s on a 2-core x86-64)."""
+    return 0 if e == 1 else e**4 * (p - 1).bit_length()
 
 
 def _field(p: int, e: int, budget: int | None) -> FqField:
-    """fq_make(p, e), charged first."""
-    _charge(budget, p, e)
+    """fq_make(p, e), its modulus search charged first."""
+    charge(SEARCH, _search(p, e), budget)
     return fq_make(p, e)
 
 
@@ -200,7 +187,7 @@ def affine_space(n: int, p: int, e: int = 1) -> VarietySpec:
     return VarietySpec("affine", n, p, e, ())
 
 
-# --- charts ---
+# --- charts and plans ---
 
 
 def _equations(v: VarietySpec, budget: int | None) -> list[dict]:
@@ -212,27 +199,39 @@ def _equations(v: VarietySpec, budget: int | None) -> list[dict]:
     return [poly for poly in (_poly(eq, base) for eq in v.equations) if poly]
 
 
-def _charts(kind: str, nv: int, polys: list[dict], bits: int, budget: int | None):
-    """Yield (start, eqs) per chart of the kind ambient space in nv
-    variables, over the field of polys: the free variables are those from
-    start on, the fixed ones 0, ..., 0, 1 on P^N, and eqs holds polys
-    restricted to the chart, identically zero ones dropped; charts on which
-    a polynomial is a nonzero constant are skipped.  The sizes q^f, at most
-    f bits bits each, are charged in 64-bit words as the charts are made."""
-    words = 0
+@dataclass(frozen=True)
+class Plan:
+    """X over F_{p^e} for every n: per chart with points, in chart order,
+    (route, f, eqs, j), f its free-variable count, eqs its equations and j
+    the free variable that ROOTS and ROWS solve for, else None."""
+
+    p: int
+    e: int
+    charts: tuple
+
+
+def _plan(kind: str, nv: int, p: int, e: int, polys: list[dict]) -> Plan:
+    """The Plan of polys over F_{p^e} in the kind ambient space in nv
+    variables.  A chart's free variables are those from start = nv - f on,
+    the fixed ones 0, ..., 0, 1 on P^N, and its equations are polys
+    restricted to it, identically zero ones dropped; a chart on which one
+    is a nonzero constant has no points and is left out."""
+    charts = []
     for start in [0] if kind == "affine" else range(1, nv + 1):
-        words += (nv - start) * bits
-        charge(SIZES, words >> 6, budget)
-        eqs = []
+        f, eqs = nv - start, []
         for eq in polys:
             s = _specialize(eq, start)
             if s is None:
                 continue
-            if list(s) == [(0,) * (nv - start)]:
+            if list(s) == [(0,) * f]:
                 break  # a nonzero constant
             eqs.append(s)
         else:
-            yield start, eqs
+            # the first free variable that a single equation has degree 1 or 2 in
+            j = next((j for j in range(f) if max(exps[j] for exps in eqs[0]) in (1, 2)), None) if len(eqs) == 1 else None
+            route = CLOSED if not eqs else ENUMERATE if j is None else ROOTS if f == 1 else ROWS
+            charts.append((route, f, tuple(eqs), j))
+    return Plan(p, e, tuple(charts))
 
 
 def _specialize(poly: dict, start: int):
@@ -298,15 +297,6 @@ def _vanish(vf: VecField, eqs, values, rows: int):
 # --- point counts ---
 
 
-def _pick_quadratic_var(terms: dict, f: int) -> int | None:
-    """Index of a free variable the equation is degree 1-2 in, or None."""
-    for j in range(f):
-        degs = {exps[j] for exps in terms}
-        if max(degs) in (1, 2):
-            return j
-    return None
-
-
 def _count(mask, rows: int) -> int:
     """The set entries of a mask of rows rows, or of one row that stands
     for all of them."""
@@ -358,85 +348,95 @@ def _roots(terms: dict, field: FqField) -> int:
     return 1 if disc.is_zero() else 2 if disc ** ((field.q - 1) // 2) == field.one() else 0
 
 
-def _plan(kind: str, nv: int, p: int, e: int, polys: list[dict], budget: int | None):
-    """The chart plan, for every n, of polys over F_{p^e} in the kind
-    ambient space in nv variables: (p, e, the free-variable count f of each
-    closed-form chart, (f, eqs, quadratic variable or None) per other),
-    its chart sizes charged at n = 1."""
-    closed, charts = [], []
-    for start, eqs in _charts(kind, nv, polys, e * (p - 1).bit_length(), budget):
-        f = nv - start
-        if not eqs:
-            closed.append(f)
-        else:
-            j = _pick_quadratic_var(eqs[0], f) if len(eqs) == 1 else None
-            charts.append((f, eqs, j))
-    return p, e, closed, charts
+def _priced(requests, budget: int | None, listing: bool = False) -> list[tuple[Plan, int]]:
+    """(plan, n) per request ((kind, nv, p, e, polys), n) of one call, each
+    distinct plan made once, charged before it is made and used: running
+    totals over the call of the words of the sizes q^(n f) of every chart of
+    the ambient (A^N: f = N; P^N: f = 0..N) and of the distinct fields'
+    modulus searches, and the request's own assignments (q^(f - 1) a chart
+    counted by roots, q^f one enumerated, every chart when listing)."""
+    plans, searches, words, priced = {}, {}, 0, []
+    for (kind, nv, p, e, polys), n in requests:
+        words += (nv if kind == "affine" else nv * (nv - 1) // 2) * e * n * (p - 1).bit_length()
+        charge(SIZES, words >> 6, budget)
+        key = (kind, nv, p, e, tuple(frozenset(poly.items()) for poly in polys))
+        if key not in plans:
+            plans[key] = _plan(kind, nv, p, e, polys)
+        plan = plans[key]
+        passes = [f if listing else f - (route != ENUMERATE) for route, f, _, _ in plan.charts if listing or route != CLOSED]
+        if passes:
+            q, used = p ** (e * n), 0
+            for m in passes:
+                used += q**m
+                charge("assignments to enumerate", used, budget)
+            if any(passes):
+                charge(gfvec.TABLES, q, gfvec.TABLE_MAX)
+            searches[p, e * n] = _search(p, e * n)
+            charge(SEARCH, sum(searches.values()), budget)
+        priced.append((plan, n))
+    return priced
 
 
 def _counts(requests, budget: int | None) -> list[int]:
-    """#X(F_{q^n}) for each request (plan of X over F_q, n).  Each request
-    is charged on its own as it arrives, but the modulus searches of the
-    distinct fields they build as a running total, and no field is built
-    before all are charged, so a closed-form or refused count builds none."""
-    charged, searches = [], {}
-    for (p, e, closed, charts), n in requests:
-        charge(SIZES, (sum(closed) + sum(f for f, _, _ in charts)) * n * e * (p - 1).bit_length() >> 6, budget)
-        if charts:
-            _charge(budget, p, e * n, [f - (j is not None) for f, _, j in charts], searches)
-        charged.append((p, e * n, closed, charts))
-    counts = []
-    for p, e, closed, charts in charged:
-        total = sum(p ** (e * f) for f in closed)
-        if charts:
-            field = fq_make(p, e)
-        for f, eqs, j in charts:
-            eqs = [_poly(eq.items(), field) for eq in eqs]
-            if j is None:
-                vf = vec_field(field)
-                total += sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
-            elif f == 1:
-                total += _roots(eqs[0], field)
-            else:
-                total += _quadratic_count(vec_field(field), eqs[0], f, j)
-        counts.append(total)
-    return counts
+    """#X(F_{q^n}) per request of one call, all priced before any is counted."""
+    return [_run(plan, n) for plan, n in _priced(requests, budget)]
+
+
+def _run(plan: Plan, n: int) -> int:
+    """#X(F_{q^n}) from a priced plan of X over F_q, chart by chart by route."""
+    total = 0
+    for route, f, eqs, j in plan.charts:
+        if route == CLOSED:
+            total += plan.p ** (plan.e * n * f)
+            continue
+        field = fq_make(plan.p, plan.e * n)
+        eqs = [_poly(eq.items(), field) for eq in eqs]
+        if route == ROOTS:
+            total += _roots(eqs[0], field)
+        elif route == ROWS:
+            total += _quadratic_count(vec_field(field), eqs[0], f, j)
+        else:
+            vf = vec_field(field)
+            total += sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
+    return total
+
+
+def _what(v: VarietySpec, budget: int | None) -> tuple:
+    return v.ambient_kind, v.num_vars, v.p, v.e, _equations(v, budget)
 
 
 def count_points(v: VarietySpec, n: int, budget: int | None = None) -> int:
     """#X(F_{q^n}) by chart-wise enumeration of normalized representatives."""
     if n < 1:
         raise PreconditionError("extension degree must be >= 1")
-    return _counts([(_plan(v.ambient_kind, v.num_vars, v.p, v.e, _equations(v, budget), budget), n)], budget)[0]
+    return _counts([(_what(v, budget), n)], budget)[0]
 
 
 def point_counts(v: VarietySpec, n_max: int, budget: int | None = None) -> list[int]:
     """[#X(F_{q^n}) for n = 1..n_max], each n charged before any is counted."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    plan = _plan(v.ambient_kind, v.num_vars, v.p, v.e, _equations(v, budget), budget)
-    return _counts([(plan, n) for n in range(1, n_max + 1)], budget)
+    what = _what(v, budget)
+    return _counts(((what, n) for n in range(1, n_max + 1)), budget)
 
 
 def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     """Normalized point representatives over F_{q^n}, chart by chart in
     lexicographic order of the packed indices of the free coordinates
     (desk scale only); a chart with no free variables is one point.  Every
-    chart is charged before F_{q^n} is built."""
-    nv = v.num_vars
-    charts = list(_charts(v.ambient_kind, nv, _equations(v, budget), v.e * n * (v.p - 1).bit_length(), budget))
-    _charge(budget, v.p, v.e * n, [nv - start for start, _ in charts])
-    field = fq_make(v.p, v.e * n)
+    chart is priced as an enumeration before F_{q^n} is built."""
+    ((plan, n),) = _priced([(_what(v, budget), n)], budget, listing=True)
     points = []
-    for start, eqs in charts:
-        fixed = tuple(field.element(c) for c in ([0] * (start - 1) + [1] if start else []))
-        if start == nv:
+    for _, f, eqs, _ in plan.charts:
+        field, start = fq_make(v.p, v.e * n), v.num_vars - f
+        fixed = tuple(field.element(int(i == start - 1)) for i in range(start))
+        if not f:
             points.append(fixed)
             continue
         vf = vec_field(field)
         eqs = [_poly(eq.items(), field) for eq in eqs]
         chart = []
-        for rows, values in _assignments(vf, nv - start):
+        for rows, values in _assignments(vf, f):
             index = np.flatnonzero(_vanish(vf, eqs, values, rows))
             chart += [fixed + point for point in zip(*(vf.elements(c, index) for c in values))]
         # rows with tables run in log order
@@ -494,14 +494,8 @@ def _descent_work(r: int, small: FqField) -> int:
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(n)), a[0][0].field.zero())
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    zero = a[0][0].field.zero()
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)) for row in a)
 
 
 # --- polynomials over a field: {exponent vector: nonzero FqElement} ---
@@ -623,17 +617,17 @@ def twisted_count(v: VarietySpec, g, n: int, budget: int | None = None) -> int:
 
 
 def _twisted(v: VarietySpec, g, eqs: list[dict], n: int, budget: int | None):
-    """The request (plan, n) counting the x with g(Fr^n(x)) = x (on P^N up
-    to a scalar) on the variety cut out by eqs over the base field: the
-    plain plan at n for P^N and A^N or when g acts as the identity, else
-    the descended one at 1, its field and descent charged first."""
+    """The request counting the x with g(Fr^n(x)) = x (on P^N up to a
+    scalar) on the variety cut out by eqs over the base field: eqs at n for
+    P^N and A^N or when g acts as the identity, else the descended
+    equations over F_{q^n} at 1, that field and the descent charged first."""
     kind, nv = v.ambient_kind, v.num_vars
     r, lam = _twist_order(kind, g, resolve_budget(budget)) if eqs else (1, None)
     if r == 1:
-        return _plan(kind, nv, v.p, v.e, eqs, budget), n
+        return (kind, nv, v.p, v.e, eqs), n
     small = _field(v.p, v.e * n, budget)
     charge(DESCENT, _descent_work(r, small), budget)
-    return _plan(kind, nv, small.p, small.e, _descend(v, g, r, lam, small, eqs), budget), 1
+    return (kind, nv, small.p, small.e, _descend(v, g, r, lam, small, eqs)), 1
 
 
 class _Rel:

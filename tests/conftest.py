@@ -21,7 +21,7 @@ from motivic_zeta.lfunctions import _fold
 from motivic_zeta.reconstruct import NotStabilized
 from motivic_zeta.series import TruncatedSeries
 from motivic_zeta.gfvec import vec_field
-from motivic_zeta.varieties import _assignments, _charts, _equations, _normalize_matrix, _poly, _vanish
+from motivic_zeta.varieties import _assignments, _equations, _normalize_matrix, _plan, _poly, _vanish
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "motivic_zeta" / "fixtures"
 VARIETY_FIXTURES = sorted(path.name for path in FIXTURES.glob("*_variety.json"))
@@ -117,10 +117,10 @@ def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
     twist = embedded(act)
     fix = [embedded(_normalize_matrix(v, h)) for h in fixers]
     total = 0
-    for start, eqs in _charts(v.ambient_kind, v.num_vars, _equations(v, None), 0, 0):
-        eqs = [_poly(eq.items(), big) for eq in eqs]
+    for _, f, eqs, _ in _plan(v.ambient_kind, v.num_vars, v.p, v.e, _equations(v, None)).charts:
+        start, eqs = v.num_vars - f, [_poly(eq.items(), big) for eq in eqs]
         consts = [vf.const(c) for c in ([0] * (start - 1) + [1] if start else [])]
-        for rows, values in _assignments(vf, v.num_vars - start):
+        for rows, values in _assignments(vf, f):
             coords, mask = consts + list(values), _vanish(vf, eqs, values, rows)
             for m in fix:
                 mask = mask & same_point(apply(m, coords), coords)

@@ -12,12 +12,14 @@ import signal
 import pytest
 
 import motivic_zeta
-from motivic_zeta import varieties
+from motivic_zeta import k0, varieties
 from motivic_zeta.cli import main
 from motivic_zeta.errors import DEFAULT_BUDGET, ResourceError
 from motivic_zeta.gf import fq_make
 from motivic_zeta.reconstruct import MAX_BITS
 from motivic_zeta.varieties import VarietySpec, count_points, enumerate_points, point_counts, projective_space, twisted_count
+
+from conftest import load_json
 
 QUAD = [[[2, 0], 1], [[0, 2], 1]]  # x0^2 + x1^2: its one chart counts roots from scalars
 
@@ -51,7 +53,11 @@ CLI_CASES = [
     ("quadric-nmax60", ["variety", "count", "--nmax", "60"], p1(1, [QUAD]), SEARCH),
     ("quadric-nmax42", ["variety", "count", "--nmax", "42"], p1(1, [QUAD]), SEARCH),
     ("quadric-nmax20", ["variety", "count", "--nmax", "20"], p1(1, [QUAD]), "ok"),
-    # huge ambient spaces: the chart sizes are charged as the charts are made
+    # chart sizes are read from the ambient and summed over the call before
+    # any chart is made: P^1 at n = 1..20656 is the first run past 10^7
+    # (PINS); charged one n at a time, --nmax 40000 took 12.8 s in its
+    # closed forms before the digit limit refused it
+    ("p1-nmax100000", ["variety", "count", "--nmax", "100000"], load_json("p1_f5_variety.json"), SIZES),
     ("P^100000", ["variety", "count"], {"ambient": {"projective": 100000}, "p": 5}, SIZES),
     ("P^(10^40)", ["variety", "count"], {"ambient": {"projective": 10**40}, "p": 5}, SIZES),
     ("A^(10^40)", ["variety", "count"], {"ambient": {"affine": 10**40}, "p": 5}, SIZES),
@@ -61,7 +67,10 @@ CLI_CASES = [
     ("quiver-10^5", ["numk0", "quiver"], {"vertices": 10**5, "arrows": []}, "quiver Gram matrix"),
     ("beilinson-10^5", ["numk0", "beilinson", "--dim", "100000"], None, "Beilinson Gram matrix"),
     ("beilinson-10^40", ["numk0", "beilinson", "--dim", str(10**40)], None, "Beilinson Gram matrix"),
-    # a Gram that fits is charged its Hermite forms: this chain took 30.9 s
+    # a Gram that fits is charged its Hermite forms: this chain took 30.9 s,
+    # and a 3000-vertex chain, refused by the lower bound before it is
+    # built, took 2.7 s to build and refuse
+    ("chain-3000", ["numk0", "quiver"], {"vertices": 3000, "arrows": [[i, i + 1] for i in range(2999)]}, "Hermite form"),
     ("chain-900", ["numk0", "quiver"], {"vertices": 900, "arrows": [[i, i + 1] for i in range(899)]}, "Hermite form"),
     # Artin-Mazur: the traces are charged against MAX_BITS, which lets
     # 701 through (once a cap of its own); at 800 Berlekamp-Massey refuses
@@ -69,9 +78,13 @@ CLI_CASES = [
     ("artin-mazur-701", ["artin-mazur", "--nmax", "701"], {"p": 5, "m": 2}, "ok"),
     ("artin-mazur-800", ["artin-mazur", "--nmax", "800"], {"p": 5, "m": 2}, "Berlekamp-Massey"),
 ]
+QUADRIC_NMAX = (3 * sum(n**4 for n in range(2, 29)), DEFAULT_BUDGET)
 PINS = {
-    ("artin-mazur", "--nmax", "800"): (1244981, MAX_BITS),
-    ("variety", "count", "--nmax"): (3 * sum(n**4 for n in range(2, 29)), DEFAULT_BUDGET),
+    "artin-mazur-800": (1244981, MAX_BITS),
+    "quadric-nmax60": QUADRIC_NMAX,
+    "quadric-nmax42": QUADRIC_NMAX,
+    "p1-nmax100000": (3 * 20656 * 20657 // 2 >> 6, DEFAULT_BUDGET),
+    "chain-3000": (3000**3 // 8, DEFAULT_BUDGET),
 }
 
 
@@ -89,8 +102,8 @@ def alarm(seconds, what):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("argv, data, outcome", [case[1:] for case in CLI_CASES], ids=[case[0] for case in CLI_CASES])
-def test_every_route_answers_or_is_refused_at_once(tmp_path, monkeypatch, argv, data, outcome):
+@pytest.mark.parametrize("name, argv, data, outcome", CLI_CASES, ids=[case[0] for case in CLI_CASES])
+def test_every_route_answers_or_is_refused_at_once(tmp_path, monkeypatch, name, argv, data, outcome):
     monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
     out = tmp_path / "out.json"
     if data is not None:
@@ -108,8 +121,20 @@ def test_every_route_answers_or_is_refused_at_once(tmp_path, monkeypatch, argv, 
     assert (code, envelope["status"]) == (2, "resource_error"), payload
     assert payload["required"] > payload["budget"]
     assert outcome in payload["reason"]
-    pin = PINS.get(tuple(argv[:3]))
-    assert pin is None or (payload["required"], payload["budget"]) == pin
+    assert name not in PINS or (payload["required"], payload["budget"]) == PINS[name]
+
+
+def test_the_quiver_handler_charges_its_kernels_before_the_gram_is_built(tmp_path, monkeypatch):
+    """numk0 quiver charges the least Hermite work any Gram of its order
+    costs, vertices^3 / 8, before it builds the Gram."""
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+    monkeypatch.setattr(k0, "quiver_gram", lambda *args: pytest.fail("the Gram was built before its kernels were charged"))
+    ((name, argv, data, _),) = [case for case in CLI_CASES if case[0] == "chain-3000"]
+    (tmp_path / "in.json").write_text(json.dumps(data))
+    assert main(argv + ["--in", str(tmp_path / "in.json"), "--out", str(tmp_path / "out.json")]) == 2
+    payload = json.loads((tmp_path / "out.json").read_text())["payload"]
+    assert "Hermite form" in payload["reason"]
+    assert (payload["required"], payload["budget"]) == PINS[name]
 
 
 FERMAT_13 = VarietySpec("projective", 2, 13, 1, ((((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1)),))
@@ -132,6 +157,19 @@ LIBRARY_CASES = [
     ("quadric-n60", lambda: count_points(VarietySpec.from_json(p1(1, [QUAD])), 60), SEARCH),
     ("enumerate-P^(10^40)", lambda: enumerate_points(projective_space(10**40, 5)), SIZES),
 ]
+
+
+def test_counting_and_listing_charge_chart_sizes_by_one_rule(monkeypatch):
+    """Chart sizes are read from the ambient, so counting and listing the
+    points of P^15000 over F_25 are refused with one required: the words of
+    its sizes 25^f, f < 15001, at 6 bits per variable."""
+    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
+    refusals = []
+    for route in (count_points, enumerate_points):
+        with alarm(5, route.__name__), pytest.raises(ResourceError, match=SIZES) as err:
+            route(projective_space(15000, 5), 2)
+        refusals.append((err.value.required, err.value.budget))
+    assert refusals == [(15001 * 15000 // 2 * 6 >> 6, DEFAULT_BUDGET)] * 2
 
 
 @pytest.mark.parametrize("call, kind", [case[1:] for case in LIBRARY_CASES], ids=[case[0] for case in LIBRARY_CASES])
@@ -182,6 +220,6 @@ def test_one_count_sums_the_searches_of_its_distinct_fields(monkeypatch):
     with pytest.raises(ResourceError, match=SEARCH) as err:
         point_counts(v, 28)
     assert (err.value.required, err.value.budget) == (11270151, DEFAULT_BUDGET)
-    plan = varieties._plan(v.ambient_kind, v.num_vars, v.p, v.e, varieties._equations(v, None), None)
+    what = varieties._what(v, None)
     with pytest.raises(Built):  # a field counted over twice is searched once
-        varieties._counts([(plan, n) for n in range(1, 28)] * 2, None)
+        varieties._counts([(what, n) for n in range(1, 28)] * 2, None)

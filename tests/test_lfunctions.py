@@ -287,6 +287,31 @@ def test_twisted_routes_charge_every_count_before_any_is_counted(monkeypatch, ro
     assert (err.value.required, err.value.budget) == (2 * 7**8, 10**7)
 
 
+@pytest.mark.parametrize("route, plans", [("point_counts", 1), ("l_function", 1), ("orbifold_zeta", 7)])
+def test_each_distinct_plan_is_made_once_per_call(monkeypatch, route, plans):
+    # the sign action on P^1/F_5 at n_max = 5: every plain count is of P^1
+    # itself; the orbifold adds P^1 cut by the sign's fixing equation and
+    # one descended plan over each F_{5^n}
+    made = []
+
+    def spy(*args):
+        made.append(args)
+        return plan(*args)
+
+    plan = varieties.Plan
+    monkeypatch.setattr(varieties, "Plan", spy)
+    data = load_json("p1_f5_z2_sign.json")
+    v = VarietySpec.from_json(data["variety"])
+    action = GroupAction(v, data["action"])
+    if route == "point_counts":
+        varieties.point_counts(v, 5)
+    elif route == "l_function":
+        l_function(v, action, rational_character(action, data["character"]["values"]), 5)
+    else:
+        orbifold_zeta(v, action, 5)
+    assert len(made) == plans
+
+
 def _characters(action, fixture_character=None):
     """The characters to test: a fixture's own, else every character of a
     cyclic group whose elements are listed as g^0, g^1, ..."""

@@ -94,6 +94,12 @@ def _printable(n: int) -> int:
     return n
 
 
+def charge_digits(digits: int) -> None:
+    """Charge the digits of an integer not yet made against the digit limit."""
+    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits():
+        charge(OUTPUT_DIGITS, digits, sys.get_int_max_str_digits())
+
+
 def charge(what: str, required: int, budget: int | None) -> None:
     """Refuse required units of the kind what past budget (None: the user's,
     see resolve_budget) with a ResourceError naming both; a required past

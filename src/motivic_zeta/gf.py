@@ -16,10 +16,10 @@ Sums and differences are one tuple comprehension each, and an inverse is
 pow(c, -1, p) over F_p and extended Euclid above it.  Rabin's test runs
 in the candidate ring F_p[x]/(f), a provisional FqField.
 
-The _fpoly_* helpers are the one polynomial family, over FqElements.  A
-subfield embeds by a root of its modulus, found by Cantor-Zassenhaus
-splitting over the big field; row_echelon is the one linear-algebra
-routine over F_q (kernels, spans, inverses).
+The _fpoly_* helpers are the one polynomial family (_int_gcd: over F_p
+on ints).  A subfield embeds by a root of its modulus, found by
+Cantor-Zassenhaus splitting over the big field; row_echelon is the one
+linear-algebra routine over F_q (kernels, spans, inverses).
 """
 
 from __future__ import annotations
@@ -70,6 +70,20 @@ def _mulmod(a: tuple[int, ...], b: tuple[int, ...], cols, p: int) -> tuple[int, 
     if any(high):
         return tuple([(x + sum(map(mul, high, col))) % p for x, col in zip(conv, cols)])
     return tuple([x % p for x in conv[:e]])
+
+
+def _int_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of coordinate lists over F_p, as _fpoly_gcd's."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b, a, d = [x * inv % p for x in b], a[:], len(b) - 1
+        for i in range(len(a) - 1, d - 1, -1):
+            c = a[i]
+            if c:
+                for k, y in enumerate(b, i - d):
+                    a[k] = (a[k] - c * y) % p
+        a, b = b, _trim(a[:d])
+    return a
 
 
 # --- polynomials over F_q on FqElement lists (ascending, no trailing zeros) ---

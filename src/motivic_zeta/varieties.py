@@ -1,23 +1,23 @@
-"""Arithmetic geometry over finite fields by enumeration.
+"""Arithmetic geometry over finite fields by enumeration and Weil's theorem.
 
 Varieties are given by equations in an affine or projective ambient
 space over F_q, q = p^e, with integer coefficients (read mod p) or
 coefficients in F_q itself, each equation one polynomial over F_q.  Every
 count, twisted or not, and every listing of points goes through one
 pricer (_priced), which takes a call's requests (what to count: ambient,
-field F_{p^e} and equations; at which n), charges all of them before any
-chart or field is made, and makes each distinct Plan once.  One executor
-(_run) counts a plan over normalized point representatives (projective:
-first nonzero coordinate = 1) by route: a chart cut out by no equations in
-closed form; one with a single equation of degree 1 or 2 in some free
-variable by its roots in it, from scalars when it is the only free
-variable, else over rows of assignments of the others (discriminant
-squares, or an absolute trace in characteristic 2); any other by
-enumeration, in chunks of at most gfvec.CHUNK = 2^14 assignments, each
-variable an array of rows, which stay in cache (see gfvec); a polynomial
-constant on the chart stays one row.  The rows are discrete logs on the
-field's exp/log/Zech tables, which only fields of at most gfvec.TABLE_MAX
-= 10^7 elements get, the cap their charge checks.
+field F_{p^e} and equations; at which n), makes each distinct Plan once
+and charges the cheapest way (_ways) to count each chart at each n before
+any is counted.  One executor (_run) counts a plan over normalized point
+representatives (projective: first nonzero coordinate = 1) by route:
+CLOSED, no equations; ROOTS and GCD, one free variable, over F_q (_roots,
+_root_count); WEIL, a v^2 + b v + c in two free variables (_Curve); ROWS,
+one equation of degree 1 or 2 in a free variable, by its roots over rows
+of assignments of the others (discriminant squares, or an absolute trace
+in characteristic 2); ENUMERATE, in chunks of at most gfvec.CHUNK = 2^14
+assignments, each variable an array of rows, which stay in cache (see
+gfvec); a polynomial constant on the chart stays one row.  The rows are
+discrete logs on the field's exp/log/Zech tables, which only fields of at
+most gfvec.TABLE_MAX = 10^7 elements get, the cap their charge checks.
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
 descent (Lang, Amer. J. Math. 78, 1956) in K = F_{q^n}[X]/(h), h monic
@@ -48,10 +48,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError, charge, resolve_budget
+from .errors import PreconditionError, ValidationError, charge, charge_digits, resolve_budget
 from .analytic import _poly_roots_certified
 from .exact_core import RationalFunction, _json_int, _monomial
-from .gf import FqElement, FqField, _fpoly_add, _fpoly_gcd, _fpoly_mulmod, _fpoly_powmod, _fpoly_rem, fq_make, is_prime, mobius, row_echelon, trace_column
+from .gf import FqElement, FqField, _fpoly_add, _fpoly_gcd, _fpoly_mulmod, _fpoly_powmod, _fpoly_rem, _int_gcd, _trim, fq_make, is_prime, mobius, row_echelon, trace_column
 from . import gfvec
 from .gfvec import VecField, vec_field
 from .reconstruct import NotStabilized, traces_to_zeta
@@ -61,6 +61,7 @@ SIZES = "64-bit words of chart sizes q^f"
 SEARCH = "work of a modulus search"
 DESCENT = "work of a twist descent"
 CLOSED, ROOTS, ROWS, ENUMERATE = "closed form", "scalar roots", "quadratic rows", "enumeration"
+GCD, WEIL = "root gcd", "L-polynomial"
 
 
 def _search(p: int, e: int) -> int:
@@ -202,8 +203,8 @@ def _equations(v: VarietySpec, budget: int | None) -> list[dict]:
 @dataclass(frozen=True)
 class Plan:
     """X over F_{p^e} for every n: per chart with points, in chart order,
-    (route, f, eqs, j), f its free-variable count, eqs its equations and j
-    the free variable that ROOTS and ROWS solve for, else None."""
+    (route, f, eqs, j, data): f free variables, eqs its equations, j the one
+    ROOTS and ROWS solve for, data the degree (GCD) or the _Curve (WEIL)."""
 
     p: int
     e: int
@@ -230,8 +231,59 @@ def _plan(kind: str, nv: int, p: int, e: int, polys: list[dict]) -> Plan:
             # the first free variable that a single equation has degree 1 or 2 in
             j = next((j for j in range(f) if max(exps[j] for exps in eqs[0]) in (1, 2)), None) if len(eqs) == 1 else None
             route = CLOSED if not eqs else ENUMERATE if j is None else ROOTS if f == 1 else ROWS
-            charts.append((route, f, tuple(eqs), j))
+            data = max(k for eq in eqs for (k,) in eq) if route == ENUMERATE and f == 1 else None
+            if route == ROWS and f == 2 and max(exps[1 - j] for exps in eqs[0]) <= 64:  # higher degrees keep their rows
+                data = _Curve(eqs[0], j)
+            charts.append((route, f, tuple(eqs), j, data))
     return Plan(p, e, tuple(charts))
+
+
+class _Curve:
+    """A chart a(x) v^2 + b(x) v + c(x) = 0 over F_q.  Over F_Q, Q = q^n, x
+    with a(x) != 0 has 1 + chi(D(x)) roots v, D = b^2 - 4ac; one with
+    a(x) = 0 has 1 if b(x) != 0 (and chi(D(x)) = 1), Q if b(x) = c(x) = 0:
+    Q - r(lead) + Q r(gcd(a, b, c)) + S_n in all, r the roots in F_Q (r(0) =
+    Q), lead = a, S_n = sum_{x in F_Q} chi(D(x)); lead = b, no S_n if a = 0.
+    For odd p and D squarefree of degree d, y^2 = D(x) of genus (d - 1) // 2
+    has Q + 1 - sum alpha_i^n points (Weil, Bull. AMS 55, 1949): Q + S_n
+    affine, 1 (d odd) or 1 + chi(lc D)^n (d even) at infinity."""
+
+    def __init__(self, terms: dict, j: int):
+        self.parts: tuple = ({}, {}, {})  # c, b, a over the other variable
+        for exps, coeff in terms.items():
+            self.parts[exps[j]][(exps[1 - j],)] = coeff
+        self.zero = next(iter(terms.values())).field.zero()
+        self.linear, self.sums, self.coeffs = not self.parts[2], [], []
+
+    @functools.cached_property
+    def lead(self) -> list:  # a, or b when a = 0
+        return _dense(self.parts[2] or self.parts[1], self.zero)
+
+    @functools.cached_property
+    def disc(self) -> list:
+        c, b, a = self.parts
+        return _dense(_poly_sub(_poly_mul(b, b), _poly_mul({(0,): self.zero.field.element(4)}, _poly_mul(a, c))), self.zero)
+
+    @functools.cached_property
+    def genus(self) -> int:
+        """(d - 1) // 2, d = deg D read off b^2 and 4ac unless they may cancel."""
+        c, b, a = (max(x, default=(-1,))[0] for x in self.parts)
+        b2, ac = 2 * b if b >= 0 else -1, a + c if c >= 0 else -1
+        return max((len(self.disc) - 1 if b2 == ac else max(b2, ac)) - 1, 0) // 2
+
+    @functools.cached_property
+    def common(self) -> list:
+        return functools.reduce(_fpoly_gcd, (_dense(x, self.zero) for x in self.parts), [])
+
+    @functools.cached_property
+    def squarefree(self) -> bool:
+        slope = _fpoly_add([x * x.field.element(i) for i, x in enumerate(self.disc)][1:], [])  # trailing zeros dropped
+        return bool(self.disc) and len(_fpoly_gcd(self.disc, slope)) == 1
+
+
+def _dense(poly: dict, zero) -> list:
+    """A polynomial in one variable, {(k,): c}, as its coefficient list."""
+    return [poly.get((k,), zero) for k in range(max(poly, default=(-1,))[0] + 1)]
 
 
 def _specialize(poly: dict, start: int):
@@ -331,72 +383,150 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
     return total
 
 
-def _roots(terms: dict, field: FqField) -> int:
-    """Roots in field of a v^2 + b v + c, the one equation of a chart whose
-    only free variable is v, from scalar a, b and c, as _quadratic_count
-    counts them row by row (in characteristic 2 by Lidl and Niederreiter,
-    Finite Fields, Thm 2.25)."""
-    c, b, a = (terms.get((d,), field.zero()) for d in range(3))
+def _roots(terms: dict, base: FqField, n: int) -> int:
+    """Roots in F_{q^n} of a v^2 + b v + c over F_q, the one equation of a
+    chart whose only free variable is v, as _quadratic_count counts them row
+    by row, from a, b and c: on F_q the character of F_{q^n} is chi^n and its
+    trace n Tr (in characteristic 2 by Lidl and Niederreiter, Thm 2.25)."""
+    c, b, a = (terms.get((d,), base.zero()) for d in range(3))
     if a.is_zero():
-        return 1 if not b.is_zero() else field.q if c.is_zero() else 0
-    if field.p == 2:
+        return 1 if not b.is_zero() else base.q**n if c.is_zero() else 0
+    if base.p == 2:
         if b.is_zero():
             return 1
         y = a * c / (b * b)
-        return 0 if sum(map(mul, y.coeffs, trace_column(field))) % 2 else 2
-    disc = b * b - field.element(4) * a * c
-    return 1 if disc.is_zero() else 2 if disc ** ((field.q - 1) // 2) == field.one() else 0
+        return 0 if n * sum(map(mul, y.coeffs, trace_column(base))) % 2 else 2
+    disc = b * b - base.element(4) * a * c
+    return 1 if disc.is_zero() else 2 if n % 2 == 0 or disc ** ((base.q - 1) // 2) == base.one() else 0
 
 
-def _priced(requests, budget: int | None, listing: bool = False) -> list[tuple[Plan, int]]:
-    """(plan, n) per request ((kind, nv, p, e, polys), n) of one call, each
-    distinct plan made once, charged before it is made and used: running
-    totals over the call of the words of the sizes q^(n f) of every chart of
-    the ambient (A^N: f = N; P^N: f = 0..N) and of the distinct fields'
-    modulus searches, and the request's own assignments (q^(f - 1) a chart
-    counted by roots, q^f one enumerated, every chart when listing)."""
-    plans, searches, words, priced = {}, {}, 0, []
+def _root_count(polys: list[list], base: FqField, n: int) -> int:
+    """deg gcd(P_1, .., P_k, z^Q - z) over F_q, Q = q^n: the common roots in
+    F_Q of coefficient lists (Q when all are 0).  Over F_p on ints, z^Q is a
+    power in F_p[z]/(gcd), an FqField whose modulus need not be irreducible."""
+    q, p, g = base.q**n, base.p, []
+    for poly in polys:
+        g = _int_gcd(g, [c.coeffs[0] for c in poly], p) if base.e == 1 else _fpoly_gcd(g, poly)
+    if len(g) > 2 and base.e == 1:
+        w = list((FqField(p, len(g) - 1, tuple(g)).element([0, 1]) ** q).coeffs)
+        g = _int_gcd(g, _trim([w[0], (w[1] - 1) % p] + w[2:]), p)
+    elif len(g) > 2:
+        g = _fpoly_gcd(g, _fpoly_add(_fpoly_powmod([base.zero(), base.one()], q, g), [base.zero(), -base.one()]))
+    return len(g) - 1 if g else q
+
+
+def _curve_count(chart, base: FqField, n: int) -> int:
+    """The points over F_{q^n} of a chart its _Curve answers: S_n = -s_n -
+    [d even] chi(lc D)^n, s_n = sum alpha_i^n, for n > g.  The L-polynomial
+    sum a_k t^k has k a_k = -(s_1 a_(k-1) + .. + s_k) (Newton): a_1..a_g from
+    S_1..S_g over F_{q^m} by quadratic rows, a_(2g-k) = q^(g-k) a_k, then all
+    s_n.  An inexact division or |a_k| > C(2g, k) q^(k/2) is a ValidationError."""
+    _, _, (terms,), j, curve = chart
+    g, q, s, a, even = curve.genus, base.q, curve.sums, curve.coeffs, len(curve.disc) % 2
+    chi = 1 if not curve.disc or curve.disc[-1] ** ((q - 1) // 2) == base.one() else -1  # chi(lc D)
+
+    def known(m):  # the count over F_{q^m} less S_m
+        return q**m - _root_count([curve.lead], base, m) + q**m * _root_count([curve.common], base, m)
+
+    if curve.linear or len(curve.disc) == 1:  # no S_n, or D a nonzero constant
+        return known(n) + (0 if curve.linear else q**n * chi**n)
+    if not a:
+        fields = enumerate((fq_make(base.p, base.e * m) for m in range(1, g + 1)), 1)
+        sums = [known(m) - _quadratic_count(vec_field(F), _poly(terms.items(), F), 2, j) - even * chi**m for m, F in fields]
+        coeffs = [1]
+        for k in range(1, g + 1):
+            num = -sum(sums[i - 1] * coeffs[k - i] for i in range(1, k + 1))
+            if num % k or (num // k) ** 2 > math.comb(2 * g, k) ** 2 * q**k:
+                raise ValidationError(f"S_1..S_{g} of y^2 = D(x) over F_{q} give no L-polynomial: a_{k} = {num}/{k}")
+            coeffs.append(num // k)
+        a += coeffs + [q ** (g - k) * coeffs[k] for k in range(g - 1, -1, -1)]
+        s += sums
+    while len(s) < n:
+        m = len(s) + 1
+        s.append(-(m * a[m] if m <= 2 * g else 0) - sum(a[i] * s[m - i - 1] for i in range(1, min(m - 1, 2 * g) + 1)))
+    return known(n) - s[n - 1] - even * chi**n
+
+
+def _ways(chart, p: int, e: int, n: int, listing: bool) -> list[tuple]:
+    """The ways to count (or list) a chart at n, today's first: (route, rows,
+    coefficient products, the k of each F_{p^k} given tables).  A pass over
+    F_Q, Q = p^(e n), costs its rows and Q table entries, a root count of
+    degree d (d + 1)^2 e^2 ceil(log2 Q) products over F_p; WEIL (a = 0, or
+    odd p, D squarefree and n > g) passes over F_{q^m}, m <= g."""
+    route, f, _, _, data = chart
+    if listing:
+        return [(ENUMERATE, p ** (e * n * f), 0, (e * n,) if f else ())]
+    if route == ROOTS:
+        return [(ROOTS, 1, 0, ())]
+    q = p ** (e * n)
+    ways, step = [(route, q ** (f - (route == ROWS)), 0, (e * n,))], e * e * (q - 1).bit_length()
+    if route == ENUMERATE and f == 1:
+        ways.append((GCD, 0, (data + 1) ** 2 * step, ()))
+    elif isinstance(data, _Curve) and (data.linear or p % 2 and n > data.genus and p ** (e * data.genus) <= gfvec.TABLE_MAX and data.squarefree):
+        fields = () if data.linear else tuple(range(e, e * data.genus + 1, e))
+        ways.append((WEIL, sum(p**k for k in fields), (len(data.lead) ** 2 + len(data.common) ** 2) * step, fields))
+    return ways
+
+
+def _priced(requests, budget: int | None, listing: bool = False) -> list[tuple[Plan, int, tuple]]:
+    """(plan, n, routes) per request ((kind, nv, p, e, polys), n) of one
+    call, each distinct plan made once, charged before it is made and used:
+    running totals over the call of the words of the sizes q^(n f) of every
+    chart of the ambient (A^N: f = N; P^N: f = 0..N), the distinct fields'
+    searches and coefficient products; per request, each chart's cheapest
+    way (_ways; the first on a tie); last, the digits of q^(n N) to print."""
+    budget = resolve_budget(budget)
+    plans, searches, words, work, top, priced = {}, {}, 0, 0, 0, []
     for (kind, nv, p, e, polys), n in requests:
         words += (nv if kind == "affine" else nv * (nv - 1) // 2) * e * n * (p - 1).bit_length()
         charge(SIZES, words >> 6, budget)
+        top = max(top, e * n * (nv - (kind != "affine")))  # q^(n N) = p^top
         key = (kind, nv, p, e, tuple(frozenset(poly.items()) for poly in polys))
-        if key not in plans:
-            plans[key] = _plan(kind, nv, p, e, polys)
-        plan = plans[key]
-        passes = [f if listing else f - (route != ENUMERATE) for route, f, _, _ in plan.charts if listing or route != CLOSED]
-        if passes:
-            q, used = p ** (e * n), 0
-            for m in passes:
-                used += q**m
+        plan = plans[key] = plans.get(key) or _plan(kind, nv, p, e, polys)
+        routes, used, tabled = [], 0, set()
+        for chart in plan.charts:
+            if chart[0] == CLOSED and not listing:
+                routes.append(CLOSED)
+                continue
+            ways = _ways(chart, p, e, n, listing)
+            route, rows, products, fields = min(ways, key=lambda w: w[1] + w[2] + sum(p**k for k in w[3])) if ways[1:] else ways[0]
+            used, work = used + rows, work + products
+            if rows or products:
                 charge("assignments to enumerate", used, budget)
-            if any(passes):
-                charge(gfvec.TABLES, q, gfvec.TABLE_MAX)
-            searches[p, e * n] = _search(p, e * n)
+                charge("coefficient products of root counts", work, budget)
+            routes.append(route)
+            tabled.update(fields)
+        if tabled or listing and plan.charts:
+            charge(gfvec.TABLES, p ** max(tabled, default=0), gfvec.TABLE_MAX)
+            searches.update({(p, k): _search(p, k) for k in tabled | ({e * n} if listing else set())})
             charge(SEARCH, sum(searches.values()), budget)
-        priced.append((plan, n))
+        priced.append((plan, n, tuple(routes)))
+    charge_digits((top * (int(math.log10(p) * 2**40) - 1) >> 40) + 1)  # top log10(p) rounded down, + 1
     return priced
 
 
 def _counts(requests, budget: int | None) -> list[int]:
     """#X(F_{q^n}) per request of one call, all priced before any is counted."""
-    return [_run(plan, n) for plan, n in _priced(requests, budget)]
+    return [_run(*priced) for priced in _priced(requests, budget)]
 
 
-def _run(plan: Plan, n: int) -> int:
-    """#X(F_{q^n}) from a priced plan of X over F_q, chart by chart by route."""
+def _run(plan: Plan, n: int, routes: tuple) -> int:
+    """#X(F_{q^n}) from a priced plan of X over F_q, chart by chart by the
+    route its pricing chose."""
     total = 0
-    for route, f, eqs, j in plan.charts:
+    for chart, route in zip(plan.charts, routes):
+        _, f, eqs, j, _ = chart
         if route == CLOSED:
             total += plan.p ** (plan.e * n * f)
-            continue
-        field = fq_make(plan.p, plan.e * n)
-        eqs = [_poly(eq.items(), field) for eq in eqs]
-        if route == ROOTS:
-            total += _roots(eqs[0], field)
+        elif route in (ROOTS, GCD, WEIL):
+            base = fq_make(plan.p, plan.e)
+            total += _roots(eqs[0], base, n) if route == ROOTS else _curve_count(chart, base, n) if route == WEIL else _root_count([_dense(eq, base.zero()) for eq in eqs], base, n)
         elif route == ROWS:
-            total += _quadratic_count(vec_field(field), eqs[0], f, j)
+            field = fq_make(plan.p, plan.e * n)
+            total += _quadratic_count(vec_field(field), _poly(eqs[0].items(), field), f, j)
         else:
-            vf = vec_field(field)
+            vf = vec_field(fq_make(plan.p, plan.e * n))
+            eqs = [_poly(eq.items(), vf.field) for eq in eqs]
             total += sum(int(np.count_nonzero(_vanish(vf, eqs, values, rows))) for rows, values in _assignments(vf, f))
     return total
 
@@ -425,9 +555,9 @@ def enumerate_points(v: VarietySpec, n: int = 1, budget: int | None = None):
     lexicographic order of the packed indices of the free coordinates
     (desk scale only); a chart with no free variables is one point.  Every
     chart is priced as an enumeration before F_{q^n} is built."""
-    ((plan, n),) = _priced([(_what(v, budget), n)], budget, listing=True)
+    ((plan, n, _),) = _priced([(_what(v, budget), n)], budget, listing=True)
     points = []
-    for _, f, eqs, _ in plan.charts:
+    for _, f, eqs, *_ in plan.charts:
         field, start = fq_make(v.p, v.e * n), v.num_vars - f
         fixed = tuple(field.element(int(i == start - 1)) for i in range(start))
         if not f:

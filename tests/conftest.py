@@ -25,6 +25,9 @@ from motivic_zeta.varieties import _assignments, _equations, _normalize_matrix, 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "motivic_zeta" / "fixtures"
 VARIETY_FIXTURES = sorted(path.name for path in FIXTURES.glob("*_variety.json"))
+# the Klein quartic x^3 y + y^3 z + z^3 x over F_5: no chart is quadratic in
+# a variable, so its chart x = 1 is enumerated, q^(2n) assignments at n
+KLEIN_F5 = {"ambient": {"projective": 2}, "p": 5, "equations": [[[[3, 1, 0], 1], [[0, 3, 1], 1], [[1, 0, 3], 1]]]}
 
 
 def load_json(name: str):
@@ -117,7 +120,7 @@ def twisted_count_by_enumeration(v: VarietySpec, g, n: int, fixers=()) -> int:
     twist = embedded(act)
     fix = [embedded(_normalize_matrix(v, h)) for h in fixers]
     total = 0
-    for _, f, eqs, _ in _plan(v.ambient_kind, v.num_vars, v.p, v.e, _equations(v, None)).charts:
+    for _, f, eqs, *_ in _plan(v.ambient_kind, v.num_vars, v.p, v.e, _equations(v, None)).charts:
         start, eqs = v.num_vars - f, [_poly(eq.items(), big) for eq in eqs]
         consts = [vf.const(c) for c in ([0] * (start - 1) + [1] if start else [])]
         for rows, values in _assignments(vf, f):

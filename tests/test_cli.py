@@ -19,7 +19,7 @@ from motivic_zeta.gf import FqField
 from motivic_zeta.reconstruct import MAX_BITS
 from motivic_zeta.serialize import canonical, dumps
 
-from conftest import FIXTURES
+from conftest import FIXTURES, KLEIN_F5
 
 
 def run(capsys, *argv):
@@ -194,6 +194,22 @@ def test_readme_cli_table_lists_every_command_with_its_flags():
         listed += [(words, set(re.findall(r"--([a-z]+)", flags))) for words in re.findall(r"`([^`]+)`", commands)]
     assert all("out" in flags for _, _, flags in COMMANDS)
     assert sorted(listed) == sorted((words, set(flags) - {"out"}) for words, _, flags in COMMANDS)
+
+
+def test_variety_weil_answers_on_the_shipped_e7_at_the_default_nmax(capsys):
+    """Refused at --nmax 8 before (required 2 * 7^8): the zeta stabilizes,
+    the counts follow the Frobenius recurrence from N_1 = 5 (a = 3), and
+    every reciprocal root has modulus 1, sqrt(7) or 7."""
+    code, out = run(capsys, "variety", "weil", "--in", fixture("elliptic_f7_variety.json"), "--dim", "1")
+    assert (code, out["status"]) == (0, "ok")
+    payload = out["payload"]
+    sums = [2, 3]
+    for _ in range(7):
+        sums.append(3 * sums[-1] - 7 * sums[-2])
+    assert payload["counts"] == [7**n + 1 - sums[n] for n in range(1, 9)]
+    assert payload["stabilized"] and payload["rh_holds"] and payload["functional_equation_holds"]
+    assert payload["zeta"] == {"num": ["1/7", "-3/7", "1"], "den": ["1/7", "-8/7", "1"]}
+    assert payload["reciprocal_root_moduli"] == [1.0, 2.64575131106, 2.64575131106, 7.0]
 
 
 def test_variety_weil_requires_dim(capsys):
@@ -639,14 +655,15 @@ def test_a_budget_of_4300_digits_ends_in_an_envelope(capsys, tmp_path, monkeypat
     """Under a budget of 4300 nines a refusal's reason and numbers stay
     printable: a cubic in 14300 variables over F_2 is charged 2^14300
     assignments, 4305 digits, past the digit limit, so the envelope names
-    that limit; E/F_5 up to n = 6200 reaches the table cap at 5^11."""
+    that limit; the Klein quartic over F_5 up to n = 6200 reaches the table
+    cap at 5^11."""
     nv = 14300
     wide = {"ambient": {"affine": nv}, "p": 2, "equations": [[[[3] + [0] * (nv - 1), 1]]]}
     argv = ["variety", "count"]
     if case == "charge":
         argv += ["--in", write(tmp_path, "wide.json", wide)]
     else:
-        argv += ["--in", fixture("elliptic_f5_variety.json"), "--nmax", "6200"]
+        argv += ["--in", write(tmp_path, "klein.json", KLEIN_F5), "--nmax", "6200"]
     nines = "9" * 4300
     if route == "flag":
         argv += ["--budget", nines]
@@ -666,6 +683,21 @@ def test_a_budget_of_4300_digits_ends_in_an_envelope(capsys, tmp_path, monkeypat
     else:
         assert (payload["required"], payload["budget"]) == (5**11, 10**7)
         assert "log tables" in payload["reason"]
+
+
+def test_elliptic_counts_past_the_table_cap_are_refused_by_their_digits(capsys):
+    """E/F_5 up to n = 6200 reached the table cap at 5^11; no chart of it
+    needs tables past F_5 now, so under a budget of 4300 nines it is
+    refused, before any count, by the digits of 5^(2 * 6200)."""
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run(capsys, "variety", "count", "--in", fixture("elliptic_f5_variety.json"), "--nmax", "6200", "--budget", "9" * 4300)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert (code, out["status"]) == (2, "resource_error")
+    assert (out["payload"]["required"], out["payload"]["budget"]) == (8668, 4300)
+    assert "digits of an output integer" in out["payload"]["reason"]
 
 
 def test_every_berlekamp_massey_route_refuses_800_terms(capsys, tmp_path):

@@ -33,6 +33,9 @@ def sign_action(variety):
 
 
 SEARCH, DESCENT, SIZES = "modulus search", "twist descent", "chart sizes"
+# y^2 + x y + x^3 + 1 over F_2: quadratic in y, so each n passes over the
+# 2^n rows of F_{2^n}, whose tables and modulus search it charges
+F2_CURVE = {"ambient": {"affine": 2}, "p": 2, "equations": [[[[0, 2], 1], [[1, 1], 1], [[3, 0], 1], [[0, 0], 1]]]}
 
 # (id, argv without --in, the --in document or None, the outcome: "ok" or
 # a word of the refused kind's reason)
@@ -47,17 +50,23 @@ CLI_CASES = [
     ("list-coefficient-e400", ["variety", "count"], p1(400, [[[[1, 1], [1]]]], p=2), SEARCH),
     ("lfun-e100000", ["lfun"], {**sign_action(p1(100000, [])), "character": {"m": 1, "values": [1, -1]}}, SEARCH),
     ("orbifold-e100000", ["orbifold"], sign_action(p1(100000, [])), SEARCH),
-    # the searches of the fields F_{5^n} one count builds are summed:
-    # n = 2..28 is the first run past 10^7 (PINS), and --nmax 42, whose
-    # fields were charged one by one, took 17.5 s
-    ("quadric-nmax60", ["variety", "count", "--nmax", "60"], p1(1, [QUAD]), SEARCH),
-    ("quadric-nmax42", ["variety", "count", "--nmax", "42"], p1(1, [QUAD]), SEARCH),
+    # the searches of the fields F_{2^n} one count builds are summed: under
+    # a budget of 200000, n = 2..16 is the first run past it (PINS), while
+    # each n alone fits; counted by its roots over F_5, the quadric builds
+    # no field at any n (--nmax 42 searched them all and took 17.5 s)
+    ("f2-curve-nmax60", ["variety", "count", "--nmax", "60", "--budget", "200000"], F2_CURVE, SEARCH),
+    ("quadric-nmax60", ["variety", "count", "--nmax", "60"], p1(1, [QUAD]), "ok"),
+    ("quadric-nmax42", ["variety", "count", "--nmax", "42"], p1(1, [QUAD]), "ok"),
     ("quadric-nmax20", ["variety", "count", "--nmax", "20"], p1(1, [QUAD]), "ok"),
     # chart sizes are read from the ambient and summed over the call before
     # any chart is made: P^1 at n = 1..20656 is the first run past 10^7
     # (PINS); charged one n at a time, --nmax 40000 took 12.8 s in its
     # closed forms before the digit limit refused it
     ("p1-nmax100000", ["variety", "count", "--nmax", "100000"], load_json("p1_f5_variety.json"), SIZES),
+    # the digits of the largest q^(n N) a call can print are charged after
+    # its sizes, before any count: --nmax 20000 took 2.4 s to compute
+    # 5^1..5^20000 before the printer refused 5^6153 (4301 digits)
+    ("p1-nmax20000", ["variety", "count", "--nmax", "20000"], load_json("p1_f5_variety.json"), "digits of an output integer"),
     ("P^100000", ["variety", "count"], {"ambient": {"projective": 100000}, "p": 5}, SIZES),
     ("P^(10^40)", ["variety", "count"], {"ambient": {"projective": 10**40}, "p": 5}, SIZES),
     ("A^(10^40)", ["variety", "count"], {"ambient": {"affine": 10**40}, "p": 5}, SIZES),
@@ -78,11 +87,10 @@ CLI_CASES = [
     ("artin-mazur-701", ["artin-mazur", "--nmax", "701"], {"p": 5, "m": 2}, "ok"),
     ("artin-mazur-800", ["artin-mazur", "--nmax", "800"], {"p": 5, "m": 2}, "Berlekamp-Massey"),
 ]
-QUADRIC_NMAX = (3 * sum(n**4 for n in range(2, 29)), DEFAULT_BUDGET)
 PINS = {
     "artin-mazur-800": (1244981, MAX_BITS),
-    "quadric-nmax60": QUADRIC_NMAX,
-    "quadric-nmax42": QUADRIC_NMAX,
+    "f2-curve-nmax60": (sum(n**4 for n in range(2, 17)), 200000),
+    "p1-nmax20000": (13980, 4300),  # 20000 log10(5) = 13979.4
     "p1-nmax100000": (3 * 20656 * 20657 // 2 >> 6, DEFAULT_BUDGET),
     "chain-3000": (3000**3 // 8, DEFAULT_BUDGET),
 }
@@ -154,7 +162,8 @@ LIBRARY_CASES = [
     ("diag-order-5003", lambda: twisted_count(affine(3, 10007, (((2, 0, 0), 1), ((0, 0, 0), -1))), [[5, 0, 0], [0, 1, 0], [0, 0, 1]], 1), DESCENT),
     ("fermat-order-183", lambda: twisted_count(FERMAT_13, ORDER_183, 1), DESCENT),
     ("artin-mazur-10^6", lambda: motivic_zeta.artin_mazur_traces(5, 2, 10**6), "Artin-Mazur traces"),
-    ("quadric-n60", lambda: count_points(VarietySpec.from_json(p1(1, [QUAD])), 60), SEARCH),
+    # the descent of x -> -x builds F_{5^60} alone, charged first
+    ("quadric-n60", lambda: twisted_count(VarietySpec.from_json(p1(1, [QUAD])), [[-1, 0], [0, 1]], 60), SEARCH),
     ("enumerate-P^(10^40)", lambda: enumerate_points(projective_space(10**40, 5)), SIZES),
 ]
 
@@ -191,7 +200,7 @@ def test_refusals_come_before_the_work_they_refuse(monkeypatch):
     monkeypatch.setattr(varieties, "fq_make", lambda p, e: forbidden(p, e) if e > 42 else fq_make(p, e))
     monkeypatch.setattr(varieties, "_relative_modulus", forbidden)
     with pytest.raises(ResourceError, match=SEARCH) as err:
-        count_points(VarietySpec.from_json(p1(1, [QUAD])), 60)
+        twisted_count(VarietySpec.from_json(p1(1, [QUAD])), [[-1, 0], [0, 1]], 60)
     assert (err.value.required, err.value.budget) == (60**4 * 3, DEFAULT_BUDGET)
     with pytest.raises(ResourceError, match=DESCENT):
         twisted_count(FERMAT_13, ORDER_183, 1)
@@ -200,9 +209,10 @@ def test_refusals_come_before_the_work_they_refuse(monkeypatch):
 
 
 def test_one_count_sums_the_searches_of_its_distinct_fields(monkeypatch):
-    """F_{5^2}..F_{5^27} fit 10^7 together (3 sum n^4 = 9426183), so the
-    count reaches its first field; one more field, or the same requests
-    once more, is charged before any field is built."""
+    """Under a budget of 200000, the searches for F_{2^2}..F_{2^15} fit
+    together (sum n^4 = 178311), so the count of F2_CURVE reaches its first
+    field; one more field (243847), or the same requests once more, is
+    charged before any field is built."""
 
     class Built(Exception):
         pass
@@ -212,14 +222,20 @@ def test_one_count_sums_the_searches_of_its_distinct_fields(monkeypatch):
             raise Built(e)
         return fq_make(p, e)
 
-    monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
     monkeypatch.setattr(varieties, "fq_make", build)
-    v = VarietySpec.from_json(p1(1, [QUAD]))
+    v = VarietySpec.from_json(F2_CURVE)
     with pytest.raises(Built):
-        point_counts(v, 27)
+        point_counts(v, 15, budget=200000)
     with pytest.raises(ResourceError, match=SEARCH) as err:
-        point_counts(v, 28)
-    assert (err.value.required, err.value.budget) == (11270151, DEFAULT_BUDGET)
+        point_counts(v, 16, budget=200000)
+    assert (err.value.required, err.value.budget) == (243847, 200000)
     what = varieties._what(v, None)
     with pytest.raises(Built):  # a field counted over twice is searched once
-        varieties._counts([(what, n) for n in range(1, 28)] * 2, None)
+        varieties._counts([(what, n) for n in range(1, 16)] * 2, 200000)
+
+
+def test_the_quadric_that_searched_its_fields_answers():
+    """x0^2 + x1^2 over F_5, refused at --nmax 28 and at n = 60 by the
+    searches of F_{5^n}, counts its two roots (-1 is a square mod 5) over
+    F_5 at every n."""
+    assert point_counts(VarietySpec.from_json(p1(1, [QUAD])), 60) == [2] * 60

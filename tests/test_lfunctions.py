@@ -250,9 +250,9 @@ def test_trivial_group_orbifold_is_plain_zeta(p1_f5):
 
 
 def test_repeated_l_function_respects_budget():
-    # y -> -y on E/F_5: its descent over F_5 charges 48 and the counts at
-    # n = 2 charge 50 assignments each, so a repeated call with budget 49
-    # must refuse them, as a first call does
+    # y -> -y on E/F_5: its descent over F_5 charges 48, the identity's
+    # count at n = 2 charges 30 assignments, and the descent over F_25 192,
+    # so a repeated call with budget 49 must refuse that, as a first call does
     e5 = load_variety("elliptic_f5_variety.json")
     action = GroupAction(e5, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]])
     ls = l_function(e5, action, trivial_character(action), 2)
@@ -260,7 +260,7 @@ def test_repeated_l_function_respects_budget():
     assert l_function(e5, action, trivial_character(action), 1, budget=49).precision == 1
     with pytest.raises(ResourceError) as err:
         l_function(e5, action, trivial_character(action), 2, budget=49)
-    assert (err.value.required, err.value.budget) == (50, 49)
+    assert (err.value.required, err.value.budget) == (192, 49)
 
 
 FLIP = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]  # y -> -y
@@ -268,9 +268,11 @@ FLIP = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]  
 
 @pytest.mark.parametrize("route", ["l_function", "orbifold_zeta"])
 def test_twisted_routes_charge_every_count_before_any_is_counted(monkeypatch, route):
-    # y -> -y on E/F_7 at n_max = 9: the identity's count at n = 8 charges
-    # 2 * 7^8 > 10^7 (the chart x = 1, quadratic in y, and x = 0, y = 1),
-    # so the route refuses before it sets up any field for enumeration
+    # y -> -y on E/F_7 at n_max = 9: the identity's counts are cheap (an
+    # L-polynomial and a root gcd), but the twist's count at n = 9, of its
+    # twisted form over F_{7^9} at n = 1, passes over the 7^9 rows of its
+    # chart x = 1 (quadratic in y, of genus 1 >= n), and 7^9 > 10^7, so
+    # the route refuses before it sets up any field for enumeration
     monkeypatch.delenv("MOTIVIC_ZETA_BUDGET", raising=False)
 
     def no_enumeration(field):
@@ -284,7 +286,7 @@ def test_twisted_routes_charge_every_count_before_any_is_counted(monkeypatch, ro
             l_function(e7, action, trivial_character(action), 9)
         else:
             orbifold_zeta(e7, action, 9)
-    assert (err.value.required, err.value.budget) == (2 * 7**8, 10**7)
+    assert (err.value.required, err.value.budget) == (7**9, 10**7)
 
 
 @pytest.mark.parametrize("route, plans", [("point_counts", 1), ("l_function", 1), ("orbifold_zeta", 7)])

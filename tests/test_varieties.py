@@ -26,7 +26,7 @@ from motivic_zeta import (
 from motivic_zeta import gfvec, varieties
 from motivic_zeta.cli import main
 from motivic_zeta.errors import PreconditionError, ResourceError, ValidationError
-from motivic_zeta.gf import FqField, row_echelon
+from motivic_zeta.gf import FqField, mobius, row_echelon
 from motivic_zeta.gfvec import vec_field
 from motivic_zeta.motives import artin_mazur_traces
 from motivic_zeta.serialize import dumps
@@ -42,7 +42,7 @@ from motivic_zeta.varieties import (
 )
 
 from conftest import (
-    FIXTURES,
+    KLEIN_F5,
     VARIETY_FIXTURES,
     load_json,
     load_variety,
@@ -364,41 +364,60 @@ def test_over_budget_twisted_count_is_refused_at_once(field_builds):
 def test_closed_form_and_refused_counts_build_no_field(field_builds):
     # every chart is charged before F_{q^n} exists: building F_{13^42} took
     # 13.6 s before a closed form, and F_{5^56} 6.0 s before a refusal.
+    # The chart x = 1 of the Klein quartic is (5^56)^2 assignments, and
     # enumerate_points visits every chart in full, so the chart x = 1 of
-    # E/F_5 alone is (5^56)^2 assignments
+    # E/F_5 alone is as many
     q = 13**42
     assert count_points(projective_space(2, 13), 42) == 1 + q + q**2
     e5 = load_variety("elliptic_f5_variety.json")
     with pytest.raises(ResourceError) as err:
-        count_points(e5, 56)
-    assert (err.value.required, err.value.budget) == (5**56, 10**7)
+        count_points(VarietySpec.from_json(KLEIN_F5), 56)
+    assert (err.value.required, err.value.budget) == (5**112, 10**7)
     with pytest.raises(ResourceError) as err:
         enumerate_points(e5, 56)
     assert (err.value.required, err.value.budget) == (5**112, 10**7)
     assert set(field_builds) == {1}
 
 
-# E/F_7 at n = 8 is over the default budget: 7^8 on the chart x = 1
-# (quadratic in y) and 7^8 on x = 0, y = 1
-E7_N8 = 2 * 7**8
+# the Klein quartic over F_5 at n = 6 is over the default budget: 5^12 on
+# its chart x = 1
+KLEIN_N6 = 5**12
 
 
 @pytest.mark.parametrize("count", [weil_check, closed_points, zeta_from_counts])
 def test_multi_n_counts_are_charged_for_every_n_before_any_is_counted(field_builds, count):
-    # n = 8 is charged before n = 1..7 are counted, so no field is set up
+    # n = 6 is charged before n = 1..5 are counted, so no field is set up
     args = (1, 9) if count is weil_check else (9,)
     with pytest.raises(ResourceError) as err:
-        count(load_variety("elliptic_f7_variety.json"), *args)
-    assert (err.value.required, err.value.budget) == (E7_N8, 10**7)
+        count(VarietySpec.from_json(KLEIN_F5), *args)
+    assert (err.value.required, err.value.budget) == (KLEIN_N6, 10**7)
     assert set(field_builds) == {1}
 
 
-def test_cli_variety_count_is_charged_for_every_n_before_any_is_counted(field_builds, capsys):
-    code = main(["variety", "count", "--in", str(FIXTURES / "elliptic_f7_variety.json"), "--nmax", "9"])
+def test_cli_variety_count_is_charged_for_every_n_before_any_is_counted(field_builds, capsys, tmp_path):
+    (tmp_path / "klein.json").write_text(json.dumps(KLEIN_F5))
+    code = main(["variety", "count", "--in", str(tmp_path / "klein.json"), "--nmax", "9"])
     envelope = json.loads(capsys.readouterr().out)
     assert (code, envelope["status"]) == (2, "resource_error")
-    assert (envelope["payload"]["required"], envelope["payload"]["budget"]) == (E7_N8, 10**7)
+    assert (envelope["payload"]["required"], envelope["payload"]["budget"]) == (KLEIN_N6, 10**7)
     assert set(field_builds) == {1}
+
+
+def test_former_refusals_of_the_elliptic_fixtures_answer(field_requests):
+    """E/F_5 at n = 56 (refused with required 5^56) and E/F_7 at n = 8, 9
+    (refused with 2 * 7^8) now follow the Frobenius recurrence from N_1 = 9
+    and N_1 = 5, and build no field past F_p: each chart is counted by its
+    L-polynomial, from S_1 over F_p, or by its root gcd."""
+    e5, e7 = load_variety("elliptic_f5_variety.json"), load_variety("elliptic_f7_variety.json")
+    assert count_points(e5, 56) == frobenius_counts(5, 9, 56)[55]
+    counts = frobenius_counts(7, 5, 9)
+    assert varieties.point_counts(e7, 9) == counts
+    assert set(field_requests) == {1}
+    assert closed_points(e7, 9) == [sum(mobius(d // k) * counts[k - 1] for k in range(1, d + 1) if d % k == 0) // d for d in range(1, 10)]
+    zeta = RationalFunction(Polynomial([1, -3, 7]), Polynomial([1, -8, 7]))  # (1 - 3t + 7t^2) / ((1 - t)(1 - 7t))
+    assert list(zeta_from_counts(e7, 9).series.coeffs) == zeta.taylor(9)
+    report = weil_check(e7, 1, 9)
+    assert report.stabilized and report.rh_holds and report.functional_equation_holds and report.counts == counts
 
 
 @pytest.mark.parametrize("name", VARIETY_FIXTURES)
@@ -413,19 +432,21 @@ def test_weil_check_needs_a_count():
 
 
 def test_twisted_budget_is_charged_chart_by_chart():
-    # E/F_5 over F_25: the chart x = 1 charges 25 (quadratic in y), the
-    # chart x = 0, y = 1 charges 25 (z^3 - z, exhaustive); an identity twist
-    # is count_points itself.  The twist y -> -y first charges its descent
-    # of degree 2 over F_25, 2^4 2^2 ceil(log2 5) = 192, then its descended
-    # count, 50
+    # E/F_5 over F_25: the chart x = 1 charges 5 (the rows of S_1 over F_5
+    # for its L-polynomial, cheaper than 25 rows and 25 table entries), the
+    # chart x = 0, y = 1 charges 25 (z^3 - z, exhaustive, cheaper than a
+    # root gcd), and its field's search 2^4 ceil(log2 5) = 48; an identity
+    # twist is count_points itself.  The twist y -> -y first charges its
+    # descent of degree 2 over F_25, 2^4 2^2 ceil(log2 5) = 192, then its
+    # descended count, 50
     e5 = load_variety("elliptic_f5_variety.json")
     ident, flip = [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
     with pytest.raises(ResourceError) as plain:
         count_points(e5, 2, budget=27)
     with pytest.raises(ResourceError) as err:
         twisted_count(e5, ident, 2, budget=27)
-    assert (err.value.required, err.value.budget) == (plain.value.required, plain.value.budget) == (50, 27)
-    assert twisted_count(e5, ident, 2, budget=50) == count_points(e5, 2) == 27
+    assert (err.value.required, err.value.budget) == (plain.value.required, plain.value.budget) == (30, 27)
+    assert twisted_count(e5, ident, 2, budget=48) == count_points(e5, 2) == 27
     with pytest.raises(ResourceError, match="twist descent") as err:
         twisted_count(e5, flip, 2, budget=191)
     assert (err.value.required, err.value.budget) == (192, 191)

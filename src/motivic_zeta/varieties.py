@@ -9,15 +9,17 @@ field F_{p^e} and equations; at which n), makes each distinct Plan once
 and charges the cheapest way (_ways) to count each chart at each n before
 any is counted.  One executor (_run) counts a plan over normalized point
 representatives (projective: first nonzero coordinate = 1) by route:
-CLOSED, no equations; ROOTS and GCD, one free variable, over F_q (_roots,
-_root_count); WEIL, a v^2 + b v + c in two free variables (_Curve); ROWS,
-one equation of degree 1 or 2 in a free variable, by its roots over rows
-of assignments of the others (discriminant squares, or an absolute trace
-in characteristic 2); ENUMERATE, in chunks of at most gfvec.CHUNK = 2^14
-assignments, each variable an array of rows, which stay in cache (see
-gfvec); a polynomial constant on the chart stays one row.  The rows are
-discrete logs on the field's exp/log/Zech tables, which only fields of at
-most gfvec.TABLE_MAX = 10^7 elements get, the cap their charge checks.
+CLOSED, no equations; GCD, one free variable, by the common roots of its
+equations over F_q (_root_count); ROWS, one equation a v^2 + b v + c of
+degree 1 or 2 in a free variable v, split once (_Quadratic), by its roots
+over rows of assignments of the others (discriminant squares, or an
+absolute trace in characteristic 2); WEIL, such an equation in two free
+variables, by the L-polynomial of its curve (_curve_count); ENUMERATE,
+in chunks of at most gfvec.CHUNK = 2^14 assignments, each variable an
+array of rows, which stay in cache (see gfvec); a polynomial constant on
+the chart stays one row.  The rows are discrete logs on the field's
+exp/log/Zech tables, which only fields of at most gfvec.TABLE_MAX = 10^7
+elements get, the cap their charge checks.
 
 Twisted counts #{x : g(Fr^n(x)) = x} are ordinary counts by Lang
 descent (Lang, Amer. J. Math. 78, 1956) in K = F_{q^n}[X]/(h), h monic
@@ -60,7 +62,7 @@ from .series import TruncatedSeries, WittElement, exp_from_traces
 SIZES = "64-bit words of chart sizes q^f"
 SEARCH = "work of a modulus search"
 DESCENT = "work of a twist descent"
-CLOSED, ROOTS, ROWS, ENUMERATE = "closed form", "scalar roots", "quadratic rows", "enumeration"
+CLOSED, ROWS, ENUMERATE = "closed form", "quadratic rows", "enumeration"
 GCD, WEIL = "root gcd", "L-polynomial"
 
 
@@ -203,8 +205,9 @@ def _equations(v: VarietySpec, budget: int | None) -> list[dict]:
 @dataclass(frozen=True)
 class Plan:
     """X over F_{p^e} for every n: per chart with points, in chart order,
-    (route, f, eqs, j, data): f free variables, eqs its equations, j the one
-    ROOTS and ROWS solve for, data the degree (GCD) or the _Curve (WEIL)."""
+    (route, f, eqs, data): f free variables, eqs its equations, data their
+    coefficient lists for GCD (one free variable), the _Quadratic split of
+    the one equation for ROWS, else None."""
 
     p: int
     e: int
@@ -230,28 +233,31 @@ def _plan(kind: str, nv: int, p: int, e: int, polys: list[dict]) -> Plan:
         else:
             # the first free variable that a single equation has degree 1 or 2 in
             j = next((j for j in range(f) if max(exps[j] for exps in eqs[0]) in (1, 2)), None) if len(eqs) == 1 else None
-            route = CLOSED if not eqs else ENUMERATE if j is None else ROOTS if f == 1 else ROWS
-            data = max(k for eq in eqs for (k,) in eq) if route == ENUMERATE and f == 1 else None
-            if route == ROWS and f == 2 and max(exps[1 - j] for exps in eqs[0]) <= 64:  # higher degrees keep their rows
-                data = _Curve(eqs[0], j)
-            charts.append((route, f, tuple(eqs), j, data))
+            route, data = CLOSED if not eqs else GCD if f == 1 else ENUMERATE if j is None else ROWS, None
+            if route == GCD:
+                data = [_dense(eq, next(iter(eq.values())).field.zero()) for eq in eqs]
+            elif route == ROWS:
+                data = _Quadratic(eqs[0], j)
+            charts.append((route, f, tuple(eqs), data))
     return Plan(p, e, tuple(charts))
 
 
-class _Curve:
-    """A chart a(x) v^2 + b(x) v + c(x) = 0 over F_q.  Over F_Q, Q = q^n, x
-    with a(x) != 0 has 1 + chi(D(x)) roots v, D = b^2 - 4ac; one with
-    a(x) = 0 has 1 if b(x) != 0 (and chi(D(x)) = 1), Q if b(x) = c(x) = 0:
-    Q - r(lead) + Q r(gcd(a, b, c)) + S_n in all, r the roots in F_Q (r(0) =
-    Q), lead = a, S_n = sum_{x in F_Q} chi(D(x)); lead = b, no S_n if a = 0.
-    For odd p and D squarefree of degree d, y^2 = D(x) of genus (d - 1) // 2
-    has Q + 1 - sum alpha_i^n points (Weil, Bull. AMS 55, 1949): Q + S_n
-    affine, 1 (d odd) or 1 + chi(lc D)^n (d even) at infinity."""
+class _Quadratic:
+    """A chart's one equation a(x) v^2 + b(x) v + c(x) = 0 over F_q, v its
+    free variable j and x the others, split into parts (c, b, a).  With one
+    x, it is a curve.  Over F_Q, Q = q^n, x with a(x) != 0 has 1 + chi(D(x))
+    roots v, D = b^2 - 4ac; one with a(x) = 0 has 1 if b(x) != 0 (and
+    chi(D(x)) = 1), Q if b(x) = c(x) = 0: Q - r(lead) + Q r(gcd(a, b, c)) +
+    S_n in all, r the roots in F_Q (r(0) = Q), lead = a, S_n = sum_{x in
+    F_Q} chi(D(x)); lead = b, no S_n if a = 0.  For odd p and D squarefree
+    of degree d, y^2 = D(x) of genus (d - 1) // 2 has Q + 1 - sum
+    alpha_i^n points (Weil, Bull. AMS 55, 1949): Q + S_n affine, 1 (d odd)
+    or 1 + chi(lc D)^n (d even) at infinity."""
 
     def __init__(self, terms: dict, j: int):
-        self.parts: tuple = ({}, {}, {})  # c, b, a over the other variable
+        self.parts: tuple = ({}, {}, {})  # c, b, a over the other variables
         for exps, coeff in terms.items():
-            self.parts[exps[j]][(exps[1 - j],)] = coeff
+            self.parts[exps[j]][exps[:j] + exps[j + 1 :]] = coeff
         self.zero = next(iter(terms.values())).field.zero()
         self.linear, self.sums, self.coeffs = not self.parts[2], [], []
 
@@ -355,13 +361,12 @@ def _count(mask, rows: int) -> int:
     return int(np.count_nonzero(mask)) * (rows // mask.shape[0])
 
 
-def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
-    """Solutions of one equation a v^2 + b v + c = 0, v the free variable
-    j: the roots in v summed over the q^(f-1) assignments of the others."""
+def _quadratic_count(vf: VecField, parts: tuple, f: int) -> int:
+    """Solutions of one equation a v^2 + b v + c = 0 in f free variables,
+    split into parts (c, b, a) over the base field (_Quadratic): the roots
+    in v summed over the q^(f-1) assignments of the others."""
     q = vf.q
-    by_degree = [{}, {}, {}]
-    for exps, coeff in terms.items():
-        by_degree[exps[j]][exps[:j] + exps[j + 1 :]] = coeff
+    by_degree = [_poly(part.items(), vf.field) for part in parts]
     total = 0
     for rows, values in _assignments(vf, f - 1):
         c, b, a = _evaluate(vf, by_degree, values)
@@ -383,30 +388,22 @@ def _quadratic_count(vf: VecField, terms: dict, f: int, j: int) -> int:
     return total
 
 
-def _roots(terms: dict, base: FqField, n: int) -> int:
-    """Roots in F_{q^n} of a v^2 + b v + c over F_q, the one equation of a
-    chart whose only free variable is v, as _quadratic_count counts them row
-    by row, from a, b and c: on F_q the character of F_{q^n} is chi^n and its
-    trace n Tr (in characteristic 2 by Lidl and Niederreiter, Thm 2.25)."""
-    c, b, a = (terms.get((d,), base.zero()) for d in range(3))
-    if a.is_zero():
-        return 1 if not b.is_zero() else base.q**n if c.is_zero() else 0
-    if base.p == 2:
-        if b.is_zero():
-            return 1
-        y = a * c / (b * b)
-        return 0 if n * sum(map(mul, y.coeffs, trace_column(base))) % 2 else 2
-    disc = b * b - base.element(4) * a * c
-    return 1 if disc.is_zero() else 2 if n % 2 == 0 or disc ** ((base.q - 1) // 2) == base.one() else 0
-
-
 def _root_count(polys: list[list], base: FqField, n: int) -> int:
-    """deg gcd(P_1, .., P_k, z^Q - z) over F_q, Q = q^n: the common roots in
-    F_Q of coefficient lists (Q when all are 0).  Over F_p on ints, z^Q is a
-    power in F_p[z]/(gcd), an FqField whose modulus need not be irreducible."""
+    """The common roots in F_Q, Q = q^n, of coefficient lists over F_q (Q
+    when all are 0): those of their monic gcd g.  For g = z^2 + b z + c,
+    the character of F_Q at b^2 - 4c, chi^n on F_q, or in characteristic 2
+    the trace of c/b^2 to F_2, n Tr on F_q (Lidl and Niederreiter, Thm
+    2.25); else deg gcd(g, z^Q - z), where over F_p on ints z^Q is a power
+    in F_p[z]/(g), an FqField whose modulus need not be irreducible."""
     q, p, g = base.q**n, base.p, []
     for poly in polys:
         g = _int_gcd(g, [c.coeffs[0] for c in poly], p) if base.e == 1 else _fpoly_gcd(g, poly)
+    if len(g) == 3:
+        c, b = (base.element(x) for x in g[:2]) if base.e == 1 else g[:2]
+        if p == 2:
+            return 1 if b.is_zero() else 0 if n * sum(map(mul, (c / (b * b)).coeffs, trace_column(base))) % 2 else 2
+        disc = b * b - base.element(4) * c
+        return 1 if disc.is_zero() else 2 if n % 2 == 0 or disc ** ((base.q - 1) // 2) == base.one() else 0
     if len(g) > 2 and base.e == 1:
         w = list((FqField(p, len(g) - 1, tuple(g)).element([0, 1]) ** q).coeffs)
         g = _int_gcd(g, _trim([w[0], (w[1] - 1) % p] + w[2:]), p)
@@ -415,13 +412,13 @@ def _root_count(polys: list[list], base: FqField, n: int) -> int:
     return len(g) - 1 if g else q
 
 
-def _curve_count(chart, base: FqField, n: int) -> int:
-    """The points over F_{q^n} of a chart its _Curve answers: S_n = -s_n -
-    [d even] chi(lc D)^n, s_n = sum alpha_i^n, for n > g.  The L-polynomial
-    sum a_k t^k has k a_k = -(s_1 a_(k-1) + .. + s_k) (Newton): a_1..a_g from
-    S_1..S_g over F_{q^m} by quadratic rows, a_(2g-k) = q^(g-k) a_k, then all
-    s_n.  An inexact division or |a_k| > C(2g, k) q^(k/2) is a ValidationError."""
-    _, _, (terms,), j, curve = chart
+def _curve_count(curve: _Quadratic, base: FqField, n: int) -> int:
+    """The points over F_{q^n} of a quadratic chart in two free variables
+    (see _Quadratic): S_n = -s_n - [d even] chi(lc D)^n, s_n = sum
+    alpha_i^n, for n > g.  The L-polynomial sum a_k t^k has k a_k = -(s_1
+    a_(k-1) + .. + s_k) (Newton): a_1..a_g from S_1..S_g over F_{q^m} by
+    quadratic rows, a_(2g-k) = q^(g-k) a_k, then all s_n.  An inexact
+    division or |a_k| > C(2g, k) q^(k/2) is a ValidationError."""
     g, q, s, a, even = curve.genus, base.q, curve.sums, curve.coeffs, len(curve.disc) % 2
     chi = 1 if not curve.disc or curve.disc[-1] ** ((q - 1) // 2) == base.one() else -1  # chi(lc D)
 
@@ -432,7 +429,7 @@ def _curve_count(chart, base: FqField, n: int) -> int:
         return known(n) + (0 if curve.linear else q**n * chi**n)
     if not a:
         fields = enumerate((fq_make(base.p, base.e * m) for m in range(1, g + 1)), 1)
-        sums = [known(m) - _quadratic_count(vec_field(F), _poly(terms.items(), F), 2, j) - even * chi**m for m, F in fields]
+        sums = [known(m) - _quadratic_count(vec_field(F), curve.parts, 2) - even * chi**m for m, F in fields]
         coeffs = [1]
         for k in range(1, g + 1):
             num = -sum(sums[i - 1] * coeffs[k - i] for i in range(1, k + 1))
@@ -451,18 +448,20 @@ def _ways(chart, p: int, e: int, n: int, listing: bool) -> list[tuple]:
     """The ways to count (or list) a chart at n, today's first: (route, rows,
     coefficient products, the k of each F_{p^k} given tables).  A pass over
     F_Q, Q = p^(e n), costs its rows and Q table entries, a root count of
-    degree d (d + 1)^2 e^2 ceil(log2 Q) products over F_p; WEIL (a = 0, or
-    odd p, D squarefree and n > g) passes over F_{q^m}, m <= g."""
-    route, f, _, _, data = chart
+    degree d (d + 1)^2 e^2 ceil(log2 Q) products over F_p, one equation of
+    degree <= 2 in one free variable one row, counted in closed form; WEIL
+    (two free variables, degree <= 64 in the one not solved for, and a = 0,
+    or odd p, D squarefree and n > g) passes over F_{q^m}, m <= g."""
+    route, f, _, data = chart
     if listing:
         return [(ENUMERATE, p ** (e * n * f), 0, (e * n,) if f else ())]
-    if route == ROOTS:
-        return [(ROOTS, 1, 0, ())]
+    if route == GCD and len(data) == 1 and len(data[0]) <= 3:
+        return [(GCD, 1, 0, ())]
     q = p ** (e * n)
-    ways, step = [(route, q ** (f - (route == ROWS)), 0, (e * n,))], e * e * (q - 1).bit_length()
-    if route == ENUMERATE and f == 1:
-        ways.append((GCD, 0, (data + 1) ** 2 * step, ()))
-    elif isinstance(data, _Curve) and (data.linear or p % 2 and n > data.genus and p ** (e * data.genus) <= gfvec.TABLE_MAX and data.squarefree):
+    ways, step = [(ENUMERATE if route == GCD else route, q ** (f - (route == ROWS)), 0, (e * n,))], e * e * (q - 1).bit_length()
+    if route == GCD:
+        ways.append((GCD, 0, max(map(len, data)) ** 2 * step, ()))
+    elif route == ROWS and f == 2 and max(k for x in data.parts for (k,) in x) <= 64 and (data.linear or p % 2 and n > data.genus and p ** (e * data.genus) <= gfvec.TABLE_MAX and data.squarefree):
         fields = () if data.linear else tuple(range(e, e * data.genus + 1, e))
         ways.append((WEIL, sum(p**k for k in fields), (len(data.lead) ** 2 + len(data.common) ** 2) * step, fields))
     return ways
@@ -514,16 +513,14 @@ def _run(plan: Plan, n: int, routes: tuple) -> int:
     """#X(F_{q^n}) from a priced plan of X over F_q, chart by chart by the
     route its pricing chose."""
     total = 0
-    for chart, route in zip(plan.charts, routes):
-        _, f, eqs, j, _ = chart
+    for (_, f, eqs, data), route in zip(plan.charts, routes):
         if route == CLOSED:
             total += plan.p ** (plan.e * n * f)
-        elif route in (ROOTS, GCD, WEIL):
+        elif route in (GCD, WEIL):
             base = fq_make(plan.p, plan.e)
-            total += _roots(eqs[0], base, n) if route == ROOTS else _curve_count(chart, base, n) if route == WEIL else _root_count([_dense(eq, base.zero()) for eq in eqs], base, n)
+            total += _root_count(data, base, n) if route == GCD else _curve_count(data, base, n)
         elif route == ROWS:
-            field = fq_make(plan.p, plan.e * n)
-            total += _quadratic_count(vec_field(field), _poly(eqs[0].items(), field), f, j)
+            total += _quadratic_count(vec_field(fq_make(plan.p, plan.e * n)), data.parts, f)
         else:
             vf = vec_field(fq_make(plan.p, plan.e * n))
             eqs = [_poly(eq.items(), vf.field) for eq in eqs]
@@ -755,6 +752,7 @@ def _twisted(v: VarietySpec, g, eqs: list[dict], n: int, budget: int | None):
     r, lam = _twist_order(kind, g, resolve_budget(budget)) if eqs else (1, None)
     if r == 1:
         return (kind, nv, v.p, v.e, eqs), n
+    # per n: a twist descended once over F_q, counted at n, fixes g^n Fr^n, not g Fr^n
     small = _field(v.p, v.e * n, budget)
     charge(DESCENT, _descent_work(r, small), budget)
     return (kind, nv, small.p, small.e, _descend(v, g, r, lam, small, eqs)), 1

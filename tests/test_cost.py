@@ -5,23 +5,26 @@ Each case runs in-process under a 5 s signal.alarm.  The alarm only
 detects a hang; it is not a speed bound, and every case here ends in well
 under a second."""
 
+import ast
 import contextlib
+import importlib
 import json
 import signal
+from pathlib import Path
 
 import pytest
 
 import motivic_zeta
 from motivic_zeta import k0, varieties
 from motivic_zeta.cli import main
-from motivic_zeta.errors import DEFAULT_BUDGET, ResourceError
+from motivic_zeta.errors import DEFAULT_BUDGET, OUTPUT_DIGITS, ResourceError
 from motivic_zeta.gf import fq_make
 from motivic_zeta.reconstruct import MAX_BITS
 from motivic_zeta.varieties import VarietySpec, count_points, enumerate_points, point_counts, projective_space, twisted_count
 
 from conftest import load_json
 
-QUAD = [[[2, 0], 1], [[0, 2], 1]]  # x0^2 + x1^2: its one chart counts roots from scalars
+QUAD = [[[2, 0], 1], [[0, 2], 1]]  # x0^2 + x1^2: its one chart counts its roots in closed form
 
 
 def p1(e, equations, p=5):
@@ -239,3 +242,24 @@ def test_the_quadric_that_searched_its_fields_answers():
     searches of F_{5^n}, counts its two roots (-1 is a square mod 5) over
     F_5 at every n."""
     assert point_counts(VarietySpec.from_json(p1(1, [QUAD])), 60) == [2] * 60
+
+
+def test_the_budgets_table_lists_every_charge_kind():
+    """Each kind a module of the package passes to errors.charge, a literal
+    or a constant read in that module, and charge_digits's OUTPUT_DIGITS,
+    is a row of README's Budgets table."""
+    src = Path(motivic_zeta.__file__).resolve().parent
+    kinds = set()
+    for path in sorted(src.glob("*.py")):
+        module = vars(importlib.import_module(f"motivic_zeta.{path.stem}" if path.stem != "__init__" else "motivic_zeta"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "charge":
+                    kinds.add(eval(ast.unparse(node.args[0]), module))
+                elif name == "charge_digits":
+                    kinds.add(OUTPUT_DIGITS)
+    section = (src.parent.parent / "README.md").read_text().split("\n## Budgets\n", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("|")[1].strip() for line in section.splitlines() if line.startswith("|")}
+    assert len(kinds) >= 12 and all(isinstance(kind, str) for kind in kinds)
+    assert kinds <= rows, sorted(kinds - rows)

@@ -194,7 +194,7 @@ def test_tables_are_capped_at_the_default_budget():
 
 def test_one_row_charts_build_no_tables():
     # x^2 = a y^2 on P^1 over F_127: the only chart with points has one
-    # free variable, whose roots are counted from scalars
+    # free variable, whose roots are counted in closed form
     vec_field.cache_clear()
     for a, points in ((2, 2), (3, 0)):  # 2 is a square mod 127, 3 is not
         conic = VarietySpec("projective", 1, 127, 1, ((((2, 0), 1), ((0, 2), -a)),))

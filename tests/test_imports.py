@@ -98,3 +98,18 @@ def test_every_export_resolves_and_is_listed():
         assert name in names
         assert getattr(motivic_zeta, name) is getattr(getattr(motivic_zeta, motivic_zeta._LAZY[name]), name)
     assert not hasattr(motivic_zeta, "no_such_export")
+
+
+def test_every_import_is_used():
+    """Each name a module imports appears in its code; __init__ re-exports
+    its imports, so it is exempt."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in used, f"{path.name}:{node.lineno} imports {name}, which it never uses"

@@ -190,7 +190,8 @@ def test_one_variable_charts_count_roots_from_scalars(p, e, n):
     """Seeded a v^2 + b v + c on A^1 and binary forms a x^2 + b x y + c y^2
     on P^1 over F_{p^e}, each coefficient zero one time in three, counted
     over F_{p^(e n)} against brute force: their only charts with equations
-    have one free variable, so no count builds a VecField."""
+    have one free variable and one equation of degree <= 2, counted in
+    closed form, so no count builds a VecField."""
     rng = random.Random(100 * p + 10 * e + n)
     base, big = fq_make(p, e), fq_make(p, e * n)
     vec_field.cache_clear()

@@ -15,7 +15,7 @@ from motivic_zeta.varieties import VarietySpec, count_points, enumerate_points
 
 from conftest import load_variety
 
-FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
+FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]
 ROW_LIMIT = 3 * 10**5  # q^n of the largest field today's route passes over here
 
 
@@ -36,11 +36,21 @@ def routes(monkeypatch):
 
 def todays_count(monkeypatch, v, n, budget=10**9):
     """count_points with every chart on the first of its ways: rows or
-    enumeration over F_{q^n}, or roots from scalars."""
+    enumeration over F_{q^n}, or the closed form of one equation of degree
+    <= 2 in one free variable."""
     ways = varieties._ways
     with monkeypatch.context() as m:
         m.setattr(varieties, "_ways", lambda *args: ways(*args)[:1])
         return count_points(v, n, budget=budget)
+
+
+def gcd_count(monkeypatch, v, n):
+    """count_points with every chart on the last of its ways: the root gcd
+    on a chart with one free variable."""
+    ways = varieties._ways
+    with monkeypatch.context() as m:
+        m.setattr(varieties, "_ways", lambda *args: ways(*args)[-1:])
+        return count_points(v, n, budget=10**9)
 
 
 def element(rng, p, e, nonzero=False):
@@ -131,14 +141,26 @@ def irreducible(rng, p, e, degree):
             return f
 
 
+def distinct(rng, p, e, degree, k):
+    """k distinct seeded monic irreducible polynomials of the given degree."""
+    out = []
+    while len(out) < k:
+        f = irreducible(rng, p, e, degree)
+        out += [] if f in out else [f]
+    return out
+
+
 @pytest.mark.parametrize("p, e", FIELDS)
 def test_one_variable_charts_follow_the_gcd_rule(monkeypatch, routes, p, e):
     """Products of seeded irreducible factors of degree 1..3, repeated, of
     degree 1..60 over F_p (1..12 over its extensions, where a coefficient
     product is a field product), one equation or two sharing factors: an
     irreducible factor of degree k has its k roots in F_{q^n} when k | n,
-    else none.  Today's route agrees while q^n <= 2 * 10^4."""
+    else none.  Two equations whose gcd is a quadratic, irreducible, split
+    or a square, check its closed form.  The root gcd agrees at every n,
+    today's route while q^n <= 2 * 10^4."""
     rng = random.Random(7 * p + e)
+    cases = []  # (irreducible factors, equations, a mask of the factors they share)
     for degree in (1, 4, 12, 30, 60) if e == 1 else (1, 4, 12):
         factors = list({tuple(f): f for f in (irreducible(rng, p, e, rng.randrange(1, 4)) for _ in range(4))}.values())
         first, first_used = [1], 0
@@ -147,13 +169,17 @@ def test_one_variable_charts_follow_the_gcd_rule(monkeypatch, routes, p, e):
             first, first_used = multiply(first, f, p, e), first_used | 1 << factors.index(f)
         g = rng.choice(factors)
         second, second_used = multiply(factors[0], g, p, e), 1 | 1 << factors.index(g)
-        for eqs, used in (([first], first_used), ([first, second], first_used & second_used)):
-            v = VarietySpec("affine", 1, p, e, tuple(tuple(((k,), x) for k, x in enumerate(eq) if x) for eq in eqs))
-            for n in range(1, 9):
-                want = sum(len(f) - 1 for i, f in enumerate(factors) if used >> i & 1 and n % (len(f) - 1) == 0)
-                assert count_points(v, n) == want, (eqs, n)
-                if p ** (e * n) <= 2 * 10**4:
-                    assert want == todays_count(monkeypatch, v, n), (eqs, n)
+        cases += [(factors, [first], first_used), (factors, [first, second], first_used & second_used)]
+    (quadratic,), (l1, l2), (k1, k2) = (distinct(rng, p, e, degree, k) for degree, k in ((2, 1), (1, 2), (3, 2)))
+    for g, used in ((quadratic, 0b001), (multiply(l1, l2, p, e), 0b110), (multiply(l1, l1, p, e), 0b010)):
+        cases.append(([quadratic, l1, l2], [multiply(g, k1, p, e), multiply(g, k2, p, e)], used))
+    for factors, eqs, used in cases:
+        v = VarietySpec("affine", 1, p, e, tuple(tuple(((k,), x) for k, x in enumerate(eq) if x) for eq in eqs))
+        for n in range(1, 9):
+            want = sum(len(f) - 1 for i, f in enumerate(factors) if used >> i & 1 and n % (len(f) - 1) == 0)
+            assert count_points(v, n) == want == gcd_count(monkeypatch, v, n), (eqs, n)
+            if p ** (e * n) <= 2 * 10**4:
+                assert want == todays_count(monkeypatch, v, n), (eqs, n)
     assert any(varieties.GCD in r for r in routes)
 
 

@@ -205,9 +205,10 @@ def _equations(v: VarietySpec, budget: int | None) -> list[dict]:
 @dataclass(frozen=True)
 class Plan:
     """X over F_{p^e} for every n: per chart with points, in chart order,
-    (route, f, eqs, data): f free variables, eqs its equations, data their
-    coefficient lists for GCD (one free variable), the _Quadratic split of
-    the one equation for ROWS, else None."""
+    (route, f, eqs, data): f free variables, eqs its equations (read when
+    the chart is enumerated or listed), data their coefficient lists for
+    GCD (one free variable), the _Quadratic split of the one equation for
+    ROWS, else None."""
 
     p: int
     e: int
@@ -231,8 +232,8 @@ def _plan(kind: str, nv: int, p: int, e: int, polys: list[dict]) -> Plan:
                 break  # a nonzero constant
             eqs.append(s)
         else:
-            # the first free variable that a single equation has degree 1 or 2 in
-            j = next((j for j in range(f) if max(exps[j] for exps in eqs[0]) in (1, 2)), None) if len(eqs) == 1 else None
+            # with two or more free variables, the first that a single equation has degree 1 or 2 in
+            j = next((j for j in range(f) if max(exps[j] for exps in eqs[0]) in (1, 2)), None) if f > 1 and len(eqs) == 1 else None
             route, data = CLOSED if not eqs else GCD if f == 1 else ENUMERATE if j is None else ROWS, None
             if route == GCD:
                 data = [_dense(eq, next(iter(eq.values())).field.zero()) for eq in eqs]

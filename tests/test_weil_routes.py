@@ -173,14 +173,17 @@ def test_one_variable_charts_follow_the_gcd_rule(monkeypatch, routes, p, e):
     (quadratic,), (l1, l2), (k1, k2) = (distinct(rng, p, e, degree, k) for degree, k in ((2, 1), (1, 2), (3, 2)))
     for g, used in ((quadratic, 0b001), (multiply(l1, l2, p, e), 0b110), (multiply(l1, l1, p, e), 0b010)):
         cases.append(([quadratic, l1, l2], [multiply(g, k1, p, e), multiply(g, k2, p, e)], used))
+    picked = []  # the pricer's own routes for the charts that are not one equation of degree <= 2
     for factors, eqs, used in cases:
         v = VarietySpec("affine", 1, p, e, tuple(tuple(((k,), x) for k, x in enumerate(eq) if x) for eq in eqs))
         for n in range(1, 9):
             want = sum(len(f) - 1 for i, f in enumerate(factors) if used >> i & 1 and n % (len(f) - 1) == 0)
-            assert count_points(v, n) == want == gcd_count(monkeypatch, v, n), (eqs, n)
+            assert count_points(v, n) == want, (eqs, n)
+            picked += routes[-1:] if len(eqs) > 1 or len(eqs[0]) > 3 else []
+            assert want == gcd_count(monkeypatch, v, n), (eqs, n)
             if p ** (e * n) <= 2 * 10**4:
                 assert want == todays_count(monkeypatch, v, n), (eqs, n)
-    assert any(varieties.GCD in r for r in routes)
+    assert any(varieties.GCD in r for r in picked)
 
 
 P31 = 2**31 - 1
